@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,14 @@ def _section(cls, section: str, data: dict):
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
+        # name the field when it fails on its own; a clash between fields
+        # (a horizon shorter than the step) is reported for the section
+        for key, value in data.items():
+            try:
+                cls(**{key: value})
+            except (TypeError, ValueError) as field_exc:
+                raise ConfigError(f"invalid '{section}' section: "
+                                  f"{section}.{key} = {value!r}: {field_exc}") from exc
         raise ConfigError(f"invalid '{section}' section: {exc}") from exc
 
 
@@ -102,8 +111,12 @@ class PopulationConfig:
     n_herders: int | None = None  # null: computed from the feasibility pipeline
 
     def __post_init__(self):
+        if not isinstance(self.n_targets, Integral):
+            raise ValueError("target count must be an integer")
         if self.n_targets < 1:
             raise ValueError("need at least one target")
+        if self.n_herders is not None and not isinstance(self.n_herders, Integral):
+            raise ValueError("herder count must be an integer")
         if self.n_herders is not None and self.n_herders < 0:
             raise ValueError("herder count cannot be negative")
 
@@ -168,6 +181,10 @@ class OutputConfig:
     fields: bool = False  # also dump the reference/control grid fields
 
     def __post_init__(self):
+        if not isinstance(self.metrics_every, Integral):
+            raise ValueError("metrics cadence must be an integer")
+        if not isinstance(self.snapshot_every, Integral):
+            raise ValueError("snapshot cadence must be an integer")
         if self.metrics_every < 1:
             raise ValueError("metrics cadence must be >= 1 step")
         if self.snapshot_every < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,8 @@ class GridSpec:
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.m, Integral):
+            raise ValueError("grid size must be an integer")
         if self.m < 4:
             raise ValueError("grid needs at least 4 cells per side")
 

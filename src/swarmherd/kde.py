@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,8 @@ class KdeParams:
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
+        if not isinstance(self.images, Integral):
+            raise ValueError("image ring count must be an integer")
         if self.images < 0:
             raise ValueError("image ring count must be >= 0")
         if not self.mass > 0:

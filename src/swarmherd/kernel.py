@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,8 @@ class KernelParams:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError("kernel length must be positive")
+        if not isinstance(self.images, Integral):
+            raise ValueError("image ring count must be an integer")
         if self.images < 0:
             raise ValueError("image ring count must be >= 0")
 

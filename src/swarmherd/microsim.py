@@ -2,41 +2,32 @@
 
 Herders are velocity-controlled integrators; each target drifts with the
 normalized sum of the periodized repulsion kernel over all herders plus
-isotropic diffusion noise. The pairwise drift is the dominant cost, so the
-hot path evaluates the singular nearest-image kernel term exactly and the
-remaining smooth 24-image tail through a precomputed bicubic table (node
-values are exact; the interpolation error, ~1e-10 relative, sits four
-orders of magnitude below the image-truncation error of the kernel
-itself). A pure NumPy reference path computes the full image sum directly.
+isotropic diffusion noise. The pairwise drift is almost all of a step's
+cost. ``drift_all`` computes it with NumPy on the calling thread; there is
+no compiled path and no worker thread. Over blocks of targets it adds the
+exact nearest-image kernel term to the smooth tail of the other images,
+read from a bicubic Hermite table of 64^2 cells of side pi/64 on the
+quadrant [0, pi]^2 (0.5 MB). Against the plain image sum,
+``drift_all(fast=False)``, its max-norm relative error measured about 2e-9
+at scale and at most 7e-8 for a single pair on the seam (L = pi).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import control_field, herder_error, sample_at_herders, speed_limit
 from .feasibility import GoalRegion
 from .grids import DensityField, GridSpec, l2_norm
 from .kde import KdeParams, estimate_density
-from .kernel import KernelParams, kernel_free, kernel_periodic
+from .kernel import KernelParams, image_shifts, kernel_periodic
 from .torus import PI, TWO_PI, torus_distance, wrap, wrapped_displacement
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        return deco
 
 
 @dataclass(frozen=True)
@@ -57,6 +48,10 @@ class SimParams:
             raise ValueError("horizon must be zero or at least one step")
         if self.diffusion < 0:
             raise ValueError("diffusion coefficient cannot be negative")
+        if not isinstance(self.seed, Integral):
+            raise ValueError("seed must be an integer")
+        if not isinstance(self.control_every, Integral):
+            raise ValueError("control period must be an integer")
         if self.control_every < 1:
             raise ValueError("control period must be >= 1 step")
         if self.v_max is not None and not self.v_max > 0:
@@ -143,123 +138,115 @@ def target_drift(target: np.ndarray, herders: np.ndarray, alpha: float,
     return alpha * kernel_periodic(disp, kernel).sum(axis=0)
 
 
-_TAIL_NODES = 256
-_tail_cache: dict[tuple[float, int, int], np.ndarray] = {}
+# Read by reports that name the drift path; there is no compiled path.
+NUMBA_AVAILABLE = False
+
+_TAIL_CELLS = 64  # table cells per side of the quadrant [0, pi]^2, h = pi / 64
+_BLOCK_PAIRS = 4096  # target-herder pairs per block of the fast drift
+
+# Cubic Hermite basis on [0, 1]: entry [p, k] is the coefficient of u**p in
+# the weight of f(0), f(1), f'(0), f'(1) for k = 0, 1, 2, 3.
+_HERMITE = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [-3.0, 3.0, -2.0, -1.0],
+    [2.0, -2.0, 1.0, 1.0],
+])
 
 
-def _tail_table(kernel: KernelParams, n_nodes: int = _TAIL_NODES) -> np.ndarray:
-    """Smooth part of the periodized kernel (all images except the nearest).
+@lru_cache(maxsize=4)
+def _tail_table(kernel: KernelParams) -> np.ndarray:
+    """Bicubic table of the image tail (every image but the nearest).
 
-    Tabulated on the closed box [-pi, pi]^2 with n_nodes+1 points per axis;
-    smooth there because every argument stays at least pi away from the
-    kernel's origin kink.
+    The image block is symmetric, so the tail of a wrapped displacement
+    (x, y) is (sign(x) Q(|x|, |y|), sign(y) Q(|y|, |x|)), where Q is its x
+    component on the quadrant [0, pi]^2. Entry [p, q, i * 64 + j] is the
+    coefficient of u**p v**q of Q in cell (i, j), local coordinates (u, v)
+    in [0, 1]^2: the bicubic Hermite interpolant of Q and its exact
+    derivatives Q_x, Q_y, Q_xy at the cell's corners. Every image is at
+    least pi away from the quadrant, so Q is smooth there. Shape
+    (4, 4, 64^2), 0.5 MB, read-only; built on first use per kernel.
     """
-    key = (kernel.length, kernel.images, n_nodes)
-    cached = _tail_cache.get(key)
-    if cached is not None:
-        return cached
-    axis = np.linspace(-PI, PI, n_nodes + 1)
-    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([x1, x2], axis=-1)
-    tail = np.zeros_like(pts)
-    for a in range(-kernel.images, kernel.images + 1):
-        for b_ in range(-kernel.images, kernel.images + 1):
-            if a == 0 and b_ == 0:
-                continue
-            tail += kernel_free(pts + TWO_PI * np.array([a, b_]), kernel)
-    _tail_cache[key] = tail
-    return tail
+    cells = _TAIL_CELLS
+    h = PI / cells
+    axis = np.arange(cells + 1) * h
+    x0, y0 = np.meshgrid(axis, axis, indexing="ij")
+    # nodes[a, b]: h**(a + b) times the a-th x and b-th y derivative of Q.
+    # An image at (x, y) adds x g(r), g = exp(-r/L) / r; with k = g'(r) / r
+    # and m = k'(r) / r its derivatives are g + x^2 k, x y k and y (k + x^2 m).
+    nodes = np.zeros((2, 2) + x0.shape)
+    inv_len = 1.0 / kernel.length
+    for sx, sy in image_shifts(kernel.images):
+        if sx == 0.0 and sy == 0.0:
+            continue
+        x, y = x0 + sx, y0 + sy
+        r = np.hypot(x, y)
+        g = np.exp(-r * inv_len) / r
+        rate = 1.0 / r + inv_len
+        k = -g * rate / r
+        m = g * (rate * rate + rate / r + 1.0 / (r * r)) / (r * r)
+        nodes[0, 0] += x * g
+        nodes[1, 0] += h * (g + x * x * k)
+        nodes[0, 1] += h * (x * y * k)
+        nodes[1, 1] += h * h * (y * (k + x * x * m))
+    # corner data of each cell, [a, end_x, b, end_y] -> Hermite index 2a + end
+    corners = sliding_window_view(nodes, (2, 2), axis=(2, 3))
+    values = corners.transpose(0, 4, 1, 5, 2, 3).reshape(4, 4, cells, cells)
+    table = np.einsum("pk,klij,ql->pqij", _HERMITE, values, _HERMITE)
+    table = np.ascontiguousarray(table.reshape(4, 4, -1))
+    table.flags.writeable = False
+    return table
 
 
-@njit(inline="always")
-def _cubic_weights(u, w):
-    # Lagrange cubic on nodes -1, 0, 1, 2 at local coordinate u
-    w[0] = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w[1] = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w[2] = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w[3] = (u + 1.0) * u * (u - 1.0) / 6.0
-
-
-# Single-threaded on purpose: the per-call wake-up of a worker pool costs
-# more than it buys at this problem size; step-level concurrency comes from
-# overlapping the drift with the control chain in run(). nogil makes that
-# overlap real.
-@njit(fastmath=True, cache=True, nogil=True)
-def _drift_fast(targets, herders, tail, inv_len, alpha, out):
-    n_t = targets.shape[0]
-    n_h = herders.shape[0]
-    n = tail.shape[0] - 1
-    inv_h = n / TWO_PI
-    for k in range(n_t):
-        acc_x = 0.0
-        acc_y = 0.0
-        tx = targets[k, 0]
-        ty = targets[k, 1]
-        wx = np.empty(4)
-        wy = np.empty(4)
-        for j in range(n_h):
-            dx = np.mod(tx - herders[j, 0] + PI, TWO_PI) - PI
-            dy = np.mod(ty - herders[j, 1] + PI, TWO_PI) - PI
-            r2 = dx * dx + dy * dy
-            if r2 > 0.0:
-                r = np.sqrt(r2)
-                s = np.exp(-r * inv_len) / r
-                acc_x += dx * s
-                acc_y += dy * s
-            sx = (dx + PI) * inv_h
-            sy = (dy + PI) * inv_h
-            ix = int(sx)
-            iy = int(sy)
-            if ix > n - 1:
-                ix = n - 1
-            if iy > n - 1:
-                iy = n - 1
-            i0 = ix - 1
-            j0 = iy - 1
-            if i0 < 0:
-                i0 = 0
-            elif i0 > n - 3:
-                i0 = n - 3
-            if j0 < 0:
-                j0 = 0
-            elif j0 > n - 3:
-                j0 = n - 3
-            _cubic_weights(sx - i0 - 1.0, wx)
-            _cubic_weights(sy - j0 - 1.0, wy)
-            tail_x = 0.0
-            tail_y = 0.0
-            for a in range(4):
-                row_x = 0.0
-                row_y = 0.0
-                for b_ in range(4):
-                    wgt = wy[b_]
-                    row_x += wgt * tail[i0 + a, j0 + b_, 0]
-                    row_y += wgt * tail[i0 + a, j0 + b_, 1]
-                tail_x += wx[a] * row_x
-                tail_y += wx[a] * row_y
-            acc_x += tail_x
-            acc_y += tail_y
-        out[k, 0] = alpha * acc_x
-        out[k, 1] = alpha * acc_y
+def _table_drift(targets: np.ndarray, herders: np.ndarray,
+                kernel: KernelParams) -> np.ndarray:
+    """Unnormalized drift of wrapped targets under wrapped herders."""
+    table = _tail_table(kernel)
+    cells = _TAIL_CELLS
+    out = np.empty_like(targets)
+    ht = np.ascontiguousarray(herders.T)[:, None, :]
+    block = max(1, _BLOCK_PAIRS // herders.shape[0])
+    for lo in range(0, targets.shape[0], block):
+        # displacements, shape (2, block, n_h); both ends lie in [-pi, pi),
+        # so one exact shift wraps them bit for bit as torus.wrap does
+        d = targets[lo:lo + block].T[:, :, None] - ht
+        d -= TWO_PI * (d >= PI)
+        d += TWO_PI * (d < -PI)
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1])
+        near = np.exp(-r / kernel.length)
+        np.divide(near, r, out=near, where=r > 0.0)
+        # tail: component c reads Q at (|d_c|, |d_other|), Horner in v then u
+        a = np.abs(d) * (cells / PI)
+        i = np.minimum(a.astype(np.intp), cells - 1)
+        u = a - i
+        v = u[::-1]
+        c = np.take(table, i * cells + i[::-1], axis=2)
+        rows = ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
+        tail = ((rows[3] * u + rows[2]) * u + rows[1]) * u + rows[0]
+        out[lo:lo + block] = (d * near + np.sign(d) * tail).sum(axis=2).T
+    return out
 
 
 def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
               kernel: KernelParams, fast: bool = True) -> np.ndarray:
     """Drift of every target under every herder, shape (n_t, 2).
 
-    The fast path uses the tabulated kernel tail; the reference path is the
-    plain vectorized image sum. Both are deterministic: each target's sum
-    runs over herders in index order regardless of threading.
+    The fast path works on blocks of about 4096 target-herder pairs. It
+    adds the exact nearest-image term to the other images' tail, read from
+    the bicubic table of ``_tail_table`` (64^2 cells of side pi/64, 0.5 MB,
+    built on first use per kernel and cached). Against the image sum its
+    max-norm relative error measured 8e-11 to 2e-9 for L = 0.3 to 2 pi and
+    0 to 3 image rings, far below the kernel's own image-truncation error.
+    ``fast=False`` is the plain vectorized image sum, the fast path's
+    reference. Both are deterministic, and the fast path is odd: negating
+    every position negates its drift bit for bit, except on the seam.
     """
     targets = np.asarray(targets, dtype=float)
     herders = np.asarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
-    if fast and NUMBA_AVAILABLE:
-        out = np.empty_like(targets)
-        _drift_fast(targets, herders, _tail_table(kernel),
-                    1.0 / kernel.length, alpha, out)
-        return out
+    if fast:
+        return alpha * _table_drift(wrap(targets), wrap(herders), kernel)
     disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
     return alpha * kernel_periodic(disp, kernel).sum(axis=1)
 
@@ -283,14 +270,18 @@ def init_rng(seed: int) -> np.random.Generator:
 
 
 def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
-         step_index: int, kernel: KernelParams, fast: bool = True) -> AgentEnsemble:
-    """One Euler-Maruyama step; deterministic given seed and step index."""
+         step_index: int, kernel: KernelParams) -> AgentEnsemble:
+    """One Euler-Maruyama step; deterministic given seed and step index.
+
+    Herders move by their commands, targets by the drift of the current
+    herders plus the step's noise block. ``run`` advances through this
+    function, so a run replays from any of its snapshots.
+    """
     commands = np.asarray(commands, dtype=float)
     if commands.shape != ensemble.herders.shape:
         raise ValueError("need one velocity command per herder")
     new_herders = wrap(ensemble.herders + commands * params.dt)
-    drift = drift_all(ensemble.targets, ensemble.herders, ensemble.alpha,
-                      kernel, fast=fast)
+    drift = drift_all(ensemble.targets, ensemble.herders, ensemble.alpha, kernel)
     move = drift * params.dt
     if params.diffusion > 0:
         noise = noise_rng(params.seed, step_index).standard_normal(
@@ -330,7 +321,6 @@ def run(
     metrics_every: int = 100,
     snapshot_every: int = 0,
     kde_sequential: bool = False,
-    fast_drift: bool = True,
     interp: str = "bilinear",
 ) -> SimulationResult:
     """Full closed loop: estimate, error, potential solve, sample, step.
@@ -344,11 +334,8 @@ def run(
     t = 0 for a zero horizon); in a run with steps the t = 0 record
     follows the first control tick, so it carries that tick's herder error.
 
-    Within a step the pairwise drift (which only reads the current
-    positions) runs on a worker thread concurrently with the control
-    chain; both consume the state of the same step, and the position
-    update waits for both, so the result is identical to the sequential
-    order.
+    Every step goes through ``step`` on the state at the start of that
+    step; the control chain reads the same state.
     """
     t_start = time.perf_counter()
     if grid is None:
@@ -361,9 +348,8 @@ def run(
     else:
         herder_mass = 0.0
 
-    rng0 = init_rng(sim.seed)
-    herders = herder_lattice(n_herders)
-    targets = uniform_targets(n_targets, rng0)
+    state = AgentEnsemble(herders=herder_lattice(n_herders),
+                          targets=uniform_targets(n_targets, init_rng(sim.seed)))
     commands = np.zeros((n_herders, 2))
     latest_err = np.nan
 
@@ -374,69 +360,36 @@ def run(
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def record_metrics(t: float):
-        metric = containment(
-            AgentEnsemble(herders=herders, targets=targets), goal, t
-        )
+        metric = containment(state, goal, t)
         times.append(t)
         chis.append(metric.chi)
         inside.append(metric.n_inside)
         errs.append(latest_err)
 
     def record_snapshot(t: float):
-        snapshots.append((t, herders.copy(), targets.copy()))
-
-    use_fast = fast_drift and NUMBA_AVAILABLE and n_herders > 0
-    if use_fast:
-        tail = _tail_table(kernel)
-        inv_len = 1.0 / kernel.length
-        drift_buf = np.empty_like(targets)
-    executor = ThreadPoolExecutor(max_workers=1) if use_fast else None
-    noise_scale = np.sqrt(2.0 * sim.diffusion * sim.dt)
+        snapshots.append((t, state.herders.copy(), state.targets.copy()))
 
     n_steps = sim.n_steps
     record_snapshot(0.0)
     if n_steps == 0:
         record_metrics(0.0)
-    try:
-        for s in range(n_steps):
-            t = s * sim.dt
-            pending = None
-            if use_fast:
-                pending = executor.submit(
-                    _drift_fast, targets, herders, tail, inv_len,
-                    1.0 / (n_herders + n_targets), drift_buf,
-                )
-            if n_herders > 0 and s % sim.control_every == 0:
-                estimate = estimate_density(herders, kde, grid,
-                                            sequential=kde_sequential)
-                err = herder_error(rho_bar_h, estimate)
-                solution = control_field(err, estimate, gain)
-                commands = sample_at_herders(solution.velocity, herders,
-                                             method=interp)
-                if sim.v_max is not None:
-                    commands = speed_limit(commands, sim.v_max)
-                latest_err = l2_norm(err)
-            if s % metrics_every == 0:
-                record_metrics(t)
-            if snapshot_every > 0 and s > 0 and s % snapshot_every == 0:
-                record_snapshot(t)
-            if pending is not None:
-                pending.result()
-                drift = drift_buf
-            else:
-                drift = drift_all(
-                    targets, herders, 1.0 / max(n_herders + n_targets, 1),
-                    kernel, fast=fast_drift,
-                )
-            herders = wrap(herders + commands * sim.dt)
-            move = drift * sim.dt
-            if sim.diffusion > 0:
-                noise = noise_rng(sim.seed, s).standard_normal(targets.shape)
-                move = move + noise_scale * noise
-            targets = wrap(targets + move)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for s in range(n_steps):
+        t = s * sim.dt
+        if n_herders > 0 and s % sim.control_every == 0:
+            estimate = estimate_density(state.herders, kde, grid,
+                                        sequential=kde_sequential)
+            err = herder_error(rho_bar_h, estimate)
+            solution = control_field(err, estimate, gain)
+            commands = sample_at_herders(solution.velocity, state.herders,
+                                         method=interp)
+            if sim.v_max is not None:
+                commands = speed_limit(commands, sim.v_max)
+            latest_err = l2_norm(err)
+        if s % metrics_every == 0:
+            record_metrics(t)
+        if snapshot_every > 0 and s > 0 and s % snapshot_every == 0:
+            record_snapshot(t)
+        state = step(state, commands, sim, s, kernel)
     record_metrics(n_steps * sim.dt)
     record_snapshot(n_steps * sim.dt)
 
@@ -446,7 +399,7 @@ def run(
         n_inside=np.asarray(inside, dtype=int),
         herder_error_l2=np.asarray(errs),
         snapshots=snapshots,
-        final=AgentEnsemble(herders=herders, targets=targets),
+        final=state,
         n_targets=n_targets,
         n_herders=n_herders,
         herder_mass=herder_mass,

@@ -56,11 +56,22 @@ def test_invalid_values_rejected():
         ExperimentConfig.from_dict({"kernel": {"length": 0.0}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"gain": 0.0})
-    for bad in ({"grids": {"control": 2}}, {"kde": {"bandwidth": 0.0}},
+    for bad in ({"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
+                {"kde": {"bandwidth": 0.0}},
                 {"kde": {"images": -1}}, {"goal": {"radius": 0.0}},
-                {"goal": {"center": [0.0, 0.0, 0.0]}}):
-        (section,) = bad
-        with pytest.raises(ConfigError, match=f"'{section}'"):
+                {"goal": {"center": [0.0, 0.0, 0.0]}},
+                # counts must be integers: 1.5 image rings would shift the
+                # images by half periods and leave out the zero image
+                {"kernel": {"images": 1.5}}, {"kde": {"images": 1.5}},
+                {"grids": {"control": 64.5}}, {"grids": {"deconvolution": 24.5}},
+                {"population": {"n_targets": 10.5}},
+                {"population": {"n_herders": 2.5}},
+                {"sim": {"seed": 1.5}}, {"sim": {"control_every": 1.5}},
+                {"output": {"metrics_every": 1.5}},
+                {"output": {"snapshot_every": 0.5}}):
+        ((section, values),) = bad.items()
+        (key,) = values
+        with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):
             ExperimentConfig.from_dict(bad)
 
 
@@ -68,6 +79,12 @@ def test_hash_tracks_content():
     a = ExperimentConfig()
     b = ExperimentConfig.from_dict({"sim": {"seed": 1}})
     assert a.hash() != b.hash()
+
+
+def test_default_hash_unchanged():
+    # validation must not change the canonical form, or old outputs lose
+    # their link to the default config
+    assert ExperimentConfig().hash() == "9f10bf38cac1a8c3"
 
 
 def test_concentration_default_follows_goal():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     AgentEnsemble,
@@ -94,6 +96,76 @@ def test_fast_drift_close_to_exact_at_scale(kernel):
     exact = drift_all(targets, herders, 1e-3, kernel, fast=False)
     fast = drift_all(targets, herders, 1e-3, kernel, fast=True)
     assert np.abs(fast - exact).max() / np.abs(exact).max() < 1e-7
+
+
+def assert_fast_close(targets, herders, kernel, alpha=1e-3):
+    """Fast path within 1e-7 max-norm relative of the reference image sum.
+
+    Where the drift cancels to zero (a target on its only herder) the
+    reference is its own rounding: each of the (2P+1)^2 image terms of a
+    pair is at most alpha in size, so that is the absolute floor.
+    """
+    exact = drift_all(targets, herders, alpha, kernel, fast=False)
+    fast = drift_all(targets, herders, alpha, kernel)
+    assert np.isfinite(fast).all()
+    rounding = (np.finfo(float).eps * (2 * kernel.images + 1) ** 2
+                * alpha * len(herders))
+    assert np.abs(fast - exact).max() <= 1e-7 * np.abs(exact).max() + rounding
+
+
+def test_fast_drift_odd_bit_for_bit(kernel):
+    rng = np.random.default_rng(33)
+    targets = rng.uniform(-PI, PI, (50, 2))
+    herders = rng.uniform(-PI, PI, (40, 2))
+    forward = drift_all(targets, herders, 0.01, kernel)
+    assert np.array_equal(drift_all(-targets, -herders, 0.01, kernel), -forward)
+
+
+# differences of these coordinates are exact, so displacements land on the
+# seam (+pi wraps to -pi) and on the corners of the square
+_seam = st.sampled_from([-PI, -PI / 2, 0.0, PI / 2])
+_coord = st.one_of(_seam, st.floats(-PI, PI, exclude_max=True))
+_point = st.tuples(_coord, _coord)
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=_point, herder=_point)
+def test_fast_drift_close_to_exact_on_seam(kernel, target, herder):
+    # one pair per example: on the seam the nearest image and the one
+    # across the seam nearly cancel, the hardest case for the tail table
+    assert_fast_close(np.array([target]), np.array([herder]), kernel)
+
+
+def test_fast_drift_target_on_herder_is_finite(kernel):
+    rng = np.random.default_rng(34)
+    herders = rng.uniform(-PI, PI, (30, 2))
+    targets = np.vstack([herders[:3], rng.uniform(-PI, PI, (10, 2))])
+    assert_fast_close(targets, herders, kernel)
+
+
+def test_fast_drift_clustered_herders(kernel):
+    rng = np.random.default_rng(35)
+    herders = wrap(np.array([3.0, -3.0]) + 1e-3 * rng.standard_normal((50, 2)))
+    targets = wrap(np.array([3.0, -3.0]) + 0.05 * rng.standard_normal((40, 2)))
+    assert_fast_close(np.vstack([targets, rng.uniform(-PI, PI, (20, 2))]),
+                      herders, kernel)
+
+
+@pytest.mark.parametrize("length, images", [
+    (PI, 0), (PI, 1), (PI, 3), (0.3, 2), (1.0, 2), (2 * PI, 2),
+])
+def test_fast_drift_close_to_exact_across_kernels(length, images):
+    rng = np.random.default_rng(36)
+    assert_fast_close(rng.uniform(-PI, PI, (200, 2)), rng.uniform(-PI, PI, (60, 2)),
+                      KernelParams(length=length, images=images))
+
+
+@pytest.mark.parametrize("n_targets", [1, 721])
+def test_fast_drift_any_target_count(kernel, n_targets):
+    # 721 targets do not fill a whole number of blocks of work
+    rng = np.random.default_rng(37)
+    assert_fast_close(rng.uniform(-PI, PI, (n_targets, 2)),
+                      rng.uniform(-PI, PI, (260, 2)), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +334,25 @@ def test_run_bit_identical_given_seed(kernel, small_plan):
     assert np.array_equal(a.chi, b.chi)
     assert np.array_equal(a.final.targets, b.final.targets)
     assert np.array_equal(a.final.herders, b.final.herders)
+
+
+def test_run_replays_through_step(kernel, small_plan):
+    # targets move by the drift of the step's starting herders and the
+    # step's noise; the commands only move the herders
+    goal, plan = small_plan
+    sim = SimParams(diffusion=0.02, dt=0.01, horizon=0.05, seed=9)
+    res = run(
+        n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(), sim=sim,
+        snapshot_every=1,
+    )
+    assert len(res.snapshots) == sim.n_steps + 1
+    rng = np.random.default_rng(4)
+    for s, ((_, h0, x0), (_, _, x1)) in enumerate(
+            zip(res.snapshots, res.snapshots[1:])):
+        ens = AgentEnsemble(herders=h0, targets=x0)
+        out = step(ens, rng.standard_normal(h0.shape), sim, s, kernel)
+        assert np.array_equal(out.targets, x1)
 
 
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
