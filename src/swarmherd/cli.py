@@ -139,6 +139,10 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         "n_inside_final": int(result.n_inside[-1]),
         "goal_radius": plan.goal.radius * scale,
         "wall_time_s": result.wall_time,
+        "min_mass": plan.min_mass,
+        "deconvolution_residual": plan.residual,
+        "curvature_sup_norm": plan.stability.sup_norm,
+        "rate_certified": plan.stability.certified,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))

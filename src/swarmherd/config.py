@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .feasibility import GoalRegion, VonMisesSpec
+from .feasibility import GoalRegion
 from .grids import GridSpec
 from .kde import KdeParams
 from .kernel import KernelParams
@@ -266,12 +266,3 @@ class ExperimentConfig:
         if self.target_density.concentration is not None:
             return self.target_density.concentration
         return 3.0 / self.goal.radius
-
-    def von_mises_spec(self, mass: float = 1.0) -> VonMisesSpec:
-        k = self.concentration()
-        return VonMisesSpec(
-            concentration=(k, k),
-            mean=np.asarray(self.goal.center),
-            mass=mass,
-            cross_term=self.target_density.cross_term,
-        )

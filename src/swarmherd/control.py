@@ -18,7 +18,6 @@ from .grids import (
     ScalarField,
     VectorField,
     gradient,
-    l2_norm,
     mass,
     poisson_solve,
     wavenumbers,
@@ -144,8 +143,3 @@ def speed_limit(commands: np.ndarray, v_max: float) -> np.ndarray:
     norms = np.sqrt(np.sum(cmds * cmds, axis=-1))
     factor = np.where(norms > v_max, v_max / np.where(norms > 0, norms, 1.0), 1.0)
     return cmds * factor[:, None]
-
-
-def closed_loop_error_norm(error: ScalarField) -> float:
-    """Grid L2 norm of the herder error, the quantity that decays at -gain."""
-    return l2_norm(error)

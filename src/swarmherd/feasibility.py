@@ -1,11 +1,12 @@
-"""Desired densities, numerical deconvolution, and herder-mass feasibility.
+"""Desired densities, spectral deconvolution, and herder-mass feasibility.
 
 The pipeline: pick the desired target density (a von Mises bump matching a
 circular goal region), derive the drift field that holds it in equilibrium,
 deconvolve that field against the interaction kernel to get the herder
 density that produces it, and shift the result to be nonnegative. The mass
 of the shifted density is the smallest herder mass for which the problem is
-solvable, and fixes the herder head count.
+solvable, and fixes the herder head count. The convolution is circulant,
+so the deconvolution is diagonal in Fourier space.
 """
 
 from __future__ import annotations
@@ -134,41 +135,36 @@ def desired_velocity_field(rho_bar_t: DensityField, diffusion: float) -> VectorF
 
 @dataclass
 class DeconvolutionOperator:
-    """Dense quadrature form of kernel convolution, assembled row-by-row.
+    """Quadrature form of kernel convolution, diagonal in Fourier space.
 
-    Row c*M^2 + i of ``matrix`` holds h^2 * K_c at the wrapped displacement
-    between node i and every node j, so ``matrix @ rho.ravel()`` equals the
-    circular convolution of the kernel with rho stacked component-first.
-    The pseudo-inverse is applied through a cached SVD.
+    rho -> h^2 * sum_j K_c(x_i - x_j) rho_j is circulant for each component
+    c, so the 2D DFT diagonalizes it: the operator is its spectrum,
+    ``spectrum[..., c] = h^2 * fft2(K_c)``, shape (M, M, 2). ``svd()``
+    returns its singular values s = sqrt(|K1^|^2 + |K2^|^2), one per
+    wavenumber, as a cached (M, M) array.
     """
 
     grid: GridSpec
     kernel: KernelParams
-    matrix: np.ndarray
-    _svd: tuple | None = field(default=None, repr=False)
+    spectrum: np.ndarray
+    _svd: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, grid: GridSpec, kernel: KernelParams) -> "DeconvolutionOperator":
         samples = sample_on_grid(grid, kernel)
-        m = grid.m
-        idx = np.arange(m * m)
-        i1 = idx // m
-        i2 = idx % m
-        d1 = (i1[:, None] - i1[None, :]) % m
-        d2 = (i2[:, None] - i2[None, :]) % m
-        h2 = grid.cell_area
-        rows = [h2 * samples[d1, d2, c] for c in range(2)]
-        return cls(grid=grid, kernel=kernel, matrix=np.vstack(rows))
+        spectrum = grid.cell_area * np.fft.fft2(samples, axes=(0, 1))
+        return cls(grid=grid, kernel=kernel, spectrum=spectrum)
 
-    def svd(self):
+    def svd(self) -> np.ndarray:
         if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            power = self.spectrum.real ** 2 + self.spectrum.imag ** 2
+            self._svd = np.sqrt(power.sum(axis=-1))
         return self._svd
 
     def apply(self, rho: ScalarField) -> VectorField:
-        out = self.matrix @ rho.values.ravel()
-        m = self.grid.m
-        return VectorField(self.grid, out.reshape(2, m, m).transpose(1, 2, 0))
+        rhat = np.fft.fft2(rho.values)[..., None]
+        out = np.real(np.fft.ifft2(self.spectrum * rhat, axes=(0, 1)))
+        return VectorField(self.grid, out)
 
 
 @dataclass
@@ -183,29 +179,31 @@ def deconvolve(v_bar: VectorField, op: DeconvolutionOperator,
                rcond: float = 1e-8) -> DeconvolutionResult:
     """Least-squares inversion of the convolution for a velocity field.
 
-    The kernel is odd, so constants are in the null space and the preimage
-    is defined only up to an additive offset; the minimum-norm solution is
-    returned. Singular values below ``rcond`` times the largest are
-    truncated. A large relative residual means the field is not realizable
-    as a kernel convolution and is reported as a warning.
+    The truncated-SVD pseudo-inverse, one wavenumber at a time:
+    h^ = sum_c conj(K_c^) v_c^ / s^2 where s > rcond * max(s), else 0. The
+    kernel is odd, so constants are in the null space and the preimage is
+    defined only up to an additive offset; the minimum-norm solution is
+    returned. The residual comes from the same spectra (Parseval); a large
+    one means the field is not realizable as a kernel convolution and is
+    reported as a warning.
     """
     if v_bar.grid.m != op.grid.m:
         raise ValueError("velocity field and operator grids differ")
-    b = np.concatenate([v_bar.values[..., 0].ravel(), v_bar.values[..., 1].ravel()])
-    u, s, vt = op.svd()
-    keep = s > rcond * s[0]
-    coeffs = (u[:, keep].T @ b) / s[keep]
-    x = vt[keep].T @ coeffs
-    b_norm = np.linalg.norm(b)
-    residual = float(np.linalg.norm(op.matrix @ x - b) / b_norm) if b_norm > 0 else 0.0
+    vhat = np.fft.fft2(v_bar.values, axes=(0, 1))
+    s = op.svd()
+    keep = s > rcond * s.max()
+    hhat = np.zeros(s.shape, dtype=complex)
+    hhat[keep] = (np.conj(op.spectrum[keep]) * vhat[keep]).sum(axis=-1) / s[keep] ** 2
+    b_norm = np.linalg.norm(vhat)
+    miss = np.linalg.norm(op.spectrum * hhat[..., None] - vhat)
+    residual = float(miss / b_norm) if b_norm > 0 else 0.0
     if residual > RESIDUAL_WARN:
         warnings.warn(
             f"deconvolution residual {residual:.2%} exceeds {RESIDUAL_WARN:.0%}: "
             "velocity field is poorly realizable by this kernel",
             stacklevel=2,
         )
-    m = op.grid.m
-    return DeconvolutionResult(ScalarField(op.grid, x.reshape(m, m)), residual)
+    return DeconvolutionResult(ScalarField(op.grid, np.real(np.fft.ifft2(hhat))), residual)
 
 
 @dataclass
@@ -295,7 +293,9 @@ def feasibility_map(
 
     Returns a matrix with one row per diffusion value and one column per
     concentration value, saturated at ``saturate`` for plotting; values at
-    the saturation level mark the infeasible region.
+    the saturation level mark the infeasible region. The drift field, its
+    preimage, the offset and hence the mass are all linear in D, so each
+    column is deconvolved once, at D = 1, and scaled.
     """
     k_values = np.asarray(k_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
@@ -305,11 +305,9 @@ def feasibility_map(
     out = np.empty((d_values.size, k_values.size))
     for col, k in enumerate(k_values):
         spec = VonMisesSpec(concentration=(k, k), mean=np.zeros(2), mass=1.0)
-        rho = von_mises_density(spec, grid)
-        for row, d in enumerate(d_values):
-            v_bar = desired_velocity_field(rho, d)
-            feas = minimal_herder_mass(deconvolve(v_bar, op).field)
-            out[row, col] = min(feas.min_mass, saturate)
+        v_unit = desired_velocity_field(von_mises_density(spec, grid), 1.0)
+        unit_mass = minimal_herder_mass(deconvolve(v_unit, op).field).min_mass
+        out[:, col] = np.minimum(d_values * unit_mass, saturate)
     return out
 
 

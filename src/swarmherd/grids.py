@@ -229,49 +229,40 @@ def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:
     return ScalarField(rhs.grid, phi), removed_mean
 
 
-def _axis_destinations(freq: int, m_old: int, m_new: int) -> list[tuple[int, float]]:
-    """Where one axis frequency goes when resampling, with splitting weights."""
-    if m_new < m_old:
-        if m_new % 2 == 0:
-            half = m_new // 2
-            if abs(freq) > half:
-                return []
-            if abs(freq) == half:
-                # +half is not representable on an even grid; fold onto -half
-                return [(-half, 1.0)]
-            return [(freq, 1.0)]
-        if abs(freq) > (m_new - 1) // 2:
-            return []
-        return [(freq, 1.0)]
-    if m_old % 2 == 0 and freq == -(m_old // 2):
-        # the unpaired highest mode of an even grid splits symmetrically
-        return [(-(m_old // 2), 0.5), (m_old // 2, 0.5)]
-    return [(freq, 1.0)]
+def _resample_axis(coeffs: np.ndarray, m_new: int) -> np.ndarray:
+    """Zero-pad or truncate FFT-ordered coefficients along axis 0.
+
+    The wavenumbers both grids hold are copied by slice. Upsampling an even
+    grid splits its unpaired -M/2 mode evenly onto -M/2 and +M/2;
+    downsampling onto an even grid folds +M/2, which it cannot hold, onto
+    -M/2.
+    """
+    m_old = coeffs.shape[0]
+    m = min(m_old, m_new)
+    pos = (m + 1) // 2  # wavenumbers 0 .. pos - 1
+    neg = m - pos  # wavenumbers -neg .. -1
+    out = np.zeros((m_new,) + coeffs.shape[1:], dtype=complex)
+    out[:pos] = coeffs[:pos]
+    out[m_new - neg:] = coeffs[m_old - neg:]
+    if m % 2 == 0:
+        half = m // 2
+        if m_new > m_old:
+            out[half] = out[-half] = 0.5 * coeffs[half]
+        else:
+            out[-half] += coeffs[half]
+    return out
 
 
 def resample(field: ScalarField, m_new: int) -> ScalarField:
     """Trigonometric interpolation of a field onto another grid size.
 
-    Zero-pads (or truncates) the Fourier coefficients; the mean, and hence
-    the mass, is preserved exactly.
+    Zero-pads (or truncates) the Fourier coefficients, one axis at a time;
+    the mean, and hence the mass, is preserved exactly.
     """
     m_old = field.grid.m
     new_grid = GridSpec(m_new)
     if m_new == m_old:
         return ScalarField(new_grid, field.values.copy())
-    ws_old = workspace(m_old)
-    c_old = ws_old.coeffs(field.values)
-    freqs_old = wavenumbers(m_old)
-    index_new = {f: i for i, f in enumerate(wavenumbers(m_new))}
-    c_new = np.zeros((m_new, m_new), dtype=complex)
-    for i, f1 in enumerate(freqs_old):
-        dest1 = _axis_destinations(f1, m_old, m_new)
-        if not dest1:
-            continue
-        for j, f2 in enumerate(freqs_old):
-            dest2 = _axis_destinations(f2, m_old, m_new)
-            for g1, w1 in dest1:
-                for g2, w2 in dest2:
-                    c_new[index_new[g1], index_new[g2]] += w1 * w2 * c_old[i, j]
-    values = workspace(m_new).synthesize(c_new)
-    return ScalarField(new_grid, values)
+    coeffs = workspace(m_old).coeffs(field.values)
+    coeffs = _resample_axis(_resample_axis(coeffs, m_new).T, m_new).T
+    return ScalarField(new_grid, workspace(m_new).synthesize(coeffs))

@@ -198,15 +198,29 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=2)
+def _gather_buffer(block: int, n_h: int) -> np.ndarray:
+    """Flat scratch for one block's table coefficients, reused across calls.
+
+    Reuse keeps each block from allocating (and paging in) a fresh 1 MB
+    array; a shorter last block views a prefix. Not safe for concurrent
+    calls.
+    """
+    return np.empty(32 * block * n_h)
+
+
 def _table_drift(targets: np.ndarray, herders: np.ndarray,
                 kernel: KernelParams) -> np.ndarray:
     """Unnormalized drift of wrapped targets under wrapped herders."""
     table = _tail_table(kernel)
     cells = _TAIL_CELLS
     out = np.empty_like(targets)
+    n_h = herders.shape[0]
     ht = np.ascontiguousarray(herders.T)[:, None, :]
-    block = max(1, _BLOCK_PAIRS // herders.shape[0])
+    block = max(1, _BLOCK_PAIRS // n_h)
+    scratch = _gather_buffer(block, n_h)
     for lo in range(0, targets.shape[0], block):
+        n = min(block, targets.shape[0] - lo)
         # displacements, shape (2, block, n_h); both ends lie in [-pi, pi),
         # so one exact shift wraps them bit for bit as torus.wrap does
         d = targets[lo:lo + block].T[:, :, None] - ht
@@ -220,8 +234,13 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray,
         i = np.minimum(a.astype(np.intp), cells - 1)
         u = a - i
         v = u[::-1]
-        c = np.take(table, i * cells + i[::-1], axis=2)
-        rows = ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
+        # indices are in range by construction; mode="raise" would buffer out
+        c = scratch[:32 * n * n_h].reshape(4, 4, 2, n, n_h)
+        np.take(table, i * cells + i[::-1], axis=2, out=c, mode="clip")
+        rows = c[:, 3]  # Horner in v, in place
+        for q in (2, 1, 0):
+            rows *= v
+            rows += c[:, q]
         tail = ((rows[3] * u + rows[2]) * u + rows[1]) * u + rows[0]
         out[lo:lo + block] = (d * near + np.sign(d) * tail).sum(axis=2).T
     return out
@@ -239,7 +258,9 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     0 to 3 image rings, far below the kernel's own image-truncation error.
     ``fast=False`` is the plain vectorized image sum, the fast path's
     reference. Both are deterministic, and the fast path is odd: negating
-    every position negates its drift bit for bit, except on the seam.
+    every position negates its drift bit for bit, except on the seam. The
+    fast path gathers table coefficients into scratch kept between calls
+    (``_gather_buffer``), so a step allocates no large arrays.
     """
     targets = np.asarray(targets, dtype=float)
     herders = np.asarray(herders, dtype=float)

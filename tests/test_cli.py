@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,9 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert 0.0 <= summary["chi_final"] <= 100.0
+    for key in ("min_mass", "deconvolution_residual", "curvature_sup_norm"):
+        assert math.isfinite(summary[key]), key
+    assert isinstance(summary["rate_certified"], bool)
 
     metrics_lines = [
         l for l in (out / "metrics.csv").read_text().splitlines()

@@ -24,6 +24,7 @@ from swarmherd import (
     stability_margin,
     von_mises_density,
 )
+from swarmherd.config import ExperimentConfig
 
 PI = np.pi
 
@@ -143,6 +144,59 @@ def test_operator_matches_circular_convolution(grid25, kernel, operator):
     via_matrix = operator.apply(rho).values
     via_fft = circular_convolve(sample_on_grid(grid25, kernel), rho).values
     np.testing.assert_allclose(via_matrix, via_fft, atol=1e-12)
+
+
+def dense_operator(grid, kernel):
+    """The convolution as a dense 2M^2 x M^2 matrix, stacked component-first.
+
+    Row c*M^2 + i holds h^2 * K_c at the wrapped displacement between node i
+    and every node j; the oracle for the spectral operator.
+    """
+    samples = sample_on_grid(grid, kernel)
+    idx = np.arange(grid.m * grid.m)
+    i1, i2 = idx // grid.m, idx % grid.m
+    d1 = (i1[:, None] - i1[None, :]) % grid.m
+    d2 = (i2[:, None] - i2[None, :]) % grid.m
+    return np.vstack([grid.cell_area * samples[d1, d2, c] for c in range(2)])
+
+
+def dense_deconvolve(matrix, v, rcond=1e-8):
+    """Truncated-SVD least-squares solution and its relative residual."""
+    b = np.concatenate([v[..., 0].ravel(), v[..., 1].ravel()])
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    keep = s > rcond * s[0]
+    x = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+    return x, np.linalg.norm(matrix @ x - b) / np.linalg.norm(b), s
+
+
+@pytest.mark.parametrize("m", [9, 16, 25])  # 16: the Nyquist line of an even grid
+def test_spectral_operator_matches_dense_svd(kernel, m):
+    grid = GridSpec(m)
+    op = DeconvolutionOperator.build(grid, kernel)
+    matrix = dense_operator(grid, kernel)
+    rng = np.random.default_rng(40 + m)
+    goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
+    rho = von_mises_density(VonMisesSpec.from_goal(goal), grid)
+    realizable = {
+        "plan drift": desired_velocity_field(rho, 0.01).values,
+        "convolution": circular_convolve(sample_on_grid(grid, kernel),
+                                         ScalarField(grid, rng.standard_normal((m, m)))).values,
+    }
+    for name, v in realizable.items():
+        x, residual, s = dense_deconvolve(matrix, v)
+        out = deconvolve(VectorField(grid, v), op)
+        assert np.abs(out.field.values.ravel() - x).max() <= 1e-12, name
+        assert abs(out.residual - residual) <= 1e-12, name
+    np.testing.assert_allclose(np.sort(op.svd().ravel()), np.sort(s), rtol=0, atol=1e-13)
+    # an unrealizable field: the pseudo-inverse amplifies rounding by up to
+    # 1/(rcond s_max) on both sides, so its solution is compared relative
+    # to its size; the residual is still absolute
+    v = rng.standard_normal((m, m, 2))
+    x, residual, _ = dense_deconvolve(matrix, v)
+    with pytest.warns(UserWarning, match="residual"):
+        out = deconvolve(VectorField(grid, v), op)
+    assert np.abs(out.field.values.ravel() - x).max() <= 1e-12 * np.abs(x).max()
+    assert abs(out.residual - residual) <= 1e-12
 
 
 def test_deconvolve_zero_field_gives_zero(grid25, operator):
@@ -319,6 +373,18 @@ def test_plan_scales_masses_consistently(grid25, kernel, operator):
     assert mass(plan.rho_bar_h) == pytest.approx(plan.herder_mass, rel=1e-9)
     assert plan.rho_bar_h.values.min() >= 0.0
     assert plan.n_herders == herder_count(720, plan.min_mass)
+
+
+def test_default_plan_mass_and_head_count():
+    cfg = ExperimentConfig()
+    plan = plan_herders(
+        goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
+        diffusion=cfg.sim.diffusion, kernel=cfg.kernel.params(),
+        deconv_grid=cfg.grids.deconvolution_grid(),
+        control_grid=cfg.grids.control_grid(),
+    )
+    assert plan.min_mass == pytest.approx(0.265200813, abs=1e-9)
+    assert plan.n_herders == 260
 
 
 def test_plan_respects_override(grid25, kernel, operator):

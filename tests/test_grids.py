@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     DensityField,
@@ -277,3 +279,45 @@ def test_resample_round_trip_band_limited():
     f = ScalarField(g, band_limited(g, rng, kmax=4))
     back = resample(resample(f, 48), 16)
     np.testing.assert_allclose(back.values, f.values, atol=1e-11)
+
+
+_sizes = st.integers(4, 40)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_old=_sizes, m_new=_sizes, seed=_seeds)
+@example(m_old=25, m_new=64, seed=0)  # odd -> even, the plan's path
+@example(m_old=16, m_new=25, seed=0)  # even -> odd
+@example(m_old=16, m_new=48, seed=0)  # even -> even
+@example(m_old=48, m_new=16, seed=0)  # downsampling onto an even grid
+@example(m_old=64, m_new=25, seed=0)  # downsampling onto an odd grid
+def test_resample_preserves_mass_any_sizes(m_old, m_new, seed):
+    rng = np.random.default_rng(seed)
+    f = ScalarField(GridSpec(m_old), rng.uniform(0.0, 1.0, size=(m_old, m_old)))
+    assert mass(resample(f, m_new)) == pytest.approx(mass(f), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_old=_sizes, m_new=_sizes, seed=_seeds)
+@example(m_old=16, m_new=25, seed=0)
+@example(m_old=48, m_new=16, seed=0)
+def test_resample_round_trips_band_limited_any_sizes(m_old, m_new, seed):
+    # modes both grids hold survive the trip there and back
+    rng = np.random.default_rng(seed)
+    g = GridSpec(m_old)
+    f = band_limited(g, rng, kmax=(min(m_old, m_new) - 1) // 2)
+    back = resample(resample(ScalarField(g, f), m_new), m_old)
+    np.testing.assert_allclose(back.values, f, atol=1e-11 * max(1.0, np.abs(f).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_old=_sizes, extra=st.integers(1, 24), seed=_seeds)
+@example(m_old=16, extra=1, seed=0)
+def test_resample_up_and_down_recovers_any_field(m_old, extra, seed):
+    # upsampling splits an even grid's -M/2 mode onto +-M/2 and
+    # downsampling folds it back, so even the Nyquist mode survives
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((m_old, m_old))
+    back = resample(resample(ScalarField(GridSpec(m_old), f), m_old + extra), m_old)
+    np.testing.assert_allclose(back.values, f, atol=1e-12)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from swarmherd import (
     wrap,
     wrapped_displacement,
 )
+from swarmherd import microsim
 from swarmherd.kernel import image_shifts
 
 PI = np.pi
@@ -166,6 +169,22 @@ def test_fast_drift_any_target_count(kernel, n_targets):
     rng = np.random.default_rng(37)
     assert_fast_close(rng.uniform(-PI, PI, (n_targets, 2)),
                       rng.uniform(-PI, PI, (260, 2)), kernel)
+
+
+def test_fast_drift_buffer_reuse_leaks_no_state(kernel):
+    # the gather scratch is shared by calls of one block shape, and a
+    # shorter last block (721 = 48 * 15 + 1 targets) reuses a prefix of it
+    rng = np.random.default_rng(38)
+    cases = [(rng.uniform(-PI, PI, (nt, 2)), rng.uniform(-PI, PI, (nh, 2)))
+             for nt, nh in [(15, 260), (721, 260), (40, 7)]]
+    first = []
+    for targets, herders in cases:
+        microsim._gather_buffer.cache_clear()
+        first.append(drift_all(targets, herders, 1e-3, kernel))
+    for order in itertools.permutations(range(len(cases))):
+        for idx in order:
+            again = drift_all(*cases[idx], 1e-3, kernel)
+            assert np.array_equal(again, first[idx]), (order, idx)
 
 
 # ---------------------------------------------------------------------------
