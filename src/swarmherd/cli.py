@@ -164,10 +164,12 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         gain = config.gain
         x1 = grid.nodes()[..., 0]
         rho0 = ScalarField(grid, plan.rho_bar_h.values + perturbation * np.cos(x1))
+        start = time.perf_counter()
         report = verify_herder_convergence(
             rho0, plan.rho_bar_h, gain,
             horizon=horizon if horizon is not None else 3.0 / gain,
         )
+        wall = time.perf_counter() - start
         write_decay(out / "herder_decay.csv", report.times,
                     {"error_l2": report.error_l2}, meta)
         summary = {
@@ -182,10 +184,12 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         uniform = np.full((grid.m, grid.m), plan.target_mass / (4 * PI * PI))
         from .grids import DensityField
 
+        start = time.perf_counter()
         report = verify_target_convergence(
             DensityField(grid, uniform), rho_bar_t, config.sim.diffusion,
             horizon=horizon if horizon is not None else 20.0,
         )
+        wall = time.perf_counter() - start
         write_decay(out / "target_decay.csv", report.times,
                     {"error_sq": report.error_sq, "envelope": report.envelope}, meta)
         summary = {
@@ -199,6 +203,7 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
     else:
         print(f"unknown continuum mode {mode!r}", file=sys.stderr)
         return 1
+    summary.update(config_sha256=config.hash(), rk4_steps=report.steps, wall_time_s=wall)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

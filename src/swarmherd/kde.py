@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -34,6 +35,16 @@ class KdeParams:
             raise ValueError("target mass must be positive")
 
 
+@lru_cache(maxsize=2)
+def _image_buffer(n: int, m: int) -> np.ndarray:
+    """Scratch (3, n, M): the image sums of both axes and one image term.
+
+    Reused across calls so that a step does not allocate (and page in) its
+    (n, M) temporaries afresh. Not safe for concurrent calls.
+    """
+    return np.empty((3, n, m))
+
+
 def estimate_density(
     agents: np.ndarray,
     params: KdeParams,
@@ -54,15 +65,17 @@ def estimate_density(
     if agents.ndim != 2 or agents.shape[1] != 2:
         raise ValueError("agent positions must have shape (n, 2)")
 
+    g1, g2, t = _image_buffer(agents.shape[0], grid.m)
     axis = grid.axis()
-    d1 = agents[:, 0:1] - axis[None, :]
-    d2 = agents[:, 1:2] - axis[None, :]
     coef = -0.5 / params.bandwidth**2
-    g1 = np.zeros_like(d1)
-    g2 = np.zeros_like(d2)
-    for n in range(-params.images, params.images + 1):
-        g1 += np.exp(coef * (d1 + TWO_PI * n) ** 2)
-        g2 += np.exp(coef * (d2 + TWO_PI * n) ** 2)
+    for g, x in ((g1, agents[:, 0:1]), (g2, agents[:, 1:2])):
+        g.fill(0.0)
+        for n in range(-params.images, params.images + 1):
+            np.subtract(x, axis, out=t)
+            t += TWO_PI * n
+            t *= t
+            t *= coef
+            g += np.exp(t, out=t)
 
     if sequential:
         acc = np.zeros((grid.m, grid.m))

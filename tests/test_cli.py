@@ -111,6 +111,12 @@ def test_simulate_arena_rescale(tmp_path, small_config):
     assert summary["goal_radius"] == pytest.approx(0.5)
 
 
+def assert_run_record(summary, config_path, steps):
+    assert summary["config_sha256"] == ExperimentConfig.load(config_path).hash()
+    assert summary["rk4_steps"] == steps
+    assert math.isfinite(summary["wall_time_s"]) and summary["wall_time_s"] > 0
+
+
 def test_continuum_herders_mode(tmp_path, small_config):
     out = tmp_path / "cont"
     code = main(["continuum", "--config", str(small_config), "--out", str(out),
@@ -119,6 +125,9 @@ def test_continuum_herders_mode(tmp_path, small_config):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["relative_deviation"] < 0.05
     assert (out / "herder_decay.csv").exists()
+    # default horizon 3 / gain at the driver's default step min(0.05 / gain, 0.01)
+    gain = ExperimentConfig.load(small_config).gain
+    assert_run_record(summary, small_config, round((3.0 / gain) / min(0.05 / gain, 0.01)))
 
 
 def test_continuum_targets_mode(tmp_path):
@@ -136,6 +145,8 @@ def test_continuum_targets_mode(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rate_certified"] is True
     assert summary["bounded"] is True
+    # 32^2 at D = 0.05 bounds the step by 0.0964 < 0.1, so it halves to 0.05
+    assert_run_record(summary, cfg, 40)
 
 
 def test_sweep_command(tmp_path, small_config):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     ContinuumState,
@@ -9,16 +11,24 @@ from swarmherd import (
     KernelParams,
     ScalarField,
     SpectralWorkspace,
+    VectorField,
     VonMisesSpec,
+    circular_convolve,
     continuum_step,
+    divergence,
+    gradient,
+    l2_norm,
+    laplacian,
     mass,
     plan_herders,
+    poisson_solve,
     sample_on_grid,
     stable_dt,
     verify_herder_convergence,
     verify_target_convergence,
     von_mises_density,
 )
+from swarmherd import continuum
 
 PI = np.pi
 
@@ -214,3 +224,205 @@ def test_frozen_herder_convection_route(kernel):
     )
     assert rep.error_sq[-1] < rep.error_sq[0]  # decaying toward equilibrium
     assert rep.mass_drift < 1e-9
+
+
+def test_target_step_never_exceeds_stability_bound():
+    # 32^2 at D = 0.05: bound 0.0964 < 0.1, so the default 0.8 * bound cannot
+    # round to one step per 0.1 sample; it takes two steps of 0.05
+    g = GridSpec(32)
+    x = g.nodes()
+    rho_bar = uniform(g, 1.0)
+    rho0 = DensityField(g, (1.0 + 0.2 * np.cos(x[..., 0])) / (4 * PI**2))
+    bound = stable_dt(g.h, 0.05, 0.0)
+    rep = verify_target_convergence(rho0, rho_bar, diffusion=0.05, horizon=2.0)
+    assert rep.steps == 40  # dt = 0.05
+    np.testing.assert_allclose(rep.times, np.arange(21) * 0.1, rtol=1e-12)
+    with pytest.raises(ValueError, match=f"stability bound {bound:.3e}"):
+        verify_target_convergence(rho0, rho_bar, diffusion=0.05, horizon=2.0, dt=0.1)
+
+
+@pytest.mark.parametrize("m, diffusion, steps", [
+    (64, 0.013, 40),  # bound 0.0927: 0.1 would step past it
+    (64, 0.01, 20),  # bound 0.12: the CLI's default step stays 0.1
+    (16, 0.5, 60),  # bound 0.0386: 0.8 * bound rounds to a third of 0.1
+    (33, 0.0, 20),  # no diffusion and no convection: no bound
+])
+def test_target_step_lands_on_samples_below_bound(m, diffusion, steps):
+    g = GridSpec(m)
+    rho_bar = uniform(g, 1.0)
+    rep = verify_target_convergence(rho_bar, rho_bar, diffusion=diffusion, horizon=2.0)
+    assert rep.steps == steps
+    assert 2.0 / rep.steps <= stable_dt(g.h, diffusion, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# symbol drivers against stage-by-stage operator right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def oracle_rk4(rhs, y, dt):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def oracle_transport(rho, velocity, diffusion, grid):
+    out = -divergence(VectorField(grid, rho[..., None] * velocity)).values
+    if diffusion > 0:
+        out = out + diffusion * laplacian(ScalarField(grid, rho)).values
+    return out
+
+
+def oracle_herder_errors(rho0, ref, gain, dt, n_steps):
+    grid = GridSpec(ref.shape[0])
+
+    def rhs(r):
+        phi, _ = poisson_solve(ScalarField(grid, ref - r), gain)
+        return -divergence(gradient(phi)).values
+
+    errors, rho = [l2_norm(ScalarField(grid, ref - rho0))], rho0
+    for _ in range(n_steps):
+        rho = oracle_rk4(rhs, rho, dt)
+        errors.append(l2_norm(ScalarField(grid, ref - rho)))
+    return np.array(errors)
+
+
+def oracle_target_errors(rho0, ref, velocity, diffusion, dt, n_steps):
+    grid = GridSpec(ref.shape[0])
+    errors, rho = [l2_norm(ScalarField(grid, ref - rho0)) ** 2], rho0
+    for _ in range(n_steps):
+        rho = oracle_rk4(lambda r: oracle_transport(r, velocity, diffusion, grid), rho, dt)
+        errors.append(l2_norm(ScalarField(grid, ref - rho)) ** 2)
+    return np.array(errors)
+
+
+def oracle_step(state, u, samples, diffusion, dt):
+    grid = state.rho_h.grid
+
+    def rhs(y):
+        rho_h, rho_t = y
+        d_h = np.zeros_like(rho_h) if u is None else \
+            -divergence(VectorField(grid, rho_h[..., None] * u.values)).values
+        v_th = circular_convolve(samples, ScalarField(grid, rho_h)).values
+        return np.stack([d_h, oracle_transport(rho_t, v_th, diffusion, grid)])
+
+    return oracle_rk4(rhs, np.stack([state.rho_h.values, state.rho_t.values]), dt)
+
+
+def rough(m, seed, amplitude):
+    """Smooth field plus white noise; on even grids a Nyquist checkerboard."""
+    rng = np.random.default_rng(seed)
+    x = GridSpec(m).nodes()
+    out = np.cos(x[..., 0]) + 0.5 * np.sin(2 * x[..., 1] - x[..., 0])
+    out = out + 0.1 * rng.standard_normal((m, m))
+    if m % 2 == 0:
+        out = out + 0.2 * (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    return amplitude * out
+
+
+def relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("m", [15, 16, 32, 33])
+def test_herder_driver_matches_operator_oracle(m, samples32, kernel):
+    g = GridSpec(m)
+    ref = uniform(g, 0.3).values * (1 + 0.5 * np.cos(g.nodes()[..., 1]))
+    bump = rough(m, m, 1e-3)
+    rho0 = ref + bump - bump.mean()
+    gain, dt, n = 2.0, 0.01, 30
+    rep = verify_herder_convergence(ScalarField(g, rho0), ScalarField(g, ref), gain,
+                                    horizon=n * dt, dt=dt, sample_every=dt)
+    expected = oracle_herder_errors(rho0, ref, gain, dt, n)
+    assert rep.steps == n
+    np.testing.assert_allclose(rep.error_l2, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [15, 16, 32, 33])
+def test_target_driver_matches_operator_oracle(m):
+    g = GridSpec(m)
+    ref = uniform(g, 1.0)
+    rho0 = ref.values * (1 + rough(m, m, 0.2))
+    v = VectorField(g, np.stack([rough(m, m + 1, 0.3), rough(m, m + 2, 0.3)], axis=-1))
+    diffusion, n = 0.05, 12
+    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(-1)).max()))
+    rep = verify_target_convergence(DensityField(g, rho0), ref, diffusion, horizon=n * dt,
+                                    velocity=v, dt=dt, sample_every=dt)
+    expected = oracle_target_errors(rho0, ref.values, v.values, diffusion, dt, n)
+    assert rep.steps == n
+    np.testing.assert_allclose(rep.error_sq, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [15, 16, 32, 33])
+@pytest.mark.parametrize("actuated", [False, True])
+def test_continuum_step_matches_operator_oracle(m, actuated, kernel):
+    g = GridSpec(m)
+    samples = sample_on_grid(g, kernel)
+    state = ContinuumState(DensityField(g, uniform(g, 0.3).values * (1 + rough(m, 1, 0.2))),
+                           DensityField(g, uniform(g, 0.7).values * (1 + rough(m, 2, 0.2))))
+    u = VectorField(g, np.stack([rough(m, 3, 0.2), rough(m, 4, 0.2)], axis=-1)) \
+        if actuated else None
+    for _ in range(3):
+        expected_h, expected_t = oracle_step(state, u, samples, 0.05, 0.02)
+        state = continuum_step(state, u, samples, 0.05, 0.02)
+        assert relative(state.rho_t.values, expected_t) < 1e-12
+        if actuated:
+            assert relative(state.rho_h.values, expected_h) < 1e-12
+        else:  # the frozen herder density is carried over bit for bit
+            assert np.array_equal(state.rho_h.values, expected_h)
+
+
+def test_frozen_herder_convolves_once_per_step(samples32, monkeypatch):
+    # with u = None every stage reuses the stability check's convection
+    # field, which is bit for bit what a per-stage convolution would give
+    calls = []
+    real = continuum.circular_convolve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(continuum, "circular_convolve", counted)
+    g = GridSpec(32)
+    state = ContinuumState(uniform(g, 0.3), uniform(g, 0.7))
+    continuum_step(state, None, samples32, 0.05, 0.01)
+    assert len(calls) == 1
+    continuum_step(state, VectorField(g, np.zeros((32, 32, 2))), samples32, 0.05, 0.01)
+    assert len(calls) == 1 + 5
+
+
+# ---------------------------------------------------------------------------
+# mass conservation, every driver, odd and even grids
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(9, 40), seed=st.integers(0, 2**32 - 1))
+@example(m=9, seed=0)
+@example(m=40, seed=0)
+def test_rk4_drivers_keep_mass(m, seed, kernel):
+    g = GridSpec(m)
+    rng = np.random.default_rng(seed)
+    positive = lambda total: DensityField(
+        g, total / (4 * PI**2) * (1 + 0.3 * rng.uniform(-1, 1, (m, m))))
+    ref = positive(0.3)
+    bump = 0.01 * rng.standard_normal((m, m))
+    rho_h0 = ScalarField(g, ref.values + bump - bump.mean())
+    rep_h = verify_herder_convergence(rho_h0, ref, gain=3.0, horizon=0.2)
+    velocity = VectorField(g, 0.2 * rng.standard_normal((m, m, 2)))
+    rep_t = verify_target_convergence(positive(1.0), positive(1.0), 0.02, horizon=0.5,
+                                      velocity=velocity)
+    assert rep_h.mass_drift <= 1e-13
+    assert rep_t.mass_drift <= 1e-13
+
+    state = ContinuumState(positive(0.3), positive(0.7))
+    m_h, m_t = mass(state.rho_h), mass(state.rho_t)
+    u = VectorField(g, 0.1 * rng.standard_normal((m, m, 2)))
+    for actuator in (None, u):
+        s = state
+        for _ in range(3):
+            s = continuum_step(s, actuator, sample_on_grid(g, kernel), 0.02, 0.005)
+        assert abs(mass(s.rho_h) / m_h - 1) <= 1e-13
+        assert abs(mass(s.rho_t) / m_t - 1) <= 1e-13

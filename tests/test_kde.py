@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from swarmherd import GridSpec, KdeParams, estimate_density, mass
+from swarmherd import GridSpec, KdeParams, estimate_density, kde, mass
 
 PI = np.pi
 
@@ -99,3 +101,22 @@ def test_param_validation():
         KdeParams(mass=-1.0)
     with pytest.raises(ValueError):
         KdeParams(images=-1)
+
+
+def test_image_buffer_reuse_leaks_no_state():
+    # the scratch is kept per (agents, grid size); calls of other sizes and
+    # image counts in between must not change a result
+    rng = np.random.default_rng(12)
+    cases = [(rng.uniform(-PI, PI, (260, 2)), KdeParams(images=2), GridSpec(64), False),
+             (rng.uniform(-PI, PI, (1, 2)), KdeParams(images=0), GridSpec(16), False),
+             (rng.uniform(-PI, PI, (37, 2)), KdeParams(bandwidth=1.0, images=3),
+              GridSpec(33), True),
+             (rng.uniform(-PI, PI, (260, 2)), KdeParams(images=1), GridSpec(64), True)]
+    first = []
+    for agents, params, grid, sequential in cases:
+        kde._image_buffer.cache_clear()
+        first.append(estimate_density(agents, params, grid, sequential).values)
+    for order in itertools.permutations(range(len(cases))):
+        for idx in order:
+            again = estimate_density(*cases[idx]).values
+            assert np.array_equal(again, first[idx]), (order, idx)
