@@ -9,7 +9,6 @@ be traced to the exact configuration that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
@@ -247,6 +246,10 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def hash(self) -> str:
+        # imported here: hashlib loads OpenSSL, about 3.6 MB resident that
+        # processes which never hash a config (planning, sweeps) do not need
+        import hashlib
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     @classmethod

@@ -20,7 +20,8 @@ import numpy as np
 
 from .feasibility import StabilityReport, desired_velocity_field, stability_margin
 from .grids import (DensityField, GridSpec, ScalarField, VectorField, circular_convolve,
-                    divergence, gradient, l2_norm, laplacian, mass, poisson_solve)
+                    components_first, divergence, gradient, l2_norm, laplacian, mass,
+                    poisson_solve)
 from .kernel import KernelParams, sample_on_grid
 
 
@@ -123,12 +124,12 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     target_symbols = _step_symbols(grid.m, diffusion)
     h0, t0 = state.rho_h.values, state.rho_t.values
     if u is None:
-        v_t = v_th0.values.transpose(2, 0, 1).copy()  # components first, contiguous
+        v_t = components_first(v_th0.values)
         new_h = h0.copy()
         new_t = _rk4(lambda r: _transport(target_symbols, r, v_t), t0, dt)
     else:
         symbols = np.stack([_step_symbols(grid.m, 0.0), target_symbols])
-        u_h = u.values.transpose(2, 0, 1).copy()
+        u_h = components_first(u.values)
 
         def rhs(y: np.ndarray) -> np.ndarray:
             v_t = circular_convolve(kernel_samples, ScalarField(grid, y[0])).values
@@ -261,7 +262,7 @@ def verify_target_convergence(
     n_steps = int(round(horizon / dt))
 
     symbols = _transport_symbols(grid.m, diffusion)
-    v_t = v.values.transpose(2, 0, 1).copy()
+    v_t = components_first(v.values)
     ref = rho_bar_t.values
     rho, times, err_sq = _sampled_rk4(
         lambda r: _transport(symbols, r, v_t), rho_t0.values, dt, n_steps, stride,

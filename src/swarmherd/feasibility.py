@@ -22,8 +22,12 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
+    components_first,
+    components_last,
     divergence,
     gradient,
+    gradient_values,
+    half_plane,
     mass,
     resample,
 )
@@ -33,6 +37,10 @@ from .torus import wrap
 # Least-squares deconvolutions with a relative residual above this are
 # reported as ill-posedness warnings.
 RESIDUAL_WARN = 0.05
+
+# Singular values below RCOND times the largest are dropped by the
+# pseudo-inverse.
+RCOND = 1e-8
 
 
 class InfeasibleError(RuntimeError):
@@ -107,30 +115,50 @@ def von_mises_density(spec: VonMisesSpec, grid: GridSpec,
         if not (np.allclose(spec.mean, goal.center)
                 and np.allclose(spec.concentration, (k, k))):
             raise ValueError("spec is not consistent with the goal region")
-    mu, nu = spec.mean
     k1, k2 = spec.concentration
-    x1 = grid.axis()[:, None]
-    x2 = grid.axis()[None, :]
-    expo = k1 * np.cos(x1 - mu) + k2 * np.cos(x2 - nu)
-    if spec.cross_term:
-        # unit-weight reshaping term; both means enter each coordinate
-        expo = expo + np.cos(x1 - mu) * np.cos(x1 - nu) + np.sin(x2 - mu) * np.sin(x2 - nu)
-    values = np.exp(expo - expo.max())
+    values = _von_mises_values(k1, k2, spec.mean, grid, spec.cross_term)
     values *= spec.mass / (values.sum() * grid.cell_area)
     return DensityField(grid, values)
 
 
+def _von_mises_values(k1: np.ndarray, k2: np.ndarray, mean: np.ndarray,
+                      grid: GridSpec, cross_term: bool = False) -> np.ndarray:
+    """Unnormalized bumps with peak 1 for a stack of concentrations.
+
+    ``k1`` and ``k2`` broadcast to a stack shape S; returns (*S, M, M).
+    """
+    mu, nu = mean
+    k1 = np.asarray(k1)[..., None, None]
+    k2 = np.asarray(k2)[..., None, None]
+    x1 = grid.axis()[:, None]
+    x2 = grid.axis()[None, :]
+    expo = k1 * np.cos(x1 - mu) + k2 * np.cos(x2 - nu)
+    if cross_term:
+        # unit-weight reshaping term; both means enter each coordinate
+        expo = expo + np.cos(x1 - mu) * np.cos(x1 - nu) + np.sin(x2 - mu) * np.sin(x2 - nu)
+    expo -= expo.max(axis=(-2, -1), keepdims=True)
+    return np.exp(expo, out=expo)
+
+
 def desired_velocity_field(rho_bar_t: DensityField, diffusion: float) -> VectorField:
     """Drift field D * grad(rho)/rho that keeps ``rho_bar_t`` in equilibrium."""
-    low = rho_bar_t.values.min()
+    v = _equilibrium_drift(rho_bar_t.values, diffusion)
+    return VectorField(rho_bar_t.grid, components_last(v))
+
+
+def _equilibrium_drift(rho: np.ndarray, diffusion: float) -> np.ndarray:
+    """D * grad(rho)/rho for a stack of densities, (..., M, M) -> (..., 2, M, M)."""
+    low = rho.min()
     if low <= 0:
-        bad = int(np.count_nonzero(rho_bar_t.values <= 0))
+        bad = int(np.count_nonzero(rho <= 0))
         raise ValueError(
             f"desired velocity needs a strictly positive density; "
             f"{bad} grid nodes are <= 0 (min {low:.3e})"
         )
-    g = gradient(rho_bar_t)
-    return VectorField(rho_bar_t.grid, diffusion * g.values / rho_bar_t.values[..., None])
+    v = gradient_values(rho)
+    v *= diffusion
+    v /= rho[..., None, :, :]
+    return v
 
 
 @dataclass
@@ -162,8 +190,10 @@ class DeconvolutionOperator:
         return self._svd
 
     def apply(self, rho: ScalarField) -> VectorField:
-        rhat = np.fft.fft2(rho.values)[..., None]
-        out = np.real(np.fft.ifft2(self.spectrum * rhat, axes=(0, 1)))
+        m = self.grid.m
+        spectrum = self.spectrum[:, :m // 2 + 1]
+        out = np.fft.irfft2(spectrum * np.fft.rfft2(rho.values)[..., None], s=(m, m),
+                            axes=(0, 1))
         return VectorField(self.grid, out)
 
 
@@ -176,7 +206,7 @@ class DeconvolutionResult:
 
 
 def deconvolve(v_bar: VectorField, op: DeconvolutionOperator,
-               rcond: float = 1e-8) -> DeconvolutionResult:
+               rcond: float = RCOND) -> DeconvolutionResult:
     """Least-squares inversion of the convolution for a velocity field.
 
     The truncated-SVD pseudo-inverse, one wavenumber at a time:
@@ -189,21 +219,47 @@ def deconvolve(v_bar: VectorField, op: DeconvolutionOperator,
     """
     if v_bar.grid.m != op.grid.m:
         raise ValueError("velocity field and operator grids differ")
-    vhat = np.fft.fft2(v_bar.values, axes=(0, 1))
+    h, residual = _pseudo_inverse(components_first(v_bar.values), op, rcond)
+    return DeconvolutionResult(ScalarField(op.grid, h), float(residual))
+
+
+def _pseudo_inverse(v: np.ndarray, op: DeconvolutionOperator,
+                    rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """Preimages and relative residuals of a stack of velocity fields.
+
+    ``v`` has shape (..., 2, M, M); returns the preimages (..., M, M) and
+    the residuals (...). Works on the ``rfft2`` half-plane of the
+    operator's spectrum, which holds all of it because the kernel samples
+    are real; the residual norms weight its columns as Parseval does. Each
+    residual above RESIDUAL_WARN gives one warning.
+    """
+    m = op.grid.m
+    half = m // 2 + 1
+    spectrum = np.moveaxis(op.spectrum[:, :half], -1, 0)  # (2, M, M//2+1)
     s = op.svd()
-    keep = s > rcond * s.max()
-    hhat = np.zeros(s.shape, dtype=complex)
-    hhat[keep] = (np.conj(op.spectrum[keep]) * vhat[keep]).sum(axis=-1) / s[keep] ** 2
-    b_norm = np.linalg.norm(vhat)
-    miss = np.linalg.norm(op.spectrum * hhat[..., None] - vhat)
-    residual = float(miss / b_norm) if b_norm > 0 else 0.0
-    if residual > RESIDUAL_WARN:
-        warnings.warn(
-            f"deconvolution residual {residual:.2%} exceeds {RESIDUAL_WARN:.0%}: "
-            "velocity field is poorly realizable by this kernel",
-            stacklevel=2,
-        )
-    return DeconvolutionResult(ScalarField(op.grid, np.real(np.fft.ifft2(hhat))), residual)
+    power = s[:, :half] ** 2
+    keep = s[:, :half] > rcond * s.max()
+    vhat = np.fft.rfft2(v)
+    hhat = (np.conj(spectrum) * vhat).sum(axis=-3)
+    hhat *= keep
+    np.divide(hhat, power, out=hhat, where=keep)
+    weight = half_plane(m).parseval
+
+    def norm(c: np.ndarray) -> np.ndarray:
+        return np.sqrt((weight * (c.real ** 2 + c.imag ** 2)).sum(axis=(-3, -2, -1)))
+
+    b_norm = norm(vhat)
+    vhat -= spectrum * hhat[..., None, :, :]  # now the miss
+    miss = norm(vhat)
+    residual = np.divide(miss, b_norm, out=np.zeros_like(miss), where=b_norm > 0)
+    for r in np.ravel(residual):
+        if r > RESIDUAL_WARN:
+            warnings.warn(
+                f"deconvolution residual {r:.2%} exceeds {RESIDUAL_WARN:.0%}: "
+                "velocity field is poorly realizable by this kernel",
+                stacklevel=3,
+            )
+    return np.fft.irfft2(hhat, s=(m, m)), residual
 
 
 @dataclass
@@ -295,20 +351,21 @@ def feasibility_map(
     concentration value, saturated at ``saturate`` for plotting; values at
     the saturation level mark the infeasible region. The drift field, its
     preimage, the offset and hence the mass are all linear in D, so each
-    column is deconvolved once, at D = 1, and scaled.
+    column is deconvolved once, at D = 1, and scaled. All columns go
+    through one stacked pass: densities, drift fields, pseudo-inverse,
+    offsets and masses; each unrealizable column gives one warning.
     """
     k_values = np.asarray(k_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
     if np.any(k_values <= 0) or np.any(d_values <= 0):
         raise ValueError("sweep ranges must be positive")
     op = operator if operator is not None else DeconvolutionOperator.build(grid, kernel)
-    out = np.empty((d_values.size, k_values.size))
-    for col, k in enumerate(k_values):
-        spec = VonMisesSpec(concentration=(k, k), mean=np.zeros(2), mass=1.0)
-        v_unit = desired_velocity_field(von_mises_density(spec, grid), 1.0)
-        unit_mass = minimal_herder_mass(deconvolve(v_unit, op).field).min_mass
-        out[:, col] = np.minimum(d_values * unit_mass, saturate)
-    return out
+    rho = _von_mises_values(k_values, k_values, np.zeros(2), grid)
+    rho *= 1.0 / (rho.sum(axis=(-2, -1), keepdims=True) * grid.cell_area)
+    h, _ = _pseudo_inverse(_equilibrium_drift(rho, 1.0), op, RCOND)
+    h -= h.min(axis=(-2, -1), keepdims=True)
+    unit_mass = h.sum(axis=(-2, -1)) * grid.cell_area
+    return np.minimum(np.outer(d_values, unit_mass), saturate)
 
 
 @dataclass
@@ -348,7 +405,9 @@ def plan_herders(
     The drift field of the desired density does not depend on its
     normalization, so the minimal mass is computed first and the target /
     herder masses follow from the head counts; ``n_herders`` overrides the
-    computed count (the reference herder density is rescaled accordingly).
+    computed count. Herder mass above the profile's is spread as a
+    constant, which the kernel does not see; an override below it scales
+    the profile down.
     """
     if concentration is None:
         spec_unit = VonMisesSpec.from_goal(goal, 1.0, cross_term)
@@ -375,11 +434,14 @@ def plan_herders(
     )
     rho_bar_t = von_mises_density(spec, control_grid)
 
-    coarse = feas.rho_bar_h
-    fine = resample(coarse, control_grid.m)
+    fine = resample(feas.rho_bar_h, control_grid.m)
     values = np.clip(fine.values, 0.0, None)  # trig interpolation can ring below zero
     total = values.sum() * control_grid.cell_area
-    if herder_mass > 0 and total > 0:
+    if herder_mass >= total:
+        # constants are in the kernel's null space: the surplus spread evenly
+        # leaves K * rho_bar_h equal to the drift field
+        values += (herder_mass - total) / (4 * np.pi**2)
+    elif total > 0:
         values *= herder_mass / total
     rho_bar_h = DensityField(control_grid, values)
 

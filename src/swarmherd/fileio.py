@@ -100,19 +100,21 @@ def read_field(path: str | Path):
 
 def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,
                      scale: float = 1.0):
-    """Snapshots are (t, herders, targets) tuples; positions scaled on write."""
+    """Snapshots are (t, herders, targets) tuples; positions scaled on write.
+
+    Rows are CSV with csv's default ``\r\n`` terminator; no field needs
+    quoting, so each block of rows is formatted in one join.
+    """
     with open(path, "w", newline="") as fh:
         for line in metadata_lines(meta or {}):
             fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "agent_kind", "agent_id", "x1", "x2"])
+        fh.write("t,agent_kind,agent_id,x1,x2\r\n")
         for t, herders, targets in snapshots:
             for kind, block in (("herder", herders), ("target", targets)):
-                for idx, pos in enumerate(block):
-                    writer.writerow([
-                        FLOAT_FMT % t, kind, idx,
-                        FLOAT_FMT % (pos[0] * scale), FLOAT_FMT % (pos[1] * scale),
-                    ])
+                row = f"{FLOAT_FMT % t},{kind},%d,{FLOAT_FMT},{FLOAT_FMT}\r\n"
+                positions = (np.asarray(block, dtype=float) * scale).tolist()
+                fh.write("".join(row % (idx, x1, x2)
+                                 for idx, (x1, x2) in enumerate(positions)))
 
 
 def read_trajectory(path: str | Path):

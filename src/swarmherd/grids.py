@@ -3,7 +3,9 @@
 All fields live on a regular M x M lattice covering [-pi, pi)^2 with step
 h = 2*pi/M; index [i, j] addresses the node (-pi + i*h, -pi + j*h).
 Differential operators multiply Fourier coefficients by the integer
-wavenumbers of the torus, which is exact for band-limited fields.
+wavenumbers of the torus, which is exact for band-limited fields. They
+transform real fields with ``rfft2``/``irfft2`` and take their multipliers
+from one cached half-plane table per grid size.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def wavenumbers(m: int) -> np.ndarray:
 
 
 class SpectralWorkspace:
-    """Integer wavenumbers and normalized transforms for one grid size.
+    """Normalized full-plane transforms for one grid size.
 
     Coefficients follow the convention c_m = (1/M^2) * fft2(values), i.e.
     values = sum_m c_m exp(j m.x) on the nodes; coefficients of real
@@ -71,14 +73,6 @@ class SpectralWorkspace:
 
     def __init__(self, m: int):
         self.m = m
-        k = wavenumbers(m).astype(float)
-        self.k1 = k[:, None]
-        self.k2 = k[None, :]
-        self.ksq = self.k1 * self.k1 + self.k2 * self.k2
-        inv = np.zeros_like(self.ksq)
-        nonzero = self.ksq > 0
-        inv[nonzero] = 1.0 / self.ksq[nonzero]
-        self.inv_ksq = inv
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
         return np.fft.fft2(values) / (self.m * self.m)
@@ -90,6 +84,58 @@ class SpectralWorkspace:
 @lru_cache(maxsize=None)
 def workspace(m: int) -> SpectralWorkspace:
     return SpectralWorkspace(m)
+
+
+class HalfPlane:
+    """Operator multipliers on the ``rfft2`` half-plane of one grid size.
+
+    Arrays follow ``np.fft.rfft2``'s layout (M, M//2 + 1): rows hold the
+    axis-0 wavenumbers in FFT order, columns the axis-1 wavenumbers
+    0 .. M//2.
+
+    - ``ik``, shape (2, M, M//2 + 1): i*k_c, the derivative along axis c.
+      On an even grid the Nyquist wavenumber -M/2 has no +M/2 partner, so
+      i*k times its coefficient is not the coefficient of a real field;
+      its derivative is set to 0, which is what taking the real part of a
+      complex inverse transform does.
+    - ``neg_ksq``: -|k|^2, the Laplacian.
+    - ``inv_ksq``: 1/|k|^2, with 0 at k = 0.
+    - ``parseval``, shape (M//2 + 1,): how often each column occurs in the
+      full plane, so sum(parseval * |c|^2) is the full-plane sum of |c|^2.
+    """
+
+    def __init__(self, m: int):
+        half = m // 2 + 1
+        k1 = wavenumbers(m).astype(float)[:, None]
+        k2 = np.arange(half, dtype=float)[None, :]
+        ksq = k1 * k1 + k2 * k2
+        self.neg_ksq = -ksq
+        self.inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        if m % 2 == 0:
+            k1[m // 2] = 0.0
+            k2[:, m // 2] = 0.0
+        self.ik = 1j * np.stack(np.broadcast_arrays(k1, k2))
+        self.parseval = np.full(half, 2.0)
+        self.parseval[0] = 1.0
+        if m % 2 == 0:
+            self.parseval[-1] = 1.0
+        for table in (self.neg_ksq, self.inv_ksq, self.ik, self.parseval):
+            table.flags.writeable = False  # shared by every caller through the cache
+
+
+@lru_cache(maxsize=None)
+def half_plane(m: int) -> HalfPlane:
+    return HalfPlane(m)
+
+
+def gradient_values(values: np.ndarray) -> np.ndarray:
+    """Spectral gradient of a stack of fields, shape (..., M, M) -> (..., 2, M, M).
+
+    One ``rfft2``/``irfft2`` pair serves both components of every field.
+    """
+    m = values.shape[-1]
+    fhat = np.fft.rfft2(values)[..., None, :, :]
+    return np.fft.irfft2(half_plane(m).ik * fhat, s=(m, m))
 
 
 @dataclass
@@ -155,33 +201,44 @@ def l2_norm(field) -> float:
     return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_area))
 
 
+def components_first(values: np.ndarray) -> np.ndarray:
+    """Vector field values (..., M, M, 2) as a contiguous stack (..., 2, M, M).
+
+    Real transforms of contiguous rows run faster than of strided ones,
+    which more than pays for the copy; a view of such a stack is not copied.
+    """
+    return np.ascontiguousarray(np.moveaxis(values, -1, -3))
+
+
+def components_last(values: np.ndarray) -> np.ndarray:
+    """View of a stack (..., 2, M, M) as vector field values (..., M, M, 2)."""
+    return np.moveaxis(values, -3, -1)
+
+
 def gradient(field: ScalarField) -> VectorField:
-    ws = workspace(field.grid.m)
-    fhat = np.fft.fft2(field.values)
-    g1 = np.real(np.fft.ifft2(1j * ws.k1 * fhat))
-    g2 = np.real(np.fft.ifft2(1j * ws.k2 * fhat))
-    return VectorField(field.grid, np.stack([g1, g2], axis=-1))
+    return VectorField(field.grid, components_last(gradient_values(field.values)))
 
 
 def divergence(field: VectorField) -> ScalarField:
-    ws = workspace(field.grid.m)
-    d1 = 1j * ws.k1 * np.fft.fft2(field.values[..., 0])
-    d2 = 1j * ws.k2 * np.fft.fft2(field.values[..., 1])
-    return ScalarField(field.grid, np.real(np.fft.ifft2(d1 + d2)))
+    m = field.grid.m
+    fhat = np.fft.rfft2(components_first(field.values))
+    fhat *= half_plane(m).ik
+    return ScalarField(field.grid, np.fft.irfft2(fhat[0] + fhat[1], s=(m, m)))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
-    ws = workspace(field.grid.m)
-    lhat = -ws.ksq * np.fft.fft2(field.values)
-    return ScalarField(field.grid, np.real(np.fft.ifft2(lhat)))
+    m = field.grid.m
+    lhat = half_plane(m).neg_ksq * np.fft.rfft2(field.values)
+    return ScalarField(field.grid, np.fft.irfft2(lhat, s=(m, m)))
 
 
 def curl(field: VectorField) -> ScalarField:
     """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field."""
-    ws = workspace(field.grid.m)
-    c = 1j * ws.k1 * np.fft.fft2(field.values[..., 1])
-    c -= 1j * ws.k2 * np.fft.fft2(field.values[..., 0])
-    return ScalarField(field.grid, np.real(np.fft.ifft2(c)))
+    m = field.grid.m
+    ik = half_plane(m).ik
+    fhat = np.fft.rfft2(components_first(field.values))
+    return ScalarField(field.grid,
+                       np.fft.irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], s=(m, m)))
 
 
 def circular_convolve(kernel_samples: np.ndarray, rho: ScalarField) -> VectorField:
@@ -200,13 +257,11 @@ def circular_convolve(kernel_samples: np.ndarray, rho: ScalarField) -> VectorFie
             f"kernel samples shape {kernel_samples.shape} does not match grid "
             f"({m}, {m}, 2)"
         )
-    rhat = np.fft.fft2(rho.values)
-    h2 = rho.grid.cell_area
-    out = np.empty((m, m, 2))
-    for c in range(2):
-        khat = np.fft.fft2(kernel_samples[..., c])
-        out[..., c] = np.real(np.fft.ifft2(khat * rhat)) * h2
-    return VectorField(rho.grid, out)
+    khat = np.fft.rfft2(components_first(kernel_samples))
+    khat *= np.fft.rfft2(rho.values)
+    out = np.fft.irfft2(khat, s=(m, m))
+    out *= rho.grid.cell_area
+    return VectorField(rho.grid, components_last(out))
 
 
 def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:
@@ -221,12 +276,11 @@ def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:
     """
     if not gain > 0:
         raise ValueError("gain must be positive")
-    ws = workspace(rhs.grid.m)
-    chat = np.fft.fft2(rhs.values)
-    removed_mean = float(np.real(chat[0, 0]) / (rhs.grid.m**2))
-    phihat = gain * chat * ws.inv_ksq
-    phi = np.real(np.fft.ifft2(phihat))
-    return ScalarField(rhs.grid, phi), removed_mean
+    m = rhs.grid.m
+    chat = np.fft.rfft2(rhs.values)
+    removed_mean = float(np.real(chat[0, 0]) / (m * m))
+    phihat = gain * chat * half_plane(m).inv_ksq
+    return ScalarField(rhs.grid, np.fft.irfft2(phihat, s=(m, m))), removed_mean
 
 
 def _resample_axis(coeffs: np.ndarray, m_new: int) -> np.ndarray:

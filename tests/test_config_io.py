@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 from swarmherd import DensityField, GridSpec, ScalarField, VectorField, mass
 from swarmherd.config import ConfigError, ExperimentConfig
 from swarmherd.fileio import (
+    FLOAT_FMT,
+    metadata_lines,
     read_field,
     read_trajectory,
     write_field,
@@ -179,6 +183,35 @@ def test_trajectory_scaling(tmp_path):
     frames = read_trajectory(path)
     np.testing.assert_allclose(frames[0][1], [[1.0, 0.0]])
     np.testing.assert_allclose(frames[0][2], [[0.0, -0.5]])
+
+
+def csv_writer_trajectory(snapshots, meta, scale):
+    """Row-by-row ``csv.writer`` rendering: the oracle for the writer's bytes."""
+    out = io.StringIO(newline="")
+    for line in metadata_lines(meta):
+        out.write(line + "\n")
+    writer = csv.writer(out)
+    writer.writerow(["t", "agent_kind", "agent_id", "x1", "x2"])
+    for t, herders, targets in snapshots:
+        for kind, block in (("herder", herders), ("target", targets)):
+            for idx, pos in enumerate(block):
+                writer.writerow([FLOAT_FMT % t, kind, idx, FLOAT_FMT % (pos[0] * scale),
+                                 FLOAT_FMT % (pos[1] * scale)])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0 / PI])
+def test_trajectory_bytes_match_csv_writer(tmp_path, scale):
+    rng = np.random.default_rng(4)
+    snaps = [
+        (0.0, rng.uniform(-PI, PI, (7, 2)), rng.uniform(-PI, PI, (11, 2))),
+        (0.1, np.array([[-PI, 0.0], [1e-300, -0.0]]), np.empty((0, 2))),
+        (12.3456789, rng.uniform(-PI, PI, (1, 2)), rng.uniform(-PI, PI, (3, 2))),
+    ]
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, snaps, {"seed": 9, "config_sha256": "ab"}, scale=scale)
+    assert path.read_bytes() == csv_writer_trajectory(
+        snaps, {"seed": 9, "config_sha256": "ab"}, scale)
 
 
 def test_trajectory_reader_rejects_garbage(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from swarmherd import (
     mass,
     minimal_herder_mass,
     plan_herders,
+    resample,
     sample_on_grid,
     stability_margin,
     von_mises_density,
@@ -353,6 +356,56 @@ def test_map_scales_with_diffusion(grid25, kernel, operator):
     assert m[1, 0] == pytest.approx(2 * m[0, 0], rel=1e-6)
 
 
+def column_loop_map(k_values, d_values, grid, operator):
+    """The sweep one concentration at a time through the public pipeline."""
+    out = np.empty((d_values.size, k_values.size))
+    for col, k in enumerate(k_values):
+        spec = VonMisesSpec(concentration=(k, k), mean=np.zeros(2), mass=1.0)
+        v = desired_velocity_field(von_mises_density(spec, grid), 1.0)
+        out[:, col] = d_values * minimal_herder_mass(deconvolve(v, operator).field).min_mass
+    return out
+
+
+@pytest.mark.parametrize("m", [16, 25])
+def test_map_matches_column_loop(kernel, m):
+    grid = GridSpec(m)
+    op = DeconvolutionOperator.build(grid, kernel)
+    k_values = np.array([0.5, 1.0, 1.3, 2.0, 2.5, 3.8, 5.0, 6.0])
+    d_values = np.array([0.005, 0.01, 0.1])
+    got = feasibility_map(k_values, d_values, kernel, grid, op, saturate=np.inf)
+    ref = column_loop_map(k_values, d_values, grid, op)
+    rel = np.abs(got - ref) / ref
+    # the density spans exp(4k), so rounding grows with k
+    assert rel[:, k_values <= 2].max() <= 1e-10
+    assert rel.max() <= 1e-6
+    saturated = feasibility_map(k_values, d_values, kernel, grid, op)
+    np.testing.assert_array_equal(saturated, np.minimum(got, 1.0))
+
+
+def test_map_warns_once_per_unrealizable_column(grid25, kernel, operator):
+    # the kernel's lowest ring alone realizes the continuum drift
+    # -D k (sin x1, sin x2); on 25^2 the large-k bumps alias onto higher
+    # modes, which this operator cannot produce
+    k = np.rint(np.fft.fftfreq(25) * 25)
+    ring = (np.abs(k)[:, None] <= 1) & (np.abs(k)[None, :] <= 1)
+    low_pass = DeconvolutionOperator(grid25, kernel, operator.spectrum * ring[..., None])
+    k_values = np.array([1.0, 6.0, 2.0, 8.0, 10.0])
+    column_warnings = []
+    for kv in k_values:
+        spec = VonMisesSpec(concentration=(kv, kv), mean=np.zeros(2))
+        v = desired_velocity_field(von_mises_density(spec, grid25), 1.0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            deconvolve(v, low_pass)
+        column_warnings.append(len(seen))
+    assert column_warnings == [0, 1, 0, 1, 1]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        feasibility_map(k_values, np.array([0.01]), kernel, grid25, low_pass)
+    assert len(seen) == 3
+    assert all("residual" in str(w.message) and w.filename == __file__ for w in seen)
+
+
 def test_map_rejects_nonpositive_ranges(grid25, kernel, operator):
     with pytest.raises(ValueError):
         feasibility_map(np.array([0.0]), np.array([0.01]), kernel, grid25, operator)
@@ -385,6 +438,29 @@ def test_default_plan_mass_and_head_count():
     )
     assert plan.min_mass == pytest.approx(0.265200813, abs=1e-9)
     assert plan.n_herders == 260
+
+
+def test_default_plan_spreads_herder_surplus_as_constant():
+    # herder mass above min_mass is added as a constant, which the kernel
+    # maps to zero, so K * rho_bar_h is the drift of the unscaled profile
+    cfg = ExperimentConfig()
+    plan = plan_herders(
+        goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
+        diffusion=cfg.sim.diffusion, kernel=cfg.kernel.params(),
+        deconv_grid=cfg.grids.deconvolution_grid(),
+        control_grid=cfg.grids.control_grid(),
+    )
+    grid = cfg.grids.control_grid()
+    assert plan.herder_mass > plan.min_mass
+    profile = np.clip(resample(plan.feasibility.rho_bar_h, grid.m).values, 0.0, None)
+    surplus = plan.rho_bar_h.values - profile
+    assert np.ptp(surplus) <= 1e-15
+    assert surplus.mean() > 0
+    assert mass(plan.rho_bar_h) == pytest.approx(plan.herder_mass, abs=1e-12)
+    samples = sample_on_grid(grid, cfg.kernel.params())
+    drift = circular_convolve(samples, plan.rho_bar_h).values
+    ref = circular_convolve(samples, ScalarField(grid, profile)).values
+    assert np.abs(drift - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_plan_respects_override(grid25, kernel, operator):

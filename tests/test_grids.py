@@ -11,6 +11,7 @@ from swarmherd import (
     SpectralWorkspace,
     VectorField,
     circular_convolve,
+    curl,
     divergence,
     gradient,
     l2_norm,
@@ -248,6 +249,79 @@ def test_poisson_requires_positive_gain():
     g = GridSpec(16)
     with pytest.raises(ValueError):
         poisson_solve(ScalarField(g, np.zeros((16, 16))), gain=0.0)
+
+
+# ---------------------------------------------------------------------------
+# real-FFT operators against full-plane complex transforms
+# ---------------------------------------------------------------------------
+
+
+def complex_reference(m: int) -> dict:
+    """Each operator as a full-plane complex FFT, the real part taken.
+
+    Wavenumbers include the even grid's Nyquist -M/2; taking the real part
+    drops its derivative, the convention the operators (and the density
+    twin's symbols) keep.
+    """
+    k = np.rint(np.fft.fftfreq(m) * m)
+    k1, k2 = k[:, None], k[None, :]
+    ksq = k1**2 + k2**2
+    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+    f2, back = np.fft.fft2, lambda c: np.real(np.fft.ifft2(c))
+    h2 = (2 * PI / m) ** 2
+    return {
+        "gradient": lambda f, v: np.stack([back(1j * k1 * f2(f)), back(1j * k2 * f2(f))],
+                                          axis=-1),
+        "divergence": lambda f, v: back(1j * k1 * f2(v[..., 0]) + 1j * k2 * f2(v[..., 1])),
+        "laplacian": lambda f, v: back(-ksq * f2(f)),
+        "curl": lambda f, v: back(1j * k1 * f2(v[..., 1]) - 1j * k2 * f2(v[..., 0])),
+        "poisson_solve": lambda f, v: back(3.0 * f2(f) * inv),
+        "circular_convolve": lambda f, v: np.stack(
+            [back(f2(v[..., c]) * f2(f)) * h2 for c in range(2)], axis=-1),
+    }
+
+
+def nyquist_rich(m: int, rng) -> np.ndarray:
+    """White noise plus Nyquist-row, Nyquist-column and corner checkerboards."""
+    i = np.arange(m)
+    values = rng.standard_normal((m, m))
+    if m % 2 == 0:
+        row, col = (-1.0) ** i[:, None], (-1.0) ** i[None, :]
+        x = GridSpec(m).axis()
+        values += 3 * row * np.cos(x)[None, :] + 2 * col * np.sin(2 * x)[:, None]
+        values += row * col
+    return values
+
+
+@pytest.mark.parametrize("m", [9, 16, 25, 64])
+def test_operators_match_complex_fft_reference(m):
+    g = GridSpec(m)
+    rng = np.random.default_rng(70 + m)
+    f = nyquist_rich(m, rng)
+    v = np.stack([nyquist_rich(m, rng), nyquist_rich(m, rng)], axis=-1)
+    got = {
+        "gradient": gradient(ScalarField(g, f)).values,
+        "divergence": divergence(VectorField(g, v)).values,
+        "laplacian": laplacian(ScalarField(g, f)).values,
+        "curl": curl(VectorField(g, v)).values,
+        "poisson_solve": poisson_solve(ScalarField(g, f), 3.0)[0].values,
+        "circular_convolve": circular_convolve(v, ScalarField(g, f)).values,
+    }
+    for name, reference in complex_reference(m).items():
+        ref = reference(f, v)
+        assert got[name].shape == ref.shape, name
+        assert np.abs(got[name] - ref).max() <= 1e-13 * np.abs(ref).max(), name
+    assert poisson_solve(ScalarField(g, f), 3.0)[1] == pytest.approx(f.mean(), abs=1e-15)
+
+
+def test_even_grid_nyquist_derivative_is_zero():
+    g = GridSpec(16)
+    i = np.arange(16)
+    checker = ScalarField(g, (-1.0) ** i[:, None] + (-1.0) ** i[None, :])
+    np.testing.assert_allclose(gradient(checker).values, 0.0, atol=1e-14)
+    # the Laplacian is even in k, so it keeps the mode: -(M/2)^2 per axis
+    np.testing.assert_allclose(laplacian(checker).values, -64.0 * checker.values,
+                               atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

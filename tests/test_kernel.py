@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swarmherd import GridSpec, KernelParams, kernel_free, kernel_periodic, wrap
 from swarmherd.kernel import image_shifts, sample_on_grid
@@ -43,6 +46,21 @@ def test_periodic_reduces_to_free_with_no_images():
     x = rng.uniform(-PI, PI - 1e-9, size=(50, 2))
     np.testing.assert_allclose(kernel_periodic(x, p0), kernel_free(x, p0),
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("images", [0, 1, 2, 3])
+def test_periodic_equals_sum_of_free_kernel_images(images):
+    # same terms, same order, same arithmetic: equal bit for bit
+    params = KernelParams(length=1.7, images=images)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-9.0, 9.0, size=(300, 2)), np.zeros((1, 2)),
+                        [[PI, -PI], [0.0, 2 * PI]]])
+    arr = wrap(x)
+    expected = np.zeros_like(arr)
+    for shift in image_shifts(images):
+        expected += kernel_free(arr + shift, params)
+    np.testing.assert_array_equal(kernel_periodic(x, params), expected)
+    np.testing.assert_array_equal(kernel_periodic(x[7], params), expected[7])
 
 
 def test_periodic_seam_component_bounded_by_truncation_tail(params):
@@ -119,6 +137,35 @@ def test_grid_samples_exactly_odd(params):
         mirrored = np.roll(samples[::-1, ::-1], 1, axis=(0, 1))
         np.testing.assert_array_equal(samples, -mirrored)
         np.testing.assert_allclose(samples[0, 0], [0.0, 0.0], atol=1e-15)
+
+
+_lengths = st.floats(0.3, 10.0)
+_rings = st.integers(0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(5, 70), length=_lengths, images=_rings)
+@example(m=64, length=PI, images=2)  # the control grid
+@example(m=25, length=PI, images=2)  # the deconvolution grid
+def test_grid_samples_odd_any_size(m, length, images):
+    samples = sample_on_grid(GridSpec(m), KernelParams(length=length, images=images))
+    mirrored = np.roll(samples[::-1, ::-1], 1, axis=(0, 1))
+    np.testing.assert_array_equal(samples, -mirrored)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+                elements=st.floats(-PI, PI, exclude_min=True, exclude_max=True)),
+       length=_lengths, images=_rings)
+def test_periodic_kernel_odd_to_summation_rounding(d, length, images):
+    # -d sums the same image terms negated, in reverse order; only the
+    # rounding of the sum can differ
+    params = KernelParams(length=length, images=images)
+    terms = kernel_free(d[:, None, :] + image_shifts(images)[None], params)
+    largest = np.sqrt(np.sum(terms**2, axis=-1)).max(axis=1)
+    bound = (2 * images + 1) ** 2 * np.finfo(float).eps * largest
+    odd_miss = np.abs(kernel_periodic(-d, params) + kernel_periodic(d, params))
+    assert np.all(odd_miss <= bound[:, None])
 
 
 def test_grid_samples_match_pointwise_kernel_off_seam():

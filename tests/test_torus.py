@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swarmherd import ArenaMap, torus_distance, wrap, wrapped_displacement
 
@@ -24,6 +27,16 @@ def test_wrap_seam_convention():
     # half-open [-pi, pi): +pi maps to -pi, -pi stays
     assert wrap(np.array([PI]))[0] == -PI
     assert wrap(np.array([-PI]))[0] == -PI
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 64),
+              elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+@example(np.array([PI, -PI, np.nextafter(PI, 0), np.nextafter(-PI, -4), -0.0, 1e6, -1e6]))
+def test_wrap_idempotent_and_in_domain(x):
+    once = wrap(x)
+    assert np.all((once >= -PI) & (once < PI))
+    np.testing.assert_array_equal(wrap(once), once)
 
 
 def test_wrap_rejects_non_finite():
