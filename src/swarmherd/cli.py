@@ -31,7 +31,7 @@ from .fileio import (
     write_trajectory,
     read_trajectory,
 )
-from .grids import ScalarField, mass
+from .grids import DensityField, ScalarField, mass
 from .microsim import AgentEnsemble, containment, run
 from .torus import PI
 
@@ -182,8 +182,6 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
     elif mode == "targets":
         rho_bar_t = plan.rho_bar_t
         uniform = np.full((grid.m, grid.m), plan.target_mass / (4 * PI * PI))
-        from .grids import DensityField
-
         start = time.perf_counter()
         report = verify_target_convergence(
             DensityField(grid, uniform), rho_bar_t, config.sim.diffusion,

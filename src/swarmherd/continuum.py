@@ -2,11 +2,20 @@
 
 The herder density obeys a controlled continuity equation; the target
 density a convection-diffusion equation whose convection field is the
-kernel convolved with the herder density. One explicit 4-stage Runge-Kutta
-helper integrates both; every right-hand side is a circulant operator, or
-one applied to a pointwise product, so a stage multiplies real-FFT
-coefficients by operator symbols taken from the ``grids`` operators' own
-impulse responses. Each mass is conserved to rounding. The two verification
+kernel convolved with the herder density. Every right-hand side is a
+circulant operator, or one applied to a pointwise product, so the twin
+keeps its state as ``rfft2`` coefficients and multiplies them by operator
+symbols taken from the ``grids`` operators' own impulse responses. One
+explicit 4-stage Runge-Kutta helper integrates both densities:
+
+- the closed-loop herder error obeys a diagonal linear system, so one RK4
+  step is one multiply by the per-wavenumber amplification R(-dt S), taken
+  from that helper;
+- a transport stage makes one ``irfft2`` of the densities and one batched
+  ``rfft2`` of the flux components.
+
+A driver transforms its density back once, at the end, and measures errors
+by Parseval. Each mass is conserved to rounding. The two verification
 drivers measure the closed-loop herder error decay and the feed-forward
 target error decay against their analytic envelopes.
 """
@@ -20,7 +29,7 @@ import numpy as np
 
 from .feasibility import StabilityReport, desired_velocity_field, stability_margin
 from .grids import (DensityField, GridSpec, ScalarField, VectorField, circular_convolve,
-                    components_first, divergence, gradient, l2_norm, laplacian, mass,
+                    components_first, divergence, gradient, half_plane, laplacian, mass,
                     poisson_solve)
 from .kernel import KernelParams, sample_on_grid
 
@@ -57,17 +66,24 @@ def _rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _sampled_rk4(rhs, y: np.ndarray, dt: float, n_steps: int, stride: int, error,
-                 last: bool):
-    """``n_steps`` RK4 steps; ``error(y)`` at t = 0, every ``stride`` steps and,
-    with ``last``, the final step. Returns the final y, times and errors."""
+def _sampled(step, y: np.ndarray, dt: float, n_steps: int, stride: int, error,
+             last: bool):
+    """``n_steps`` applications of ``step`` (one time step of ``dt`` each);
+    ``error(y)`` at t = 0, every ``stride`` steps and, with ``last``, the
+    final step. Returns the final y, times and errors."""
     times, errors = [0.0], [error(y)]
     for s in range(1, n_steps + 1):
-        y = _rk4(rhs, y, dt)
+        y = step(y)
         if s % stride == 0 or (last and s == n_steps):
             times.append(s * dt)
             errors.append(error(y))
     return y, np.asarray(times), np.asarray(errors)
+
+
+def _norm_sq(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """h^2 * sum(values^2) of the real field whose rfft2 is ``coeffs``, by Parseval."""
+    power = (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
+    return grid.cell_area / (grid.m * grid.m) * float(power @ half_plane(grid.m).parseval)
 
 
 def _symbol(*responses: np.ndarray) -> np.ndarray:
@@ -92,13 +108,18 @@ def _transport_symbols(m: int, diffusion: float) -> np.ndarray:
 _step_symbols = lru_cache(maxsize=16)(_transport_symbols)
 
 
-def _transport(symbols: np.ndarray, rho: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """-div(rho v) + D lap(rho) by one batched rfft2/irfft2 pair; shapes (..., M, M),
-    (..., 2, M, M) and (..., 3, M, M//2+1)."""
-    m = rho.shape[-1]
-    rho = rho[..., None, :, :]
-    fields = np.concatenate([rho * velocity, rho], axis=-3)
-    return np.fft.irfft2((symbols * np.fft.rfft2(fields)).sum(axis=-3), s=(m, m))
+def _transport(symbols: np.ndarray, rho_hat: np.ndarray, velocity) -> np.ndarray:
+    """rfft2 of -div(rho v) + D lap(rho), from rfft2 coefficients ``rho_hat``.
+
+    One irfft2 of rho and one batched rfft2 of the flux components rho v;
+    ``velocity(rho)`` gives v from the stage's densities. Shapes:
+    ``rho_hat`` (..., M, M//2+1), v (..., 2, M, M), ``symbols``
+    (..., 3, M, M//2+1).
+    """
+    m = rho_hat.shape[-2]
+    rho = np.fft.irfft2(rho_hat, s=(m, m))
+    flux_hat = np.fft.rfft2(rho[..., None, :, :] * velocity(rho))
+    return (symbols[..., :2, :, :] * flux_hat).sum(axis=-3) + symbols[..., 2, :, :] * rho_hat
 
 
 def continuum_step(state: ContinuumState, u: VectorField | None,
@@ -121,21 +142,26 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     if dt > bound:
         raise ValueError(f"dt {dt:.3e} exceeds the stability bound {bound:.3e}")
 
-    target_symbols = _step_symbols(grid.m, diffusion)
+    m = grid.m
+    target_symbols = _step_symbols(m, diffusion)
     h0, t0 = state.rho_h.values, state.rho_t.values
     if u is None:
         v_t = components_first(v_th0.values)
         new_h = h0.copy()
-        new_t = _rk4(lambda r: _transport(target_symbols, r, v_t), t0, dt)
+        t_hat = _rk4(lambda r: _transport(target_symbols, r, lambda _: v_t),
+                     np.fft.rfft2(t0), dt)
+        new_t = np.fft.irfft2(t_hat, s=(m, m))
     else:
-        symbols = np.stack([_step_symbols(grid.m, 0.0), target_symbols])
+        symbols = np.stack([_step_symbols(m, 0.0), target_symbols])
         u_h = components_first(u.values)
 
-        def rhs(y: np.ndarray) -> np.ndarray:
-            v_t = circular_convolve(kernel_samples, ScalarField(grid, y[0])).values
-            return _transport(symbols, y, np.stack([u_h, v_t.transpose(2, 0, 1)]))
+        def velocity(rho: np.ndarray) -> np.ndarray:
+            v_t = circular_convolve(kernel_samples, ScalarField(grid, rho[0])).values
+            return np.stack([u_h, components_first(v_t)])
 
-        new_h, new_t = _rk4(rhs, np.stack([h0, t0]), dt)
+        y_hat = _rk4(lambda y: _transport(symbols, y, velocity),
+                     np.fft.rfft2(np.stack([h0, t0])), dt)
+        new_h, new_t = np.fft.irfft2(y_hat, s=(m, m))
     return ContinuumState(DensityField(grid, new_h), DensityField(grid, new_t),
                           state.time + dt)
 
@@ -175,8 +201,17 @@ def verify_herder_convergence(
     exactly the control gain; the report carries the fitted rate for
     comparison. Masses must match, otherwise the offset cannot decay.
     Signed fields are accepted: a perturbation around a reference whose
-    minimum is zero dips below zero. The error dynamics is linear and
-    circulant, so the density steps in Fourier space, one multiply a stage.
+    minimum is zero dips below zero.
+
+    The error coefficients obey e' = -S e, one equation per wavenumber, so
+    one RK4 step multiplies them by the step's stability polynomial
+    R(-dt S), which the RK4 helper gives as one step of a unit error.
+    Sampled errors are L2 norms by Parseval; the density is transformed
+    back once, at the end. On an even grid the twin keeps the error the
+    law cannot move: S is 0 on the three Nyquist checkerboards and below
+    the gain elsewhere on the Nyquist row and column, so such content
+    decays slower or not at all (the agent loop's ``herder_error``
+    projects the checkerboards out; the twin does not).
     """
     grid = rho_h0.grid
     m0 = mass(rho_h0)
@@ -189,17 +224,17 @@ def verify_herder_convergence(
     stride = max(1, int(round(sample_every / dt)))
     n_steps = int(round(horizon / dt))
 
-    m, ref = grid.m, rho_bar_h.values
+    m = grid.m
     phi, _ = poisson_solve(ScalarField(grid, np.eye(1, m * m).reshape(m, m)), gain)
     symbol = _symbol(-divergence(gradient(phi)).values)[0]
-    ref_hat = np.fft.rfft2(ref)
+    amplification = _rk4(lambda e: -symbol * e, np.ones_like(symbol), dt)
 
-    rho_hat, times, errors = _sampled_rk4(
-        lambda y: symbol * (ref_hat - y), np.fft.rfft2(rho_h0.values), dt, n_steps, stride,
-        lambda y: l2_norm(ScalarField(grid, ref - np.fft.irfft2(y, s=(m, m)))), last=True)
+    err_hat, times, errors = _sampled(
+        lambda e: amplification * e, np.fft.rfft2(rho_h0.values - rho_bar_h.values), dt,
+        n_steps, stride, lambda e: np.sqrt(_norm_sq(e, grid)), last=True)
     fitted = _fit_decay_rate(times, errors)
     deviation = abs(fitted - gain) / gain if np.isfinite(fitted) else np.inf
-    rho = np.fft.irfft2(rho_hat, s=(m, m))
+    rho = rho_bar_h.values + np.fft.irfft2(err_hat, s=(m, m))
     drift = abs(float(rho.sum()) * grid.cell_area - m0) / max(abs(m0), 1e-300)
     return HerderDecayReport(times, errors, gain, fitted, deviation, drift, n_steps)
 
@@ -261,14 +296,17 @@ def verify_target_convergence(
     dt = sample_every / stride
     n_steps = int(round(horizon / dt))
 
-    symbols = _transport_symbols(grid.m, diffusion)
+    m = grid.m
+    symbols = _transport_symbols(m, diffusion)
     v_t = components_first(v.values)
-    ref = rho_bar_t.values
-    rho, times, err_sq = _sampled_rk4(
-        lambda r: _transport(symbols, r, v_t), rho_t0.values, dt, n_steps, stride,
-        lambda r: l2_norm(ScalarField(grid, ref - r)) ** 2, last=False)
+    ref_hat = np.fft.rfft2(rho_bar_t.values)
+    rho_hat, times, err_sq = _sampled(
+        lambda r: _rk4(lambda y: _transport(symbols, y, lambda _: v_t), r, dt),
+        np.fft.rfft2(rho_t0.values), dt, n_steps, stride,
+        lambda r: _norm_sq(r - ref_hat, grid), last=False)
     envelope = err_sq[0] * np.exp(-report.rate * times)
     bounded = bool(np.all(err_sq <= envelope * (1.0 + 1e-9))) if report.certified else None
     m0 = mass(rho_t0)
+    rho = np.fft.irfft2(rho_hat, s=(m, m))
     drift = abs(float(rho.sum()) * grid.cell_area - m0) / max(abs(m0), 1e-300)
     return TargetDecayReport(times, err_sq, envelope, report, bounded, drift, n_steps)

@@ -32,11 +32,32 @@ DENSITY_FLOOR = 1e-12
 MASS_MATCH_TOL = 1e-3
 
 
+# Signs of the Nyquist checkerboards (-1)^i, (-1)^j and (-1)^(i+j) on the
+# four parity classes [i % 2, j % 2] of an even grid.
+_SIGN = np.array([1.0, -1.0])
+_CHECKERBOARDS = np.stack([np.outer(_SIGN, [1.0, 1.0]), np.outer([1.0, 1.0], _SIGN),
+                          np.outer(_SIGN, _SIGN)])
+
+
+def _drop_checkerboards(values: np.ndarray) -> None:
+    """Project, in place, an even-grid field's components on the three
+    Nyquist checkerboards out: each is a weighted sum of the four parity
+    classes' sums, and the boards are orthogonal."""
+    m = values.shape[0]
+    cells = values.reshape(m // 2, 2, m // 2, 2)  # a view, [i // 2, i % 2, j // 2, j % 2]
+    weights = (_CHECKERBOARDS * cells.sum(axis=(0, 2))).sum(axis=(1, 2)) / (m * m)
+    cells -= np.tensordot(weights, _CHECKERBOARDS, 1)[:, None, :]
+
+
 def herder_error(rho_bar_h: DensityField, rho_h_est: DensityField) -> ScalarField:
     """Pointwise difference between desired and estimated herder density.
 
     Both fields must carry the same mass (the control law moves mass
     around, it cannot create it), so the error is zero-mean up to rounding.
+    On an even grid the error's components on the three Nyquist
+    checkerboards are projected out: :func:`control_field` gives them zero
+    flux, so they are error the control law cannot move. Odd grids have no
+    such modes and the difference is returned as it is.
     """
     if rho_bar_h.grid.m != rho_h_est.grid.m:
         raise ValueError("desired and estimated densities live on different grids")
@@ -48,7 +69,10 @@ def herder_error(rho_bar_h: DensityField, rho_h_est: DensityField) -> ScalarFiel
             f"mass mismatch {m_ref:.6g} vs {m_est:.6g}: control assumes "
             "mass-matched densities"
         )
-    return ScalarField(rho_bar_h.grid, rho_bar_h.values - rho_h_est.values)
+    error = rho_bar_h.values - rho_h_est.values
+    if rho_bar_h.grid.m % 2 == 0:
+        _drop_checkerboards(error)
+    return ScalarField(rho_bar_h.grid, error)
 
 
 @dataclass
@@ -68,6 +92,14 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
     Solves the potential problem, takes ``flux = grad(potential)`` -- so
     that div(flux) = -gain * (error - mean) and curl(flux) = 0 identically
     -- and divides by the estimated density.
+
+    On an even grid that holds for the error without its components on
+    the Nyquist checkerboards (-1)^i, (-1)^j and (-1)^(i+j): the spectral
+    gradient has no derivative at the Nyquist wavenumber, so these modes
+    get zero flux and the law -div grad(potential) annihilates them.
+    :func:`herder_error` projects them out, so they neither count in the
+    error norm nor change a command beyond rounding. The density twin
+    (``continuum.verify_herder_convergence``) keeps them in its error.
     """
     if not gain > 0:
         raise ValueError("control gain must be positive")

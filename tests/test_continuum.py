@@ -426,3 +426,65 @@ def test_rk4_drivers_keep_mass(m, seed, kernel):
             s = continuum_step(s, actuator, sample_on_grid(g, kernel), 0.02, 0.005)
         assert abs(mass(s.rho_h) / m_h - 1) <= 1e-13
         assert abs(mass(s.rho_t) / m_t - 1) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Fourier state: RK4 amplification, Parseval norms, mass over long runs
+# ---------------------------------------------------------------------------
+
+
+def stage_form_herder_errors(rho0, ref, gain, dt, n_steps):
+    """The herder error series from n_steps stage-form RK4 steps of the
+    Fourier coefficients, each norm taken on the inverse transform."""
+    grid = GridSpec(ref.shape[0])
+    m = grid.m
+    phi, _ = poisson_solve(ScalarField(grid, np.eye(1, m * m).reshape(m, m)), gain)
+    symbol = continuum._symbol(-divergence(gradient(phi)).values)[0]
+    ref_hat = np.fft.rfft2(ref)
+    y = np.fft.rfft2(rho0)
+    errors = [l2_norm(ScalarField(grid, ref - rho0))]
+    for _ in range(n_steps):
+        y = continuum._rk4(lambda r: symbol * (ref_hat - r), y, dt)
+        errors.append(l2_norm(ScalarField(grid, ref - np.fft.irfft2(y, s=(m, m)))))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("m", [32, 33, 64])
+@pytest.mark.parametrize("n", [1, 5, 600])
+def test_amplification_matches_stage_form_rk4(m, n):
+    g = GridSpec(m)
+    ref = uniform(g, 0.3).values * (1 + 0.5 * np.cos(g.nodes()[..., 1]))
+    bump = rough(m, m, 1e-3)  # a Nyquist checkerboard on even grids
+    rho0 = ref + bump - bump.mean()
+    gain, dt = 10.0, 0.005
+    rep = verify_herder_convergence(ScalarField(g, rho0), ScalarField(g, ref), gain,
+                                    horizon=n * dt, dt=dt, sample_every=dt)
+    expected = stage_form_herder_errors(rho0, ref, gain, dt, n)
+    assert rep.steps == n and rep.times.shape == (n + 1,)
+    assert np.abs(rep.error_l2 - expected).max() <= 1e-12 * expected.max()
+
+
+@pytest.mark.parametrize("m", [15, 16, 33, 64])
+def test_parseval_norm_matches_inverse_transform(m):
+    g = GridSpec(m)
+    values = rough(m, m, 1.0)
+    coeffs = np.fft.rfft2(values)
+    expected = l2_norm(ScalarField(g, np.fft.irfft2(coeffs, s=(m, m))))
+    assert abs(np.sqrt(continuum._norm_sq(coeffs, g)) - expected) <= 1e-13 * expected
+
+
+def test_long_runs_keep_mass():
+    g = GridSpec(64)
+    x = g.nodes()
+    ref = uniform(g, 0.3).values * (1 + 0.5 * np.cos(x[..., 1]))
+    bump = rough(64, 7, 1e-3)
+    rep_h = verify_herder_convergence(ScalarField(g, ref + bump - bump.mean()),
+                                      ScalarField(g, ref), gain=10.0, horizon=3.0, dt=0.005)
+    spec = VonMisesSpec(concentration=(1.0, 1.0), mean=np.zeros(2), mass=0.7)
+    rho_bar_t = von_mises_density(spec, g)
+    rho_t0 = DensityField(g, uniform(g, 0.7).values * (1 + 0.3 * np.sin(x[..., 0])))
+    rep_t = verify_target_convergence(rho_t0, rho_bar_t, 0.01, horizon=20.0, dt=0.1,
+                                      sample_every=0.1)
+    assert (rep_h.steps, rep_t.steps) == (600, 200)
+    assert rep_h.mass_drift <= 1e-13
+    assert rep_t.mass_drift <= 1e-13

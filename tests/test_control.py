@@ -266,3 +266,66 @@ def test_speed_limit_preserves_direction():
 def test_speed_limit_validation():
     with pytest.raises(ValueError):
         speed_limit(np.zeros((1, 2)), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# even-grid Nyquist checkerboards: zero flux, projected out of the error
+# ---------------------------------------------------------------------------
+
+
+def checkerboards(m):
+    i = np.arange(m)
+    return [np.outer((-1.0) ** i, np.ones(m)), np.outer(np.ones(m), (-1.0) ** i),
+            np.outer((-1.0) ** i, (-1.0) ** i)]
+
+
+@pytest.mark.parametrize("m", [8, 16, 64])
+def test_checkerboard_error_gives_zero_flux(m):
+    g = GridSpec(m)
+    rho = uniform_density(g)
+    boards = sum(w * b for w, b in zip((0.3, -0.2, 0.5), checkerboards(m)))
+    sol = control_field(ScalarField(g, boards), rho, gain=10.0)
+    assert np.abs(sol.flux.values).max() <= 1e-13
+    # an error made of checkerboards alone is no error to the law
+    est = DensityField(g, rho.values * (1 + 0.1 * boards))
+    raw = rho.values - est.values
+    assert np.abs(herder_error(rho, est).values).max() <= 1e-13 * np.abs(raw).max()
+
+
+def fft_projection(values):
+    """Reference: zero the three checkerboard coefficients of the full FFT."""
+    m = values.shape[0]
+    c = np.fft.fft2(values)
+    c[m // 2, 0] = c[0, m // 2] = c[m // 2, m // 2] = 0.0
+    return np.real(np.fft.ifft2(c))
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_projection_removes_exactly_the_checkerboards(m):
+    g = GridSpec(m)
+    rng = np.random.default_rng(m)
+    ref = uniform_density(g)
+    level = ref.values[0, 0]
+    bump = rng.standard_normal((m, m)) + sum(checkerboards(m))
+    est = DensityField(g, level * (1 + 0.1 * (bump - bump.mean())))
+    raw = ref.values - est.values
+    err = herder_error(ref, est).values
+    scale = np.abs(raw).max()
+    assert np.abs(err - fft_projection(raw)).max() <= 1e-13 * scale
+    coeffs = np.fft.fft2(err)
+    for k in [(m // 2, 0), (0, m // 2), (m // 2, m // 2)]:
+        assert abs(coeffs[k]) <= 1e-13 * m * m * scale
+    # the commands do not change beyond rounding
+    with_boards = control_field(ScalarField(g, raw), est, 10.0).velocity.values
+    without = control_field(ScalarField(g, err), est, 10.0).velocity.values
+    assert np.abs(without - with_boards).max() <= 1e-12 * np.abs(with_boards).max()
+
+
+@pytest.mark.parametrize("m", [9, 33, 63])
+def test_odd_grid_error_is_the_plain_difference(m):
+    g = GridSpec(m)
+    rng = np.random.default_rng(m)
+    ref = uniform_density(g)
+    bump = rng.uniform(-0.1, 0.1, (m, m))
+    est = DensityField(g, ref.values * (1 + bump - bump.mean()))
+    assert np.array_equal(herder_error(ref, est).values, ref.values - est.values)
