@@ -24,6 +24,8 @@ from .feasibility import (
     von_mises_density,
 )
 from .fileio import (
+    FLOAT_FMT,
+    metadata_lines,
     write_decay,
     write_field,
     write_metrics,
@@ -122,6 +124,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
     scale = (arena / PI) if arena else 1.0
     if arena:
         meta = dict(meta, arena_half_width=arena)
+    write_start = time.perf_counter()
     write_metrics(out / "metrics.csv", result.metric_times, result.chi,
                   result.n_inside, result.herder_error_l2, meta)
     write_trajectory(out / "trajectory.csv", result.snapshots, meta, scale=scale)
@@ -130,6 +133,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
                     arena_half_width=arena)
         write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta,
                     arena_half_width=arena)
+    write_s = time.perf_counter() - write_start
     summary = {
         "config_sha256": config.hash(),
         "seed": effective_seed,
@@ -139,6 +143,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         "n_inside_final": int(result.n_inside[-1]),
         "goal_radius": plan.goal.radius * scale,
         "wall_time_s": result.wall_time,
+        "stage_seconds": dict(result.stage_seconds, write=write_s),
         "min_mass": plan.min_mass,
         "deconvolution_residual": plan.residual,
         "curvature_sup_norm": plan.stability.sup_norm,
@@ -223,8 +228,6 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
         rows.append((t, metric.chi, metric.n_inside))
     meta = _meta(config)
     with open(out / "chi.csv", "w") as fh:
-        from .fileio import metadata_lines, FLOAT_FMT
-
         for line in metadata_lines(meta):
             fh.write(line + "\n")
         fh.write("t,chi,n_inside\n")
@@ -234,18 +237,24 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
     return 0
 
 
+def parse_range(flag: str, spec: str) -> np.ndarray:
+    """``lo:hi:n`` as n evenly spaced values; bounds finite and > 0, n >= 1."""
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: bad range {spec!r}, expected lo:hi:n") from exc
+    if n < 1:
+        raise ConfigError(f"{flag}: range {spec!r} needs n >= 1 values")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo > 0 and hi > 0):
+        raise ConfigError(f"{flag}: range {spec!r} needs finite positive bounds")
+    return np.linspace(lo, hi, n)
+
+
 def cmd_sweep(config: ExperimentConfig, out: Path, k_range: str, d_range: str) -> int:
+    k_values = parse_range("--k-range", k_range)
+    d_values = parse_range("--d-range", d_range)
     out.mkdir(parents=True, exist_ok=True)
-
-    def parse_range(spec: str) -> np.ndarray:
-        try:
-            lo, hi, n = spec.split(":")
-            return np.linspace(float(lo), float(hi), int(n))
-        except ValueError as exc:
-            raise ConfigError(f"bad range {spec!r}, expected lo:hi:n") from exc
-
-    k_values = parse_range(k_range)
-    d_values = parse_range(d_range)
     grid = config.grids.deconvolution_grid()
     kernel = config.kernel.params()
     operator = DeconvolutionOperator.build(grid, kernel)

@@ -90,14 +90,40 @@ def kernel_periodic(x: np.ndarray, params: KernelParams) -> np.ndarray:
 def sample_on_grid(grid, params: KernelParams) -> np.ndarray:
     """Kernel at every wrapped lattice displacement, shape (M, M, 2).
 
-    Entry [i, j] is the kernel evaluated at the displacement between node
-    (i, j) and node (0, 0). The truncated image sum is slightly asymmetric
-    across the seam row of an even grid; averaging K(d) with -K(-d)
-    restores the exact oddness of the full periodization (a no-op on odd
-    grids) so that convolution against a uniform density vanishes exactly.
+    Entry [i, j] is the kernel at the displacement between node (i, j) and
+    node (0, 0). The truncated image sum is evaluated once, for the x
+    component only, on the quadrant of displacements (a*h, b*h) with both
+    in [0, pi]; the images are looped over by x shift, so no temporary is
+    larger than one (rows, M//2 + 1, 2*images + 1) block. The rest of the
+    array follows from the symmetries of the image block, which hold
+    exactly by construction:
+
+    - K_x is odd in d1: the rows of negative d1 are the negated rows of
+      positive d1, so K(-d) = -K(d) bit for bit;
+    - K_x is even in d2: the columns of negative d2 repeat those of
+      positive d2;
+    - K_y(d1, d2) = K_x(d2, d1): the y component is the transpose.
+
+    On a self-mirrored row (index 0, and M/2 on an even grid, where d1 and
+    -d1 are the same node) an odd component can only be 0, and it is set
+    to 0 there. The truncated sum itself misses that zero on the seam of an
+    even grid by its window asymmetry; the full periodization has it. With
+    exact oddness the convolution against a uniform density vanishes
+    exactly.
     """
-    d = wrap(np.arange(grid.m) * grid.h)
-    d1, d2 = np.meshgrid(d, d, indexing="ij")
-    samples = kernel_periodic(np.stack([d1, d2], axis=-1), params)
-    mirrored = np.roll(samples[::-1, ::-1], 1, axis=(0, 1))
-    return 0.5 * (samples - mirrored)
+    m = grid.m
+    rows = (m - 1) // 2  # positive d1 strictly below pi
+    d1 = np.arange(1, rows + 1) * grid.h
+    d2 = np.arange(m // 2 + 1) * grid.h
+    shifts = TWO_PI * np.arange(-params.images, params.images + 1)
+    e2_sq = np.square(d2[:, None] + shifts)  # (columns, 2P+1) y image offsets
+    quadrant = np.zeros((rows, d2.size))
+    for s1 in shifts:
+        e1 = d1 + s1  # never 0: 0 < d1 < pi
+        r = np.sqrt(np.square(e1)[:, None, None] + e2_sq)
+        quadrant += e1[:, None] * (np.exp(r / -params.length) / r).sum(axis=-1)
+    cols = np.minimum(np.arange(m), m - np.arange(m))  # |d2| index
+    kx = np.zeros((m, m))
+    kx[1:rows + 1] = quadrant[:, cols]
+    kx[m - rows:] = -kx[rows:0:-1]
+    return np.stack([kx, kx.T], axis=-1)

@@ -326,6 +326,9 @@ class SimulationResult:
     n_herders: int
     herder_mass: float
     wall_time: float
+    # seconds per stage: kde, control (herder_error, control_field), sampling
+    # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
+    stage_seconds: dict[str, float]
 
 
 def run(
@@ -356,7 +359,9 @@ def run(
     follows the first control tick, so it carries that tick's herder error.
 
     Every step goes through ``step`` on the state at the start of that
-    step; the control chain reads the same state.
+    step; the control chain reads the same state. ``stage_seconds`` sums
+    the ``time.perf_counter`` deltas of each stage; its total never
+    exceeds ``wall_time``.
     """
     t_start = time.perf_counter()
     if grid is None:
@@ -390,6 +395,16 @@ def run(
     def record_snapshot(t: float):
         snapshots.append((t, state.herders.copy(), state.targets.copy()))
 
+    stage_seconds = dict.fromkeys(("kde", "control", "sampling", "step", "metrics"), 0.0)
+    mark = time.perf_counter()
+
+    def lap(stage: str):
+        # charges the time since the last lap to ``stage``; allocates no arrays
+        nonlocal mark
+        now = time.perf_counter()
+        stage_seconds[stage] += now - mark
+        mark = now
+
     n_steps = sim.n_steps
     record_snapshot(0.0)
     if n_steps == 0:
@@ -399,20 +414,26 @@ def run(
         if n_herders > 0 and s % sim.control_every == 0:
             estimate = estimate_density(state.herders, kde, grid,
                                         sequential=kde_sequential)
+            lap("kde")
             err = herder_error(rho_bar_h, estimate)
             solution = control_field(err, estimate, gain)
+            latest_err = l2_norm(err)
+            lap("control")
             commands = sample_at_herders(solution.velocity, state.herders,
                                          method=interp)
             if sim.v_max is not None:
                 commands = speed_limit(commands, sim.v_max)
-            latest_err = l2_norm(err)
+            lap("sampling")
         if s % metrics_every == 0:
             record_metrics(t)
         if snapshot_every > 0 and s > 0 and s % snapshot_every == 0:
             record_snapshot(t)
+        lap("metrics")
         state = step(state, commands, sim, s, kernel)
+        lap("step")
     record_metrics(n_steps * sim.dt)
     record_snapshot(n_steps * sim.dt)
+    lap("metrics")
 
     return SimulationResult(
         metric_times=np.asarray(times),
@@ -425,4 +446,5 @@ def run(
         n_herders=n_herders,
         herder_mass=herder_mass,
         wall_time=time.perf_counter() - t_start,
+        stage_seconds=stage_seconds,
     )

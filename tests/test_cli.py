@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmherd
 from swarmherd.cli import main
 from swarmherd.config import ExperimentConfig
 from swarmherd.fileio import read_field, read_trajectory
@@ -60,6 +65,11 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     for key in ("min_mass", "deconvolution_residual", "curvature_sup_norm"):
         assert math.isfinite(summary[key]), key
     assert isinstance(summary["rate_certified"], bool)
+    stages = summary["stage_seconds"]
+    run_stages = ("kde", "control", "sampling", "step", "metrics")
+    assert set(stages) == {*run_stages, "write"}
+    assert all(math.isfinite(v) and v >= 0 for v in stages.values())
+    assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
 
     metrics_lines = [
         l for l in (out / "metrics.csv").read_text().splitlines()
@@ -160,6 +170,45 @@ def test_sweep_command(tmp_path, small_config):
     matrix = np.array([[float(x) for x in l.split(",")[1:]] for l in lines[1:]])
     assert np.all(np.diff(matrix, axis=0) >= -1e-12)  # monotone in D
     assert matrix[-1, -1] >= 1.0
+
+
+def test_sweep_single_value_range(tmp_path, small_config):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                 "--k-range", "3:3:1", "--d-range", "0.01:0.02:1"]) == 0
+    lines = [l for l in (out / "feasibility_map.csv").read_text().splitlines()
+             if l and not l.startswith("#")]
+    assert len(lines) == 2
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--k-range", "1:2:0"),  # no values
+    ("--k-range", "1:2:-3"),
+    ("--k-range", "0:2:3"),  # zero concentration
+    ("--k-range", "-1:2:3"),
+    ("--d-range", "0.01:inf:3"),
+    ("--d-range", "nan:0.1:3"),
+    ("--d-range", "0.01:0.1"),  # not lo:hi:n
+    ("--d-range", "0.01:0.1:2.5"),
+])
+def test_sweep_rejects_bad_range_naming_the_flag(tmp_path, small_config, capsys,
+                                                 flag, spec):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                 f"{flag}={spec}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(swarmherd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "swarmherd", "--version"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == swarmherd.__version__
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -168,6 +168,41 @@ def test_periodic_kernel_odd_to_summation_rounding(d, length, images):
     assert np.all(odd_miss <= bound[:, None])
 
 
+def mirror_averaged_samples(grid, params):
+    """The image sum at every wrapped lattice displacement, then averaged
+    with its mirror: 0.5 * (K(d) - K(-d)), which makes it exactly odd."""
+    d = wrap(np.arange(grid.m) * grid.h)
+    d1, d2 = np.meshgrid(d, d, indexing="ij")
+    samples = kernel_periodic(np.stack([d1, d2], axis=-1), params)
+    return 0.5 * (samples - np.roll(samples[::-1, ::-1], 1, axis=(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(5, 70), length=_lengths, images=_rings)
+@example(m=64, length=PI, images=2)
+@example(m=25, length=PI, images=2)
+@example(m=70, length=10.0, images=3)  # the widest tail, the most rounding
+def test_grid_samples_match_mirror_averaged_image_sum(m, length, images):
+    grid, params = GridSpec(m), KernelParams(length=length, images=images)
+    samples = sample_on_grid(grid, params)
+    expected = mirror_averaged_samples(grid, params)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-14 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(5, 70), length=_lengths, images=_rings)
+@example(m=16, length=PI, images=2)
+def test_grid_samples_swap_symmetric_with_odd_rows_zero(m, length, images):
+    # K_y(d1, d2) = K_x(d2, d1), and an odd component is 0 where d1 and -d1
+    # are the same node: row 0, and row M/2 of an even grid
+    samples = sample_on_grid(GridSpec(m), KernelParams(length=length, images=images))
+    np.testing.assert_array_equal(samples[..., 1], samples[..., 0].T)
+    self_mirrored = [0, m // 2] if m % 2 == 0 else [0]
+    np.testing.assert_array_equal(samples[self_mirrored, :, 0], 0.0)
+    np.testing.assert_array_equal(samples[:, self_mirrored, 1], 0.0)
+
+
 def test_grid_samples_match_pointwise_kernel_off_seam():
     params = KernelParams(length=PI, images=2)
     grid = GridSpec(25)

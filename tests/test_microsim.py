@@ -374,6 +374,21 @@ def test_run_replays_through_step(kernel, small_plan):
         assert np.array_equal(out.targets, x1)
 
 
+def test_run_stage_seconds_cover_at_most_the_wall_time(kernel, small_plan):
+    goal, plan = small_plan
+    res = run(
+        n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+        sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.2, seed=3, v_max=1.0),
+        metrics_every=5, snapshot_every=7,
+    )
+    stages = res.stage_seconds
+    assert set(stages) == {"kde", "control", "sampling", "step", "metrics"}
+    assert all(np.isfinite(v) and v >= 0 for v in stages.values())
+    assert stages["step"] > 0 and stages["kde"] > 0
+    assert sum(stages.values()) <= res.wall_time
+
+
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
     goal, plan = small_plan
     res = run(
