@@ -16,7 +16,6 @@ from .grids import (
     DensityField,
     GridSpec,
     ScalarField,
-    SpectralWorkspace,
     VectorField,
     circular_convolve,
     curl,
@@ -97,7 +96,6 @@ __all__ = [
     "ScalarField",
     "SimParams",
     "SimulationResult",
-    "SpectralWorkspace",
     "StabilityReport",
     "TargetDecayReport",
     "VectorField",

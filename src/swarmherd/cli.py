@@ -39,8 +39,44 @@ from .torus import PI
 
 
 def _meta(config: ExperimentConfig, seed: int | None = None) -> dict:
-    meta = {"config_sha256": config.hash(), "seed": config.sim.seed if seed is None else seed}
-    return meta
+    """The run record every output carries: the config hash and the seed."""
+    return {"config_sha256": config.hash(), "seed": config.sim.seed if seed is None else seed}
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    """``summary.json`` with sorted keys and a trailing newline; echoed to stdout."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    (out / "summary.json").write_text(text + "\n")
+    print(text)
+
+
+def _max_or_none(values: np.ndarray) -> float | None:
+    """Largest value that is not NaN; None (JSON null) if no control tick ran."""
+    seen = values[~np.isnan(values)]
+    return float(seen.max()) if seen.size else None
+
+
+def _plan_record(plan) -> dict:
+    """A plan's head counts, masses and diagnostics, as every summary reports them."""
+    return {
+        "feasible": True,
+        "min_mass": plan.min_mass,
+        "n_herders": plan.n_herders,
+        "n_targets": plan.n_targets,
+        "target_mass": plan.target_mass,
+        "herder_mass": plan.herder_mass,
+        "offset": plan.offset,
+        "deconvolution_residual": plan.residual,
+        "curvature_sup_norm": plan.stability.sup_norm,
+        "feedforward_rate": plan.stability.rate,
+        "rate_certified": plan.stability.certified,
+    }
+
+
+def _infeasible(out: Path, meta: dict, exc: InfeasibleError) -> int:
+    _write_summary(out, dict(meta, feasible=False, min_mass=exc.min_mass))
+    print(f"infeasible: minimal herder mass {exc.min_mass:.4f} >= 1", file=sys.stderr)
+    return 2
 
 
 def _plan(config: ExperimentConfig):
@@ -60,50 +96,27 @@ def _plan(config: ExperimentConfig):
 def cmd_feasibility(config: ExperimentConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config)
-    summary: dict = {"config_sha256": config.hash()}
-    code = 0
     try:
         plan = _plan(config)
     except InfeasibleError as exc:
-        summary.update({"feasible": False, "min_mass": exc.min_mass})
-        code = 2
-    else:
-        summary.update({
-            "feasible": True,
-            "min_mass": plan.min_mass,
-            "n_herders": plan.n_herders,
-            "n_targets": plan.n_targets,
-            "target_mass": plan.target_mass,
-            "herder_mass": plan.herder_mass,
-            "offset": plan.offset,
-            "deconvolution_residual": plan.residual,
-            "curvature_sup_norm": plan.stability.sup_norm,
-            "feedforward_rate": plan.stability.rate,
-            "rate_certified": plan.stability.certified,
-        })
-        write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta)
-        write_field(out / "rho_bar_H.field", plan.rho_bar_h, "density", meta)
-        write_field(out / "v_bar_TH.field", plan.desired_velocity, "vector", meta)
-        write_field(out / "deconvolution_H.field", plan.feasibility.deconvolved,
-                    "scalar", meta)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return code
+        return _infeasible(out, meta, exc)
+    write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta)
+    write_field(out / "rho_bar_H.field", plan.rho_bar_h, "density", meta)
+    write_field(out / "v_bar_TH.field", plan.desired_velocity, "vector", meta)
+    write_field(out / "deconvolution_H.field", plan.feasibility.deconvolved,
+                "scalar", meta)
+    _write_summary(out, dict(meta, **_plan_record(plan)))
+    return 0
 
 
 def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
                  arena_half_width: float | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    effective_seed = config.sim.seed if seed is None else seed
-    meta = _meta(config, effective_seed)
+    meta = _meta(config, seed)
     try:
         plan = _plan(config)
     except InfeasibleError as exc:
-        (out / "summary.json").write_text(json.dumps(
-            {"feasible": False, "min_mass": exc.min_mass}, indent=2) + "\n")
-        print(f"infeasible: minimal herder mass {exc.min_mass:.4f} >= 1",
-              file=sys.stderr)
-        return 2
+        return _infeasible(out, meta, exc)
 
     result = run(
         n_targets=plan.n_targets,
@@ -113,7 +126,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         gain=config.gain,
         kernel=config.kernel.params(),
         kde=config.kde.params(),
-        sim=config.sim.params(seed=effective_seed),
+        sim=config.sim.params(seed=meta["seed"]),
         metrics_every=config.output.metrics_every,
         snapshot_every=config.output.snapshot_every,
         kde_sequential=config.kde.sequential,
@@ -125,8 +138,10 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
     if arena:
         meta = dict(meta, arena_half_width=arena)
     write_start = time.perf_counter()
+    health = {"removed_mean": result.removed_mean, "peak_speed": result.peak_speed,
+              "clipped_share": result.clipped_share}
     write_metrics(out / "metrics.csv", result.metric_times, result.chi,
-                  result.n_inside, result.herder_error_l2, meta)
+                  result.n_inside, result.herder_error_l2, meta, health)
     write_trajectory(out / "trajectory.csv", result.snapshots, meta, scale=scale)
     if config.output.fields:
         write_field(out / "rho_bar_H.field", plan.rho_bar_h, "density", meta,
@@ -134,23 +149,18 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta,
                     arena_half_width=arena)
     write_s = time.perf_counter() - write_start
-    summary = {
-        "config_sha256": config.hash(),
-        "seed": effective_seed,
-        "n_targets": plan.n_targets,
-        "n_herders": plan.n_herders,
-        "chi_final": float(result.chi[-1]),
-        "n_inside_final": int(result.n_inside[-1]),
-        "goal_radius": plan.goal.radius * scale,
-        "wall_time_s": result.wall_time,
-        "stage_seconds": dict(result.stage_seconds, write=write_s),
-        "min_mass": plan.min_mass,
-        "deconvolution_residual": plan.residual,
-        "curvature_sup_norm": plan.stability.sup_norm,
-        "rate_certified": plan.stability.certified,
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _write_summary(out, dict(
+        meta,
+        **_plan_record(plan),
+        chi_final=float(result.chi[-1]),
+        n_inside_final=int(result.n_inside[-1]),
+        goal_radius=plan.goal.radius * scale,
+        wall_time_s=result.wall_time,
+        stage_seconds=dict(result.stage_seconds, write=write_s),
+        removed_mean_max_abs=_max_or_none(np.abs(result.removed_mean)),
+        peak_speed_max=_max_or_none(result.peak_speed),
+        clipped_share_max=_max_or_none(result.clipped_share),
+    ))
     return 0
 
 
@@ -161,9 +171,7 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
     try:
         plan = _plan(config)
     except InfeasibleError as exc:
-        print(f"infeasible: minimal herder mass {exc.min_mass:.4f} >= 1",
-              file=sys.stderr)
-        return 2
+        return _infeasible(out, meta, exc)
     grid = config.grids.control_grid()
     if mode == "herders":
         gain = config.gain
@@ -177,38 +185,27 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         wall = time.perf_counter() - start
         write_decay(out / "herder_decay.csv", report.times,
                     {"error_l2": report.error_l2}, meta)
-        summary = {
-            "mode": "herders",
-            "gain": gain,
-            "fitted_rate": report.fitted_rate,
-            "relative_deviation": report.relative_deviation,
-            "mass_drift": report.mass_drift,
-        }
+        summary = {"mode": "herders", "gain": gain, "fitted_rate": report.fitted_rate,
+                   "relative_deviation": report.relative_deviation,
+                   "mass_drift": report.mass_drift}
     elif mode == "targets":
-        rho_bar_t = plan.rho_bar_t
         uniform = np.full((grid.m, grid.m), plan.target_mass / (4 * PI * PI))
         start = time.perf_counter()
         report = verify_target_convergence(
-            DensityField(grid, uniform), rho_bar_t, config.sim.diffusion,
+            DensityField(grid, uniform), plan.rho_bar_t, config.sim.diffusion,
             horizon=horizon if horizon is not None else 20.0,
         )
         wall = time.perf_counter() - start
         write_decay(out / "target_decay.csv", report.times,
                     {"error_sq": report.error_sq, "envelope": report.envelope}, meta)
-        summary = {
-            "mode": "targets",
-            "curvature_sup_norm": report.stability.sup_norm,
-            "feedforward_rate": report.stability.rate,
-            "rate_certified": report.stability.certified,
-            "bounded": report.bounded,
-            "mass_drift": report.mass_drift,
-        }
+        # the curvature bound is the plan's own: same density, same check
+        summary = {"mode": "targets", "bounded": report.bounded,
+                   "mass_drift": report.mass_drift}
     else:
         print(f"unknown continuum mode {mode!r}", file=sys.stderr)
         return 1
-    summary.update(config_sha256=config.hash(), rk4_steps=report.steps, wall_time_s=wall)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _write_summary(out, dict(meta, **_plan_record(plan), **summary,
+                             rk4_steps=report.steps, wall_time_s=wall))
     return 0
 
 

@@ -21,7 +21,6 @@ from .grids import (
     mass,
     poisson_solve,
     wavenumbers,
-    workspace,
 )
 from .torus import TWO_PI, PI, wrap
 
@@ -133,8 +132,7 @@ def _bilinear(values: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
 
 
 def _spectral_sample(values: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
-    ws = workspace(m)
-    coeffs = ws.coeffs(values)
+    coeffs = np.fft.fft2(values) / (m * m)
     k = wavenumbers(m)
     # coefficients are phased relative to the first node at (-pi, -pi)
     e1 = np.exp(1j * (pts[:, 0:1] + PI) * k[None, :])

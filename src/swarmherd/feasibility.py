@@ -24,10 +24,9 @@ from .grids import (
     VectorField,
     components_first,
     components_last,
-    divergence,
-    gradient,
     gradient_values,
     half_plane,
+    laplacian,
     mass,
     resample,
 )
@@ -310,7 +309,7 @@ def herder_count(n_targets: int, min_mass: float) -> int:
 class StabilityReport:
     """Log-density curvature field and the guaranteed decay rate it yields."""
 
-    curvature: ScalarField  # div(grad(rho)/rho)
+    curvature: ScalarField  # G = laplacian(log rho), spectral
     sup_norm: float
     rate: float  # D * (2 - sup_norm)
     certified: bool  # the exponential bound only holds for sup_norm < 2
@@ -319,15 +318,18 @@ class StabilityReport:
 def stability_margin(rho_bar_t: DensityField, diffusion: float) -> StabilityReport:
     """Sufficient-condition check for target-density convergence.
 
-    Computes G = div(grad(rho)/rho) spectrally; when its sup norm is below
-    2 the squared target error decays at least at rate D*(2 - |G|_inf).
-    Above 2 the condition is inconclusive and ``certified`` is False.
+    Computes the log-density curvature G = laplacian(log rho) with one
+    ``rfft2``/``irfft2`` pair. When |G|_inf < 2 the squared target error
+    decays at least at rate D*(2 - |G|_inf); above 2 the condition is
+    inconclusive and ``certified`` is False. The log of a von Mises density,
+    with or without the cross term, is a trigonometric polynomial of degree
+    <= 2, so G is exact to rounding on grids of 5 or more nodes. The equal
+    form div(grad(rho)/rho) is not: the quotient is not band-limited and
+    aliases (on 16^2 at k = 3.82 its sup norm is 13.9, not 2k = 7.64).
     """
     if rho_bar_t.values.min() <= 0:
         raise ValueError("stability margin needs a strictly positive density")
-    g = gradient(rho_bar_t)
-    ratio = VectorField(rho_bar_t.grid, g.values / rho_bar_t.values[..., None])
-    curvature = divergence(ratio)
+    curvature = laplacian(ScalarField(rho_bar_t.grid, np.log(rho_bar_t.values)))
     sup = float(np.abs(curvature.values).max())
     return StabilityReport(
         curvature=curvature,

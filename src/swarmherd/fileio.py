@@ -161,15 +161,19 @@ def read_trajectory(path: str | Path):
 
 
 def write_metrics(path: str | Path, times, chi, n_inside, herder_error_l2,
-                  meta: dict | None = None):
+                  meta: dict | None = None, columns: dict | None = None):
+    """Metric records: time, containment, herder error and any further
+    named float ``columns``, in order; NaN (no control tick yet) is written
+    as an empty cell."""
+    series = {"herder_error_l2": herder_error_l2, **(columns or {})}
     with open(path, "w", newline="") as fh:
         for line in metadata_lines(meta or {}):
             fh.write(line + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["t", "chi", "n_inside", "herder_error_l2"])
-        for t, c, n, e in zip(times, chi, n_inside, herder_error_l2):
-            writer.writerow([FLOAT_FMT % t, FLOAT_FMT % c, int(n),
-                             "" if np.isnan(e) else FLOAT_FMT % e])
+        writer.writerow(["t", "chi", "n_inside", *series])
+        for t, c, n, *values in zip(times, chi, n_inside, *series.values()):
+            writer.writerow([FLOAT_FMT % t, FLOAT_FMT % c, int(n)]
+                            + ["" if np.isnan(v) else FLOAT_FMT % v for v in values])
 
 
 def write_decay(path: str | Path, times, columns: dict, meta: dict | None = None):

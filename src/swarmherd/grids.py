@@ -1,11 +1,13 @@
 """Uniform periodic grids, quadrature, circular convolution and spectral calculus.
 
 All fields live on a regular M x M lattice covering [-pi, pi)^2 with step
-h = 2*pi/M; index [i, j] addresses the node (-pi + i*h, -pi + j*h).
-Differential operators multiply Fourier coefficients by the integer
-wavenumbers of the torus, which is exact for band-limited fields. They
-transform real fields with ``rfft2``/``irfft2`` and take their multipliers
-from one cached half-plane table per grid size.
+h = 2*pi/M; index [i, j] addresses the node (-pi + i*h, -pi + j*h). Every
+spectral routine uses one transform convention: ``rfft2`` of the real
+field, unnormalized, and ``irfft2`` back, on the half-plane of axis-1
+wavenumbers 0 .. M//2. Operators multiply these coefficients by the
+torus's integer wavenumbers, from one cached table per grid size; that is
+exact for band-limited fields, while a product or quotient of fields is
+not band-limited and aliases.
 """
 
 from __future__ import annotations
@@ -61,29 +63,6 @@ def wavenumbers(m: int) -> np.ndarray:
     M = 24, 48, 96), so truncating it drops modes.
     """
     return (np.arange(m) + m // 2) % m - m // 2
-
-
-class SpectralWorkspace:
-    """Normalized full-plane transforms for one grid size.
-
-    Coefficients follow the convention c_m = (1/M^2) * fft2(values), i.e.
-    values = sum_m c_m exp(j m.x) on the nodes; coefficients of real
-    fields are Hermitian-symmetric.
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def coeffs(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(values) / (self.m * self.m)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft2(coeffs)) * (self.m * self.m)
-
-
-@lru_cache(maxsize=None)
-def workspace(m: int) -> SpectralWorkspace:
-    return SpectralWorkspace(m)
 
 
 class HalfPlane:
@@ -310,13 +289,21 @@ def _resample_axis(coeffs: np.ndarray, m_new: int) -> np.ndarray:
 def resample(field: ScalarField, m_new: int) -> ScalarField:
     """Trigonometric interpolation of a field onto another grid size.
 
-    Zero-pads (or truncates) the Fourier coefficients, one axis at a time;
-    the mean, and hence the mass, is preserved exactly.
+    Zero-pads (or truncates) the ``rfft2`` coefficients: rows through
+    :func:`_resample_axis`, columns by the slice ``irfft2`` takes at the new
+    size. Column M/2 of the smaller, even grid stands for +M/2 and, as its
+    Hermitian mirror, for -M/2: upsampling halves it (the split), and
+    downsampling doubles it (the fold), because ``irfft2`` keeps only the
+    real part of the Nyquist column's axis-0 inverse, half its sum with its
+    mirror. The mean, and hence the mass, is preserved exactly.
     """
     m_old = field.grid.m
     new_grid = GridSpec(m_new)
     if m_new == m_old:
         return ScalarField(new_grid, field.values.copy())
-    coeffs = workspace(m_old).coeffs(field.values)
-    coeffs = _resample_axis(_resample_axis(coeffs, m_new).T, m_new).T
-    return ScalarField(new_grid, workspace(m_new).synthesize(coeffs))
+    coeffs = _resample_axis(np.fft.rfft2(field.values), m_new)
+    m = min(m_old, m_new)
+    if m % 2 == 0:
+        coeffs[:, m // 2] *= 0.5 if m_new > m_old else 2.0
+    coeffs *= (m_new / m_old) ** 2
+    return ScalarField(new_grid, np.fft.irfft2(coeffs, s=(m_new, m_new)))

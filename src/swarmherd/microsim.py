@@ -312,6 +312,9 @@ def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
     return AgentEnsemble(herders=new_herders, targets=wrap(ensemble.targets + move))
 
 
+_HEALTH = ("herder_error_l2", "removed_mean", "peak_speed", "clipped_share")
+
+
 @dataclass
 class SimulationResult:
     """Metric series and final state of one closed-loop run."""
@@ -319,7 +322,13 @@ class SimulationResult:
     metric_times: np.ndarray
     chi: np.ndarray
     n_inside: np.ndarray
-    herder_error_l2: np.ndarray  # most recent control-tick value at each metric time
+    # loop health at each metric time, from the latest control tick (NaN before
+    # one): herder error L2, the mean the Poisson solve removed, the peak
+    # commanded speed before the speed limit and the share the limit clipped
+    herder_error_l2: np.ndarray
+    removed_mean: np.ndarray
+    peak_speed: np.ndarray
+    clipped_share: np.ndarray
     snapshots: list[tuple[float, np.ndarray, np.ndarray]]
     final: AgentEnsemble
     n_targets: int
@@ -356,7 +365,7 @@ def run(
     state; 0 stores initial and final only. The metric series always
     holds a t = 0 record and a final record at t = n_steps * dt (both at
     t = 0 for a zero horizon); in a run with steps the t = 0 record
-    follows the first control tick, so it carries that tick's herder error.
+    follows the first control tick, so it carries that tick's loop health.
 
     Every step goes through ``step`` on the state at the start of that
     step; the control chain reads the same state. ``stage_seconds`` sums
@@ -377,12 +386,12 @@ def run(
     state = AgentEnsemble(herders=herder_lattice(n_herders),
                           targets=uniform_targets(n_targets, init_rng(sim.seed)))
     commands = np.zeros((n_herders, 2))
-    latest_err = np.nan
+    health = (np.nan,) * len(_HEALTH)  # the latest control tick's, in _HEALTH order
 
     times: list[float] = []
     chis: list[float] = []
     inside: list[int] = []
-    errs: list[float] = []
+    healths: list[tuple] = []
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def record_metrics(t: float):
@@ -390,7 +399,7 @@ def run(
         times.append(t)
         chis.append(metric.chi)
         inside.append(metric.n_inside)
-        errs.append(latest_err)
+        healths.append(health)
 
     def record_snapshot(t: float):
         snapshots.append((t, state.herders.copy(), state.targets.copy()))
@@ -417,10 +426,13 @@ def run(
             lap("kde")
             err = herder_error(rho_bar_h, estimate)
             solution = control_field(err, estimate, gain)
-            latest_err = l2_norm(err)
+            err_l2 = l2_norm(err)
             lap("control")
             commands = sample_at_herders(solution.velocity, state.herders,
                                          method=interp)
+            speeds = np.sqrt(np.sum(commands * commands, axis=-1))
+            clipped = 0 if sim.v_max is None else np.count_nonzero(speeds > sim.v_max)
+            health = (err_l2, solution.removed_mean, float(speeds.max()), clipped / n_herders)
             if sim.v_max is not None:
                 commands = speed_limit(commands, sim.v_max)
             lap("sampling")
@@ -439,7 +451,7 @@ def run(
         metric_times=np.asarray(times),
         chi=np.asarray(chis),
         n_inside=np.asarray(inside, dtype=int),
-        herder_error_l2=np.asarray(errs),
+        **dict(zip(_HEALTH, np.array(healths).T)),
         snapshots=snapshots,
         final=state,
         n_targets=n_targets,

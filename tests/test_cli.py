@@ -56,6 +56,25 @@ def test_feasibility_infeasible_exit_code(tmp_path):
     assert summary["min_mass"] >= 1.0
 
 
+@pytest.mark.parametrize("command", ["simulate", "continuum"])
+def test_infeasible_run_writes_its_record(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sim": {"diffusion": 0.2},  # huge diffusion: minimal mass tops 1
+        "grids": {"control": 32, "deconvolution": 15},
+    }))
+    out = tmp_path / command
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    assert set(summary) == {"config_sha256", "seed", "feasible", "min_mass"}
+    assert summary["config_sha256"] == ExperimentConfig.load(cfg).hash()
+    assert summary["seed"] == 0
+    assert summary["feasible"] is False
+    assert summary["min_mass"] >= 1.0
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
 def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     out = tmp_path / "sim"
     code = main(["simulate", "--config", str(small_config), "--out", str(out)])
@@ -70,15 +89,21 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert set(stages) == {*run_stages, "write"}
     assert all(math.isfinite(v) and v >= 0 for v in stages.values())
     assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
+    assert summary["removed_mean_max_abs"] < 1e-14
+    assert summary["peak_speed_max"] > 0
+    assert summary["clipped_share_max"] == 0.0  # no speed limit
 
     metrics_lines = [
         l for l in (out / "metrics.csv").read_text().splitlines()
         if l and not l.startswith("#")
     ]
+    assert metrics_lines[0] == ("t,chi,n_inside,herder_error_l2,removed_mean,"
+                                "peak_speed,clipped_share")
     live = {}
     for line in metrics_lines[1:]:
-        t, chi, n_in, _ = line.split(",")
+        t, chi, n_in, *health = line.split(",")
         live[float(t)] = (float(chi), int(n_in))
+        assert all(math.isfinite(float(v)) for v in health)
 
     an = tmp_path / "an"
     code = main(["analyze", "--config", str(small_config),

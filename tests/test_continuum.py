@@ -10,7 +10,6 @@ from swarmherd import (
     GridSpec,
     KernelParams,
     ScalarField,
-    SpectralWorkspace,
     VectorField,
     VonMisesSpec,
     circular_convolve,

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmherd import (
     DeconvolutionOperator,
@@ -331,6 +333,30 @@ def test_separable_von_mises_sup_is_twice_k():
     assert curv[antipode] == pytest.approx([2 * k], rel=1e-6)
     peak = np.unravel_index(np.argmax(curv), curv.shape)
     assert centre[peak] or antipode[peak]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(5, 64), k1=st.floats(0.5, 6.0), k2=st.floats(0.5, 6.0),
+       mu=st.floats(-PI, PI), nu=st.floats(-PI, PI), cross=st.booleans())
+@example(m=16, k1=6 / PI, k2=6 / PI, mu=0.0, nu=0.0, cross=False)  # 16^2 control grid
+@example(m=33, k1=6.0, k2=6.0, mu=0.0, nu=0.0, cross=False)
+@example(m=64, k1=6.0, k2=6.0, mu=0.0, nu=0.0, cross=True)
+def test_curvature_is_exact_laplacian_of_log_von_mises(m, k1, k2, mu, nu, cross):
+    # log rho is a trigonometric polynomial of degree <= 2, so its spectral
+    # Laplacian is exact up to the rounding of log rho, which the largest
+    # wavenumbers (|k|^2 up to M^2 / 2) amplify
+    g = GridSpec(m)
+    spec = VonMisesSpec(concentration=(k1, k2), mean=np.array([mu, nu]), cross_term=cross)
+    rho = von_mises_density(spec, g)
+    mu, nu = spec.mean
+    x1, x2 = g.axis()[:, None], g.axis()[None, :]
+    exact = -k1 * np.cos(x1 - mu) - k2 * np.cos(x2 - nu)
+    if cross:
+        exact = exact - 2 * np.cos(2 * x1 - mu - nu) + 2 * np.cos(2 * x2 - mu - nu)
+    got = stability_margin(rho, diffusion=0.1).curvature.values
+    rounding = np.finfo(float).eps * m * m * np.abs(np.log(rho.values)).max()
+    np.testing.assert_allclose(got, exact, rtol=0,
+                               atol=1e-12 * np.abs(exact).max() + rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from swarmherd import (
     GridSpec,
     KernelParams,
     ScalarField,
-    SpectralWorkspace,
     VectorField,
     circular_convolve,
     curl,
@@ -21,6 +20,7 @@ from swarmherd import (
     resample,
     sample_on_grid,
 )
+from swarmherd.grids import half_plane, wavenumbers
 from swarmherd.kernel import kernel_periodic
 from swarmherd.torus import wrap
 
@@ -120,17 +120,19 @@ def test_parseval_consistency():
     g = GridSpec(32)
     rng = np.random.default_rng(6)
     f = ScalarField(g, rng.standard_normal((32, 32)))
-    ws = SpectralWorkspace(32)
-    coef_norm_sq = 4 * PI**2 * np.sum(np.abs(ws.coeffs(f.values)) ** 2)
+    c = np.fft.rfft2(f.values) / (32 * 32)
+    coef_norm_sq = 4 * PI**2 * np.sum(half_plane(32).parseval * np.abs(c) ** 2)
     assert l2_norm(f) ** 2 == pytest.approx(coef_norm_sq, rel=1e-10)
 
 
 def test_coefficients_hermitian_for_real_fields():
-    ws = SpectralWorkspace(16)
+    # the half-plane's self-mirrored columns, 0 and the even-grid Nyquist
+    # column, are Hermitian along axis 0: c[-k1, k2] = conj(c[k1, k2])
     rng = np.random.default_rng(8)
-    c = ws.coeffs(rng.standard_normal((16, 16)))
-    flipped = np.roll(np.conj(c[::-1, ::-1]), 1, axis=(0, 1))
-    np.testing.assert_allclose(c, flipped, atol=1e-14)
+    c = np.fft.rfft2(rng.standard_normal((16, 16))) / (16 * 16)
+    for col in (0, 8):
+        np.testing.assert_allclose(c[-np.arange(16), col], np.conj(c[:, col]),
+                                   atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +397,48 @@ def test_resample_up_and_down_recovers_any_field(m_old, extra, seed):
     f = rng.standard_normal((m_old, m_old))
     back = resample(resample(ScalarField(GridSpec(m_old), f), m_old + extra), m_old)
     np.testing.assert_allclose(back.values, f, atol=1e-12)
+
+
+def full_plane_resample(values: np.ndarray, m_new: int) -> np.ndarray:
+    """Reference: zero-pad or truncate the full-plane fft2 coefficients
+    c = fft2(values) / M^2, one axis at a time, then synthesize."""
+    m_old = values.shape[0]
+    if m_new == m_old:
+        return values.copy()
+
+    def axis0(c):
+        m = min(m_old, m_new)
+        k_new, k_old = wavenumbers(m_new), wavenumbers(m_old)
+        out = np.zeros((m_new,) + c.shape[1:], dtype=complex)
+        for k in range(-((m - 1) // 2), (m - 1) // 2 + 1):  # paired on both grids
+            out[k_new == k] = c[k_old == k]
+        if m % 2 == 0:
+            h = m // 2
+            if m_new > m_old:  # split the unpaired -M/2 mode onto +-M/2
+                out[k_new == h] = out[k_new == -h] = 0.5 * c[k_old == -h]
+            else:  # fold +M/2 onto -M/2
+                out[k_new == -h] = c[k_old == -h] + c[k_old == h]
+        return out
+
+    c = axis0(axis0(np.fft.fft2(values) / m_old**2).T).T
+    return np.real(np.fft.ifft2(c)) * m_new**2
+
+
+_wide_sizes = st.integers(4, 70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_old=_wide_sizes, m_new=_wide_sizes, seed=_seeds)
+@example(m_old=25, m_new=64, seed=0)  # odd -> even up, the plan's path
+@example(m_old=16, m_new=25, seed=0)  # even -> odd up
+@example(m_old=16, m_new=48, seed=0)  # even -> even up
+@example(m_old=21, m_new=33, seed=0)  # odd -> odd up
+@example(m_old=70, m_new=16, seed=0)  # even -> even down
+@example(m_old=64, m_new=25, seed=0)  # even -> odd down
+@example(m_old=33, m_new=20, seed=0)  # odd -> even down
+@example(m_old=45, m_new=9, seed=0)  # odd -> odd down
+def test_resample_matches_full_plane_reference(m_old, m_new, seed):
+    f = np.random.default_rng(seed).standard_normal((m_old, m_old))
+    expected = full_plane_resample(f, m_new)
+    got = resample(ScalarField(GridSpec(m_old), f), m_new).values
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())

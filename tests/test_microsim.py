@@ -389,6 +389,29 @@ def test_run_stage_seconds_cover_at_most_the_wall_time(kernel, small_plan):
     assert sum(stages.values()) <= res.wall_time
 
 
+@pytest.mark.parametrize("v_max", [None, 1e-3])
+def test_run_records_loop_health_per_metric(kernel, small_plan, v_max):
+    goal, plan = small_plan
+    res = run(
+        n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+        sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.2, seed=3, v_max=v_max),
+        metrics_every=5,
+    )
+    health = (res.herder_error_l2, res.removed_mean, res.peak_speed, res.clipped_share)
+    for series in health:
+        assert series.shape == res.chi.shape
+        assert np.all(np.isfinite(series))
+    # the KDE carries the reference's mass, so the Poisson solve removes
+    # only rounding
+    assert np.abs(res.removed_mean).max() <= 1e-14 * plan.rho_bar_h.values.max()
+    assert np.all(res.peak_speed > 0)
+    if v_max is None:
+        assert np.all(res.clipped_share == 0.0)
+    else:  # commands start at several rad/s, far above the limit
+        assert np.all((res.clipped_share > 0) & (res.clipped_share <= 1))
+
+
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
     goal, plan = small_plan
     res = run(
