@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +27,17 @@ from .feasibility import (
 from .fileio import (
     FLOAT_FMT,
     metadata_lines,
+    read_metadata,
+    read_trajectory,
     write_decay,
     write_field,
     write_metrics,
     write_sweep_csv,
     write_trajectory,
-    read_trajectory,
 )
 from .grids import DensityField, ScalarField, mass
 from .microsim import AgentEnsemble, containment, run
-from .torus import PI
+from .torus import ArenaMap, PI
 
 
 def _meta(config: ExperimentConfig, seed: int | None = None) -> dict:
@@ -84,7 +86,7 @@ def _plan(config: ExperimentConfig):
         goal=config.goal.region(),
         n_targets=config.population.n_targets,
         diffusion=config.sim.diffusion,
-        kernel=config.kernel.params(),
+        kernel=config.kernel,
         deconv_grid=config.grids.deconvolution_grid(),
         control_grid=config.grids.control_grid(),
         cross_term=config.target_density.cross_term,
@@ -111,6 +113,9 @@ def cmd_feasibility(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
                  arena_half_width: float | None = None) -> int:
+    arena = arena_half_width if arena_half_width is not None \
+        else config.domain.arena_half_width
+    scale = ArenaMap(arena).scale if arena is not None else 1.0
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config, seed)
     try:
@@ -124,18 +129,14 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         rho_bar_h=plan.rho_bar_h,
         goal=plan.goal,
         gain=config.gain,
-        kernel=config.kernel.params(),
-        kde=config.kde.params(),
-        sim=config.sim.params(seed=meta["seed"]),
+        kernel=config.kernel,
+        kde=config.kde,
+        sim=replace(config.sim, seed=meta["seed"]),
         metrics_every=config.output.metrics_every,
         snapshot_every=config.output.snapshot_every,
-        kde_sequential=config.kde.sequential,
     )
 
-    arena = arena_half_width if arena_half_width is not None \
-        else config.domain.arena_half_width
-    scale = (arena / PI) if arena else 1.0
-    if arena:
+    if arena is not None:
         meta = dict(meta, arena_half_width=arena)
     write_start = time.perf_counter()
     health = {"removed_mean": result.removed_mean, "peak_speed": result.peak_speed,
@@ -210,9 +211,18 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
 
 
 def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
+    """Containment of every frame of a trajectory, into ``chi.csv``.
+
+    Positions written in an arena (``arena_half_width`` in the file's
+    metadata) are mapped back onto the torus first.
+    """
     out.mkdir(parents=True, exist_ok=True)
     goal = config.goal.region()
     frames = read_trajectory(trajectory)
+    arena = read_metadata(trajectory).get("arena_half_width")
+    if arena is not None:
+        to_torus = ArenaMap(float(arena)).to_torus
+        frames = [(t, to_torus(h), to_torus(x)) for t, h, x in frames]
     if not frames:
         print("trajectory file holds no frames", file=sys.stderr)
         return 1
@@ -253,7 +263,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, k_range: str, d_range: str) -
     d_values = parse_range("--d-range", d_range)
     out.mkdir(parents=True, exist_ok=True)
     grid = config.grids.deconvolution_grid()
-    kernel = config.kernel.params()
+    kernel = config.kernel
     operator = DeconvolutionOperator.build(grid, kernel)
     matrix = feasibility_map(k_values, d_values, kernel, grid, operator)
     write_sweep_csv(out / "feasibility_map.csv", k_values, d_values, matrix,

@@ -2,9 +2,11 @@
 
 Configs are JSON objects with one sub-object per concern. Unknown keys are
 rejected everywhere -- a silently ignored typo in a physical constant would
-invalidate an experiment. The canonical serialization (sorted keys, repr
-floats) backs a content hash that output files embed so any artifact can
-be traced to the exact configuration that produced it.
+invalidate an experiment. The ``kernel``, ``sim`` and ``kde`` sections are
+the library's own parameter dataclasses, so a loaded config is passed to
+the planner and the closed loop as it is. The canonical serialization
+(sorted keys, repr floats) backs a content hash that output files embed so
+any artifact can be traced to the exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .grids import GridSpec
 from .kde import KdeParams
 from .kernel import KernelParams
 from .microsim import SimParams
-from .torus import ArenaMap, PI
+from .torus import PI
 
 
 class ConfigError(ValueError):
@@ -61,23 +63,6 @@ class DomainConfig:
     def __post_init__(self):
         if self.arena_half_width is not None and not self.arena_half_width > 0:
             raise ValueError("arena half width must be positive")
-
-    def arena(self) -> ArenaMap | None:
-        if self.arena_half_width is None:
-            return None
-        return ArenaMap(self.arena_half_width)
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    length: float = PI
-    images: int = 2
-
-    def __post_init__(self):
-        self.params()
-
-    def params(self) -> KernelParams:
-        return KernelParams(length=self.length, images=self.images)
 
 
 @dataclass(frozen=True)
@@ -121,29 +106,6 @@ class PopulationConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    diffusion: float = 0.01
-    dt: float = 0.01
-    horizon: float = 200.0
-    seed: int = 0
-    control_every: int = 1
-    v_max: float | None = None
-
-    def __post_init__(self):
-        self.params()
-
-    def params(self, seed: int | None = None) -> SimParams:
-        return SimParams(
-            diffusion=self.diffusion,
-            dt=self.dt,
-            horizon=self.horizon,
-            seed=self.seed if seed is None else seed,
-            control_every=self.control_every,
-            v_max=self.v_max,
-        )
-
-
-@dataclass(frozen=True)
 class GridConfig:
     control: int = 64
     deconvolution: int = 25
@@ -157,19 +119,6 @@ class GridConfig:
 
     def deconvolution_grid(self) -> GridSpec:
         return GridSpec(self.deconvolution)
-
-
-@dataclass(frozen=True)
-class KdeConfig:
-    bandwidth: float = 0.4
-    images: int = 2
-    sequential: bool = False
-
-    def __post_init__(self):
-        self.params()
-
-    def params(self, mass: float = 1.0) -> KdeParams:
-        return KdeParams(bandwidth=self.bandwidth, images=self.images, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -193,13 +142,13 @@ class OutputConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    kernel: KernelParams = field(default_factory=KernelParams)
     goal: GoalConfig = field(default_factory=GoalConfig)
     target_density: TargetDensityConfig = field(default_factory=TargetDensityConfig)
     population: PopulationConfig = field(default_factory=PopulationConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimParams = field(default_factory=SimParams)
     grids: GridConfig = field(default_factory=GridConfig)
-    kde: KdeConfig = field(default_factory=KdeConfig)
+    kde: KdeParams = field(default_factory=KdeParams)
     gain: float = 10.0
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -211,13 +160,13 @@ class ExperimentConfig:
 
     _SECTIONS = {
         "domain": DomainConfig,
-        "kernel": KernelConfig,
+        "kernel": KernelParams,
         "goal": GoalConfig,
         "target_density": TargetDensityConfig,
         "population": PopulationConfig,
-        "sim": SimConfig,
+        "sim": SimParams,
         "grids": GridConfig,
-        "kde": KdeConfig,
+        "kde": KdeParams,
         "output": OutputConfig,
     }
 

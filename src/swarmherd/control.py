@@ -20,7 +20,6 @@ from .grids import (
     gradient,
     mass,
     poisson_solve,
-    wavenumbers,
 )
 from .torus import TWO_PI, PI, wrap
 
@@ -115,54 +114,30 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
     )
 
 
-def _bilinear(values: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
+def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a grid velocity field at agent positions.
+
+    The interpolant is periodic on the lattice and exact at the nodes.
+    Positions are wrapped first, so sampling is periodic up to the rounding
+    of the shifted position ``x + 2*pi*n``: bit-exact wherever that sum is
+    exact in float64.
+    """
+    pts = np.atleast_2d(wrap(positions))
+    m = field.grid.m
     s = (pts + PI) * (m / TWO_PI)
     i0 = np.floor(s).astype(np.int64)
     frac = s - i0
     i0 %= m
     i1 = (i0 + 1) % m
-    fx = frac[:, 0]
-    fy = frac[:, 1]
+    fx = frac[:, 0:1]
+    fy = frac[:, 1:2]
+    values = field.values
     return (
         values[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
         + values[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
         + values[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
         + values[i1[:, 0], i1[:, 1]] * fx * fy
     )
-
-
-def _spectral_sample(values: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
-    coeffs = np.fft.fft2(values) / (m * m)
-    k = wavenumbers(m)
-    # coefficients are phased relative to the first node at (-pi, -pi)
-    e1 = np.exp(1j * (pts[:, 0:1] + PI) * k[None, :])
-    e2 = np.exp(1j * (pts[:, 1:2] + PI) * k[None, :])
-    return np.real(np.einsum("nk,kl,nl->n", e1, coeffs, e2))
-
-
-def sample_at_herders(field: VectorField, positions: np.ndarray,
-                      method: str = "bilinear") -> np.ndarray:
-    """Evaluate a grid velocity field at agent positions.
-
-    ``bilinear`` interpolates on the periodic lattice (exact at the nodes);
-    ``spectral`` evaluates the trigonometric interpolant, which is more
-    accurate for smooth fields but costs O(M^2) per point. Positions are
-    wrapped first, so sampling is periodic up to the rounding of the
-    shifted position ``x + 2*pi*n``: bit-exact wherever that sum is exact
-    in float64.
-    """
-    pts = np.atleast_2d(wrap(positions))
-    m = field.grid.m
-    if method == "bilinear":
-        sampler = _bilinear
-    elif method == "spectral":
-        sampler = _spectral_sample
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    out = np.empty((pts.shape[0], 2))
-    for c in range(2):
-        out[:, c] = sampler(field.values[..., c], pts, m)
-    return out
 
 
 def speed_limit(commands: np.ndarray, v_max: float) -> np.ndarray:

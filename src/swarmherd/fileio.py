@@ -3,8 +3,12 @@
 Every file starts with ``#``-prefixed metadata lines (config hash, seed,
 package version) so a result can be traced to the exact run that produced
 it. Positions are written with 17 significant digits, which round-trips
-float64 exactly; re-analysis of a trajectory therefore reproduces the live
-metric series bit for bit.
+float64 exactly, so torus positions read back bit for bit. Positions
+written in an arena (``arena_half_width`` in the metadata) are torus
+positions times the arena's scale; dividing by it may miss the torus
+position in the last bit, so re-analysis with the run's goal reproduces
+the live containment except for a target within that rounding of the goal
+boundary. Re-analysis sees only the snapshot times.
 
 Field files: metadata lines, then ``key=value`` header lines (m, h, kind,
 components, arena_half_width), then the samples row-major with one grid
@@ -31,6 +35,19 @@ def metadata_lines(meta: dict) -> list[str]:
     for key, value in meta.items():
         lines.append(f"# {key}={value}")
     return lines
+
+
+def read_metadata(path: str | Path) -> dict[str, str]:
+    """The ``# key=value`` lines at the top of a file, values as text."""
+    meta = {}
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                meta[key] = value
+    return meta
 
 
 # ---------------------------------------------------------------------------

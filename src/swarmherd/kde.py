@@ -16,13 +16,14 @@ from .torus import TWO_PI
 class KdeParams:
     """Isotropic Gaussian KDE, periodized by a truncated image sum.
 
-    The estimate is renormalized to integrate to ``mass`` afterwards, which
-    absorbs the image-truncation error.
+    These are the fields of the config's ``kde`` section. With
+    ``sequential`` the agents are accumulated one at a time in index order,
+    which is slower but bit-reproducible independent of the BLAS in use.
     """
 
     bandwidth: float = 0.4
     images: int = 2
-    mass: float = 1.0
+    sequential: bool = False
 
     def __post_init__(self):
         if not self.bandwidth > 0:
@@ -31,8 +32,8 @@ class KdeParams:
             raise ValueError("image ring count must be an integer")
         if self.images < 0:
             raise ValueError("image ring count must be >= 0")
-        if not self.mass > 0:
-            raise ValueError("target mass must be positive")
+        if not isinstance(self.sequential, bool):
+            raise ValueError("sequential must be true or false")
 
 
 @lru_cache(maxsize=2)
@@ -49,16 +50,18 @@ def estimate_density(
     agents: np.ndarray,
     params: KdeParams,
     grid: GridSpec,
-    sequential: bool = False,
+    mass: float = 1.0,
 ) -> DensityField:
     """Sum of wrapped Gaussians centered at the agent positions.
 
     The wrapped Gaussian factorizes per axis, so each agent contributes an
     outer product of two one-dimensional image sums; the agent reduction is
-    a single matrix product. With ``sequential=True`` the agents are
-    accumulated one at a time in index order, which is slower but
-    bit-reproducible independent of the BLAS in use.
+    a single matrix product, or the ordered loop of ``params.sequential``.
+    The estimate is renormalized to integrate to ``mass`` afterwards, which
+    absorbs the image-truncation error.
     """
+    if not mass > 0:
+        raise ValueError("target mass must be positive")
     agents = np.atleast_2d(np.asarray(agents, dtype=float))
     if agents.size == 0:
         raise ValueError("density of an empty agent set is undefined")
@@ -77,14 +80,14 @@ def estimate_density(
             t *= coef
             g += np.exp(t, out=t)
 
-    if sequential:
+    if params.sequential:
         acc = np.zeros((grid.m, grid.m))
         for a in range(agents.shape[0]):
             acc += np.outer(g1[a], g2[a])
     else:
         acc = g1.T @ g2
 
-    values = acc / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * params.mass
+    values = acc / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass
     total = values.sum() * grid.cell_area
-    values *= params.mass / total
+    values *= mass / total
     return DensityField(grid, values)

@@ -7,7 +7,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .torus import TWO_PI, wrap
+from .torus import PI, TWO_PI, wrap
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class KernelParams:
     full periodization (ROADMAP.md, item 1) is to replace it.
     """
 
-    length: float
+    length: float = PI
     images: int = 2
 
     def __post_init__(self):
@@ -33,6 +33,10 @@ class KernelParams:
             raise ValueError("image ring count must be an integer")
         if self.images < 0:
             raise ValueError("image ring count must be >= 0")
+
+    def params(self) -> KernelParams:
+        # kept for perfbench/workloads.py, which calls cfg.kernel.params()
+        return self
 
 
 def kernel_free(x: np.ndarray, params: KernelParams) -> np.ndarray:

@@ -15,7 +15,7 @@ at scale and at most 7e-8 for a single pair on the seam (L = pi).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import control_field, herder_error, sample_at_herders, speed_limit
 from .feasibility import GoalRegion
-from .grids import DensityField, GridSpec, l2_norm
+from .grids import DensityField, l2_norm
 from .kde import KdeParams, estimate_density
 from .kernel import KernelParams, image_shifts, kernel_periodic
 from .torus import PI, TWO_PI, torus_distance, wrap, wrapped_displacement
@@ -60,6 +60,10 @@ class SimParams:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
+
+    def params(self) -> SimParams:
+        # kept for perfbench/workloads.py, which calls cfg.sim.params()
+        return self
 
 
 @dataclass
@@ -350,17 +354,18 @@ def run(
     kernel: KernelParams,
     kde: KdeParams,
     sim: SimParams,
-    grid: GridSpec | None = None,
     metrics_every: int = 100,
     snapshot_every: int = 0,
-    kde_sequential: bool = False,
-    interp: str = "bilinear",
 ) -> SimulationResult:
     """Full closed loop: estimate, error, potential solve, sample, step.
 
     Herders start on a centered lattice, targets i.i.d. uniform. The
-    control field is refreshed every ``sim.control_every`` steps from the
-    state at that step and held between refreshes. ``snapshot_every`` > 0
+    control runs on the grid of ``rho_bar_h``: each tick estimates the
+    herder density there with ``kde`` (its ``sequential`` field picks the
+    reduction), at the herders' share of the agent mass, and samples the
+    commands bilinearly. The control field is refreshed every
+    ``sim.control_every`` steps from the state at that step and held
+    between refreshes. ``snapshot_every`` > 0
     stores (t, herders, targets) tuples at that cadence plus the final
     state; 0 stores initial and final only. The metric series always
     holds a t = 0 record and a final record at t = n_steps * dt (both at
@@ -373,15 +378,8 @@ def run(
     exceeds ``wall_time``.
     """
     t_start = time.perf_counter()
-    if grid is None:
-        grid = rho_bar_h.grid
-    if grid.m != rho_bar_h.grid.m:
-        raise ValueError("reference herder density must live on the control grid")
-    if n_herders > 0:
-        herder_mass = n_herders / (n_herders + n_targets)
-        kde = replace(kde, mass=herder_mass)
-    else:
-        herder_mass = 0.0
+    grid = rho_bar_h.grid
+    herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
     state = AgentEnsemble(herders=herder_lattice(n_herders),
                           targets=uniform_targets(n_targets, init_rng(sim.seed)))
@@ -421,15 +419,13 @@ def run(
     for s in range(n_steps):
         t = s * sim.dt
         if n_herders > 0 and s % sim.control_every == 0:
-            estimate = estimate_density(state.herders, kde, grid,
-                                        sequential=kde_sequential)
+            estimate = estimate_density(state.herders, kde, grid, mass=herder_mass)
             lap("kde")
             err = herder_error(rho_bar_h, estimate)
             solution = control_field(err, estimate, gain)
             err_l2 = l2_norm(err)
             lap("control")
-            commands = sample_at_herders(solution.velocity, state.herders,
-                                         method=interp)
+            commands = sample_at_herders(solution.velocity, state.herders)
             speeds = np.sqrt(np.sum(commands * commands, axis=-1))
             clipped = 0 if sim.v_max is None else np.count_nonzero(speeds > sim.v_max)
             health = (err_l2, solution.removed_mean, float(speeds.max()), clipped / n_herders)

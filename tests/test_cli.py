@@ -146,6 +146,31 @@ def test_simulate_arena_rescale(tmp_path, small_config):
     assert summary["goal_radius"] == pytest.approx(0.5)
 
 
+def data_rows(path):
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_analyze_maps_arena_positions_back(tmp_path):
+    # a rescaled trajectory holds arena coordinates; analyze must measure
+    # containment on the torus, as the live loop does
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({
+        "population": {"n_targets": 40}, "grids": {"control": 16, "deconvolution": 9},
+        "sim": {"horizon": 0.05}, "output": {"metrics_every": 1, "snapshot_every": 1},
+    }))
+    out, an = tmp_path / "sim", tmp_path / "an"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--rescale-arena", "2.0"]) == 0
+    assert main(["analyze", "--config", str(cfg), "--trajectory",
+                 str(out / "trajectory.csv"), "--out", str(an)]) == 0
+    live = {t: chi for t, chi, *_ in data_rows(out / "metrics.csv")}
+    again = {t: chi for t, chi, _ in data_rows(an / "chi.csv")}
+    shared = sorted(set(live) & set(again), key=float)
+    assert len(shared) == 6
+    assert [again[t] for t in shared] == [live[t] for t in shared]
+
+
 def assert_run_record(summary, config_path, steps):
     assert summary["config_sha256"] == ExperimentConfig.load(config_path).hash()
     assert summary["rk4_steps"] == steps

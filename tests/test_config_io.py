@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from swarmherd import DensityField, GridSpec, ScalarField, VectorField, mass
+from swarmherd import (DensityField, GridSpec, KdeParams, KernelParams, ScalarField,
+                       SimParams, VectorField, mass)
 from swarmherd.config import ConfigError, ExperimentConfig
 from swarmherd.fileio import (
     FLOAT_FMT,
@@ -54,13 +55,11 @@ def test_unknown_section_key_rejected():
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"sim": {"dt": -0.01}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"kernel": {"length": 0.0}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"gain": 0.0})
-    for bad in ({"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
+    for bad in ({"sim": {"dt": -0.01}}, {"kernel": {"length": 0.0}},
+                {"sim": {"v_max": 0}}, {"kde": {"bandwidth": -1}},
+                {"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
                 {"kde": {"bandwidth": 0.0}},
                 {"kde": {"images": -1}}, {"goal": {"radius": 0.0}},
                 {"goal": {"center": [0.0, 0.0, 0.0]}},
@@ -77,6 +76,28 @@ def test_invalid_values_rejected():
         (key,) = values
         with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):
             ExperimentConfig.from_dict(bad)
+
+
+def test_kde_mass_is_not_a_config_key():
+    # the KDE's mass is the herders' share of the agents, set by the run
+    with pytest.raises(ConfigError, match=r"unknown key.*'kde'.*mass"):
+        ExperimentConfig.from_dict({"kde": {"mass": 0.3}})
+
+
+def test_sections_are_the_library_parameter_classes():
+    cfg = ExperimentConfig()
+    assert type(cfg.kernel) is KernelParams
+    assert type(cfg.sim) is SimParams
+    assert type(cfg.kde) is KdeParams
+
+
+def test_non_default_config_round_trips():
+    cfg = ExperimentConfig.from_dict({"kernel": {"images": 3}, "sim": {"v_max": 0.5},
+                                      "kde": {"sequential": True}})
+    assert (cfg.kernel.images, cfg.sim.v_max, cfg.kde.sequential) == (3, 0.5, True)
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back == cfg
+    assert back.hash() == cfg.hash() != ExperimentConfig().hash()
 
 
 def test_hash_tracks_content():

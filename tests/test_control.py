@@ -56,7 +56,7 @@ def test_error_antisymmetric_in_arguments(grid):
 def test_error_zero_mean_after_mass_matched_estimate(grid):
     rng = np.random.default_rng(1)
     agents = rng.uniform(-PI, PI, (60, 2))
-    est = estimate_density(agents, KdeParams(bandwidth=0.4, mass=0.28), grid)
+    est = estimate_density(agents, KdeParams(bandwidth=0.4), grid, mass=0.28)
     err = herder_error(uniform_density(grid), est)
     assert abs(mean_value(err)) < 1e-6 * l2_norm(err)
 
@@ -66,7 +66,7 @@ def test_error_near_zero_for_lattice_at_large_bandwidth(grid):
     coords = -PI + (np.arange(side) + 0.5) * (2 * PI / side)
     x1, x2 = np.meshgrid(coords, coords, indexing="ij")
     agents = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    est = estimate_density(agents, KdeParams(bandwidth=2.0, mass=0.28), grid)
+    est = estimate_density(agents, KdeParams(bandwidth=2.0), grid, mass=0.28)
     err = herder_error(uniform_density(grid), est)
     uniform_level = 0.28 / (4 * PI**2)
     assert np.abs(err.values).max() < 0.01 * uniform_level
@@ -112,7 +112,7 @@ def test_single_mode_solution(grid):
 def test_flux_divergence_matches_error(grid):
     rng = np.random.default_rng(2)
     agents = rng.uniform(-PI, PI, (50, 2))
-    est = estimate_density(agents, KdeParams(bandwidth=0.5, mass=0.3), grid)
+    est = estimate_density(agents, KdeParams(bandwidth=0.5), grid, mass=0.3)
     err = herder_error(uniform_density(grid, 0.3), est)
     gain = 10.0
     sol = control_field(err, est, gain)
@@ -124,7 +124,7 @@ def test_flux_divergence_matches_error(grid):
 def test_flux_is_curl_free(grid):
     rng = np.random.default_rng(3)
     agents = rng.uniform(-PI, PI, (50, 2))
-    est = estimate_density(agents, KdeParams(bandwidth=0.5, mass=0.3), grid)
+    est = estimate_density(agents, KdeParams(bandwidth=0.5), grid, mass=0.3)
     err = herder_error(uniform_density(grid, 0.3), est)
     sol = control_field(err, est, 5.0)
     flux_scale = np.abs(sol.flux.values).max()
@@ -215,23 +215,34 @@ def test_sampling_periodic_across_seam(grid):
         assert np.all(np.abs(a[:, c] - b[:, c]) <= bound)
 
 
-def test_spectral_sampling_matches_bilinear_on_smooth_field(grid):
+def test_sampling_equals_per_point_bilinear_formula(grid):
+    # both components are sampled in one broadcast; each value must equal
+    # the scalar formula, same operations in the same order, bit for bit
+    rng = np.random.default_rng(8)
+    field = VectorField(grid, rng.standard_normal((grid.m, grid.m, 2)))
+    pts = rng.uniform(-PI, PI, (40, 2))
+    out = sample_at_herders(field, pts)
+    for (x, y), got in zip(pts, out):
+        sx, sy = (x + PI) * (grid.m / (2 * PI)), (y + PI) * (grid.m / (2 * PI))
+        i, j = int(np.floor(sx)), int(np.floor(sy))
+        fx, fy = sx - i, sy - j
+        i, j = i % grid.m, j % grid.m
+        i1, j1 = (i + 1) % grid.m, (j + 1) % grid.m
+        for c in range(2):
+            v = field.values[..., c]
+            ref = (v[i, j] * (1 - fx) * (1 - fy) + v[i1, j] * fx * (1 - fy)
+                   + v[i, j1] * (1 - fx) * fy + v[i1, j1] * fx * fy)
+            assert got[c] == ref
+
+
+def test_sampling_matches_smooth_field_between_nodes(grid):
     x = grid.nodes()
     vals = np.stack([np.sin(x[..., 0]), np.cos(x[..., 1])], axis=-1)
     field = VectorField(grid, vals)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-PI, PI, (20, 2))
-    spectral = sample_at_herders(field, pts, method="spectral")
     exact = np.stack([np.sin(pts[:, 0]), np.cos(pts[:, 1])], axis=-1)
-    np.testing.assert_allclose(spectral, exact, atol=1e-10)
-    bilinear = sample_at_herders(field, pts, method="bilinear")
-    np.testing.assert_allclose(bilinear, exact, atol=5e-3)
-
-
-def test_sampling_unknown_method(grid):
-    field = VectorField(grid, np.zeros((grid.m, grid.m, 2)))
-    with pytest.raises(ValueError):
-        sample_at_herders(field, np.zeros((1, 2)), method="cubic")
+    np.testing.assert_allclose(sample_at_herders(field, pts), exact, atol=5e-3)
 
 
 # ---------------------------------------------------------------------------

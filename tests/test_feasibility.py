@@ -458,7 +458,7 @@ def test_default_plan_mass_and_head_count():
     cfg = ExperimentConfig()
     plan = plan_herders(
         goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
-        diffusion=cfg.sim.diffusion, kernel=cfg.kernel.params(),
+        diffusion=cfg.sim.diffusion, kernel=cfg.kernel,
         deconv_grid=cfg.grids.deconvolution_grid(),
         control_grid=cfg.grids.control_grid(),
     )
@@ -472,7 +472,7 @@ def test_default_plan_spreads_herder_surplus_as_constant():
     cfg = ExperimentConfig()
     plan = plan_herders(
         goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
-        diffusion=cfg.sim.diffusion, kernel=cfg.kernel.params(),
+        diffusion=cfg.sim.diffusion, kernel=cfg.kernel,
         deconv_grid=cfg.grids.deconvolution_grid(),
         control_grid=cfg.grids.control_grid(),
     )
@@ -483,7 +483,7 @@ def test_default_plan_spreads_herder_surplus_as_constant():
     assert np.ptp(surplus) <= 1e-15
     assert surplus.mean() > 0
     assert mass(plan.rho_bar_h) == pytest.approx(plan.herder_mass, abs=1e-12)
-    samples = sample_on_grid(grid, cfg.kernel.params())
+    samples = sample_on_grid(grid, cfg.kernel)
     drift = circular_convolve(samples, plan.rho_bar_h).values
     ref = circular_convolve(samples, ScalarField(grid, profile)).values
     assert np.abs(drift - ref).max() <= 1e-13 * np.abs(ref).max()
