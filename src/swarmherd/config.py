@@ -45,8 +45,22 @@ def _section(cls, section: str, data: dict):
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
-        # name the field when it fails on its own; a clash between fields
-        # (a horizon shorter than the step) is reported for the section
+        # name the one field without which the section builds, else a field
+        # that fails on its own; a clash between fields (a horizon shorter
+        # than the step) is reported for the section
+        def builds(values: dict) -> bool:
+            try:
+                cls(**values)
+            except (TypeError, ValueError):
+                return False
+            return True
+
+        culprits = [key for key in data
+                    if builds({k: v for k, v in data.items() if k != key})]
+        if len(culprits) == 1:
+            (key,) = culprits
+            raise ConfigError(f"invalid '{section}' section: "
+                              f"{section}.{key} = {data[key]!r}: {exc}") from exc
         for key, value in data.items():
             try:
                 cls(**{key: value})

@@ -12,12 +12,18 @@ explicit 4-stage Runge-Kutta helper integrates both densities:
   step is one multiply by the per-wavenumber amplification R(-dt S), taken
   from that helper;
 - a transport stage makes one ``irfft2`` of the densities and one batched
-  ``rfft2`` of the flux components.
+  ``rfft2`` of the flux components; the actuated step convolves each
+  stage's herder density with the kernel from the coefficients the stage
+  already holds.
 
-A driver transforms its density back once, at the end, and measures errors
-by Parseval. Each mass is conserved to rounding. The two verification
-drivers measure the closed-loop herder error decay and the feed-forward
-target error decay against their analytic envelopes.
+The transport symbols are built once per grid size and diffusion and
+shared, read-only, by ``continuum_step`` and the target driver; the herder
+driver builds its control symbol at each call. A driver transforms its
+density back once, at the end, and measures errors by Parseval. Each mass
+is conserved to rounding. The two verification drivers measure the
+closed-loop herder error decay, fitted by the closed-form least-squares
+slope, and the feed-forward target error decay against their analytic
+envelopes.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import numpy as np
 
 from .feasibility import StabilityReport, desired_velocity_field, stability_margin
 from .grids import (DensityField, GridSpec, ScalarField, VectorField, circular_convolve,
-                    components_first, divergence, gradient, half_plane, laplacian, mass,
-                    poisson_solve)
+                    components_first, divergence, gradient, half_plane, irfft2, laplacian,
+                    mass, poisson_solve, rfft2)
 from .kernel import KernelParams, sample_on_grid
 
 
@@ -90,35 +96,37 @@ def _symbol(*responses: np.ndarray) -> np.ndarray:
     """Stacked rfft2 of responses to a unit impulse at node (0, 0). The
     operators annihilate constants, so the zero mode, which rounding leaves
     near 1e-15 and which would leak mass, is set to exactly 0."""
-    out = np.fft.rfft2(np.stack(responses))
+    out = rfft2(np.stack(responses))
     out[..., 0, 0] = 0.0
     return out
 
 
-def _transport_symbols(m: int, diffusion: float) -> np.ndarray:
-    """Symbols of -div (per flux component) and D lap, shape (3, M, M//2+1)."""
+# continuum_step and the target driver share these; the herder driver
+# builds its control symbol at each call
+@lru_cache(maxsize=16)
+def _step_symbols(m: int, diffusion: float) -> np.ndarray:
+    """Symbols of -div (per flux component) and D lap, shape (3, M, M//2+1),
+    read-only."""
     grid = GridSpec(m)
     delta = ScalarField(grid, np.eye(1, m * m).reshape(m, m))  # impulse at node (0, 0)
     div = [-divergence(VectorField(grid, delta.values[..., None] * e)).values
            for e in np.eye(2)]
-    return _symbol(*div, diffusion * laplacian(delta).values)
-
-
-# continuum_step keeps its symbols; the drivers rebuild theirs at each call
-_step_symbols = lru_cache(maxsize=16)(_transport_symbols)
+    out = _symbol(*div, diffusion * laplacian(delta).values)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
 def _transport(symbols: np.ndarray, rho_hat: np.ndarray, velocity) -> np.ndarray:
     """rfft2 of -div(rho v) + D lap(rho), from rfft2 coefficients ``rho_hat``.
 
     One irfft2 of rho and one batched rfft2 of the flux components rho v;
-    ``velocity(rho)`` gives v from the stage's densities. Shapes:
+    ``velocity(rho_hat)`` gives v from the stage's coefficients. Shapes:
     ``rho_hat`` (..., M, M//2+1), v (..., 2, M, M), ``symbols``
     (..., 3, M, M//2+1).
     """
     m = rho_hat.shape[-2]
-    rho = np.fft.irfft2(rho_hat, s=(m, m))
-    flux_hat = np.fft.rfft2(rho[..., None, :, :] * velocity(rho))
+    rho = irfft2(rho_hat, m)
+    flux_hat = rfft2(rho[..., None, :, :] * velocity(rho_hat))
     return (symbols[..., :2, :, :] * flux_hat).sum(axis=-3) + symbols[..., 2, :, :] * rho_hat
 
 
@@ -129,7 +137,9 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
 
     ``u`` actuates the herder density; None freezes it, and then the target
     convection field of the step's start serves every stage. Otherwise the
-    convection field is recomputed from the herder density at every stage.
+    convection field is recomputed from the herder density at every stage,
+    by multiplying its coefficients with the kernel's, transformed once per
+    step.
     Raises when ``dt`` exceeds the stability bound for the current fields.
     """
     grid = state.rho_h.grid
@@ -149,19 +159,20 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
         v_t = components_first(v_th0.values)
         new_h = h0.copy()
         t_hat = _rk4(lambda r: _transport(target_symbols, r, lambda _: v_t),
-                     np.fft.rfft2(t0), dt)
-        new_t = np.fft.irfft2(t_hat, s=(m, m))
+                     rfft2(t0), dt)
+        new_t = irfft2(t_hat, m)
     else:
         symbols = np.stack([_step_symbols(m, 0.0), target_symbols])
         u_h = components_first(u.values)
+        k_hat = rfft2(components_first(kernel_samples))
+        k_hat *= grid.cell_area  # the quadrature weight, as in circular_convolve
 
-        def velocity(rho: np.ndarray) -> np.ndarray:
-            v_t = circular_convolve(kernel_samples, ScalarField(grid, rho[0])).values
-            return np.stack([u_h, components_first(v_t)])
+        def velocity(y_hat: np.ndarray) -> np.ndarray:
+            return np.stack([u_h, irfft2(k_hat * y_hat[0], m)])
 
         y_hat = _rk4(lambda y: _transport(symbols, y, velocity),
-                     np.fft.rfft2(np.stack([h0, t0])), dt)
-        new_h, new_t = np.fft.irfft2(y_hat, s=(m, m))
+                     rfft2(np.stack([h0, t0])), dt)
+        new_h, new_t = irfft2(y_hat, m)
     return ContinuumState(DensityField(grid, new_h), DensityField(grid, new_t),
                           state.time + dt)
 
@@ -171,8 +182,9 @@ def _fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float:
     usable = norms > 0
     if np.count_nonzero(usable) < 2:
         return np.nan
-    coeffs = np.polyfit(times[usable], np.log(norms[usable]), 1)
-    return -float(coeffs[0])
+    t = times[usable] - times[usable].mean()
+    y = np.log(norms[usable])
+    return -float(t @ (y - y.mean()) / (t @ t))
 
 
 @dataclass
@@ -230,11 +242,11 @@ def verify_herder_convergence(
     amplification = _rk4(lambda e: -symbol * e, np.ones_like(symbol), dt)
 
     err_hat, times, errors = _sampled(
-        lambda e: amplification * e, np.fft.rfft2(rho_h0.values - rho_bar_h.values), dt,
+        lambda e: amplification * e, rfft2(rho_h0.values - rho_bar_h.values), dt,
         n_steps, stride, lambda e: np.sqrt(_norm_sq(e, grid)), last=True)
     fitted = _fit_decay_rate(times, errors)
     deviation = abs(fitted - gain) / gain if np.isfinite(fitted) else np.inf
-    rho = rho_bar_h.values + np.fft.irfft2(err_hat, s=(m, m))
+    rho = rho_bar_h.values + irfft2(err_hat, m)
     drift = abs(float(rho.sum()) * grid.cell_area - m0) / max(abs(m0), 1e-300)
     return HerderDecayReport(times, errors, gain, fitted, deviation, drift, n_steps)
 
@@ -297,16 +309,16 @@ def verify_target_convergence(
     n_steps = int(round(horizon / dt))
 
     m = grid.m
-    symbols = _transport_symbols(m, diffusion)
+    symbols = _step_symbols(m, diffusion)
     v_t = components_first(v.values)
-    ref_hat = np.fft.rfft2(rho_bar_t.values)
+    ref_hat = rfft2(rho_bar_t.values)
     rho_hat, times, err_sq = _sampled(
         lambda r: _rk4(lambda y: _transport(symbols, y, lambda _: v_t), r, dt),
-        np.fft.rfft2(rho_t0.values), dt, n_steps, stride,
+        rfft2(rho_t0.values), dt, n_steps, stride,
         lambda r: _norm_sq(r - ref_hat, grid), last=False)
     envelope = err_sq[0] * np.exp(-report.rate * times)
     bounded = bool(np.all(err_sq <= envelope * (1.0 + 1e-9))) if report.certified else None
     m0 = mass(rho_t0)
-    rho = np.fft.irfft2(rho_hat, s=(m, m))
+    rho = irfft2(rho_hat, m)
     drift = abs(float(rho.sum()) * grid.cell_area - m0) / max(abs(m0), 1e-300)
     return TargetDecayReport(times, err_sq, envelope, report, bounded, drift, n_steps)

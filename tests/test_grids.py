@@ -20,7 +20,7 @@ from swarmherd import (
     resample,
     sample_on_grid,
 )
-from swarmherd.grids import half_plane, wavenumbers
+from swarmherd.grids import _resample_axis, half_plane, irfft2, rfft2, wavenumbers
 from swarmherd.kernel import kernel_periodic
 from swarmherd.torus import wrap
 
@@ -442,3 +442,44 @@ def test_resample_matches_full_plane_reference(m_old, m_new, seed):
     expected = full_plane_resample(f, m_new)
     got = resample(ScalarField(GridSpec(m_old), f), m_new).values
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
+# ---------------------------------------------------------------------------
+# the package's real-FFT pair against numpy's n-d transforms
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=_wide_sizes, lead=st.lists(st.integers(1, 3), max_size=2), seed=_seeds)
+@example(m=4, lead=[], seed=0)
+@example(m=64, lead=[2], seed=0)  # a flux stack on the control grid
+@example(m=33, lead=[2, 2], seed=0)  # the actuated step's stacked fluxes
+def test_real_fft_pair_matches_numpy_bit_for_bit(m, lead, seed):
+    values = np.random.default_rng(seed).standard_normal((*lead, m, m))
+    coeffs = np.fft.rfft2(values)
+    assert np.array_equal(rfft2(values), coeffs)
+    assert np.array_equal(irfft2(coeffs, m), np.fft.irfft2(coeffs, s=(m, m)))
+
+
+def numpy_resample(values: np.ndarray, m_new: int) -> np.ndarray:
+    """``resample`` as written on numpy's n-d transforms, for the bit check."""
+    m_old = values.shape[0]
+    coeffs = _resample_axis(np.fft.rfft2(values), m_new)
+    m = min(m_old, m_new)
+    if m % 2 == 0:
+        coeffs[:, m // 2] *= 0.5 if m_new > m_old else 2.0
+    coeffs *= (m_new / m_old) ** 2
+    return np.fft.irfft2(coeffs, s=(m_new, m_new))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_old=_wide_sizes, m_new=_wide_sizes, seed=_seeds)
+@example(m_old=25, m_new=64, seed=0)  # odd -> even up, the plan's path
+@example(m_old=16, m_new=48, seed=0)  # even -> even up
+@example(m_old=70, m_new=16, seed=0)  # even -> even down
+@example(m_old=33, m_new=20, seed=0)  # odd -> even down
+def test_resample_bit_identical_to_numpy_transforms(m_old, m_new, seed):
+    f = np.random.default_rng(seed).standard_normal((m_old, m_old))
+    got = resample(ScalarField(GridSpec(m_old), f), m_new).values
+    expected = f if m_new == m_old else numpy_resample(f, m_new)
+    assert np.array_equal(got, expected)
