@@ -21,6 +21,7 @@ from .grids import (
     curl,
     divergence,
     gradient,
+    kernel_symbol,
     l2_norm,
     laplacian,
     mass,
@@ -62,7 +63,6 @@ from .microsim import (
     herder_lattice,
     run,
     step,
-    target_drift,
     uniform_targets,
 )
 from .continuum import (
@@ -117,6 +117,7 @@ __all__ = [
     "herder_lattice",
     "kernel_free",
     "kernel_periodic",
+    "kernel_symbol",
     "l2_norm",
     "laplacian",
     "mass",
@@ -131,7 +132,6 @@ __all__ = [
     "stability_margin",
     "stable_dt",
     "step",
-    "target_drift",
     "torus_distance",
     "uniform_targets",
     "verify_herder_convergence",

@@ -12,6 +12,7 @@ any artifact can be traced to the exact configuration that produced it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
@@ -39,9 +40,22 @@ def _check_keys(section: str, data: dict, allowed: set[str]):
         )
 
 
+def _check_literal(where: str, value, flag: bool = False):
+    """Reject JSON true/false outside a flag field, and NaN or Infinity,
+    which Python's json parses but no field takes; list items too."""
+    for item in value if isinstance(value, list) else (value,):
+        if isinstance(item, bool) and not flag:
+            raise ConfigError(f"{where} = {value!r}: expected a number, not true/false")
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{where} = {value!r}: not a finite number")
+
+
 def _section(cls, section: str, data: dict):
-    names = {f.name for f in fields(cls)}
-    _check_keys(section, data, names)
+    types = {f.name: f.type for f in fields(cls)}
+    _check_keys(section, data, set(types))
+    for key, value in data.items():
+        _check_literal(f"invalid '{section}' section: {section}.{key}", value,
+                       flag=types[key] in ("bool", bool))
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -196,6 +210,7 @@ class ExperimentConfig:
                 raise ConfigError(f"'{name}' must be an object")
             kwargs[name] = _section(section_cls, name, raw)
         gain = data.get("gain", 10.0)
+        _check_literal("invalid 'gain': gain", gain)
         if not isinstance(gain, (int, float)):
             raise ConfigError("'gain' must be a number")
         return cls(gain=float(gain), **kwargs)

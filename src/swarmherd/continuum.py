@@ -35,9 +35,8 @@ import numpy as np
 
 from .feasibility import StabilityReport, desired_velocity_field, stability_margin
 from .grids import (DensityField, GridSpec, ScalarField, VectorField, circular_convolve,
-                    components_first, divergence, gradient, half_plane, irfft2, laplacian,
-                    mass, poisson_solve, rfft2)
-from .kernel import KernelParams, sample_on_grid
+                    components_first, divergence, gradient, half_plane, irfft2,
+                    kernel_symbol, laplacian, mass, poisson_solve, rfft2)
 
 
 @dataclass
@@ -138,14 +137,16 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     ``u`` actuates the herder density; None freezes it, and then the target
     convection field of the step's start serves every stage. Otherwise the
     convection field is recomputed from the herder density at every stage,
-    by multiplying its coefficients with the kernel's, transformed once per
-    step.
+    by multiplying its coefficients with the kernel symbol. The samples are
+    transformed into that symbol once per step; it also gives the field of
+    the step's start, which sets the stability bound.
     Raises when ``dt`` exceeds the stability bound for the current fields.
     """
     grid = state.rho_h.grid
     if not dt > 0:
         raise ValueError("dt must be positive")
-    v_th0 = circular_convolve(kernel_samples, state.rho_h)
+    k_hat = kernel_symbol(kernel_samples)
+    v_th0 = circular_convolve(k_hat, state.rho_h)
     fields = (v_th0,) if u is None else (v_th0, u)
     v_max = max(float(np.sqrt((f.values**2).sum(axis=-1)).max()) for f in fields)
     bound = stable_dt(grid.h, diffusion, v_max)
@@ -164,8 +165,6 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     else:
         symbols = np.stack([_step_symbols(m, 0.0), target_symbols])
         u_h = components_first(u.values)
-        k_hat = rfft2(components_first(kernel_samples))
-        k_hat *= grid.cell_area  # the quadrature weight, as in circular_convolve
 
         def velocity(y_hat: np.ndarray) -> np.ndarray:
             return np.stack([u_h, irfft2(k_hat * y_hat[0], m)])
@@ -267,18 +266,16 @@ def verify_target_convergence(
     rho_bar_t: DensityField,
     diffusion: float,
     horizon: float,
-    rho_bar_h: DensityField | None = None,
-    kernel: KernelParams | None = None,
     velocity: VectorField | None = None,
     dt: float | None = None,
     sample_every: float = 0.1,
 ) -> TargetDecayReport:
     """Feed-forward target transport against the exponential envelope.
 
-    The convection field is frozen: either passed directly, or the kernel
-    convolved with a fixed herder density, or (default) the analytic
-    equilibrium field of ``rho_bar_t`` -- the last makes the reference an
-    exact stationary state, isolating the decay-envelope check from
+    The convection field is frozen: either passed directly (such as the
+    kernel convolved with a fixed herder density), or by default the
+    analytic equilibrium field of ``rho_bar_t``, which makes the reference
+    an exact stationary state, isolating the decay-envelope check from
     deconvolution residue. The squared error is compared against
     exp(-rate*t) with the rate from the log-density curvature bound; the
     comparison is only asserted (``bounded``) when the bound applies. The
@@ -286,14 +283,7 @@ def verify_target_convergence(
     bound; an explicit ``dt`` above the bound raises.
     """
     grid = rho_t0.grid
-    if velocity is not None:
-        v = velocity
-    elif rho_bar_h is not None:
-        if kernel is None:
-            raise ValueError("need kernel parameters to convolve the herder density")
-        v = circular_convolve(sample_on_grid(grid, kernel), rho_bar_h)
-    else:
-        v = desired_velocity_field(rho_bar_t, diffusion)
+    v = velocity if velocity is not None else desired_velocity_field(rho_bar_t, diffusion)
     if v.grid.m != grid.m:
         raise ValueError("velocity grid differs from the density grid")
 

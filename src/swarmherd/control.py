@@ -84,7 +84,7 @@ class ControlSolution:
 
 
 def control_field(error: ScalarField, rho_h_est: DensityField,
-                  gain: float, floor: float = DENSITY_FLOOR) -> ControlSolution:
+                  gain: float) -> ControlSolution:
     """Macroscopic herder velocity field for a given density error.
 
     Solves the potential problem, takes ``flux = grad(potential)`` -- so
@@ -107,7 +107,7 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
         raise ValueError("control velocity needs a strictly positive density estimate")
     potential, removed_mean = poisson_solve(error, gain)
     flux = gradient(potential)
-    denom = np.maximum(rho_h_est.values, floor)
+    denom = np.maximum(rho_h_est.values, DENSITY_FLOOR)
     velocity = VectorField(error.grid, flux.values / denom[..., None])
     return ControlSolution(
         potential=potential, flux=flux, velocity=velocity, removed_mean=removed_mean

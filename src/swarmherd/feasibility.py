@@ -27,6 +27,7 @@ from .grids import (
     gradient_values,
     half_plane,
     irfft2,
+    kernel_symbol,
     laplacian,
     mass,
     resample,
@@ -167,34 +168,28 @@ class DeconvolutionOperator:
     """Quadrature form of kernel convolution, diagonal in Fourier space.
 
     rho -> h^2 * sum_j K_c(x_i - x_j) rho_j is circulant for each component
-    c, so the 2D DFT diagonalizes it: the operator is its spectrum,
-    ``spectrum[..., c] = h^2 * fft2(K_c)``, shape (M, M, 2). ``svd()``
+    c, so the 2D DFT diagonalizes it: the operator is its
+    :func:`~swarmherd.grids.kernel_symbol`, shape (2, M, M//2 + 1), which
+    holds the whole spectrum because the kernel samples are real. ``svd()``
     returns its singular values s = sqrt(|K1^|^2 + |K2^|^2), one per
-    wavenumber, as a cached (M, M) array.
+    half-plane wavenumber, as a cached (M, M//2 + 1) array.
     """
 
     grid: GridSpec
     kernel: KernelParams
-    spectrum: np.ndarray
+    symbol: np.ndarray
     _svd: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, grid: GridSpec, kernel: KernelParams) -> "DeconvolutionOperator":
-        samples = sample_on_grid(grid, kernel)
-        spectrum = grid.cell_area * np.fft.fft2(samples, axes=(0, 1))
-        return cls(grid=grid, kernel=kernel, spectrum=spectrum)
+        symbol = kernel_symbol(sample_on_grid(grid, kernel))
+        return cls(grid=grid, kernel=kernel, symbol=symbol)
 
     def svd(self) -> np.ndarray:
         if self._svd is None:
-            power = self.spectrum.real ** 2 + self.spectrum.imag ** 2
-            self._svd = np.sqrt(power.sum(axis=-1))
+            power = self.symbol.real ** 2 + self.symbol.imag ** 2
+            self._svd = np.sqrt(power.sum(axis=0))
         return self._svd
-
-    def apply(self, rho: ScalarField) -> VectorField:
-        m = self.grid.m
-        spectrum = np.moveaxis(self.spectrum[:, :m // 2 + 1], -1, 0)
-        out = irfft2(spectrum * rfft2(rho.values), m)
-        return VectorField(self.grid, components_last(out))
 
 
 @dataclass
@@ -205,12 +200,11 @@ class DeconvolutionResult:
     residual: float  # relative, ||F h - v|| / ||v||
 
 
-def deconvolve(v_bar: VectorField, op: DeconvolutionOperator,
-               rcond: float = RCOND) -> DeconvolutionResult:
+def deconvolve(v_bar: VectorField, op: DeconvolutionOperator) -> DeconvolutionResult:
     """Least-squares inversion of the convolution for a velocity field.
 
     The truncated-SVD pseudo-inverse, one wavenumber at a time:
-    h^ = sum_c conj(K_c^) v_c^ / s^2 where s > rcond * max(s), else 0. The
+    h^ = sum_c conj(K_c^) v_c^ / s^2 where s > RCOND * max(s), else 0. The
     kernel is odd, so constants are in the null space and the preimage is
     defined only up to an additive offset; the minimum-norm solution is
     returned. The residual comes from the same spectra (Parseval); a large
@@ -219,28 +213,25 @@ def deconvolve(v_bar: VectorField, op: DeconvolutionOperator,
     """
     if v_bar.grid.m != op.grid.m:
         raise ValueError("velocity field and operator grids differ")
-    h, residual = _pseudo_inverse(components_first(v_bar.values), op, rcond)
+    h, residual = _pseudo_inverse(components_first(v_bar.values), op)
     return DeconvolutionResult(ScalarField(op.grid, h), float(residual))
 
 
-def _pseudo_inverse(v: np.ndarray, op: DeconvolutionOperator,
-                    rcond: float) -> tuple[np.ndarray, np.ndarray]:
+def _pseudo_inverse(v: np.ndarray,
+                    op: DeconvolutionOperator) -> tuple[np.ndarray, np.ndarray]:
     """Preimages and relative residuals of a stack of velocity fields.
 
     ``v`` has shape (..., 2, M, M); returns the preimages (..., M, M) and
-    the residuals (...). Works on the ``rfft2`` half-plane of the
-    operator's spectrum, which holds all of it because the kernel samples
-    are real; the residual norms weight its columns as Parseval does. Each
+    the residuals (...). Works on the ``rfft2`` half-plane of the operator's
+    symbol; the residual norms weight its columns as Parseval does. Each
     residual above RESIDUAL_WARN gives one warning.
     """
     m = op.grid.m
-    half = m // 2 + 1
-    spectrum = np.moveaxis(op.spectrum[:, :half], -1, 0)  # (2, M, M//2+1)
     s = op.svd()
-    power = s[:, :half] ** 2
-    keep = s[:, :half] > rcond * s.max()
+    power = s ** 2
+    keep = s > RCOND * s.max()
     vhat = rfft2(v)
-    hhat = (np.conj(spectrum) * vhat).sum(axis=-3)
+    hhat = (np.conj(op.symbol) * vhat).sum(axis=-3)
     hhat *= keep
     np.divide(hhat, power, out=hhat, where=keep)
     weight = half_plane(m).parseval
@@ -249,7 +240,7 @@ def _pseudo_inverse(v: np.ndarray, op: DeconvolutionOperator,
         return np.sqrt((weight * (c.real ** 2 + c.imag ** 2)).sum(axis=(-3, -2, -1)))
 
     b_norm = norm(vhat)
-    vhat -= spectrum * hhat[..., None, :, :]  # now the miss
+    vhat -= op.symbol * hhat[..., None, :, :]  # now the miss
     miss = norm(vhat)
     residual = np.divide(miss, b_norm, out=np.zeros_like(miss), where=b_norm > 0)
     for r in np.ravel(residual):
@@ -365,7 +356,7 @@ def feasibility_map(
     op = operator if operator is not None else DeconvolutionOperator.build(grid, kernel)
     rho = _von_mises_values(k_values, k_values, np.zeros(2), grid)
     rho *= 1.0 / (rho.sum(axis=(-2, -1), keepdims=True) * grid.cell_area)
-    h, _ = _pseudo_inverse(_equilibrium_drift(rho, 1.0), op, RCOND)
+    h, _ = _pseudo_inverse(_equilibrium_drift(rho, 1.0), op)
     h -= h.min(axis=(-2, -1), keepdims=True)
     unit_mass = h.sum(axis=(-2, -1)) * grid.cell_area
     return np.minimum(np.outer(d_values, unit_mass), saturate)
@@ -401,7 +392,6 @@ def plan_herders(
     cross_term: bool = False,
     n_herders: int | None = None,
     concentration: float | None = None,
-    operator: DeconvolutionOperator | None = None,
 ) -> HerdingPlan:
     """Run the full feasibility pipeline and scale the reference densities.
 
@@ -421,8 +411,7 @@ def plan_herders(
         )
     rho_unit = von_mises_density(spec_unit, deconv_grid)
     v_bar = desired_velocity_field(rho_unit, diffusion)
-    deconv = deconvolve(v_bar, operator if operator is not None
-                        else DeconvolutionOperator.build(deconv_grid, kernel))
+    deconv = deconvolve(v_bar, DeconvolutionOperator.build(deconv_grid, kernel))
     feas = minimal_herder_mass(deconv.field)
 
     count = n_herders if n_herders is not None else herder_count(n_targets, feas.min_mass)

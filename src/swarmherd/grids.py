@@ -9,8 +9,8 @@ torus's integer wavenumbers, from one cached table per grid size; that is
 exact for band-limited fields, while a product or quotient of fields is
 not band-limited and aliases.
 
-Every real transform in the package goes through this module's
-:func:`rfft2` and :func:`irfft2`. They make the same two 1-D calls as
+Every transform in the package goes through this module's :func:`rfft2`
+and :func:`irfft2`. They make the same two 1-D calls as
 ``np.fft.rfft2``/``irfft2`` and give the same bits, without the n-d
 argument handling those run at every call: on 64^2 that handling costs
 about 10-20 us of a 30-50 us transform (measured on a 2-core x86_64 host).
@@ -235,26 +235,33 @@ def curl(field: VectorField) -> ScalarField:
     return ScalarField(field.grid, irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], m))
 
 
-def circular_convolve(kernel_samples: np.ndarray, rho: ScalarField) -> VectorField:
-    """FFT circular convolution of a two-component kernel with a density.
+def kernel_symbol(kernel_samples: np.ndarray) -> np.ndarray:
+    """Quadrature symbol of a sampled two-component kernel, (2, M, M//2 + 1).
 
-    ``kernel_samples`` must come from :func:`swarmherd.kernel.sample_on_grid`
-    on the same grid (entry [i, j] = kernel at the displacement of node
-    (i, j) from node (0, 0)); the h^2 factor is the quadrature weight, so
-    the result matches the direct double-sum evaluation of the convolution
-    integral.
+    ``kernel_samples`` (M, M, 2) must come from
+    :func:`swarmherd.kernel.sample_on_grid` (entry [i, j] = kernel at the
+    displacement of node (i, j) from node (0, 0)). The symbol is h^2 times
+    the ``rfft2`` of each component; h^2 is the quadrature weight, so
+    multiplying a density's coefficients by it convolves the density as the
+    direct double sum over the nodes does.
     """
-    m = rho.grid.m
     kernel_samples = np.asarray(kernel_samples, dtype=float)
+    m = kernel_samples.shape[0]
     if kernel_samples.shape != (m, m, 2):
-        raise ValueError(
-            f"kernel samples shape {kernel_samples.shape} does not match grid "
-            f"({m}, {m}, 2)"
-        )
-    khat = rfft2(components_first(kernel_samples))
-    khat *= rfft2(rho.values)
-    out = irfft2(khat, m)
-    out *= rho.grid.cell_area
+        raise ValueError(f"kernel samples shape {kernel_samples.shape} is not (M, M, 2)")
+    symbol = rfft2(components_first(kernel_samples))
+    symbol *= GridSpec(m).cell_area
+    return symbol
+
+
+def circular_convolve(symbol: np.ndarray, rho: ScalarField) -> VectorField:
+    """Circular convolution of a density with a kernel given by its
+    :func:`kernel_symbol` on the same grid."""
+    m = rho.grid.m
+    if symbol.shape != (2, m, m // 2 + 1):
+        raise ValueError(f"kernel symbol shape {symbol.shape} does not match grid "
+                         f"({m}, {m})")
+    out = irfft2(symbol * rfft2(rho.values), m)
     return VectorField(rho.grid, components_last(out))
 
 

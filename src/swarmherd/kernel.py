@@ -20,7 +20,8 @@ class KernelParams:
     the omitted tail is not small: the drift of 200 uniform targets under
     the 260-herder lattice differs between 2 and 14 rings by 7.2-7.7%
     max-norm relative (three seeds). The closed-form Fourier symbol of the
-    full periodization (ROADMAP.md, item 1) is to replace it.
+    full periodization (ROADMAP.md, item 1) is to replace it, and with it
+    :func:`swarmherd.grids.kernel_symbol`, the transform of its grid samples.
     """
 
     length: float = PI

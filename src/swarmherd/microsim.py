@@ -133,15 +133,6 @@ def uniform_targets(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def target_drift(target: np.ndarray, herders: np.ndarray, alpha: float,
-                 kernel: KernelParams) -> np.ndarray:
-    """Reference drift of one target: alpha * sum_j K_per(target - H_j)."""
-    if herders.size == 0:
-        return np.zeros(2)
-    disp = wrapped_displacement(target, herders)
-    return alpha * kernel_periodic(disp, kernel).sum(axis=0)
-
-
 # Read by reports that name the drift path; there is no compiled path.
 NUMBA_AVAILABLE = False
 

@@ -57,6 +57,9 @@ def test_unknown_section_key_rejected():
 def test_invalid_values_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"gain": 0.0})
+    for gain in (True, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match=r"'gain'.*\bgain = "):
+            ExperimentConfig.from_dict({"gain": gain})
     for bad in ({"sim": {"dt": -0.01}}, {"kernel": {"length": 0.0}},
                 {"sim": {"v_max": 0}}, {"kde": {"bandwidth": -1}},
                 {"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
@@ -71,7 +74,14 @@ def test_invalid_values_rejected():
                 {"population": {"n_herders": 2.5}},
                 {"sim": {"seed": 1.5}}, {"sim": {"control_every": 1.5}},
                 {"output": {"metrics_every": 1.5}},
-                {"output": {"snapshot_every": 0.5}}):
+                {"output": {"snapshot_every": 0.5}},
+                # JSON true/false is not a number; NaN and Infinity, which
+                # Python's json parses, are not finite
+                {"population": {"n_targets": True}},
+                {"population": {"n_herders": False}}, {"kernel": {"length": True}},
+                {"goal": {"center": [True, 0.0]}},
+                {"sim": {"horizon": float("inf")}}, {"sim": {"diffusion": float("nan")}},
+                {"goal": {"center": [0.0, float("-inf")]}}):
         ((section, values),) = bad.items()
         (key,) = values
         with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):

@@ -16,6 +16,7 @@ from swarmherd import (
     continuum_step,
     divergence,
     gradient,
+    kernel_symbol,
     l2_norm,
     laplacian,
     mass,
@@ -212,14 +213,14 @@ def test_uncertified_regime_reports_without_asserting(kernel):
 
 
 def test_frozen_herder_convection_route(kernel):
-    # passing the herder density and kernel exercises the convolution route
+    # the kernel convolved with the planned herder density as the field
     g = GridSpec(32)
     goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
     plan = plan_herders(goal, 120, 0.01, kernel, GridSpec(15), g)
     rho0 = uniform(g, plan.target_mass)
+    velocity = circular_convolve(kernel_symbol(sample_on_grid(g, kernel)), plan.rho_bar_h)
     rep = verify_target_convergence(
-        rho0, plan.rho_bar_t, diffusion=0.01, horizon=1.0,
-        rho_bar_h=plan.rho_bar_h, kernel=kernel,
+        rho0, plan.rho_bar_t, diffusion=0.01, horizon=1.0, velocity=velocity,
     )
     assert rep.error_sq[-1] < rep.error_sq[0]  # decaying toward equilibrium
     assert rep.mass_drift < 1e-9
@@ -304,7 +305,7 @@ def oracle_step(state, u, samples, diffusion, dt):
         rho_h, rho_t = y
         d_h = np.zeros_like(rho_h) if u is None else \
             -divergence(VectorField(grid, rho_h[..., None] * u.values)).values
-        v_th = circular_convolve(samples, ScalarField(grid, rho_h)).values
+        v_th = circular_convolve(kernel_symbol(samples), ScalarField(grid, rho_h)).values
         return np.stack([d_h, oracle_transport(rho_t, v_th, diffusion, grid)])
 
     return oracle_rk4(rhs, np.stack([state.rho_h.values, state.rho_t.values]), dt)

@@ -13,6 +13,7 @@ from swarmherd import (
     curl,
     divergence,
     gradient,
+    kernel_symbol,
     l2_norm,
     laplacian,
     mass,
@@ -162,7 +163,7 @@ def test_fft_convolution_matches_direct_quadrature():
     rng = np.random.default_rng(9)
     rho_vals = rng.uniform(0.1, 1.0, size=(16, 16))
     rho = DensityField(g, rho_vals)
-    fft_result = circular_convolve(samples, rho).values
+    fft_result = circular_convolve(kernel_symbol(samples), rho).values
     direct = direct_quadrature_convolution(samples, rho_vals, g.cell_area)
     rel = np.abs(fft_result - direct).max() / np.abs(direct).max()
     assert rel < 1e-10
@@ -170,9 +171,9 @@ def test_fft_convolution_matches_direct_quadrature():
 
 def test_odd_kernel_annihilates_uniform_density():
     g = GridSpec(64)
-    samples = sample_on_grid(g, KernelParams(length=PI, images=2))
+    symbol = kernel_symbol(sample_on_grid(g, KernelParams(length=PI, images=2)))
     rho = DensityField(g, np.full((64, 64), 1.0 / (4 * PI**2)))
-    out = circular_convolve(samples, rho)
+    out = circular_convolve(symbol, rho)
     np.testing.assert_allclose(out.values, 0.0, atol=1e-16)
 
 
@@ -184,29 +185,32 @@ def test_convolution_delta_identity():
     rho_vals = np.zeros((25, 25))
     j = (3, 8)
     rho_vals[j] = m_delta / g.cell_area
-    out = circular_convolve(samples, DensityField(g, rho_vals)).values
+    out = circular_convolve(kernel_symbol(samples), DensityField(g, rho_vals)).values
     expected = m_delta * np.roll(samples, shift=j, axis=(0, 1))
     np.testing.assert_allclose(out, expected, atol=1e-13)
 
 
 def test_convolution_linear_in_density():
     g = GridSpec(16)
-    samples = sample_on_grid(g, KernelParams(length=2.0, images=1))
+    symbol = kernel_symbol(sample_on_grid(g, KernelParams(length=2.0, images=1)))
     rng = np.random.default_rng(10)
     r1 = ScalarField(g, rng.standard_normal((16, 16)))
     r2 = ScalarField(g, rng.standard_normal((16, 16)))
     combo = ScalarField(g, 2.0 * r1.values - 0.5 * r2.values)
-    lhs = circular_convolve(samples, combo).values
-    rhs = 2.0 * circular_convolve(samples, r1).values \
-        - 0.5 * circular_convolve(samples, r2).values
+    lhs = circular_convolve(symbol, combo).values
+    rhs = 2.0 * circular_convolve(symbol, r1).values \
+        - 0.5 * circular_convolve(symbol, r2).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def test_convolution_rejects_grid_mismatch():
     g = GridSpec(16)
-    samples = sample_on_grid(GridSpec(25), KernelParams(length=PI))
+    symbol = kernel_symbol(sample_on_grid(GridSpec(25), KernelParams(length=PI)))
     with pytest.raises(ValueError):
-        circular_convolve(samples, DensityField(g, np.ones((16, 16))))
+        circular_convolve(symbol, DensityField(g, np.ones((16, 16))))
+    for shape in [(16, 16), (16, 16, 3), (16, 25, 2)]:
+        with pytest.raises(ValueError, match="not \\(M, M, 2\\)"):
+            kernel_symbol(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def test_operators_match_complex_fft_reference(m):
         "laplacian": laplacian(ScalarField(g, f)).values,
         "curl": curl(VectorField(g, v)).values,
         "poisson_solve": poisson_solve(ScalarField(g, f), 3.0)[0].values,
-        "circular_convolve": circular_convolve(v, ScalarField(g, f)).values,
+        "circular_convolve": circular_convolve(kernel_symbol(v), ScalarField(g, f)).values,
     }
     for name, reference in complex_reference(m).items():
         ref = reference(f, v)

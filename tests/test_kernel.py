@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from swarmherd import GridSpec, KernelParams, kernel_free, kernel_periodic, wrap
+from swarmherd import (DeconvolutionOperator, GridSpec, KernelParams, kernel_free,
+                       kernel_periodic, kernel_symbol, wrap)
+from swarmherd.grids import components_last, irfft2
 from swarmherd.kernel import image_shifts, sample_on_grid
 
 PI = np.pi
@@ -201,6 +203,23 @@ def test_grid_samples_swap_symmetric_with_odd_rows_zero(m, length, images):
     self_mirrored = [0, m // 2] if m % 2 == 0 else [0]
     np.testing.assert_array_equal(samples[self_mirrored, :, 0], 0.0)
     np.testing.assert_array_equal(samples[:, self_mirrored, 1], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(5, 70), length=_lengths, images=_rings)
+@example(m=64, length=PI, images=2)
+@example(m=25, length=PI, images=2)
+@example(m=70, length=10.0, images=3)
+def test_kernel_symbol_imaginary_and_inverts_to_samples(m, length, images):
+    # the samples are exactly odd, so only rounding makes the symbol's real part
+    grid, params = GridSpec(m), KernelParams(length=length, images=images)
+    samples = sample_on_grid(grid, params)
+    symbol = kernel_symbol(samples)
+    assert symbol.shape == (2, m, m // 2 + 1)
+    assert np.abs(symbol.real).max() <= 1e-15 * np.abs(symbol).max()
+    back = components_last(irfft2(symbol, m)) / grid.cell_area
+    np.testing.assert_allclose(back, samples, rtol=0, atol=1e-14 * np.abs(samples).max())
+    assert np.array_equal(DeconvolutionOperator.build(grid, params).symbol, symbol)
 
 
 def test_grid_samples_match_pointwise_kernel_off_seam():

@@ -19,7 +19,6 @@ from swarmherd import (
     plan_herders,
     run,
     step,
-    target_drift,
     uniform_targets,
     wrap,
     wrapped_displacement,
@@ -51,32 +50,37 @@ def brute_force_drift(target, herders, alpha, kernel):
 
 
 def test_drift_no_herders_is_zero(kernel):
-    out = target_drift(np.array([0.3, -0.2]), np.zeros((0, 2)), 1.0, kernel)
-    np.testing.assert_array_equal(out, [0.0, 0.0])
+    for fast in (True, False):
+        out = drift_all(np.array([[0.3, -0.2]]), np.zeros((0, 2)), 1.0, kernel, fast=fast)
+        np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
 
 def test_drift_coincident_herder_is_zero(kernel):
-    p = np.array([0.5, 0.5])
-    out = target_drift(p, p[None, :], 1.0, kernel)
-    np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-15)
+    p = np.array([[0.5, 0.5]])
+    for fast in (True, False):
+        out = drift_all(p, p, 1.0, kernel, fast=fast)
+        np.testing.assert_allclose(out, [[0.0, 0.0]], atol=1e-15)
 
 
 def test_drift_single_herder_matches_oracle(kernel):
     target = np.array([1.0, 0.0])
     herders = np.array([[0.0, 0.0]])
     expected = brute_force_drift(target, herders, 1.0, kernel)
-    got = target_drift(target, herders, 1.0, kernel)
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-    # for L = pi the images are not small: the nearest pair on the axis,
-    # at 1 - 2 pi and 1 + 2 pi, gives the closed form below (the one across
-    # the seam alone is -0.186), and the 22 farther images of the 5 x 5 block
-    # shift it by a further -0.004; together they pull the drift below the
-    # free kernel exp(-1/pi) = 0.727
-    closed_form = (np.exp(-1 / PI) - np.exp(-(2 * PI - 1) / PI)
-                   + np.exp(-(2 * PI + 1) / PI))
-    assert got[0] == pytest.approx(closed_form, abs=0.01)
-    assert got[0] < np.exp(-1 / PI)
-    assert got[1] == pytest.approx(0.0, abs=1e-12)
+    # the reference image sum to rounding, the table path to the tolerance
+    # test_drift_all_matches_oracle_both_paths holds it to
+    for fast, rtol, atol in ((False, 1e-12, 0.0), (True, 1e-6, 1e-12)):
+        (got,) = drift_all(target[None, :], herders, 1.0, kernel, fast=fast)
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+        # for L = pi the images are not small: the nearest pair on the axis,
+        # at 1 - 2 pi and 1 + 2 pi, gives the closed form below (the one
+        # across the seam alone is -0.186), and the 22 farther images of the
+        # 5 x 5 block shift it by a further -0.004; together they pull the
+        # drift below the free kernel exp(-1/pi) = 0.727
+        closed_form = (np.exp(-1 / PI) - np.exp(-(2 * PI - 1) / PI)
+                       + np.exp(-(2 * PI + 1) / PI))
+        assert got[0] == pytest.approx(closed_form, abs=0.01)
+        assert got[0] < np.exp(-1 / PI)
+        assert got[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drift_all_matches_oracle_both_paths(kernel):
