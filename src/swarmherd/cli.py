@@ -140,7 +140,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         meta = dict(meta, arena_half_width=arena)
     write_start = time.perf_counter()
     health = {"removed_mean": result.removed_mean, "peak_speed": result.peak_speed,
-              "clipped_share": result.clipped_share}
+              "clipped_share": result.clipped_share, "floor_share": result.floor_share}
     write_metrics(out / "metrics.csv", result.metric_times, result.chi,
                   result.n_inside, result.herder_error_l2, meta, health)
     write_trajectory(out / "trajectory.csv", result.snapshots, meta, scale=scale)
@@ -161,12 +161,17 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         removed_mean_max_abs=_max_or_none(np.abs(result.removed_mean)),
         peak_speed_max=_max_or_none(result.peak_speed),
         clipped_share_max=_max_or_none(result.clipped_share),
+        floor_share_max=_max_or_none(result.floor_share),
     ))
     return 0
 
 
 def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
                   perturbation: float = 0.01, horizon: float | None = None) -> int:
+    if horizon is not None and not (np.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"--horizon: {horizon} is not a finite positive time")
+    if not np.isfinite(perturbation):
+        raise ConfigError(f"--perturbation: {perturbation} is not finite")
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config)
     try:

@@ -71,6 +71,17 @@ def _rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Steps of ``dt`` in ``horizon``, rounded; the horizon must be finite and
+    hold at least one step."""
+    if not np.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon:g} is shorter than one step of {dt:.3g}")
+    return n_steps
+
+
 def _sampled(step, y: np.ndarray, dt: float, n_steps: int, stride: int, error,
              last: bool):
     """``n_steps`` applications of ``step`` (one time step of ``dt`` each);
@@ -210,7 +221,8 @@ def verify_herder_convergence(
     Integrates the continuity equation driven by the analytic control flux
     (gradient of the potential solve), so the density error contracts at
     exactly the control gain; the report carries the fitted rate for
-    comparison. Masses must match, otherwise the offset cannot decay.
+    comparison. Masses must match, otherwise the offset cannot decay, and
+    the horizon must be finite and hold at least one step.
     Signed fields are accepted: a perturbation around a reference whose
     minimum is zero dips below zero.
 
@@ -230,10 +242,10 @@ def verify_herder_convergence(
         raise ValueError("initial and reference herder masses differ")
     if dt is None:
         dt = min(0.05 / gain, 0.01)
+    n_steps = _step_count(horizon, dt)
     if sample_every <= 0:
         sample_every = max(horizon / 60.0, dt)
     stride = max(1, int(round(sample_every / dt)))
-    n_steps = int(round(horizon / dt))
 
     m = grid.m
     phi, _ = poisson_solve(ScalarField(grid, np.eye(1, m * m).reshape(m, m)), gain)
@@ -280,7 +292,8 @@ def verify_target_convergence(
     exp(-rate*t) with the rate from the log-density curvature bound; the
     comparison is only asserted (``bounded``) when the bound applies. The
     step lands on the sampling instants without exceeding the stability
-    bound; an explicit ``dt`` above the bound raises.
+    bound; an explicit ``dt`` above the bound raises, as does a horizon that
+    is not finite or holds less than one step.
     """
     grid = rho_t0.grid
     v = velocity if velocity is not None else desired_velocity_field(rho_bar_t, diffusion)
@@ -296,7 +309,7 @@ def verify_target_convergence(
         raise ValueError(f"dt {dt:.3e} exceeds the stability bound {bound:.3e}")
     stride = max(1, int(round(sample_every / dt)), int(sample_every / bound) + 1)
     dt = sample_every / stride
-    n_steps = int(round(horizon / dt))
+    n_steps = _step_count(horizon, dt)
 
     m = grid.m
     symbols = _step_symbols(m, diffusion)

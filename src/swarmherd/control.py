@@ -81,6 +81,7 @@ class ControlSolution:
     flux: VectorField
     velocity: VectorField
     removed_mean: float
+    floor_share: float  # share of grid nodes at or below DENSITY_FLOOR
 
 
 def control_field(error: ScalarField, rho_h_est: DensityField,
@@ -89,7 +90,8 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
 
     Solves the potential problem, takes ``flux = grad(potential)`` -- so
     that div(flux) = -gain * (error - mean) and curl(flux) = 0 identically
-    -- and divides by the estimated density.
+    -- and divides by the estimated density, floored at ``DENSITY_FLOOR``;
+    ``floor_share`` is the share of grid nodes where the floor applied.
 
     On an even grid that holds for the error without its components on
     the Nyquist checkerboards (-1)^i, (-1)^j and (-1)^(i+j): the spectral
@@ -107,10 +109,12 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
         raise ValueError("control velocity needs a strictly positive density estimate")
     potential, removed_mean = poisson_solve(error, gain)
     flux = gradient(potential)
+    floored = rho_h_est.values <= DENSITY_FLOOR
     denom = np.maximum(rho_h_est.values, DENSITY_FLOOR)
     velocity = VectorField(error.grid, flux.values / denom[..., None])
     return ControlSolution(
-        potential=potential, flux=flux, velocity=velocity, removed_mean=removed_mean
+        potential=potential, flux=flux, velocity=velocity, removed_mean=removed_mean,
+        floor_share=np.count_nonzero(floored) / floored.size,
     )
 
 

@@ -6,10 +6,10 @@ isotropic diffusion noise. The pairwise drift is almost all of a step's
 cost. ``drift_all`` computes it with NumPy on the calling thread; there is
 no compiled path and no worker thread. Over blocks of targets it adds the
 exact nearest-image kernel term to the smooth tail of the other images,
-read from a bicubic Hermite table of 64^2 cells of side pi/64 on the
-quadrant [0, pi]^2 (0.5 MB). Against the plain image sum,
-``drift_all(fast=False)``, its max-norm relative error measured about 2e-9
-at scale and at most 7e-8 for a single pair on the seam (L = pi).
+read from a table of local cubics (10 coefficients per cell, 96^2 cells of
+side pi/96 on the quadrant [0, pi]^2, 0.74 MB). Against the plain image
+sum, ``drift_all(fast=False)``, its max-norm relative error measured about
+3e-10 at scale and at most 3.1e-8 for a single pair on the seam (L = pi).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import control_field, herder_error, sample_at_herders, speed_limit
 from .feasibility import GoalRegion
@@ -136,59 +135,72 @@ def uniform_targets(n: int, rng: np.random.Generator) -> np.ndarray:
 # Read by reports that name the drift path; there is no compiled path.
 NUMBA_AVAILABLE = False
 
-_TAIL_CELLS = 64  # table cells per side of the quadrant [0, pi]^2, h = pi / 64
+_TAIL_CELLS = 96  # table cells per side of the quadrant [0, pi]^2, h = pi / 96
 _BLOCK_PAIRS = 4096  # target-herder pairs per block of the fast drift
+_BUILD_ROWS = 8  # cell rows per chunk of the table build
 
-# Cubic Hermite basis on [0, 1]: entry [p, k] is the coefficient of u**p in
-# the weight of f(0), f(1), f'(0), f'(1) for k = 0, 1, 2, 3.
-_HERMITE = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [-3.0, 3.0, -2.0, -1.0],
-    [2.0, -2.0, 1.0, 1.0],
-])
+# The 10 monomials u**p v**q of total degree <= 3, grouped by p: the
+# evaluation in ``_table_drift`` relies on this order.
+_POWERS = np.array([(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
+                    (2, 0), (2, 1), (3, 0)])
+
+
+def _cell_fit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4 x 4 Chebyshev nodes of the unit cell and two least-squares maps
+    from values there to the 10 coefficients of ``_POWERS``.
+
+    Returns the nodes, shape (2, 16) as (u, v) rows, and two maps of shape
+    (10, 16): the fit to all 10 monomials, and the fit to those with p >= 1
+    only (its p = 0 rows are 0), whose cubic vanishes on u = 0.
+    """
+    t = 0.5 - 0.5 * np.cos((2 * np.arange(4) + 1) * PI / 8)
+    nodes = np.stack([w.ravel() for w in np.meshgrid(t, t, indexing="ij")])
+    basis = nodes[0, :, None] ** _POWERS[:, 0] * nodes[1, :, None] ** _POWERS[:, 1]
+    odd = np.zeros((len(_POWERS), nodes.shape[1]))
+    has_u = _POWERS[:, 0] >= 1
+    odd[has_u] = np.linalg.pinv(basis[:, has_u])
+    return nodes, np.linalg.pinv(basis), odd
 
 
 @lru_cache(maxsize=4)
 def _tail_table(kernel: KernelParams) -> np.ndarray:
-    """Bicubic table of the image tail (every image but the nearest).
+    """Cubic table of the image tail (every image but the nearest).
 
     The image block is symmetric, so the tail of a wrapped displacement
     (x, y) is (sign(x) Q(|x|, |y|), sign(y) Q(|y|, |x|)), where Q is its x
-    component on the quadrant [0, pi]^2. Entry [p, q, i * 64 + j] is the
-    coefficient of u**p v**q of Q in cell (i, j), local coordinates (u, v)
-    in [0, 1]^2: the bicubic Hermite interpolant of Q and its exact
-    derivatives Q_x, Q_y, Q_xy at the cell's corners. Every image is at
-    least pi away from the quadrant, so Q is smooth there. Shape
-    (4, 4, 64^2), 0.5 MB, read-only; built on first use per kernel.
+    component on the quadrant [0, pi]^2. Entry [k, i * 96 + j] is the
+    coefficient of the monomial u**p v**q, (p, q) = ``_POWERS[k]``, of Q in
+    cell (i, j) of side pi/96, local coordinates (u, v) in [0, 1]^2. Each
+    cell's 10 coefficients are the least-squares fit of the cubics of total
+    degree <= 3 to Q at the cell's 4 x 4 Chebyshev nodes. Q is odd in its
+    first argument, so it is 0 on a = 0; the cells there (i = 0) are fitted
+    without the u**0 monomials, which makes the table exactly 0 on that
+    edge. Every image is at least pi away from the quadrant, so Q is smooth
+    there. Against Q itself the table measured 9e-10 to 5.5e-9 of max|Q| at
+    20 000 random points for L = 1 to 2 pi and 1 to 3 image rings (with no
+    rings Q and the table are 0). Shape (10, 96^2), 0.74 MB, read-only;
+    built on first use per kernel, 8 cell rows at a time, in about 60 ms
+    at 2 rings.
     """
     cells = _TAIL_CELLS
     h = PI / cells
-    axis = np.arange(cells + 1) * h
-    x0, y0 = np.meshgrid(axis, axis, indexing="ij")
-    # nodes[a, b]: h**(a + b) times the a-th x and b-th y derivative of Q.
-    # An image at (x, y) adds x g(r), g = exp(-r/L) / r; with k = g'(r) / r
-    # and m = k'(r) / r its derivatives are g + x^2 k, x y k and y (k + x^2 m).
-    nodes = np.zeros((2, 2) + x0.shape)
+    nodes, free, odd = _cell_fit()
+    shifts = [s for s in image_shifts(kernel.images) if s.any()]
     inv_len = 1.0 / kernel.length
-    for sx, sy in image_shifts(kernel.images):
-        if sx == 0.0 and sy == 0.0:
-            continue
-        x, y = x0 + sx, y0 + sy
-        r = np.hypot(x, y)
-        g = np.exp(-r * inv_len) / r
-        rate = 1.0 / r + inv_len
-        k = -g * rate / r
-        m = g * (rate * rate + rate / r + 1.0 / (r * r)) / (r * r)
-        nodes[0, 0] += x * g
-        nodes[1, 0] += h * (g + x * x * k)
-        nodes[0, 1] += h * (x * y * k)
-        nodes[1, 1] += h * h * (y * (k + x * x * m))
-    # corner data of each cell, [a, end_x, b, end_y] -> Hermite index 2a + end
-    corners = sliding_window_view(nodes, (2, 2), axis=(2, 3))
-    values = corners.transpose(0, 4, 1, 5, 2, 3).reshape(4, 4, cells, cells)
-    table = np.einsum("pk,klij,ql->pqij", _HERMITE, values, _HERMITE)
-    table = np.ascontiguousarray(table.reshape(4, 4, -1))
+    y0 = (np.arange(cells)[:, None] + nodes[1]) * h  # (cells, 16)
+    table = np.empty((len(_POWERS), cells, cells))
+    for lo in range(0, cells, _BUILD_ROWS):
+        hi = min(lo + _BUILD_ROWS, cells)
+        x0 = (np.arange(lo, hi)[:, None, None] + nodes[0]) * h  # (rows, 1, 16)
+        q = np.zeros((hi - lo, cells, nodes.shape[1]))
+        for sx, sy in shifts:
+            x = x0 + sx
+            r = np.hypot(x, y0 + sy)
+            q += x * np.exp(-r * inv_len) / r
+        table[:, lo:hi] = np.einsum("kn,ijn->kij", free, q)
+        if lo == 0:
+            table[:, 0] = np.einsum("kn,jn->kj", odd, q[0])
+    table = table.reshape(len(_POWERS), -1)
     table.flags.writeable = False
     return table
 
@@ -197,11 +209,11 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
 def _gather_buffer(block: int, n_h: int) -> np.ndarray:
     """Flat scratch for one block's table coefficients, reused across calls.
 
-    Reuse keeps each block from allocating (and paging in) a fresh 1 MB
+    Reuse keeps each block from allocating (and paging in) a fresh 0.6 MB
     array; a shorter last block views a prefix. Not safe for concurrent
     calls.
     """
-    return np.empty(32 * block * n_h)
+    return np.empty(2 * len(_POWERS) * block * n_h)
 
 
 def _table_drift(targets: np.ndarray, herders: np.ndarray,
@@ -224,20 +236,23 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray,
         r = np.sqrt(d[0] * d[0] + d[1] * d[1])
         near = np.exp(-r / kernel.length)
         np.divide(near, r, out=near, where=r > 0.0)
-        # tail: component c reads Q at (|d_c|, |d_other|), Horner in v then u
+        # tail: component c reads Q at (|d_c|, |d_other|)
         a = np.abs(d) * (cells / PI)
         i = np.minimum(a.astype(np.intp), cells - 1)
         u = a - i
         v = u[::-1]
         # indices are in range by construction; mode="raise" would buffer out
-        c = scratch[:32 * n * n_h].reshape(4, 4, 2, n, n_h)
-        np.take(table, i * cells + i[::-1], axis=2, out=c, mode="clip")
-        rows = c[:, 3]  # Horner in v, in place
-        for q in (2, 1, 0):
-            rows *= v
-            rows += c[:, q]
-        tail = ((rows[3] * u + rows[2]) * u + rows[1]) * u + rows[0]
-        out[lo:lo + block] = (d * near + np.sign(d) * tail).sum(axis=2).T
+        c = scratch[:len(_POWERS) * 2 * n * n_h].reshape(len(_POWERS), 2, n, n_h)
+        np.take(table, i * cells + i[::-1], axis=1, out=c, mode="clip")
+        # in place, in the order of _POWERS: Horner in v for each power of u,
+        # into c[3], c[6], c[8], then Horner in u into c[9]
+        for acc, lower, w in ((3, (2, 1, 0), v), (6, (5, 4), v), (8, (7,), v),
+                              (9, (8, 6, 3), u)):
+            for k in lower:
+                c[acc] *= w
+                c[acc] += c[k]
+        out[lo:lo + block] = (np.einsum("cth,th->tc", d, near)
+                              + np.einsum("cth,cth->tc", np.sign(d), c[9]))
     return out
 
 
@@ -247,10 +262,14 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
 
     The fast path works on blocks of about 4096 target-herder pairs. It
     adds the exact nearest-image term to the other images' tail, read from
-    the bicubic table of ``_tail_table`` (64^2 cells of side pi/64, 0.5 MB,
-    built on first use per kernel and cached). Against the image sum its
-    max-norm relative error measured 8e-11 to 2e-9 for L = 0.3 to 2 pi and
-    0 to 3 image rings, far below the kernel's own image-truncation error.
+    the table of ``_tail_table``: per cell a least-squares cubic of total
+    degree <= 3 (10 coefficients) fitted at 4 x 4 Chebyshev nodes, 96^2
+    cells of side pi/96, 0.74 MB, built on first use per kernel and cached.
+    Against the image sum its max-norm relative error measured 4e-12 to
+    3e-10 for 720 targets and 260 herders, L = 0.3 to 2 pi and 1 to 3 image
+    rings (1e-15 with none), and at most 3.1e-8 for a single pair over
+    40 000 pairs on the seam and near the axes (L = pi); both are far below
+    the kernel's own image-truncation error.
     ``fast=False`` is the plain vectorized image sum, the fast path's
     reference. Both are deterministic, and the fast path is odd: negating
     every position negates its drift bit for bit, except on the seam. The
@@ -307,7 +326,8 @@ def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
     return AgentEnsemble(herders=new_herders, targets=wrap(ensemble.targets + move))
 
 
-_HEALTH = ("herder_error_l2", "removed_mean", "peak_speed", "clipped_share")
+_HEALTH = ("herder_error_l2", "removed_mean", "peak_speed", "clipped_share",
+           "floor_share")
 
 
 @dataclass
@@ -319,11 +339,13 @@ class SimulationResult:
     n_inside: np.ndarray
     # loop health at each metric time, from the latest control tick (NaN before
     # one): herder error L2, the mean the Poisson solve removed, the peak
-    # commanded speed before the speed limit and the share the limit clipped
+    # commanded speed before the speed limit, the share the limit clipped and
+    # the share of grid nodes where the density estimate hit DENSITY_FLOOR
     herder_error_l2: np.ndarray
     removed_mean: np.ndarray
     peak_speed: np.ndarray
     clipped_share: np.ndarray
+    floor_share: np.ndarray
     snapshots: list[tuple[float, np.ndarray, np.ndarray]]
     final: AgentEnsemble
     n_targets: int
@@ -419,7 +441,8 @@ def run(
             commands = sample_at_herders(solution.velocity, state.herders)
             speeds = np.sqrt(np.sum(commands * commands, axis=-1))
             clipped = 0 if sim.v_max is None else np.count_nonzero(speeds > sim.v_max)
-            health = (err_l2, solution.removed_mean, float(speeds.max()), clipped / n_herders)
+            health = (err_l2, solution.removed_mean, float(speeds.max()),
+                      clipped / n_herders, solution.floor_share)
             if sim.v_max is not None:
                 commands = speed_limit(commands, sim.v_max)
             lap("sampling")

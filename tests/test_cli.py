@@ -92,13 +92,14 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert summary["removed_mean_max_abs"] < 1e-14
     assert summary["peak_speed_max"] > 0
     assert summary["clipped_share_max"] == 0.0  # no speed limit
+    assert summary["floor_share_max"] == 0.0
 
     metrics_lines = [
         l for l in (out / "metrics.csv").read_text().splitlines()
         if l and not l.startswith("#")
     ]
     assert metrics_lines[0] == ("t,chi,n_inside,herder_error_l2,removed_mean,"
-                                "peak_speed,clipped_share")
+                                "peak_speed,clipped_share,floor_share")
     live = {}
     for line in metrics_lines[1:]:
         t, chi, n_in, *health = line.split(",")
@@ -207,6 +208,36 @@ def test_continuum_targets_mode(tmp_path):
     assert summary["bounded"] is True
     # 32^2 at D = 0.05 bounds the step by 0.0964 < 0.1, so it halves to 0.05
     assert_run_record(summary, cfg, 40)
+
+
+@pytest.mark.parametrize("mode, flag, value", [
+    ("herders", "--horizon", "-1"),
+    ("targets", "--horizon", "-1"),
+    ("herders", "--horizon", "0"),
+    ("targets", "--horizon", "0"),
+    ("herders", "--horizon", "nan"),
+    ("targets", "--horizon", "inf"),
+    ("herders", "--perturbation", "nan"),
+    ("herders", "--perturbation", "-inf"),
+])
+def test_continuum_rejects_bad_flag_naming_it(tmp_path, small_config, capsys,
+                                              mode, flag, value):
+    out = tmp_path / "cont"
+    assert main(["continuum", "--config", str(small_config), "--out", str(out),
+                 "--mode", mode, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["herders", "targets"])
+def test_continuum_horizon_below_one_step_is_error(tmp_path, small_config, capsys,
+                                                   mode):
+    out = tmp_path / "cont"
+    assert main(["continuum", "--config", str(small_config), "--out", str(out),
+                 "--mode", mode, "--horizon", "1e-6"]) == 1
+    assert "shorter than one step" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_sweep_command(tmp_path, small_config):

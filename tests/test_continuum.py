@@ -160,6 +160,19 @@ def test_mass_mismatch_rejected(herder_reference):
         verify_herder_convergence(rho0, herder_reference, 1.0, horizon=1.0)
 
 
+@pytest.mark.parametrize("horizon, match", [
+    (np.nan, "finite"), (np.inf, "finite"), (-1.0, "one step"), (0.0, "one step"),
+    (1e-4, "one step"),  # rounds to zero steps of the default 0.01
+])
+def test_drivers_reject_horizon_without_a_step(herder_reference, horizon, match):
+    g = herder_reference.grid
+    with pytest.raises(ValueError, match=match):
+        verify_herder_convergence(herder_reference, herder_reference, 1.0, horizon=horizon)
+    rho = uniform(g, 1.0)
+    with pytest.raises(ValueError, match=match):
+        verify_target_convergence(rho, rho, diffusion=0.05, horizon=horizon)
+
+
 # ---------------------------------------------------------------------------
 # target feed-forward decay (envelope bound)
 # ---------------------------------------------------------------------------

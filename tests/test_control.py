@@ -17,6 +17,7 @@ from swarmherd import (
     speed_limit,
     wrap,
 )
+from swarmherd.control import DENSITY_FLOOR
 from swarmherd.grids import VectorField, mean_value
 
 PI = np.pi
@@ -147,6 +148,17 @@ def test_rejects_nonpositive_density(grid):
     err = ScalarField(grid, np.zeros((grid.m, grid.m)))
     with pytest.raises(ValueError):
         control_field(err, rho, 1.0)
+
+
+def test_floor_share_counts_the_floored_nodes(grid):
+    zero = ScalarField(grid, np.zeros((grid.m, grid.m)))
+    assert control_field(zero, uniform_density(grid), 1.0).floor_share == 0.0
+    vals = np.full((grid.m, grid.m), 1.0)
+    vals[:3, 0] = DENSITY_FLOOR  # at the floor counts
+    vals[5, 5] = 1e-300
+    vals[6, 6] = 2 * DENSITY_FLOOR  # above it does not
+    sol = control_field(zero, DensityField(grid, vals), 1.0)
+    assert sol.floor_share == 4 / grid.m**2
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmherd import (
@@ -137,10 +137,44 @@ _point = st.tuples(_coord, _coord)
 
 @settings(max_examples=100, deadline=None)
 @given(target=_point, herder=_point)
+# near the axis the tail must vanish with its first argument: a table that
+# is not exactly 0 on a = 0 misses here by 7e-17 against a 5.6e-18 floor
+@example(target=(0.0, 0.0), herder=(0.0, 1.943322992034681e-213))
 def test_fast_drift_close_to_exact_on_seam(kernel, target, herder):
     # one pair per example: on the seam the nearest image and the one
     # across the seam nearly cancel, the hardest case for the tail table
     assert_fast_close(np.array([target]), np.array([herder]), kernel)
+
+
+def image_tail(a, b, kernel):
+    """x component of every image but the nearest, at (a, b) in [0, pi]^2."""
+    q = np.zeros_like(a)
+    for sx, sy in image_shifts(kernel.images):
+        if sx or sy:
+            q += kernel_free(np.stack([a + sx, b + sy], axis=-1), kernel)[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("length", [1.0, PI, 2 * PI])
+@pytest.mark.parametrize("images", [0, 1, 2, 3])
+def test_tail_table_matches_image_tail(length, images):
+    # evaluate the table term by term from its monomials, independently of
+    # drift's in-place Horner scheme
+    kernel = KernelParams(length=length, images=images)
+    table = microsim._tail_table(kernel)
+    cells = microsim._TAIL_CELLS
+    rng = np.random.default_rng(39)
+    points = rng.uniform(0.0, PI, (2, 4000))
+    points[0, :200] = 0.0  # the edge a = 0, where the tail is odd in a
+    points[:, 200:204] = [[0.0, PI, PI, 0.0], [0.0, 0.0, PI, PI]]  # corners
+    scaled = points * (cells / PI)
+    cell = np.minimum(scaled.astype(int), cells - 1)
+    u, v = scaled - cell
+    coeffs = table[:, cell[0] * cells + cell[1]]
+    got = sum(c * u**p * v**q for c, (p, q) in zip(coeffs, microsim._POWERS))
+    assert np.all(got[:200] == 0.0)
+    expected = image_tail(*points, kernel)
+    assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
 
 
 def test_fast_drift_target_on_herder_is_finite(kernel):
@@ -402,10 +436,13 @@ def test_run_records_loop_health_per_metric(kernel, small_plan, v_max):
         sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.2, seed=3, v_max=v_max),
         metrics_every=5,
     )
-    health = (res.herder_error_l2, res.removed_mean, res.peak_speed, res.clipped_share)
+    health = (res.herder_error_l2, res.removed_mean, res.peak_speed, res.clipped_share,
+              res.floor_share)
     for series in health:
         assert series.shape == res.chi.shape
         assert np.all(np.isfinite(series))
+    # the herders' KDE stays far above the density floor everywhere
+    assert np.all(res.floor_share == 0.0)
     # the KDE carries the reference's mass, so the Poisson solve removes
     # only rounding
     assert np.abs(res.removed_mean).max() <= 1e-14 * plan.rho_bar_h.values.max()
