@@ -76,6 +76,7 @@ def _plan_record(plan) -> dict:
 
 
 def _infeasible(out: Path, meta: dict, exc: InfeasibleError) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     _write_summary(out, dict(meta, feasible=False, min_mass=exc.min_mass))
     print(f"infeasible: minimal herder mass {exc.min_mass:.4f} >= 1", file=sys.stderr)
     return 2
@@ -167,12 +168,15 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
 
 
 def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
-                  perturbation: float = 0.01, horizon: float | None = None) -> int:
+                  perturbation: float | None = None, horizon: float | None = None) -> int:
+    """The density twin's convergence check; ``out`` is made only once there is
+    something to write. ``perturbation`` (default 0.01) is the herder mode's."""
     if horizon is not None and not (np.isfinite(horizon) and horizon > 0):
         raise ConfigError(f"--horizon: {horizon} is not a finite positive time")
-    if not np.isfinite(perturbation):
+    if perturbation is not None and mode != "herders":
+        raise ConfigError(f"--perturbation: applies to --mode herders only, not {mode}")
+    if perturbation is not None and not np.isfinite(perturbation):
         raise ConfigError(f"--perturbation: {perturbation} is not finite")
-    out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config)
     try:
         plan = _plan(config)
@@ -182,15 +186,15 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
     if mode == "herders":
         gain = config.gain
         x1 = grid.nodes()[..., 0]
-        rho0 = ScalarField(grid, plan.rho_bar_h.values + perturbation * np.cos(x1))
+        amplitude = 0.01 if perturbation is None else perturbation
+        rho0 = ScalarField(grid, plan.rho_bar_h.values + amplitude * np.cos(x1))
         start = time.perf_counter()
         report = verify_herder_convergence(
             rho0, plan.rho_bar_h, gain,
             horizon=horizon if horizon is not None else 3.0 / gain,
         )
         wall = time.perf_counter() - start
-        write_decay(out / "herder_decay.csv", report.times,
-                    {"error_l2": report.error_l2}, meta)
+        decay_file, columns = "herder_decay.csv", {"error_l2": report.error_l2}
         summary = {"mode": "herders", "gain": gain, "fitted_rate": report.fitted_rate,
                    "relative_deviation": report.relative_deviation,
                    "mass_drift": report.mass_drift}
@@ -202,14 +206,16 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
             horizon=horizon if horizon is not None else 20.0,
         )
         wall = time.perf_counter() - start
-        write_decay(out / "target_decay.csv", report.times,
-                    {"error_sq": report.error_sq, "envelope": report.envelope}, meta)
+        decay_file = "target_decay.csv"
+        columns = {"error_sq": report.error_sq, "envelope": report.envelope}
         # the curvature bound is the plan's own: same density, same check
         summary = {"mode": "targets", "bounded": report.bounded,
                    "mass_drift": report.mass_drift}
     else:
         print(f"unknown continuum mode {mode!r}", file=sys.stderr)
         return 1
+    out.mkdir(parents=True, exist_ok=True)
+    write_decay(out / decay_file, report.times, columns, meta)
     _write_summary(out, dict(meta, **_plan_record(plan), **summary,
                              rk4_steps=report.steps, wall_time_s=wall))
     return 0
@@ -306,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cont)
     p_cont.add_argument("--mode", choices=("herders", "targets"), default="herders")
     p_cont.add_argument("--horizon", type=float, default=None)
-    p_cont.add_argument("--perturbation", type=float, default=0.01)
+    p_cont.add_argument("--perturbation", type=float, default=None,
+                        help="herder mode only: cos(x1) amplitude (default 0.01)")
 
     p_an = sub.add_parser("analyze", help="recompute containment from a trajectory")
     add_common(p_an)

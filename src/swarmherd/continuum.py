@@ -35,8 +35,8 @@ import numpy as np
 
 from .feasibility import StabilityReport, desired_velocity_field, stability_margin
 from .grids import (DensityField, GridSpec, ScalarField, VectorField, circular_convolve,
-                    components_first, divergence, gradient, half_plane, irfft2,
-                    kernel_symbol, laplacian, mass, poisson_solve, rfft2)
+                    divergence, gradient, half_plane, irfft2, kernel_symbol, laplacian,
+                    mass, poisson_solve, rfft2)
 
 
 @dataclass
@@ -119,7 +119,7 @@ def _step_symbols(m: int, diffusion: float) -> np.ndarray:
     read-only."""
     grid = GridSpec(m)
     delta = ScalarField(grid, np.eye(1, m * m).reshape(m, m))  # impulse at node (0, 0)
-    div = [-divergence(VectorField(grid, delta.values[..., None] * e)).values
+    div = [-divergence(VectorField(grid, e[:, None, None] * delta.values)).values
            for e in np.eye(2)]
     out = _symbol(*div, diffusion * laplacian(delta).values)
     out.flags.writeable = False  # shared by every caller through the cache
@@ -159,7 +159,7 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     k_hat = kernel_symbol(kernel_samples)
     v_th0 = circular_convolve(k_hat, state.rho_h)
     fields = (v_th0,) if u is None else (v_th0, u)
-    v_max = max(float(np.sqrt((f.values**2).sum(axis=-1)).max()) for f in fields)
+    v_max = max(float(np.sqrt((f.values**2).sum(axis=0)).max()) for f in fields)
     bound = stable_dt(grid.h, diffusion, v_max)
     if dt > bound:
         raise ValueError(f"dt {dt:.3e} exceeds the stability bound {bound:.3e}")
@@ -168,17 +168,15 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     target_symbols = _step_symbols(m, diffusion)
     h0, t0 = state.rho_h.values, state.rho_t.values
     if u is None:
-        v_t = components_first(v_th0.values)
         new_h = h0.copy()
-        t_hat = _rk4(lambda r: _transport(target_symbols, r, lambda _: v_t),
+        t_hat = _rk4(lambda r: _transport(target_symbols, r, lambda _: v_th0.values),
                      rfft2(t0), dt)
         new_t = irfft2(t_hat, m)
     else:
         symbols = np.stack([_step_symbols(m, 0.0), target_symbols])
-        u_h = components_first(u.values)
 
         def velocity(y_hat: np.ndarray) -> np.ndarray:
-            return np.stack([u_h, irfft2(k_hat * y_hat[0], m)])
+            return np.stack([u.values, irfft2(k_hat * y_hat[0], m)])
 
         y_hat = _rk4(lambda y: _transport(symbols, y, velocity),
                      rfft2(np.stack([h0, t0])), dt)
@@ -301,7 +299,7 @@ def verify_target_convergence(
         raise ValueError("velocity grid differs from the density grid")
 
     report = stability_margin(rho_bar_t, diffusion)
-    v_max = float(np.sqrt((v.values**2).sum(axis=-1)).max())
+    v_max = float(np.sqrt((v.values**2).sum(axis=0)).max())
     bound = stable_dt(grid.h, diffusion, v_max)
     if dt is None:
         dt = 0.8 * bound
@@ -313,10 +311,9 @@ def verify_target_convergence(
 
     m = grid.m
     symbols = _step_symbols(m, diffusion)
-    v_t = components_first(v.values)
     ref_hat = rfft2(rho_bar_t.values)
     rho_hat, times, err_sq = _sampled(
-        lambda r: _rk4(lambda y: _transport(symbols, y, lambda _: v_t), r, dt),
+        lambda r: _rk4(lambda y: _transport(symbols, y, lambda _: v.values), r, dt),
         rfft2(rho_t0.values), dt, n_steps, stride,
         lambda r: _norm_sq(r - ref_hat, grid), last=False)
     envelope = err_sq[0] * np.exp(-report.rate * times)

@@ -111,7 +111,7 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
     flux = gradient(potential)
     floored = rho_h_est.values <= DENSITY_FLOOR
     denom = np.maximum(rho_h_est.values, DENSITY_FLOOR)
-    velocity = VectorField(error.grid, flux.values / denom[..., None])
+    velocity = VectorField(error.grid, flux.values / denom)
     return ControlSolution(
         potential=potential, flux=flux, velocity=velocity, removed_mean=removed_mean,
         floor_share=np.count_nonzero(floored) / floored.size,
@@ -119,7 +119,8 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
 
 
 def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a grid velocity field at agent positions.
+    """Bilinear interpolation of a grid velocity field at agent positions,
+    shape (n, 2).
 
     The interpolant is periodic on the lattice and exact at the nodes.
     Positions are wrapped first, so sampling is periodic up to the rounding
@@ -133,15 +134,14 @@ def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
     frac = s - i0
     i0 %= m
     i1 = (i0 + 1) % m
-    fx = frac[:, 0:1]
-    fy = frac[:, 1:2]
+    fx, fy = frac.T
     values = field.values
     return (
-        values[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
-        + values[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
-        + values[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
-        + values[i1[:, 0], i1[:, 1]] * fx * fy
-    )
+        values[:, i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
+        + values[:, i1[:, 0], i0[:, 1]] * fx * (1 - fy)
+        + values[:, i0[:, 0], i1[:, 1]] * (1 - fx) * fy
+        + values[:, i1[:, 0], i1[:, 1]] * fx * fy
+    ).T
 
 
 def speed_limit(commands: np.ndarray, v_max: float) -> np.ndarray:

@@ -22,8 +22,6 @@ from .grids import (
     GridSpec,
     ScalarField,
     VectorField,
-    components_first,
-    components_last,
     gradient_values,
     half_plane,
     irfft2,
@@ -144,8 +142,7 @@ def _von_mises_values(k1: np.ndarray, k2: np.ndarray, mean: np.ndarray,
 
 def desired_velocity_field(rho_bar_t: DensityField, diffusion: float) -> VectorField:
     """Drift field D * grad(rho)/rho that keeps ``rho_bar_t`` in equilibrium."""
-    v = _equilibrium_drift(rho_bar_t.values, diffusion)
-    return VectorField(rho_bar_t.grid, components_last(v))
+    return VectorField(rho_bar_t.grid, _equilibrium_drift(rho_bar_t.values, diffusion))
 
 
 def _equilibrium_drift(rho: np.ndarray, diffusion: float) -> np.ndarray:
@@ -213,7 +210,7 @@ def deconvolve(v_bar: VectorField, op: DeconvolutionOperator) -> DeconvolutionRe
     """
     if v_bar.grid.m != op.grid.m:
         raise ValueError("velocity field and operator grids differ")
-    h, residual = _pseudo_inverse(components_first(v_bar.values), op)
+    h, residual = _pseudo_inverse(v_bar.values, op)
     return DeconvolutionResult(ScalarField(op.grid, h), float(residual))
 
 

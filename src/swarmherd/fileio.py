@@ -54,7 +54,9 @@ def read_metadata(path: str | Path) -> dict[str, str]:
 # grid fields
 # ---------------------------------------------------------------------------
 
-_FIELD_KINDS = {"density": DensityField, "scalar": ScalarField, "vector": VectorField}
+# kind -> field class and component count
+_FIELD_KINDS = {"density": (DensityField, 1), "scalar": (ScalarField, 1),
+                "vector": (VectorField, 2)}
 
 
 def write_field(path: str | Path, field, kind: str, meta: dict | None = None,
@@ -62,17 +64,16 @@ def write_field(path: str | Path, field, kind: str, meta: dict | None = None,
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     values = field.values
-    components = 1 if values.ndim == 2 else values.shape[-1]
+    m = field.grid.m
+    components = values.size // (m * m)
     lines = metadata_lines(meta or {})
-    lines.append(f"m={field.grid.m}")
+    lines.append(f"m={m}")
     lines.append(f"h={field.grid.h!r}")
     lines.append(f"kind={kind}")
     lines.append(f"components={components}")
     lines.append(f"arena_half_width={(arena_half_width if arena_half_width else PI)!r}")
-    blocks = [values] if components == 1 else [values[..., c] for c in range(components)]
-    for block in blocks:
-        for row in block:
-            lines.append(" ".join(FLOAT_FMT % v for v in row))
+    for row in values.reshape(-1, m):
+        lines.append(" ".join(FLOAT_FMT % v for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -98,16 +99,19 @@ def read_field(path: str | Path):
         components = int(header["components"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing header key {exc}") from exc
+    if kind not in _FIELD_KINDS:
+        raise ValueError(f"{path}: header key kind={kind!r} is not one of "
+                         f"{', '.join(_FIELD_KINDS)}")
+    cls, expected = _FIELD_KINDS[kind]
+    if components != expected:
+        raise ValueError(f"{path}: header key components={components} does not fit "
+                         f"kind={kind}, which has {expected}")
     data = np.asarray(rows)
     if data.shape != (components * m, m):
         raise ValueError(f"{path}: expected {components}x{m} rows of {m} values, "
                          f"got shape {data.shape}")
-    grid = GridSpec(m)
-    cls = _FIELD_KINDS[kind]
-    if components == 1:
-        return cls(grid, data), header
-    stacked = np.stack([data[c * m:(c + 1) * m] for c in range(components)], axis=-1)
-    return cls(grid, stacked), header
+    values = data.reshape(components, m, m) if components > 1 else data
+    return cls(GridSpec(m), values), header
 
 
 # ---------------------------------------------------------------------------

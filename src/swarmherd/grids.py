@@ -14,6 +14,11 @@ and :func:`irfft2`. They make the same two 1-D calls as
 ``np.fft.rfft2``/``irfft2`` and give the same bits, without the n-d
 argument handling those run at every call: on 64^2 that handling costs
 about 10-20 us of a 30-50 us transform (measured on a 2-core x86_64 host).
+
+Two-component fields (velocities, fluxes, kernel samples) are stored
+components first, (2, M, M): that is the stack the transforms take and
+give, so no operator converts layouts. Point coordinates (``nodes()``,
+agent positions, displacements) are components last, (..., 2).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class GridSpec:
         return -PI + np.arange(self.m) * self.h
 
     def nodes(self) -> np.ndarray:
-        """Node coordinates, shape (M, M, 2)."""
+        """Node coordinates, shape (M, M, 2): points, so components last."""
         x1, x2 = np.meshgrid(self.axis(), self.axis(), indexing="ij")
         return np.stack([x1, x2], axis=-1)
 
@@ -165,21 +170,18 @@ class DensityField(ScalarField):
 
 @dataclass
 class VectorField:
-    """Two-component field (velocities, fluxes), values shape (M, M, 2)."""
+    """Two-component field (velocities, fluxes), values shape (2, M, M)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.m, self.grid.m, 2)
+        expected = (2, self.grid.m, self.grid.m)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != grid {expected}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    def component(self, c: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[..., c])
 
 
 def mass(field: ScalarField) -> float:
@@ -196,27 +198,13 @@ def l2_norm(field) -> float:
     return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_area))
 
 
-def components_first(values: np.ndarray) -> np.ndarray:
-    """Vector field values (..., M, M, 2) as a contiguous stack (..., 2, M, M).
-
-    Real transforms of contiguous rows run faster than of strided ones,
-    which more than pays for the copy; a view of such a stack is not copied.
-    """
-    return np.ascontiguousarray(np.moveaxis(values, -1, -3))
-
-
-def components_last(values: np.ndarray) -> np.ndarray:
-    """View of a stack (..., 2, M, M) as vector field values (..., M, M, 2)."""
-    return np.moveaxis(values, -3, -1)
-
-
 def gradient(field: ScalarField) -> VectorField:
-    return VectorField(field.grid, components_last(gradient_values(field.values)))
+    return VectorField(field.grid, gradient_values(field.values))
 
 
 def divergence(field: VectorField) -> ScalarField:
     m = field.grid.m
-    fhat = rfft2(components_first(field.values))
+    fhat = rfft2(field.values)
     fhat *= half_plane(m).ik
     return ScalarField(field.grid, irfft2(fhat[0] + fhat[1], m))
 
@@ -231,25 +219,25 @@ def curl(field: VectorField) -> ScalarField:
     """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field."""
     m = field.grid.m
     ik = half_plane(m).ik
-    fhat = rfft2(components_first(field.values))
+    fhat = rfft2(field.values)
     return ScalarField(field.grid, irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], m))
 
 
 def kernel_symbol(kernel_samples: np.ndarray) -> np.ndarray:
     """Quadrature symbol of a sampled two-component kernel, (2, M, M//2 + 1).
 
-    ``kernel_samples`` (M, M, 2) must come from
-    :func:`swarmherd.kernel.sample_on_grid` (entry [i, j] = kernel at the
+    ``kernel_samples`` (2, M, M) must come from
+    :func:`swarmherd.kernel.sample_on_grid` (entry [:, i, j] = kernel at the
     displacement of node (i, j) from node (0, 0)). The symbol is h^2 times
     the ``rfft2`` of each component; h^2 is the quadrature weight, so
     multiplying a density's coefficients by it convolves the density as the
     direct double sum over the nodes does.
     """
     kernel_samples = np.asarray(kernel_samples, dtype=float)
-    m = kernel_samples.shape[0]
-    if kernel_samples.shape != (m, m, 2):
-        raise ValueError(f"kernel samples shape {kernel_samples.shape} is not (M, M, 2)")
-    symbol = rfft2(components_first(kernel_samples))
+    m = kernel_samples.shape[-1]
+    if kernel_samples.shape != (2, m, m):
+        raise ValueError(f"kernel samples shape {kernel_samples.shape} is not (2, M, M)")
+    symbol = rfft2(kernel_samples)
     symbol *= GridSpec(m).cell_area
     return symbol
 
@@ -261,8 +249,7 @@ def circular_convolve(symbol: np.ndarray, rho: ScalarField) -> VectorField:
     if symbol.shape != (2, m, m // 2 + 1):
         raise ValueError(f"kernel symbol shape {symbol.shape} does not match grid "
                          f"({m}, {m})")
-    out = irfft2(symbol * rfft2(rho.values), m)
-    return VectorField(rho.grid, components_last(out))
+    return VectorField(rho.grid, irfft2(symbol * rfft2(rho.values), m))
 
 
 def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:

@@ -93,9 +93,9 @@ def kernel_periodic(x: np.ndarray, params: KernelParams) -> np.ndarray:
 
 
 def sample_on_grid(grid, params: KernelParams) -> np.ndarray:
-    """Kernel at every wrapped lattice displacement, shape (M, M, 2).
+    """Kernel at every wrapped lattice displacement, shape (2, M, M).
 
-    Entry [i, j] is the kernel at the displacement between node (i, j) and
+    Entry [:, i, j] is the kernel at the displacement between node (i, j) and
     node (0, 0). The truncated image sum is evaluated once, for the x
     component only, on the quadrant of displacements (a*h, b*h) with both
     in [0, pi]; the images are looped over by x shift, so no temporary is
@@ -131,4 +131,4 @@ def sample_on_grid(grid, params: KernelParams) -> np.ndarray:
     kx = np.zeros((m, m))
     kx[1:rows + 1] = quadrant[:, cols]
     kx[m - rows:] = -kx[rows:0:-1]
-    return np.stack([kx, kx.T], axis=-1)
+    return np.stack([kx, kx.T])

@@ -219,6 +219,7 @@ def test_continuum_targets_mode(tmp_path):
     ("targets", "--horizon", "inf"),
     ("herders", "--perturbation", "nan"),
     ("herders", "--perturbation", "-inf"),
+    ("targets", "--perturbation", "0.01"),  # the target mode has no perturbation
 ])
 def test_continuum_rejects_bad_flag_naming_it(tmp_path, small_config, capsys,
                                               mode, flag, value):
@@ -238,6 +239,7 @@ def test_continuum_horizon_below_one_step_is_error(tmp_path, small_config, capsy
                  "--mode", mode, "--horizon", "1e-6"]) == 1
     assert "shorter than one step" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def test_sweep_command(tmp_path, small_config):

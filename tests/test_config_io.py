@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,13 +181,38 @@ def test_density_field_round_trip_and_header(tmp_path):
 def test_vector_field_round_trip(tmp_path):
     g = GridSpec(16)
     rng = np.random.default_rng(1)
-    f = VectorField(g, rng.standard_normal((16, 16, 2)))
+    f = VectorField(g, rng.standard_normal((2, 16, 16)))
     path = tmp_path / "v.field"
     write_field(path, f, "vector")
     back, header = read_field(path)
     assert isinstance(back, VectorField)
     np.testing.assert_array_equal(back.values, f.values)
     assert int(header["components"]) == 2
+
+
+def test_vector_field_file_holds_component_0_block_first(tmp_path):
+    # the round trip passes for any self-consistent order; the text pins it:
+    # M rows of component 0, then M rows of component 1
+    m = 4
+    values = np.arange(2 * m * m, dtype=float).reshape(2, m, m)
+    path = tmp_path / "v.field"
+    write_field(path, VectorField(GridSpec(m), values), "vector")
+    rows = [line for line in path.read_text().splitlines()
+            if line and not line.startswith("#") and "=" not in line]
+    assert rows == [" ".join(str(int(v)) for v in row)
+                    for c in range(2) for row in values[c]]
+
+
+@pytest.mark.parametrize("header, key", [
+    ("kind=bogus\ncomponents=1", "kind"),
+    ("kind=vector\ncomponents=1", "components"),
+    ("kind=scalar\ncomponents=2", "components"),
+])
+def test_field_reader_names_file_and_bad_header_key(tmp_path, header, key):
+    p = tmp_path / "bad.field"
+    p.write_text(f"m=4\n{header}\n" + "1 2 3 4\n" * 8)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: header key {key}=")):
+        read_field(p)
 
 
 def test_field_reader_validates(tmp_path):

@@ -282,7 +282,7 @@ def oracle_rk4(rhs, y, dt):
 
 
 def oracle_transport(rho, velocity, diffusion, grid):
-    out = -divergence(VectorField(grid, rho[..., None] * velocity)).values
+    out = -divergence(VectorField(grid, rho * velocity)).values
     if diffusion > 0:
         out = out + diffusion * laplacian(ScalarField(grid, rho)).values
     return out
@@ -317,7 +317,7 @@ def oracle_step(state, u, samples, diffusion, dt):
     def rhs(y):
         rho_h, rho_t = y
         d_h = np.zeros_like(rho_h) if u is None else \
-            -divergence(VectorField(grid, rho_h[..., None] * u.values)).values
+            -divergence(VectorField(grid, rho_h * u.values)).values
         v_th = circular_convolve(kernel_symbol(samples), ScalarField(grid, rho_h)).values
         return np.stack([d_h, oracle_transport(rho_t, v_th, diffusion, grid)])
 
@@ -358,9 +358,9 @@ def test_target_driver_matches_operator_oracle(m):
     g = GridSpec(m)
     ref = uniform(g, 1.0)
     rho0 = ref.values * (1 + rough(m, m, 0.2))
-    v = VectorField(g, np.stack([rough(m, m + 1, 0.3), rough(m, m + 2, 0.3)], axis=-1))
+    v = VectorField(g, np.stack([rough(m, m + 1, 0.3), rough(m, m + 2, 0.3)]))
     diffusion, n = 0.05, 12
-    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(-1)).max()))
+    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(0)).max()))
     rep = verify_target_convergence(DensityField(g, rho0), ref, diffusion, horizon=n * dt,
                                     velocity=v, dt=dt, sample_every=dt)
     expected = oracle_target_errors(rho0, ref.values, v.values, diffusion, dt, n)
@@ -375,7 +375,7 @@ def test_continuum_step_matches_operator_oracle(m, actuated, kernel):
     samples = sample_on_grid(g, kernel)
     state = ContinuumState(DensityField(g, uniform(g, 0.3).values * (1 + rough(m, 1, 0.2))),
                            DensityField(g, uniform(g, 0.7).values * (1 + rough(m, 2, 0.2))))
-    u = VectorField(g, np.stack([rough(m, 3, 0.2), rough(m, 4, 0.2)], axis=-1)) \
+    u = VectorField(g, np.stack([rough(m, 3, 0.2), rough(m, 4, 0.2)])) \
         if actuated else None
     for _ in range(3):
         expected_h, expected_t = oracle_step(state, u, samples, 0.05, 0.02)
@@ -404,7 +404,7 @@ def test_frozen_herder_convolves_once_per_step(samples32, monkeypatch):
     state = ContinuumState(uniform(g, 0.3), uniform(g, 0.7))
     continuum_step(state, None, samples32, 0.05, 0.01)
     assert len(calls) == 1
-    continuum_step(state, VectorField(g, np.zeros((32, 32, 2))), samples32, 0.05, 0.01)
+    continuum_step(state, VectorField(g, np.zeros((2, 32, 32))), samples32, 0.05, 0.01)
     assert len(calls) == 1 + 1
 
 
@@ -426,7 +426,7 @@ def test_rk4_drivers_keep_mass(m, seed, kernel):
     bump = 0.01 * rng.standard_normal((m, m))
     rho_h0 = ScalarField(g, ref.values + bump - bump.mean())
     rep_h = verify_herder_convergence(rho_h0, ref, gain=3.0, horizon=0.2)
-    velocity = VectorField(g, 0.2 * rng.standard_normal((m, m, 2)))
+    velocity = VectorField(g, 0.2 * rng.standard_normal((2, m, m)))
     rep_t = verify_target_convergence(positive(1.0), positive(1.0), 0.02, horizon=0.5,
                                       velocity=velocity)
     assert rep_h.mass_drift <= 1e-13
@@ -434,7 +434,7 @@ def test_rk4_drivers_keep_mass(m, seed, kernel):
 
     state = ContinuumState(positive(0.3), positive(0.7))
     m_h, m_t = mass(state.rho_h), mass(state.rho_t)
-    u = VectorField(g, 0.1 * rng.standard_normal((m, m, 2)))
+    u = VectorField(g, 0.1 * rng.standard_normal((2, m, m)))
     for actuator in (None, u):
         s = state
         for _ in range(3):
@@ -546,9 +546,8 @@ def target_call(m, diffusion, seed):
     g = GridSpec(m)
     rho_bar = uniform(g, 1.0)
     rho0 = DensityField(g, rho_bar.values * (1 + rough(m, seed, 0.2)))
-    v = VectorField(g, np.stack([rough(m, seed + 1, 0.3), rough(m, seed + 2, 0.3)],
-                                axis=-1))
-    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(-1)).max()))
+    v = VectorField(g, np.stack([rough(m, seed + 1, 0.3), rough(m, seed + 2, 0.3)]))
+    dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(0)).max()))
     return verify_target_convergence(rho0, rho_bar, diffusion, horizon=3 * dt,
                                      velocity=v, dt=dt, sample_every=dt)
 

@@ -100,13 +100,13 @@ def test_single_mode_solution(grid):
     err = ScalarField(grid, np.cos(x1))
     sol = control_field(err, rho, gain=1.0)
     np.testing.assert_allclose(sol.potential.values, np.cos(x1), atol=1e-12)
-    np.testing.assert_allclose(sol.flux.values[..., 0], -np.sin(x1), atol=1e-12)
-    np.testing.assert_allclose(sol.flux.values[..., 1], 0.0, atol=1e-12)
+    np.testing.assert_allclose(sol.flux.values[0], -np.sin(x1), atol=1e-12)
+    np.testing.assert_allclose(sol.flux.values[1], 0.0, atol=1e-12)
     # velocity = flux / density level m_h / (4 pi^2); compared in flux units,
     # since a relative bound cannot hold on the rows where sin(x1) is 0 or
     # rounds to 1e-16
     np.testing.assert_allclose(
-        sol.velocity.values[..., 0] * m_h / (4 * PI**2), -np.sin(x1), atol=1e-12
+        sol.velocity.values[0] * m_h / (4 * PI**2), -np.sin(x1), atol=1e-12
     )
 
 
@@ -168,17 +168,17 @@ def test_floor_share_counts_the_floored_nodes(grid):
 
 def test_sampling_on_nodes_returns_node_values(grid):
     rng = np.random.default_rng(4)
-    field = VectorField(grid, rng.standard_normal((grid.m, grid.m, 2)))
+    field = VectorField(grid, rng.standard_normal((2, grid.m, grid.m)))
     idx = [(0, 0), (5, 40), (63, 1)]
     pts = np.array([grid.nodes()[i] for i in idx])
     out = sample_at_herders(field, pts)
-    for row, i in enumerate(idx):
-        np.testing.assert_allclose(out[row], field.values[i], atol=1e-12)
+    for row, (i, j) in enumerate(idx):
+        np.testing.assert_allclose(out[row], field.values[:, i, j], atol=1e-12)
 
 
 def test_sampling_constant_field(grid):
     c = np.array([0.3, -1.2])
-    field = VectorField(grid, np.tile(c, (grid.m, grid.m, 1)))
+    field = VectorField(grid, np.tile(c[:, None, None], (1, grid.m, grid.m)))
     rng = np.random.default_rng(5)
     pts = rng.uniform(-PI, PI, (40, 2))
     out = sample_at_herders(field, pts)
@@ -187,8 +187,8 @@ def test_sampling_constant_field(grid):
 
 def test_sampling_midpoint_of_linear_patch(grid):
     # a field linear in x1 over one cell: midpoint value = node average
-    vals = np.zeros((grid.m, grid.m, 2))
-    vals[..., 0] = np.arange(grid.m)[:, None]  # linear in the x1 index
+    vals = np.zeros((2, grid.m, grid.m))
+    vals[0] = np.arange(grid.m)[:, None]  # linear in the x1 index
     field = VectorField(grid, vals)
     node = grid.nodes()[10, 10]
     mid = node + np.array([grid.h / 2, 0.0])
@@ -198,7 +198,7 @@ def test_sampling_midpoint_of_linear_patch(grid):
 
 def test_sampling_periodic_across_seam(grid):
     rng = np.random.default_rng(6)
-    field = VectorField(grid, rng.standard_normal((grid.m, grid.m, 2)))
+    field = VectorField(grid, rng.standard_normal((2, grid.m, grid.m)))
     shift = 2 * PI * np.array([1.0, -1.0])
     # dyadic points with |x| <= 27/16: x +- 2*pi is exact in float64, so
     # wrap recovers x and sampling must be bit-equal
@@ -221,7 +221,7 @@ def test_sampling_periodic_across_seam(grid):
     eps = np.finfo(float).eps
     cells = moved / grid.h + 4 * eps * grid.m
     for c in range(2):
-        v = field.values[..., c]
+        v = field.values[c]
         step = [np.abs(v - np.roll(v, 1, axis=ax)).max() for ax in range(2)]
         bound = cells @ step + 4 * eps * np.abs(v).max()
         assert np.all(np.abs(a[:, c] - b[:, c]) <= bound)
@@ -231,7 +231,7 @@ def test_sampling_equals_per_point_bilinear_formula(grid):
     # both components are sampled in one broadcast; each value must equal
     # the scalar formula, same operations in the same order, bit for bit
     rng = np.random.default_rng(8)
-    field = VectorField(grid, rng.standard_normal((grid.m, grid.m, 2)))
+    field = VectorField(grid, rng.standard_normal((2, grid.m, grid.m)))
     pts = rng.uniform(-PI, PI, (40, 2))
     out = sample_at_herders(field, pts)
     for (x, y), got in zip(pts, out):
@@ -241,7 +241,7 @@ def test_sampling_equals_per_point_bilinear_formula(grid):
         i, j = i % grid.m, j % grid.m
         i1, j1 = (i + 1) % grid.m, (j + 1) % grid.m
         for c in range(2):
-            v = field.values[..., c]
+            v = field.values[c]
             ref = (v[i, j] * (1 - fx) * (1 - fy) + v[i1, j] * fx * (1 - fy)
                    + v[i, j1] * (1 - fx) * fy + v[i1, j1] * fx * fy)
             assert got[c] == ref
@@ -249,7 +249,7 @@ def test_sampling_equals_per_point_bilinear_formula(grid):
 
 def test_sampling_matches_smooth_field_between_nodes(grid):
     x = grid.nodes()
-    vals = np.stack([np.sin(x[..., 0]), np.cos(x[..., 1])], axis=-1)
+    vals = np.stack([np.sin(x[..., 0]), np.cos(x[..., 1])])
     field = VectorField(grid, vals)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-PI, PI, (20, 2))

@@ -119,8 +119,8 @@ def test_log_gradient_of_single_axis_bump():
     k, d = 1.3, 0.05
     rho = DensityField(g, np.exp(k * np.cos(x1)))
     v = desired_velocity_field(rho, d)
-    np.testing.assert_allclose(v.values[..., 0], -d * k * np.sin(x1), atol=1e-10)
-    np.testing.assert_allclose(v.values[..., 1], 0.0, atol=1e-12)
+    np.testing.assert_allclose(v.values[0], -d * k * np.sin(x1), atol=1e-10)
+    np.testing.assert_allclose(v.values[1], 0.0, atol=1e-12)
 
 
 def test_drift_vanishes_at_density_peak():
@@ -128,8 +128,8 @@ def test_drift_vanishes_at_density_peak():
     g = GridSpec(64)
     rho = von_mises_density(VonMisesSpec.from_goal(goal), g)
     v = desired_velocity_field(rho, 0.01)
-    peak = np.unravel_index(np.argmax(rho.values), rho.values.shape)
-    np.testing.assert_allclose(v.values[peak], [0.0, 0.0], atol=1e-12)
+    i, j = np.unravel_index(np.argmax(rho.values), rho.values.shape)
+    np.testing.assert_allclose(v.values[:, i, j], [0.0, 0.0], atol=1e-12)
 
 
 def test_nonpositive_density_rejected():
@@ -156,12 +156,12 @@ def dense_operator(grid, kernel):
     i1, i2 = idx // grid.m, idx % grid.m
     d1 = (i1[:, None] - i1[None, :]) % grid.m
     d2 = (i2[:, None] - i2[None, :]) % grid.m
-    return np.vstack([grid.cell_area * samples[d1, d2, c] for c in range(2)])
+    return np.vstack([grid.cell_area * samples[c, d1, d2] for c in range(2)])
 
 
 def dense_deconvolve(matrix, v, rcond=1e-8):
     """Truncated-SVD least-squares solution and its relative residual."""
-    b = np.concatenate([v[..., 0].ravel(), v[..., 1].ravel()])
+    b = v.ravel()  # (2, M, M): component 0, then component 1
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     keep = s > rcond * s[0]
     x = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
@@ -192,7 +192,7 @@ def test_spectral_operator_matches_dense_svd(kernel, m):
     # an unrealizable field: the pseudo-inverse amplifies rounding by up to
     # 1/(rcond s_max) on both sides, so its solution is compared relative
     # to its size; the residual is still absolute
-    v = rng.standard_normal((m, m, 2))
+    v = rng.standard_normal((2, m, m))
     x, residual, _ = dense_deconvolve(matrix, v)
     with pytest.warns(UserWarning, match="residual"):
         out = deconvolve(VectorField(grid, v), op)
@@ -201,7 +201,7 @@ def test_spectral_operator_matches_dense_svd(kernel, m):
 
 
 def test_deconvolve_zero_field_gives_zero(grid25, operator):
-    v = VectorField(grid25, np.zeros((25, 25, 2)))
+    v = VectorField(grid25, np.zeros((2, 25, 25)))
     out = deconvolve(v, operator)
     np.testing.assert_allclose(out.field.values, 0.0, atol=1e-12)
 
@@ -234,7 +234,7 @@ def test_deconvolve_constant_invisible(grid25, kernel, operator):
 def test_deconvolve_warns_on_unrealizable_field(grid25, operator):
     # a curl-free-violating noise field is not a convolution of anything
     rng = np.random.default_rng(22)
-    v = VectorField(grid25, rng.standard_normal((25, 25, 2)))
+    v = VectorField(grid25, rng.standard_normal((2, 25, 25)))
     with pytest.warns(UserWarning, match="residual"):
         deconvolve(v, operator)
 

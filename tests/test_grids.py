@@ -10,7 +10,9 @@ from swarmherd import (
     ScalarField,
     VectorField,
     circular_convolve,
+    control_field,
     curl,
+    desired_velocity_field,
     divergence,
     gradient,
     kernel_symbol,
@@ -19,6 +21,7 @@ from swarmherd import (
     mass,
     poisson_solve,
     resample,
+    sample_at_herders,
     sample_on_grid,
 )
 from swarmherd.grids import _resample_axis, half_plane, irfft2, rfft2, wavenumbers
@@ -95,8 +98,8 @@ def test_gradient_single_mode():
     g = GridSpec(32)
     x1 = g.nodes()[..., 0]
     out = gradient(ScalarField(g, np.cos(x1)))
-    np.testing.assert_allclose(out.values[..., 0], -np.sin(x1), atol=1e-12)
-    np.testing.assert_allclose(out.values[..., 1], 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.values[0], -np.sin(x1), atol=1e-12)
+    np.testing.assert_allclose(out.values[1], 0.0, atol=1e-12)
 
 
 def test_laplacian_eigenfunctions():
@@ -145,14 +148,14 @@ def direct_quadrature_convolution(samples: np.ndarray, rho: np.ndarray,
                                   h2: float) -> np.ndarray:
     """Independent oracle: double-sum quadrature of the convolution integral."""
     m = rho.shape[0]
-    out = np.zeros((m, m, 2))
+    out = np.zeros((2, m, m))
     for i1 in range(m):
         for i2 in range(m):
             acc = np.zeros(2)
             for j1 in range(m):
                 for j2 in range(m):
-                    acc += samples[(i1 - j1) % m, (i2 - j2) % m] * rho[j1, j2]
-            out[i1, i2] = h2 * acc
+                    acc += samples[:, (i1 - j1) % m, (i2 - j2) % m] * rho[j1, j2]
+            out[:, i1, i2] = h2 * acc
     return out
 
 
@@ -186,7 +189,7 @@ def test_convolution_delta_identity():
     j = (3, 8)
     rho_vals[j] = m_delta / g.cell_area
     out = circular_convolve(kernel_symbol(samples), DensityField(g, rho_vals)).values
-    expected = m_delta * np.roll(samples, shift=j, axis=(0, 1))
+    expected = m_delta * np.roll(samples, shift=j, axis=(1, 2))
     np.testing.assert_allclose(out, expected, atol=1e-13)
 
 
@@ -208,8 +211,8 @@ def test_convolution_rejects_grid_mismatch():
     symbol = kernel_symbol(sample_on_grid(GridSpec(25), KernelParams(length=PI)))
     with pytest.raises(ValueError):
         circular_convolve(symbol, DensityField(g, np.ones((16, 16))))
-    for shape in [(16, 16), (16, 16, 3), (16, 25, 2)]:
-        with pytest.raises(ValueError, match="not \\(M, M, 2\\)"):
+    for shape in [(16, 16), (3, 16, 16), (2, 16, 25)]:
+        with pytest.raises(ValueError, match="not \\(2, M, M\\)"):
             kernel_symbol(np.ones(shape))
 
 
@@ -276,14 +279,13 @@ def complex_reference(m: int) -> dict:
     f2, back = np.fft.fft2, lambda c: np.real(np.fft.ifft2(c))
     h2 = (2 * PI / m) ** 2
     return {
-        "gradient": lambda f, v: np.stack([back(1j * k1 * f2(f)), back(1j * k2 * f2(f))],
-                                          axis=-1),
-        "divergence": lambda f, v: back(1j * k1 * f2(v[..., 0]) + 1j * k2 * f2(v[..., 1])),
+        "gradient": lambda f, v: np.stack([back(1j * k1 * f2(f)), back(1j * k2 * f2(f))]),
+        "divergence": lambda f, v: back(1j * k1 * f2(v[0]) + 1j * k2 * f2(v[1])),
         "laplacian": lambda f, v: back(-ksq * f2(f)),
-        "curl": lambda f, v: back(1j * k1 * f2(v[..., 1]) - 1j * k2 * f2(v[..., 0])),
+        "curl": lambda f, v: back(1j * k1 * f2(v[1]) - 1j * k2 * f2(v[0])),
         "poisson_solve": lambda f, v: back(3.0 * f2(f) * inv),
         "circular_convolve": lambda f, v: np.stack(
-            [back(f2(v[..., c]) * f2(f)) * h2 for c in range(2)], axis=-1),
+            [back(f2(v[c]) * f2(f)) * h2 for c in range(2)]),
     }
 
 
@@ -304,7 +306,7 @@ def test_operators_match_complex_fft_reference(m):
     g = GridSpec(m)
     rng = np.random.default_rng(70 + m)
     f = nyquist_rich(m, rng)
-    v = np.stack([nyquist_rich(m, rng), nyquist_rich(m, rng)], axis=-1)
+    v = np.stack([nyquist_rich(m, rng), nyquist_rich(m, rng)])
     got = {
         "gradient": gradient(ScalarField(g, f)).values,
         "divergence": divergence(VectorField(g, v)).values,
@@ -487,3 +489,24 @@ def test_resample_bit_identical_to_numpy_transforms(m_old, m_new, seed):
     got = resample(ScalarField(GridSpec(m_old), f), m_new).values
     expected = f if m_new == m_old else numpy_resample(f, m_new)
     assert np.array_equal(got, expected)
+
+
+def test_two_component_fields_are_contiguous_components_first():
+    # every two-component grid field is (2, M, M), C-contiguous, as the
+    # transforms take and give it; sampled commands are points, (n, 2)
+    g = GridSpec(16)
+    rng = np.random.default_rng(11)
+    rho = DensityField(g, 1.0 + 0.5 * rng.uniform(size=(16, 16)))
+    samples = sample_on_grid(g, KernelParams())
+    solution = control_field(ScalarField(g, rng.standard_normal((16, 16))), rho, 1.0)
+    fields = {
+        "gradient": gradient(rho).values,
+        "circular_convolve": circular_convolve(kernel_symbol(samples), rho).values,
+        "desired_velocity_field": desired_velocity_field(rho, 0.1).values,
+        "control_field": solution.velocity.values,
+        "sample_on_grid": samples,
+    }
+    for name, values in fields.items():
+        assert values.shape == (2, 16, 16), name
+        assert values.flags.c_contiguous, name
+    assert sample_at_herders(solution.velocity, rng.uniform(-PI, PI, (7, 2))).shape == (7, 2)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from swarmherd import (DeconvolutionOperator, GridSpec, KernelParams, kernel_free,
                        kernel_periodic, kernel_symbol, wrap)
-from swarmherd.grids import components_last, irfft2
+from swarmherd.grids import irfft2
 from swarmherd.kernel import image_shifts, sample_on_grid
 
 PI = np.pi
@@ -136,9 +136,9 @@ def test_grid_samples_exactly_odd(params):
     for m in (16, 25):  # even grid has a seam row, odd does not
         grid = GridSpec(m)
         samples = sample_on_grid(grid, params)
-        mirrored = np.roll(samples[::-1, ::-1], 1, axis=(0, 1))
+        mirrored = np.roll(samples[:, ::-1, ::-1], 1, axis=(1, 2))
         np.testing.assert_array_equal(samples, -mirrored)
-        np.testing.assert_allclose(samples[0, 0], [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(samples[:, 0, 0], [0.0, 0.0], atol=1e-15)
 
 
 _lengths = st.floats(0.3, 10.0)
@@ -151,7 +151,7 @@ _rings = st.integers(0, 3)
 @example(m=25, length=PI, images=2)  # the deconvolution grid
 def test_grid_samples_odd_any_size(m, length, images):
     samples = sample_on_grid(GridSpec(m), KernelParams(length=length, images=images))
-    mirrored = np.roll(samples[::-1, ::-1], 1, axis=(0, 1))
+    mirrored = np.roll(samples[:, ::-1, ::-1], 1, axis=(1, 2))
     np.testing.assert_array_equal(samples, -mirrored)
 
 
@@ -175,8 +175,8 @@ def mirror_averaged_samples(grid, params):
     with its mirror: 0.5 * (K(d) - K(-d)), which makes it exactly odd."""
     d = wrap(np.arange(grid.m) * grid.h)
     d1, d2 = np.meshgrid(d, d, indexing="ij")
-    samples = kernel_periodic(np.stack([d1, d2], axis=-1), params)
-    return 0.5 * (samples - np.roll(samples[::-1, ::-1], 1, axis=(0, 1)))
+    samples = np.moveaxis(kernel_periodic(np.stack([d1, d2], axis=-1), params), -1, 0)
+    return 0.5 * (samples - np.roll(samples[:, ::-1, ::-1], 1, axis=(1, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,10 +199,10 @@ def test_grid_samples_swap_symmetric_with_odd_rows_zero(m, length, images):
     # K_y(d1, d2) = K_x(d2, d1), and an odd component is 0 where d1 and -d1
     # are the same node: row 0, and row M/2 of an even grid
     samples = sample_on_grid(GridSpec(m), KernelParams(length=length, images=images))
-    np.testing.assert_array_equal(samples[..., 1], samples[..., 0].T)
+    np.testing.assert_array_equal(samples[1], samples[0].T)
     self_mirrored = [0, m // 2] if m % 2 == 0 else [0]
-    np.testing.assert_array_equal(samples[self_mirrored, :, 0], 0.0)
-    np.testing.assert_array_equal(samples[:, self_mirrored, 1], 0.0)
+    np.testing.assert_array_equal(samples[0, self_mirrored, :], 0.0)
+    np.testing.assert_array_equal(samples[1, :, self_mirrored], 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +217,7 @@ def test_kernel_symbol_imaginary_and_inverts_to_samples(m, length, images):
     symbol = kernel_symbol(samples)
     assert symbol.shape == (2, m, m // 2 + 1)
     assert np.abs(symbol.real).max() <= 1e-15 * np.abs(symbol).max()
-    back = components_last(irfft2(symbol, m)) / grid.cell_area
+    back = irfft2(symbol, m) / grid.cell_area
     np.testing.assert_allclose(back, samples, rtol=0, atol=1e-14 * np.abs(samples).max())
     assert np.array_equal(DeconvolutionOperator.build(grid, params).symbol, symbol)
 
@@ -229,7 +229,7 @@ def test_grid_samples_match_pointwise_kernel_off_seam():
     d = wrap(np.arange(25) * grid.h)
     for i, j in [(1, 2), (7, 20), (12, 13)]:
         np.testing.assert_allclose(
-            samples[i, j], kernel_periodic(np.array([d[i], d[j]]), params),
+            samples[:, i, j], kernel_periodic(np.array([d[i], d[j]]), params),
             atol=1e-15,
         )
 
