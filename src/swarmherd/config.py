@@ -1,20 +1,22 @@
 """Experiment configuration: strict schema, canonical serialization, hashing.
 
 Configs are JSON objects with one sub-object per concern. Unknown keys are
-rejected everywhere -- a silently ignored typo in a physical constant would
-invalidate an experiment. The ``kernel``, ``sim`` and ``kde`` sections are
-the library's own parameter dataclasses, so a loaded config is passed to
-the planner and the closed loop as it is. The canonical serialization
-(sorted keys, repr floats) backs a content hash that output files embed so
-any artifact can be traced to the exact configuration that produced it.
+rejected everywhere -- a silently ignored typo in a physical constant
+would invalidate an experiment. A value's JSON type must fit its field's
+annotation (``_JSON_TYPES``), and a check of one field raises
+``FieldError``, reported as ``section.field``. The ``kernel``, ``sim`` and
+``kde`` sections are the library's own parameter dataclasses, so a loaded
+config is passed to the planner and the closed loop as it is. The
+canonical serialization (sorted keys, repr floats) backs a content hash
+that output files embed so any artifact can be traced to the exact
+configuration that produced it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,63 +26,69 @@ from .grids import GridSpec
 from .kde import KdeParams
 from .kernel import KernelParams
 from .microsim import SimParams
-from .torus import PI
+from .torus import PI, FieldError
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]):
-    unknown = set(data) - allowed
+def _is_number(value) -> bool:
+    # False for true/false, NaN, the infinities and integers beyond float range
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# The JSON type of each term of a field annotation: which values it accepts,
+# how a message names it, and the value the field takes.
+_JSON_TYPES = {
+    "float": (_is_number, "a finite number", float),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "None": (lambda v: v is None, "null", lambda v: v),
+    "tuple[float, float]": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+        "a list of two finite numbers", lambda v: tuple(map(float, v))),
+}
+
+
+def _typed(where: str, annotation: str, value):
+    """``value`` as the field takes it, if its JSON type fits the field's
+    annotation (its text: one or more terms joined by " | ")."""
+    rules = [_JSON_TYPES[term] for term in annotation.split(" | ")]
+    for accepts, _, convert in rules:
+        if accepts(value):
+            return convert(value)
+    raise ConfigError(f"{where} = {value!r}: expected "
+                      + " or ".join(name for _, name, _ in rules))
+
+
+def _build(cls, data: dict, section: str | None = None):
+    """``cls`` from a parsed JSON object: the config root (no ``section``) or
+    one of its sections, the fields that have a ``default_factory``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{section or 'config'}' must be a JSON object")
+    schema = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in '{section}': {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
+        raise ConfigError(f"unknown key(s) in '{section or 'config'}': "
+                          f"{sorted(unknown)}; allowed: {sorted(schema)}")
 
+    def where(key: str) -> str:
+        return (f"invalid '{section}' section: {section}.{key}" if section
+                else f"invalid '{key}': {key}")
 
-def _check_literal(where: str, value, flag: bool = False):
-    """Reject JSON true/false outside a flag field, and NaN or Infinity,
-    which Python's json parses but no field takes; list items too."""
-    for item in value if isinstance(value, list) else (value,):
-        if isinstance(item, bool) and not flag:
-            raise ConfigError(f"{where} = {value!r}: expected a number, not true/false")
-        if isinstance(item, float) and not math.isfinite(item):
-            raise ConfigError(f"{where} = {value!r}: not a finite number")
-
-
-def _section(cls, section: str, data: dict):
-    types = {f.name: f.type for f in fields(cls)}
-    _check_keys(section, data, set(types))
+    values = {}
     for key, value in data.items():
-        _check_literal(f"invalid '{section}' section: {section}.{key}", value,
-                       flag=types[key] in ("bool", bool))
+        factory = schema[key].default_factory
+        values[key] = (_typed(where(key), schema[key].type, value) if factory is MISSING
+                       else _build(factory, value, key))
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        # name the one field without which the section builds, else a field
-        # that fails on its own; a clash between fields (a horizon shorter
-        # than the step) is reported for the section
-        def builds(values: dict) -> bool:
-            try:
-                cls(**values)
-            except (TypeError, ValueError):
-                return False
-            return True
-
-        culprits = [key for key in data
-                    if builds({k: v for k, v in data.items() if k != key})]
-        if len(culprits) == 1:
-            (key,) = culprits
-            raise ConfigError(f"invalid '{section}' section: "
-                              f"{section}.{key} = {data[key]!r}: {exc}") from exc
-        for key, value in data.items():
-            try:
-                cls(**{key: value})
-            except (TypeError, ValueError) as field_exc:
-                raise ConfigError(f"invalid '{section}' section: "
-                                  f"{section}.{key} = {value!r}: {field_exc}") from exc
+        return cls(**values)
+    except FieldError as exc:
+        raise ConfigError(f"{where(exc.field)} = {data[exc.field]!r}: {exc}") from exc
+    except ValueError as exc:  # a clash between fields
         raise ConfigError(f"invalid '{section}' section: {exc}") from exc
 
 
@@ -90,7 +98,7 @@ class DomainConfig:
 
     def __post_init__(self):
         if self.arena_half_width is not None and not self.arena_half_width > 0:
-            raise ValueError("arena half width must be positive")
+            raise FieldError("arena_half_width", "arena half width must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,6 @@ class GoalConfig:
     radius: float = PI / 2
 
     def __post_init__(self):
-        # JSON gives a list; a tuple keeps the frozen config comparable
-        object.__setattr__(self, "center", tuple(self.center))
         self.region()
 
     def region(self) -> GoalRegion:
@@ -114,7 +120,7 @@ class TargetDensityConfig:
 
     def __post_init__(self):
         if self.concentration is not None and not self.concentration > 0:
-            raise ValueError("concentration must be positive")
+            raise FieldError("concentration", "concentration must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,10 @@ class PopulationConfig:
     n_herders: int | None = None  # null: computed from the feasibility pipeline
 
     def __post_init__(self):
-        if not isinstance(self.n_targets, Integral):
-            raise ValueError("target count must be an integer")
         if self.n_targets < 1:
-            raise ValueError("need at least one target")
-        if self.n_herders is not None and not isinstance(self.n_herders, Integral):
-            raise ValueError("herder count must be an integer")
+            raise FieldError("n_targets", "need at least one target")
         if self.n_herders is not None and self.n_herders < 0:
-            raise ValueError("herder count cannot be negative")
+            raise FieldError("n_herders", "herder count cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,11 @@ class GridConfig:
     deconvolution: int = 25
 
     def __post_init__(self):
-        self.control_grid()
-        self.deconvolution_grid()
+        for name in ("control", "deconvolution"):
+            try:
+                GridSpec(getattr(self, name))
+            except ValueError as exc:
+                raise FieldError(name, str(exc)) from exc
 
     def control_grid(self) -> GridSpec:
         return GridSpec(self.control)
@@ -157,14 +162,10 @@ class OutputConfig:
     fields: bool = False  # also dump the reference/control grid fields
 
     def __post_init__(self):
-        if not isinstance(self.metrics_every, Integral):
-            raise ValueError("metrics cadence must be an integer")
-        if not isinstance(self.snapshot_every, Integral):
-            raise ValueError("snapshot cadence must be an integer")
         if self.metrics_every < 1:
-            raise ValueError("metrics cadence must be >= 1 step")
+            raise FieldError("metrics_every", "metrics cadence must be >= 1 step")
         if self.snapshot_every < 0:
-            raise ValueError("snapshot cadence cannot be negative")
+            raise FieldError("snapshot_every", "snapshot cadence cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -182,38 +183,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.gain > 0:
-            raise ValueError("gain must be positive")
+            raise FieldError("gain", "gain must be positive")
 
     # -- dict / file round trip -------------------------------------------------
 
-    _SECTIONS = {
-        "domain": DomainConfig,
-        "kernel": KernelParams,
-        "goal": GoalConfig,
-        "target_density": TargetDensityConfig,
-        "population": PopulationConfig,
-        "sim": SimParams,
-        "grids": GridConfig,
-        "kde": KdeParams,
-        "output": OutputConfig,
-    }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        _check_keys("config", data, set(cls._SECTIONS) | {"gain"})
-        kwargs = {}
-        for name, section_cls in cls._SECTIONS.items():
-            raw = data.get(name, {})
-            if not isinstance(raw, dict):
-                raise ConfigError(f"'{name}' must be an object")
-            kwargs[name] = _section(section_cls, name, raw)
-        gain = data.get("gain", 10.0)
-        _check_literal("invalid 'gain': gain", gain)
-        if not isinstance(gain, (int, float)):
-            raise ConfigError("'gain' must be a number")
-        return cls(gain=float(gain), **kwargs)
+        return _build(cls, data)
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -241,9 +217,3 @@ class ExperimentConfig:
     def save(self, path: str | Path):
         Path(path).write_text(self.canonical_json() + "\n")
 
-    # -- derived quantities -----------------------------------------------------
-
-    def concentration(self) -> float:
-        if self.target_density.concentration is not None:
-            return self.target_density.concentration
-        return 3.0 / self.goal.radius

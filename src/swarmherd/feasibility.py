@@ -32,7 +32,7 @@ from .grids import (
     rfft2,
 )
 from .kernel import KernelParams, sample_on_grid
-from .torus import wrap
+from .torus import FieldError, wrap
 
 # Least-squares deconvolutions with a relative residual above this are
 # reported as ill-posedness warnings.
@@ -64,9 +64,9 @@ class GoalRegion:
     def __post_init__(self):
         object.__setattr__(self, "center", wrap(np.asarray(self.center, dtype=float)))
         if self.center.shape != (2,):
-            raise ValueError("goal center must be a 2-vector")
+            raise FieldError("center", "goal center must be a 2-vector")
         if not 0 < self.radius < np.pi:
-            raise ValueError("goal radius must lie in (0, pi)")
+            raise FieldError("radius", "goal radius must lie in (0, pi)")
 
 
 @dataclass(frozen=True, eq=False)

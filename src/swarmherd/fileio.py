@@ -63,9 +63,11 @@ def write_field(path: str | Path, field, kind: str, meta: dict | None = None,
                 arena_half_width: float | None = None):
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
+    cls, components = _FIELD_KINDS[kind]
+    if not isinstance(field, cls):
+        raise ValueError(f"a {type(field).__name__} cannot be written as kind={kind}")
     values = field.values
     m = field.grid.m
-    components = values.size // (m * m)
     lines = metadata_lines(meta or {})
     lines.append(f"m={m}")
     lines.append(f"h={field.grid.h!r}")
@@ -90,15 +92,19 @@ def read_field(path: str | Path):
             header[key.strip()] = value.strip()
             continue
         try:
-            rows.append([float(tok) for tok in line.split()])
+            row = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: bad sample line ({exc})") from exc
-    try:
-        m = int(header["m"])
-        kind = header["kind"]
-        components = int(header["components"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing header key {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{line_no}: {len(row)} values, but the first "
+                             f"sample row has {len(rows[0])}")
+        rows.append(row)
+    for key in ("m", "kind", "components"):
+        if key not in header:
+            raise ValueError(f"{path}: missing header key {key!r}")
+        if key != "kind" and not header[key].isdecimal():
+            raise ValueError(f"{path}: header key {key}={header[key]!r} is not an integer")
+    m, kind, components = int(header["m"]), header["kind"], int(header["components"])
     if kind not in _FIELD_KINDS:
         raise ValueError(f"{path}: header key kind={kind!r} is not one of "
                          f"{', '.join(_FIELD_KINDS)}")

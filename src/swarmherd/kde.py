@@ -9,7 +9,7 @@ from numbers import Integral
 import numpy as np
 
 from .grids import DensityField, GridSpec
-from .torus import TWO_PI
+from .torus import TWO_PI, FieldError
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,13 @@ class KdeParams:
 
     def __post_init__(self):
         if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+            raise FieldError("bandwidth", "bandwidth must be positive")
         if not isinstance(self.images, Integral):
-            raise ValueError("image ring count must be an integer")
+            raise FieldError("images", "image ring count must be an integer")
         if self.images < 0:
-            raise ValueError("image ring count must be >= 0")
+            raise FieldError("images", "image ring count must be >= 0")
         if not isinstance(self.sequential, bool):
-            raise ValueError("sequential must be true or false")
+            raise FieldError("sequential", "sequential must be true or false")
 
 
 @lru_cache(maxsize=2)

@@ -7,7 +7,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .torus import PI, TWO_PI, wrap
+from .torus import PI, TWO_PI, FieldError, wrap
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,11 @@ class KernelParams:
 
     def __post_init__(self):
         if not self.length > 0:
-            raise ValueError("kernel length must be positive")
+            raise FieldError("length", "kernel length must be positive")
         if not isinstance(self.images, Integral):
-            raise ValueError("image ring count must be an integer")
+            raise FieldError("images", "image ring count must be an integer")
         if self.images < 0:
-            raise ValueError("image ring count must be >= 0")
+            raise FieldError("images", "image ring count must be >= 0")
 
     def params(self) -> KernelParams:
         # kept for perfbench/workloads.py, which calls cfg.kernel.params()

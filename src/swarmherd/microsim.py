@@ -26,7 +26,7 @@ from .feasibility import GoalRegion
 from .grids import DensityField, l2_norm
 from .kde import KdeParams, estimate_density
 from .kernel import KernelParams, image_shifts, kernel_periodic
-from .torus import PI, TWO_PI, torus_distance, wrap, wrapped_displacement
+from .torus import PI, TWO_PI, FieldError, torus_distance, wrap, wrapped_displacement
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,24 @@ class SimParams:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("time step must be positive")
+            raise FieldError("dt", "time step must be positive")
+        if not self.horizon >= 0:
+            raise FieldError("horizon", "horizon cannot be negative")
+        if self.diffusion < 0:
+            raise FieldError("diffusion", "diffusion coefficient cannot be negative")
+        if not isinstance(self.seed, Integral):
+            raise FieldError("seed", "seed must be an integer")
+        if self.seed < 0:
+            raise FieldError("seed", "seed cannot be negative")
+        if not isinstance(self.control_every, Integral):
+            raise FieldError("control_every", "control period must be an integer")
+        if self.control_every < 1:
+            raise FieldError("control_every", "control period must be >= 1 step")
+        if self.v_max is not None and not self.v_max > 0:
+            raise FieldError("v_max", "speed limit must be positive")
+        # two fields clash here, so no one field is named
         if self.horizon < self.dt and self.horizon != 0:
             raise ValueError("horizon must be zero or at least one step")
-        if self.diffusion < 0:
-            raise ValueError("diffusion coefficient cannot be negative")
-        if not isinstance(self.seed, Integral):
-            raise ValueError("seed must be an integer")
-        if not isinstance(self.control_every, Integral):
-            raise ValueError("control period must be an integer")
-        if self.control_every < 1:
-            raise ValueError("control period must be >= 1 step")
-        if self.v_max is not None and not self.v_max > 0:
-            raise ValueError("speed limit must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -150,16 +155,26 @@ def _cell_fit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     from values there to the 10 coefficients of ``_POWERS``.
 
     Returns the nodes, shape (2, 16) as (u, v) rows, and two maps of shape
-    (10, 16): the fit to all 10 monomials, and the fit to those with p >= 1
-    only (its p = 0 rows are 0), whose cubic vanishes on u = 0.
+    (10, 16): the fit to all 10 monomials, and that fit without its u**0
+    terms, whose cubic vanishes on u = 0. The products T_p(2u - 1) T_q(2v - 1)
+    of Chebyshev polynomials are orthogonal on these nodes, so the fit is the
+    discrete Chebyshev projection onto p + q <= 3: no matrix to factor.
     """
-    t = 0.5 - 0.5 * np.cos((2 * np.arange(4) + 1) * PI / 8)
+    theta = (2 * np.arange(4) + 1) * PI / 8
+    t = 0.5 - 0.5 * np.cos(theta)
     nodes = np.stack([w.ravel() for w in np.meshgrid(t, t, indexing="ij")])
-    basis = nodes[0, :, None] ** _POWERS[:, 0] * nodes[1, :, None] ** _POWERS[:, 1]
-    odd = np.zeros((len(_POWERS), nodes.shape[1]))
-    has_u = _POWERS[:, 0] >= 1
-    odd[has_u] = np.linalg.pinv(basis[:, has_u])
-    return nodes, np.linalg.pinv(basis), odd
+    deg = np.arange(4)
+    # T_p(2t - 1) = cos(p (pi - theta)) at the nodes, over its squared norm there
+    cheb = np.cos(np.outer(deg, PI - theta)) / np.where(deg > 0, 2.0, 4.0)[:, None]
+    # mono[p, a]: the coefficient of u**a in T_p(2u - 1), by the recurrence
+    # T_(p+1) = 2 (2u - 1) T_p - T_(p-1)
+    mono = np.zeros((4, 4))
+    mono[0, 0], mono[1, :2] = 1.0, (-1.0, 2.0)
+    for p in (1, 2):
+        mono[p + 1] = 4.0 * np.roll(mono[p], 1) - 2.0 * mono[p] - mono[p - 1]
+    fit = np.einsum("pa,qb,pi,qj,pq->abij", mono, mono, cheb, cheb, deg[:, None] + deg <= 3)
+    free = fit[_POWERS[:, 0], _POWERS[:, 1]].reshape(len(_POWERS), -1)
+    return nodes, free, free * (_POWERS[:, 0] >= 1)[:, None]
 
 
 @lru_cache(maxsize=4)
@@ -173,14 +188,13 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
     cell (i, j) of side pi/96, local coordinates (u, v) in [0, 1]^2. Each
     cell's 10 coefficients are the least-squares fit of the cubics of total
     degree <= 3 to Q at the cell's 4 x 4 Chebyshev nodes. Q is odd in its
-    first argument, so it is 0 on a = 0; the cells there (i = 0) are fitted
-    without the u**0 monomials, which makes the table exactly 0 on that
-    edge. Every image is at least pi away from the quadrant, so Q is smooth
-    there. Against Q itself the table measured 9e-10 to 5.5e-9 of max|Q| at
-    20 000 random points for L = 1 to 2 pi and 1 to 3 image rings (with no
-    rings Q and the table are 0). Shape (10, 96^2), 0.74 MB, read-only;
-    built on first use per kernel, 8 cell rows at a time, in about 60 ms
-    at 2 rings.
+    first argument, so it is 0 on a = 0; the cells there (i = 0) drop the
+    fit's u**0 monomials, which makes the table exactly 0 on that edge.
+    Every image is at least pi away from the quadrant, so Q is smooth there.
+    Against Q itself the table measured 9e-10 to 5.5e-9 of max|Q| at 20 000
+    random points for L = 1 to 2 pi and 1 to 3 image rings (with no rings Q
+    and the table are 0). Shape (10, 96^2), 0.74 MB, read-only; built on
+    first use per kernel, 8 cell rows at a time, in about 60 ms at 2 rings.
     """
     cells = _TAIL_CELLS
     h = PI / cells

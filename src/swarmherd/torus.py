@@ -10,6 +10,14 @@ PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
+class FieldError(ValueError):
+    """A parameter that is invalid on its own; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def wrap(p: np.ndarray) -> np.ndarray:
     """Shift coordinates by multiples of 2*pi into [-pi, pi).
 

@@ -300,6 +300,18 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["feasibility", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("output, where", [({"fields": "no"}, "output.fields"),
+                                           ({"directory": 5}, "output.directory")])
+def test_wrong_json_type_is_a_config_error(tmp_path, monkeypatch, capsys, output, where):
+    # no --out: the run would write to output.directory
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"output": output}))
+    assert main(["feasibility", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+
+
 def test_missing_trajectory_is_error(tmp_path, small_config):
     assert main(["analyze", "--config", str(small_config),
                  "--trajectory", str(tmp_path / "none.csv"),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,60 @@ def test_bad_value_named_next_to_a_field_pair():
         ExperimentConfig.from_dict({"sim": {"dt": 0.1, "horizon": 0.05}})
 
 
+# JSON values of a type each field annotation does not take: strings, lists,
+# true/false for numbers, numbers for flags; null where the field has no null
+WRONG_TYPES = {
+    "float": ["1.0", [1.0], True, None, float("nan")],
+    "float | None": ["1.0", [1.0], False, float("inf")],
+    "int": ["1", [1], True, None, 1.5],
+    "int | None": ["1", [1], False, 1.5],
+    "bool": [1, 0, "true", [True], None],
+    "str": [5, True, ["out"], None],
+    "tuple[float, float]": ["0 0", [0.0], [True, 0.0], 0.0, None],
+}
+
+
+@pytest.mark.parametrize("top", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_field_rejects_a_wrong_json_type_naming_it(top):
+    name = top.name
+    if top.default_factory is MISSING:  # gain, a field of the root
+        cases = [(top.type, f"{name} = ", lambda v: {name: v})]
+    else:
+        cases = [(f.type, f"{name}.{f.name} = ", lambda v, key=f.name: {name: {key: v}})
+                 for f in fields(top.default_factory)]
+    for annotation, where, config in cases:
+        for value in WRONG_TYPES[annotation]:
+            with pytest.raises(ConfigError, match=rf"\b{re.escape(where)}.*expected"):
+                ExperimentConfig.from_dict(config(value))
+
+
+@pytest.mark.parametrize("bad, where", [
+    # a step below zero is named whatever the key order, not the horizon it
+    # leaves too short
+    ({"sim": {"horizon": 0.005, "dt": -0.01}}, "sim.dt = -0.01: time step"),
+    ({"sim": {"dt": -0.01, "horizon": 0.005}}, "sim.dt = -0.01: time step"),
+    # a string is not a flag, however truthy
+    ({"output": {"fields": "no"}}, "output.fields = 'no': expected true or false"),
+    ({"output": {"directory": 5}}, "output.directory = 5: expected a string"),
+    # 1 is not true: it would load and hash apart from the config with true
+    ({"target_density": {"cross_term": 1}}, "target_density.cross_term = 1: expected"),
+    ({"kernel": {"length": "3"}}, "kernel.length = '3': expected a finite number"),
+    # the noise streams take no negative seed
+    ({"sim": {"seed": -1}}, "sim.seed = -1: seed cannot be negative"),
+])
+def test_bad_value_named_at_load(bad, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_integer_for_a_float_field_loads_as_that_float():
+    cfg = ExperimentConfig.from_dict({"sim": {"horizon": 1}, "goal": {"center": [1, 0]}})
+    same = ExperimentConfig.from_dict({"sim": {"horizon": 1.0},
+                                       "goal": {"center": [1.0, 0.0]}})
+    assert type(cfg.sim.horizon) is float and cfg.goal.center == (1.0, 0.0)
+    assert cfg == same and cfg.hash() == same.hash()
+
+
 def test_kde_mass_is_not_a_config_key():
     # the KDE's mass is the herders' share of the agents, set by the run
     with pytest.raises(ConfigError, match=r"unknown key.*'kde'.*mass"):
@@ -131,13 +186,6 @@ def test_default_hash_unchanged():
     # validation must not change the canonical form, or old outputs lose
     # their link to the default config
     assert ExperimentConfig().hash() == "9f10bf38cac1a8c3"
-
-
-def test_concentration_default_follows_goal():
-    cfg = ExperimentConfig.from_dict({"goal": {"radius": 1.0}})
-    assert cfg.concentration() == pytest.approx(3.0)
-    cfg2 = ExperimentConfig.from_dict({"target_density": {"concentration": 2.5}})
-    assert cfg2.concentration() == 2.5
 
 
 def test_malformed_json_reported(tmp_path):
@@ -213,6 +261,35 @@ def test_field_reader_names_file_and_bad_header_key(tmp_path, header, key):
     p.write_text(f"m=4\n{header}\n" + "1 2 3 4\n" * 8)
     with pytest.raises(ValueError, match=re.escape(f"{p}: header key {key}=")):
         read_field(p)
+
+
+@pytest.mark.parametrize("key", ["m", "components"])
+def test_field_reader_names_file_and_non_integer_size(tmp_path, key):
+    header = {"m": "4", "kind": "scalar", "components": "1"}
+    header[key] += "x"
+    p = tmp_path / "bad.field"
+    p.write_text("".join(f"{k}={v}\n" for k, v in header.items()) + "1 2 3 4\n" * 4)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: header key {key}='{header[key]}'")):
+        read_field(p)
+
+
+def test_field_reader_names_file_and_line_of_a_ragged_row(tmp_path):
+    p = tmp_path / "bad.field"
+    p.write_text("m=4\nkind=scalar\ncomponents=1\n" + "1 2 3 4\n" * 2 + "1 2 3\n"
+                 + "1 2 3 4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:6: 3 values")):
+        read_field(p)
+
+
+def test_field_writer_rejects_a_kind_that_does_not_fit(tmp_path):
+    g = GridSpec(4)
+    path = tmp_path / "f.field"
+    for field, kind in ((ScalarField(g, np.zeros((4, 4))), "vector"),
+                        (ScalarField(g, -np.ones((4, 4))), "density"),
+                        (VectorField(g, np.zeros((2, 4, 4))), "scalar")):
+        with pytest.raises(ValueError, match=f"kind={kind}"):
+            write_field(path, field, kind)
+        assert not path.exists()
 
 
 def test_field_reader_validates(tmp_path):
