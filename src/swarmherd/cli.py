@@ -17,13 +17,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .continuum import verify_herder_convergence, verify_target_convergence
-from .feasibility import (
-    DeconvolutionOperator,
-    InfeasibleError,
-    feasibility_map,
-    plan_herders,
-    von_mises_density,
-)
+from .feasibility import InfeasibleError, feasibility_map, plan_herders
 from .fileio import (
     FLOAT_FMT,
     metadata_lines,
@@ -84,7 +78,7 @@ def _infeasible(out: Path, meta: dict, exc: InfeasibleError) -> int:
 
 def _plan(config: ExperimentConfig):
     return plan_herders(
-        goal=config.goal.region(),
+        goal=config.goal,
         n_targets=config.population.n_targets,
         diffusion=config.sim.diffusion,
         kernel=config.kernel,
@@ -228,7 +222,7 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
     metadata) are mapped back onto the torus first.
     """
     out.mkdir(parents=True, exist_ok=True)
-    goal = config.goal.region()
+    goal = config.goal
     frames = read_trajectory(trajectory)
     arena = read_metadata(trajectory).get("arena_half_width")
     if arena is not None:
@@ -273,10 +267,8 @@ def cmd_sweep(config: ExperimentConfig, out: Path, k_range: str, d_range: str) -
     k_values = parse_range("--k-range", k_range)
     d_values = parse_range("--d-range", d_range)
     out.mkdir(parents=True, exist_ok=True)
-    grid = config.grids.deconvolution_grid()
-    kernel = config.kernel
-    operator = DeconvolutionOperator.build(grid, kernel)
-    matrix = feasibility_map(k_values, d_values, kernel, grid, operator)
+    matrix = feasibility_map(k_values, d_values, config.kernel,
+                             config.grids.deconvolution_grid())
     write_sweep_csv(out / "feasibility_map.csv", k_values, d_values, matrix,
                     _meta(config))
     n_infeasible = int(np.count_nonzero(matrix >= 1.0))

@@ -4,9 +4,9 @@ Configs are JSON objects with one sub-object per concern. Unknown keys are
 rejected everywhere -- a silently ignored typo in a physical constant
 would invalidate an experiment. A value's JSON type must fit its field's
 annotation (``_JSON_TYPES``), and a check of one field raises
-``FieldError``, reported as ``section.field``. The ``kernel``, ``sim`` and
-``kde`` sections are the library's own parameter dataclasses, so a loaded
-config is passed to the planner and the closed loop as it is. The
+``FieldError``, reported as ``section.field``. The ``kernel``, ``goal``,
+``sim`` and ``kde`` sections are the library's own parameter dataclasses,
+so a loaded config is passed to the planner and the closed loop as it is. The
 canonical serialization (sorted keys, repr floats) backs a content hash
 that output files embed so any artifact can be traced to the exact
 configuration that produced it.
@@ -19,14 +19,12 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .feasibility import GoalRegion
 from .grids import GridSpec
 from .kde import KdeParams
 from .kernel import KernelParams
 from .microsim import SimParams
-from .torus import PI, FieldError
+from .torus import FieldError
 
 
 class ConfigError(ValueError):
@@ -102,18 +100,6 @@ class DomainConfig:
 
 
 @dataclass(frozen=True)
-class GoalConfig:
-    center: tuple[float, float] = (0.0, 0.0)
-    radius: float = PI / 2
-
-    def __post_init__(self):
-        self.region()
-
-    def region(self) -> GoalRegion:
-        return GoalRegion(center=np.asarray(self.center), radius=self.radius)
-
-
-@dataclass(frozen=True)
 class TargetDensityConfig:
     concentration: float | None = None  # null: 3 / goal radius
     cross_term: bool = False
@@ -172,7 +158,7 @@ class OutputConfig:
 class ExperimentConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
     kernel: KernelParams = field(default_factory=KernelParams)
-    goal: GoalConfig = field(default_factory=GoalConfig)
+    goal: GoalRegion = field(default_factory=GoalRegion)
     target_density: TargetDensityConfig = field(default_factory=TargetDensityConfig)
     population: PopulationConfig = field(default_factory=PopulationConfig)
     sim: SimParams = field(default_factory=SimParams)

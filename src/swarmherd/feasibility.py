@@ -32,7 +32,7 @@ from .grids import (
     rfft2,
 )
 from .kernel import KernelParams, sample_on_grid
-from .torus import FieldError, wrap
+from .torus import PI, FieldError, wrap
 
 # Least-squares deconvolutions with a relative residual above this are
 # reported as ill-posedness warnings.
@@ -54,18 +54,23 @@ class InfeasibleError(RuntimeError):
         self.min_mass = min_mass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GoalRegion:
-    """Circular containment region: center point and radius (radians)."""
+    """Circular containment region: center point and radius (radians).
 
-    center: np.ndarray
-    radius: float
+    This is the config's ``goal`` section. The center is stored wrapped
+    into [-pi, pi)^2.
+    """
+
+    center: tuple[float, float] = (0.0, 0.0)
+    radius: float = PI / 2
 
     def __post_init__(self):
-        object.__setattr__(self, "center", wrap(np.asarray(self.center, dtype=float)))
-        if self.center.shape != (2,):
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (2,):
             raise FieldError("center", "goal center must be a 2-vector")
-        if not 0 < self.radius < np.pi:
+        object.__setattr__(self, "center", tuple(map(float, wrap(center))))
+        if not 0 < self.radius < PI:
             raise FieldError("radius", "goal radius must lie in (0, pi)")
 
 

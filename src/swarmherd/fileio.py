@@ -117,7 +117,10 @@ def read_field(path: str | Path):
         raise ValueError(f"{path}: expected {components}x{m} rows of {m} values, "
                          f"got shape {data.shape}")
     values = data.reshape(components, m, m) if components > 1 else data
-    return cls(GridSpec(m), values), header
+    try:
+        return cls(GridSpec(m), values), header
+    except ValueError as exc:  # a grid too small, or samples the field rejects
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,6 @@ def mass(field: ScalarField) -> float:
     return float(field.values.sum() * field.grid.cell_area)
 
 
-def mean_value(field: ScalarField) -> float:
-    return float(field.values.mean())
-
-
 def l2_norm(field) -> float:
     """Grid L2 norm sqrt(h^2 * sum(values^2)); accepts scalar or vector fields."""
     return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_area))
@@ -216,7 +212,11 @@ def laplacian(field: ScalarField) -> ScalarField:
 
 
 def curl(field: VectorField) -> ScalarField:
-    """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field."""
+    """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field.
+
+    Nothing in the package calls it; it stays as the tests' definitional
+    oracle for a curl-free flux.
+    """
     m = field.grid.m
     ik = half_plane(m).ik
     fhat = rfft2(field.values)

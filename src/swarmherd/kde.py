@@ -2,38 +2,39 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from .grids import DensityField, GridSpec
-from .torus import TWO_PI, FieldError
+from .torus import PI, TWO_PI, FieldError, wrap
 
 
 @dataclass(frozen=True)
 class KdeParams:
-    """Isotropic Gaussian KDE, periodized by a truncated image sum.
+    """Isotropic Gaussian KDE of standard deviation ``bandwidth``.
 
-    These are the fields of the config's ``kde`` section. With
-    ``sequential`` the agents are accumulated one at a time in index order,
-    which is slower but bit-reproducible independent of the BLAS in use.
+    This is the config's ``kde`` section. The periodic images the estimate
+    sums follow from the bandwidth (``_rings``).
     """
 
     bandwidth: float = 0.4
-    images: int = 2
-    sequential: bool = False
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise FieldError("bandwidth", "bandwidth must be positive")
-        if not isinstance(self.images, Integral):
-            raise FieldError("images", "image ring count must be an integer")
-        if self.images < 0:
-            raise FieldError("images", "image ring count must be >= 0")
-        if not isinstance(self.sequential, bool):
-            raise FieldError("sequential", "sequential must be true or false")
+
+
+def _rings(bandwidth: float) -> int:
+    """Image rings P that keep every dropped term below 2**-53 of the nearest.
+
+    With agents and nodes in [-pi, pi), the nearest image is at most pi
+    away and every image beyond P rings at least 2*pi*P, so P solves
+    (2*pi*P)**2 - pi**2 >= 2 * bandwidth**2 * 53 * ln 2.
+    """
+    return math.ceil(math.sqrt(PI**2 + 106 * math.log(2) * bandwidth**2) / TWO_PI)
 
 
 @lru_cache(maxsize=2)
@@ -54,11 +55,11 @@ def estimate_density(
 ) -> DensityField:
     """Sum of wrapped Gaussians centered at the agent positions.
 
-    The wrapped Gaussian factorizes per axis, so each agent contributes an
-    outer product of two one-dimensional image sums; the agent reduction is
-    a single matrix product, or the ordered loop of ``params.sequential``.
-    The estimate is renormalized to integrate to ``mass`` afterwards, which
-    absorbs the image-truncation error.
+    The agents are wrapped into [-pi, pi) first. The wrapped Gaussian
+    factorizes per axis, so each agent contributes an outer product of two
+    one-dimensional image sums over ``_rings(params.bandwidth)`` rings; the
+    agent reduction is one matrix product. The estimate is renormalized to
+    integrate to ``mass`` afterwards.
     """
     if not mass > 0:
         raise ValueError("target mass must be positive")
@@ -67,27 +68,22 @@ def estimate_density(
         raise ValueError("density of an empty agent set is undefined")
     if agents.ndim != 2 or agents.shape[1] != 2:
         raise ValueError("agent positions must have shape (n, 2)")
+    agents = wrap(agents)
+    rings = _rings(params.bandwidth)
 
     g1, g2, t = _image_buffer(agents.shape[0], grid.m)
     axis = grid.axis()
     coef = -0.5 / params.bandwidth**2
     for g, x in ((g1, agents[:, 0:1]), (g2, agents[:, 1:2])):
         g.fill(0.0)
-        for n in range(-params.images, params.images + 1):
+        for n in range(-rings, rings + 1):
             np.subtract(x, axis, out=t)
             t += TWO_PI * n
             t *= t
             t *= coef
             g += np.exp(t, out=t)
 
-    if params.sequential:
-        acc = np.zeros((grid.m, grid.m))
-        for a in range(agents.shape[0]):
-            acc += np.outer(g1[a], g2[a])
-    else:
-        acc = g1.T @ g2
-
-    values = acc / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass
+    values = g1.T @ g2 / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass
     total = values.sum() * grid.cell_area
     values *= mass / total
     return DensityField(grid, values)

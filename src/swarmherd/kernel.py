@@ -44,6 +44,8 @@ def kernel_free(x: np.ndarray, params: KernelParams) -> np.ndarray:
     """Non-periodic kernel (x/|x|) * exp(-|x|/L), with value zero at x = 0.
 
     The zero at the origin is the only choice consistent with oddness.
+    Nothing in the package calls it; it stays as the tests' definitional
+    oracle for the image sums.
     """
     arr = np.asarray(x, dtype=float)
     r = np.sqrt(np.sum(arr * arr, axis=-1))

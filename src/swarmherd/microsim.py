@@ -388,13 +388,12 @@ def run(
 
     Herders start on a centered lattice, targets i.i.d. uniform. The
     control runs on the grid of ``rho_bar_h``: each tick estimates the
-    herder density there with ``kde`` (its ``sequential`` field picks the
-    reduction), at the herders' share of the agent mass, and samples the
-    commands bilinearly. The control field is refreshed every
-    ``sim.control_every`` steps from the state at that step and held
-    between refreshes. ``snapshot_every`` > 0
-    stores (t, herders, targets) tuples at that cadence plus the final
-    state; 0 stores initial and final only. The metric series always
+    herder density there with a KDE of bandwidth ``kde.bandwidth``, at the
+    herders' share of the agent mass, and samples the commands bilinearly.
+    The control field is refreshed every ``sim.control_every`` steps from
+    the state at that step and held between refreshes. With
+    ``snapshot_every`` > 0 the run stores (t, herders, targets) tuples at
+    that cadence plus the final state; 0 stores initial and final only. The metric series always
     holds a t = 0 record and a final record at t = n_steps * dt (both at
     t = 0 for a zero horizon); in a run with steps the t = 0 record
     follows the first control tick, so it carries that tick's loop health.

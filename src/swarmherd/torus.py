@@ -60,8 +60,5 @@ class ArenaMap:
     def scale(self) -> float:
         return self.half_width / PI
 
-    def to_arena(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(p, dtype=float) * self.scale
-
     def to_torus(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(p, dtype=float) / self.scale

@@ -7,8 +7,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from swarmherd import (DensityField, GridSpec, KdeParams, KernelParams, ScalarField,
-                       SimParams, VectorField, mass)
+from swarmherd import (DensityField, GoalRegion, GridSpec, KdeParams, KernelParams,
+                       ScalarField, SimParams, VectorField, mass)
 from swarmherd.config import ConfigError, ExperimentConfig
 from swarmherd.fileio import (
     FLOAT_FMT,
@@ -66,11 +66,11 @@ def test_invalid_values_rejected():
                 {"sim": {"v_max": 0}}, {"kde": {"bandwidth": -1}},
                 {"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
                 {"kde": {"bandwidth": 0.0}},
-                {"kde": {"images": -1}}, {"goal": {"radius": 0.0}},
+                {"goal": {"radius": 0.0}},
                 {"goal": {"center": [0.0, 0.0, 0.0]}},
                 # counts must be integers: 1.5 image rings would shift the
                 # images by half periods and leave out the zero image
-                {"kernel": {"images": 1.5}}, {"kde": {"images": 1.5}},
+                {"kernel": {"images": 1.5}},
                 {"grids": {"control": 64.5}}, {"grids": {"deconvolution": 24.5}},
                 {"population": {"n_targets": 10.5}},
                 {"population": {"n_herders": 2.5}},
@@ -160,17 +160,34 @@ def test_kde_mass_is_not_a_config_key():
         ExperimentConfig.from_dict({"kde": {"mass": 0.3}})
 
 
+@pytest.mark.parametrize("key, value", [("images", 2), ("sequential", True)])
+def test_retired_kde_keys_rejected(key, value):
+    # the image rings follow from the bandwidth, and there is one reduction
+    with pytest.raises(ConfigError, match=rf"unknown key.*'kde'.*'{key}'"):
+        ExperimentConfig.from_dict({"kde": {key: value}})
+
+
+def test_goal_center_is_stored_wrapped():
+    cfg = ExperimentConfig.from_dict({"goal": {"center": [4.0, -PI]}})
+    assert cfg.goal.center == (4.0 - 2 * PI, -PI)
+    same = ExperimentConfig.from_dict({"goal": {"center": [4.0 - 2 * PI, -PI]}})
+    assert cfg == same and cfg.hash() == same.hash()
+
+
 def test_sections_are_the_library_parameter_classes():
     cfg = ExperimentConfig()
     assert type(cfg.kernel) is KernelParams
+    assert type(cfg.goal) is GoalRegion
     assert type(cfg.sim) is SimParams
     assert type(cfg.kde) is KdeParams
 
 
 def test_non_default_config_round_trips():
     cfg = ExperimentConfig.from_dict({"kernel": {"images": 3}, "sim": {"v_max": 0.5},
-                                      "kde": {"sequential": True}})
-    assert (cfg.kernel.images, cfg.sim.v_max, cfg.kde.sequential) == (3, 0.5, True)
+                                      "kde": {"bandwidth": 0.6},
+                                      "goal": {"center": [1.0, -0.5]}})
+    assert (cfg.kernel.images, cfg.sim.v_max, cfg.kde.bandwidth, cfg.goal.center) \
+        == (3, 0.5, 0.6, (1.0, -0.5))
     back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
     assert back.hash() == cfg.hash() != ExperimentConfig().hash()
@@ -185,7 +202,7 @@ def test_hash_tracks_content():
 def test_default_hash_unchanged():
     # validation must not change the canonical form, or old outputs lose
     # their link to the default config
-    assert ExperimentConfig().hash() == "9f10bf38cac1a8c3"
+    assert ExperimentConfig().hash() == "aeba37bbf8c4090e"
 
 
 def test_malformed_json_reported(tmp_path):
@@ -278,6 +295,20 @@ def test_field_reader_names_file_and_line_of_a_ragged_row(tmp_path):
     p.write_text("m=4\nkind=scalar\ncomponents=1\n" + "1 2 3 4\n" * 2 + "1 2 3\n"
                  + "1 2 3 4\n")
     with pytest.raises(ValueError, match=re.escape(f"{p}:6: 3 values")):
+        read_field(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("m=2\nkind=scalar\ncomponents=1\n1 2\n3 4\n", "grid needs at least 4 cells"),
+    ("m=4\nkind=scalar\ncomponents=1\n" + "1 2 3 4\n" * 3 + "1 nan 3 4\n",
+     "non-finite"),
+    ("m=4\nkind=density\ncomponents=1\n" + "1 2 3 4\n" * 3 + "1 2 3 -1\n",
+     "ringing floor"),
+], ids=["m=2", "nan", "below-floor"])
+def test_field_reader_names_file_of_a_field_it_cannot_build(tmp_path, text, message):
+    p = tmp_path / "bad.field"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: ") + ".*" + message):
         read_field(p)
 
 

