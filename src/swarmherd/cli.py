@@ -1,12 +1,15 @@
 """Batch command line: feasibility, simulate, continuum, analyze, sweep.
 
 Exit codes: 0 success, 2 infeasible configuration, 1 any other error.
+Progress and errors go to stderr through the ``swarmherd`` logger, at the
+level of ``--log-level`` (default INFO); summaries go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -32,6 +35,8 @@ from .fileio import (
 from .grids import DensityField, ScalarField, mass
 from .microsim import AgentEnsemble, containment, run
 from .torus import ArenaMap, PI
+
+log = logging.getLogger("swarmherd")
 
 
 def _meta(config: ExperimentConfig, seed: int | None = None) -> dict:
@@ -72,7 +77,7 @@ def _plan_record(plan) -> dict:
 def _infeasible(out: Path, meta: dict, exc: InfeasibleError) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_summary(out, dict(meta, feasible=False, min_mass=exc.min_mass))
-    print(f"infeasible: minimal herder mass {exc.min_mass:.4f} >= 1", file=sys.stderr)
+    log.warning("infeasible: minimal herder mass %.4f >= 1", exc.min_mass)
     return 2
 
 
@@ -108,6 +113,12 @@ def cmd_feasibility(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
                  arena_half_width: float | None = None) -> int:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed: {seed} cannot be negative")
+    if arena_half_width is not None and not (np.isfinite(arena_half_width)
+                                             and arena_half_width > 0):
+        raise ConfigError(f"--rescale-arena: {arena_half_width} is not a finite "
+                          "positive half width")
     arena = arena_half_width if arena_half_width is not None \
         else config.domain.arena_half_width
     scale = ArenaMap(arena).scale if arena is not None else 1.0
@@ -206,7 +217,7 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         summary = {"mode": "targets", "bounded": report.bounded,
                    "mass_drift": report.mass_drift}
     else:
-        print(f"unknown continuum mode {mode!r}", file=sys.stderr)
+        log.error("unknown continuum mode %r", mode)
         return 1
     out.mkdir(parents=True, exist_ok=True)
     write_decay(out / decay_file, report.times, columns, meta)
@@ -229,12 +240,12 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
         to_torus = ArenaMap(float(arena)).to_torus
         frames = [(t, to_torus(h), to_torus(x)) for t, h, x in frames]
     if not frames:
-        print("trajectory file holds no frames", file=sys.stderr)
+        log.error("trajectory file holds no frames")
         return 1
     rows = []
     for t, herders, targets in frames:
         if targets.size == 0:
-            print(f"frame t={t}: no targets, containment undefined", file=sys.stderr)
+            log.error("frame t=%s: no targets, containment undefined", t)
             return 1
         metric = containment(AgentEnsemble(herders=herders, targets=targets), goal, t)
         rows.append((t, metric.chi, metric.n_inside))
@@ -290,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON experiment config (defaults used if omitted)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: config output.directory)")
+        p.add_argument("--log-level", type=str.upper, default="INFO",
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="stderr messages at this level and above (default INFO)")
 
     p_feas = sub.add_parser("feasibility", help="herder mass / count analysis")
     add_common(p_feas)
@@ -321,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = logging.StreamHandler()  # the stderr of this call
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
         config = (ExperimentConfig.load(args.config) if args.config
                   else ExperimentConfig())
@@ -342,15 +360,17 @@ def main(argv: list[str] | None = None) -> int:
         else:  # pragma: no cover - argparse enforces choices
             code = 1
         if code == 0:
-            print(f"[{args.command}] done in {time.perf_counter() - t0:.1f} s",
-                  file=sys.stderr)
+            log.info("[%s] done in %.1f s", args.command, time.perf_counter() - t0)
         return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        log.error("config error: %s", exc)
         return 1
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        log.error("error: %s", exc)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -132,6 +133,39 @@ def test_simulate_seed_override_changes_outcome(tmp_path, small_config):
                      "--out", str(out), "--seed", str(seed)]) == 0
         outs.append(json.loads((out / "summary.json").read_text()))
     assert outs[0]["seed"] != outs[1]["seed"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"),
+    ("--rescale-arena", "0"),
+    ("--rescale-arena", "-2"),
+    ("--rescale-arena", "inf"),
+    ("--rescale-arena", "nan"),
+])
+def test_simulate_rejects_bad_flag_naming_it(tmp_path, small_config, capsys,
+                                             flag, value):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(small_config), "--out", str(out),
+                 f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
+def test_simulate_logs_progress_at_its_level(tmp_path, small_config, capsys):
+    log = logging.getLogger("swarmherd")
+    before = (log.level, list(log.handlers))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(small_config), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    # 50 steps: a report every 5th, then the closing line
+    assert [line.split(",")[0] for line in err[:-1]] == [
+        f"step {s} of 50" for s in range(5, 51, 5)]
+    assert err[-1].startswith("[simulate] done in")
+    assert (log.level, log.handlers) == before
+    assert main(["simulate", "--config", str(small_config), "--out", str(out),
+                 "--log-level", "warning"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_arena_rescale(tmp_path, small_config):

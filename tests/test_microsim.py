@@ -1,4 +1,6 @@
 import itertools
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,19 +212,58 @@ def test_fast_drift_any_target_count(kernel, n_targets):
 
 
 def test_fast_drift_buffer_reuse_leaks_no_state(kernel):
-    # the gather scratch is shared by calls of one block shape, and a
-    # shorter last block (721 = 48 * 15 + 1 targets) reuses a prefix of it
+    # the workspace is shared by calls of one block shape, and a shorter
+    # last block (721 = 23 * 31 + 8 targets) carves its views from a prefix
     rng = np.random.default_rng(38)
     cases = [(rng.uniform(-PI, PI, (nt, 2)), rng.uniform(-PI, PI, (nh, 2)))
              for nt, nh in [(15, 260), (721, 260), (40, 7)]]
     first = []
     for targets, herders in cases:
-        microsim._gather_buffer.cache_clear()
+        microsim._workspace.cache_clear()
         first.append(drift_all(targets, herders, 1e-3, kernel))
     for order in itertools.permutations(range(len(cases))):
         for idx in order:
             again = drift_all(*cases[idx], 1e-3, kernel)
             assert np.array_equal(again, first[idx]), (order, idx)
+
+
+@pytest.mark.parametrize("n_h", [1, 7, 260])
+def test_fast_drift_same_bits_for_every_block_size(kernel, monkeypatch, n_h):
+    rng = np.random.default_rng(39)
+    herders = rng.uniform(-PI, PI, (n_h, 2))
+    targets = np.vstack([herders[:3], [[-PI, -PI], [-PI, 0.0]],
+                         rng.uniform(-PI, PI, (721 - min(n_h, 3) - 2, 2))])
+    expected = drift_all(targets, herders, 1e-3, kernel)
+    # one pair, one target, the old and the current default, one block for all
+    for pairs in (1, n_h, 4096, 8192, 721 * n_h):
+        monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
+        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected), pairs
+
+
+def test_fast_drift_row_equals_single_target_call(kernel):
+    rng = np.random.default_rng(40)
+    targets, herders = rng.uniform(-PI, PI, (721, 2)), rng.uniform(-PI, PI, (260, 2))
+    full = drift_all(targets, herders, 1e-3, kernel)
+    block = microsim._BLOCK_PAIRS // 260
+    rows = {0, 720} | {j * block + o for j in (1, 2, 720 // block) for o in (-1, 0, 1)}
+    for k in sorted(rows):
+        one = drift_all(targets[k:k + 1], herders, 1e-3, kernel)
+        assert np.array_equal(one, full[k:k + 1]), k
+
+
+def test_warm_fast_drift_makes_no_block_temporaries(kernel):
+    # a warm call at paper scale allocates its result, its wrapped inputs
+    # and the ufunc iterators' buffers; every block array is a workspace view
+    rng = np.random.default_rng(41)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    drift_all(targets, herders, 1e-3, kernel)
+    tracemalloc.start()
+    try:
+        drift_all(targets, herders, 1e-3, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * 1024, peak
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +417,21 @@ def test_run_conserves_counts_and_domain(kernel, small_plan):
         assert np.all(targets >= -PI) and np.all(targets < PI)
     assert res.metric_times[0] == 0.0
     assert res.metric_times[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_steps, reported", [
+    (1, [1]), (23, [3, 6, 9, 12, 15, 18, 21]), (100, list(range(10, 101, 10))),
+])
+def test_run_reports_progress_at_most_every_tenth(kernel, small_plan, caplog,
+                                                   n_steps, reported):
+    goal, plan = small_plan
+    with caplog.at_level(logging.INFO, logger="swarmherd"):
+        run(n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+            goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+            sim=SimParams(dt=0.01, horizon=n_steps * 0.01), metrics_every=10)
+    lines = [r.getMessage() for r in caplog.records if r.name == "swarmherd"]
+    assert [line.split(",")[0] for line in lines] == [
+        f"step {s} of {n_steps}" for s in reported]
 
 
 def test_run_bit_identical_given_seed(kernel, small_plan):
