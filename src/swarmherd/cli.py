@@ -163,6 +163,8 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         n_inside_final=int(result.n_inside[-1]),
         goal_radius=plan.goal.radius * scale,
         wall_time_s=result.wall_time,
+        cpu_time_s=result.cpu_time,
+        drift_processes=result.drift_processes,
         stage_seconds=dict(result.stage_seconds, write=write_s),
         removed_mean_max_abs=_max_or_none(np.abs(result.removed_mean)),
         peak_speed_max=_max_or_none(result.peak_speed),
@@ -209,6 +211,7 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         report = verify_target_convergence(
             DensityField(grid, uniform), plan.rho_bar_t, config.sim.diffusion,
             horizon=horizon if horizon is not None else 20.0,
+            stability=plan.stability,
         )
         wall = time.perf_counter() - start
         decay_file = "target_decay.csv"
@@ -237,7 +240,10 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
     frames = read_trajectory(trajectory)
     arena = read_metadata(trajectory).get("arena_half_width")
     if arena is not None:
-        to_torus = ArenaMap(float(arena)).to_torus
+        try:
+            to_torus = ArenaMap(float(arena)).to_torus
+        except ValueError as exc:
+            raise ValueError(f"{trajectory}: arena_half_width {arena}: {exc}") from None
         frames = [(t, to_torus(h), to_torus(x)) for t, h, x in frames]
     if not frames:
         log.error("trajectory file holds no frames")

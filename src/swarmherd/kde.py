@@ -58,8 +58,8 @@ def estimate_density(
     The agents are wrapped into [-pi, pi) first. The wrapped Gaussian
     factorizes per axis, so each agent contributes an outer product of two
     one-dimensional image sums over ``_rings(params.bandwidth)`` rings; the
-    agent reduction is one matrix product. The estimate is renormalized to
-    integrate to ``mass`` afterwards.
+    agent reduction is one ``einsum``, which calls no BLAS. The estimate is
+    renormalized to integrate to ``mass`` afterwards.
     """
     if not mass > 0:
         raise ValueError("target mass must be positive")
@@ -83,7 +83,10 @@ def estimate_density(
             t *= coef
             g += np.exp(t, out=t)
 
-    values = g1.T @ g2 / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass
+    # einsum, not g1.T @ g2: a matmul this size wakes BLAS's thread pool, whose
+    # idle workers then spin on the core the drift helper needs
+    values = (np.einsum("ni,nj->ij", g1, g2)
+              / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass)
     total = values.sum() * grid.cell_area
     values *= mass / total
     return DensityField(grid, values)

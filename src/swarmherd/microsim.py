@@ -3,18 +3,35 @@
 Herders are velocity-controlled integrators; each target drifts with the
 normalized sum of the periodized repulsion kernel over all herders plus
 isotropic diffusion noise. The pairwise drift is almost all of a step's
-cost. ``drift_all`` computes it with NumPy on the calling thread; there is
-no compiled path and no worker thread. Over blocks of 8192 pairs in one
-reused workspace it adds the exact nearest-image kernel term to the smooth
-tail of the other images, read from a table of local cubics (10 coefficients
-per cell, 96^2 cells of side pi/96 on [0, pi]^2, 0.74 MB). Against the image
-sum, ``drift_all(fast=False)``, its max-norm relative error measured about
-3e-10 at scale and at most 3.1e-8 for a single pair on the seam (L = pi).
+cost. ``drift_all`` computes it with NumPy; there is no compiled path. Over
+blocks of 8192 pairs in one reused workspace it adds the exact nearest-image
+kernel term to the smooth tail of the other images, read from a table of
+local cubics (10 coefficients per cell, 96^2 cells of side pi/96 on
+[0, pi]^2, 0.74 MB). Against the image sum, ``drift_all(fast=False)``, its
+max-norm relative error measured about 3e-10 at scale and at most 3.1e-8 for
+a single pair on the seam (L = pi).
+
+No target's drift depends on another's, so a call of two blocks or more,
+in a process allowed two CPUs, is split: one persistent helper process
+drifts the trailing half of the blocks while the caller drifts the leading
+half, with the same bits as one process. The helper is a child interpreter
+(``_serve``) that exchanges fixed-size binary frames over its stdin and
+stdout. It starts on first need and is never waited for: it reports ready
+about 0.25 s later, and until then the caller drifts every block. It peaks
+at about 33 MB resident; the caller's own peak did not grow. It is stopped
+and reaped at exit, and after any failure between a request and its reply.
+Threads would not help: block-sized NumPy calls gained nothing under the
+GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
+calls no BLAS, so no idle BLAS worker spins on the core the helper needs.
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
+import os
+import struct
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -231,15 +248,15 @@ def _workspace(block: int, n_h: int) -> np.ndarray:
     return np.empty((6 + len(_POWERS)) * block * n_h + 2 * block)
 
 
-def _table_drift(targets: np.ndarray, herders: np.ndarray,
-                kernel: KernelParams) -> np.ndarray:
-    """Unnormalized drift of wrapped targets under wrapped herders."""
+def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
+                 block: int, out: np.ndarray) -> None:
+    """Unnormalized drift of wrapped targets under wrapped herders, into
+    ``out``, ``block`` targets at a time."""
     table = _tail_table(kernel)
     cells = _TAIL_CELLS
-    out = np.empty_like(targets)
     n_h = herders.shape[0]
+    tt = np.ascontiguousarray(targets.T)[:, :, None]
     ht = np.ascontiguousarray(herders.T)[:, None, :]
-    block = max(1, _BLOCK_PAIRS // n_h)
     ws = _workspace(block, n_h)
     for lo in range(0, targets.shape[0], block):
         n = min(block, targets.shape[0] - lo)
@@ -251,10 +268,14 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray,
         c = ws[6 * m:16 * m].reshape(len(_POWERS), n, n_h)
         tail = ws[16 * m:16 * m + 2 * n].reshape(n, 2)
         # until the first gather the planes hold r, near, cell indices, masks
-        r, near, i = c[0], c[1], c[2:4].view(np.intp)
+        # and the cell indices as floats
+        r, near, i, cell = c[0], c[1], c[2:4].view(np.intp), c[5:7]
         mask = c[4].reshape(-1).view(bool)[:2 * m].reshape(pair)
+        # broadcast by copies: a ufunc would allocate iterator buffers for it
+        np.copyto(d, tt[:, lo:lo + n])
+        np.copyto(sq, ht)
+        np.subtract(d, sq, out=d)
         # both ends lie in [-pi, pi): one exact shift wraps d as torus.wrap does
-        np.subtract(targets[lo:lo + n].T[:, :, None], ht, out=d)
         np.subtract(d, TWO_PI, out=d, where=np.greater_equal(d, PI, out=mask))
         np.add(d, TWO_PI, out=d, where=np.less(d, -PI, out=mask))
         np.multiply(d, d, out=sq)
@@ -265,9 +286,10 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray,
         np.einsum("cth,th->tc", d, near, out=out[lo:lo + n])
         a = np.multiply(np.abs(d, out=sq), cells / PI, out=sq)
         np.sign(d, out=d)
-        np.copyto(i, a, casting="unsafe")  # truncates, as astype does
-        np.minimum(i, cells - 1, out=i)
-        frac = np.subtract(a, i, out=a)
+        # a >= 0, so trunc is the integer part; float - float needs no cast
+        np.minimum(np.trunc(a, out=cell), cells - 1, out=cell)
+        frac = np.subtract(a, cell, out=a)
+        np.copyto(i, cell, casting="unsafe")
         np.add(np.multiply(i, cells, out=flat), i[::-1], out=flat)
         # tail: component k reads Q at (|d_k|, |d_other|)
         for k, (u, v) in enumerate(((frac[0], frac[1]), (frac[1], frac[0]))):
@@ -283,6 +305,187 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray,
             # ... whose last step writes Q over the spent indices flat[k]
             np.add(np.multiply(c[9], u, out=c[9]), c[3], out=q[k])
         out[lo:lo + n] += np.einsum("cth,cth->tc", d, q, out=tail)
+
+
+# The helper's frames: a request is this header, then n_t + n_h positions
+# (float64 x, y pairs, targets first); its reply is n_t drift rows.
+_HEADER = struct.Struct("<qqdqq")  # n_t, n_h, kernel length, images, block
+_READY = b"R"  # the helper's first and only other byte on its stdout
+
+
+def _read_into(stream, buf) -> bool:
+    """Fill ``buf`` from an unbuffered binary stream; False if it ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        got = stream.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _write_all(stream, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[stream.write(view):]
+
+
+class _DriftHelper:
+    """A child interpreter that drifts the trailing share of a split call.
+
+    It runs ``_serve`` in ``sys.executable`` with the directory of this
+    package first on ``PYTHONPATH``, so it imports nothing of the caller's
+    ``__main__``. It ignores SIGINT and exits when its stdin ends.
+    """
+
+    def __init__(self, kernel: KernelParams):
+        import subprocess
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", "from swarmherd.microsim import _serve; _serve()",
+             repr(kernel.length), str(kernel.images)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+            env=dict(os.environ, PYTHONPATH=path))
+        self.is_ready = False
+
+    def _failed(self, what: str) -> RuntimeError:
+        code = self.proc.poll()
+        state = "still running" if code is None else f"exit status {code}"
+        return RuntimeError(f"drift helper process {self.proc.pid} {what} ({state})")
+
+    def ready(self) -> bool:
+        """Whether the helper has reported ready; never waits."""
+        if not self.is_ready:
+            import select
+
+            if select.select([self.proc.stdout], [], [], 0)[0]:
+                if self.proc.stdout.read(1) != _READY:
+                    raise self._failed("exited before it was ready")
+                self.is_ready = True
+        return self.is_ready
+
+    def send(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
+             block: int) -> None:
+        header = _HEADER.pack(targets.shape[0], herders.shape[0], kernel.length,
+                              kernel.images, block)
+        try:
+            _write_all(self.proc.stdin, header + targets.tobytes() + herders.tobytes())
+        except BrokenPipeError:
+            raise self._failed("has exited") from None
+
+    def receive(self, out: np.ndarray) -> None:
+        if not _read_into(self.proc.stdout, out):
+            raise self._failed("sent a short reply")
+
+    def close(self, kill: bool) -> None:
+        """Stop the helper and reap it: at the end of its stdin, or killed."""
+        if kill:
+            self.proc.kill()
+        # its stdout first, so a helper still writing a reply stops on a broken pipe
+        self.proc.stdout.close()
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+_helper: _DriftHelper | None = None
+_split_calls = 0  # drift calls the helper shared; ``run`` reports whether it did
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two CPUs or more (never split where
+    the platform cannot tell)."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _ready_helper(kernel: KernelParams) -> _DriftHelper | None:
+    """This process's helper once it has reported ready, else None; starts
+    one if none runs."""
+    global _helper
+    if _helper is None:
+        _helper = _DriftHelper(kernel)
+        return None
+    try:
+        return _helper if _helper.ready() else None
+    except BaseException:
+        _stop_helper(kill=True)
+        raise
+
+
+def _stop_helper(kill: bool = False) -> None:
+    """Stop and forget this process's helper, if it has one. One that has not
+    reported ready holds no request, and is killed rather than waited for."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.close(kill or not helper.is_ready)
+
+
+def _forget_helper() -> None:
+    """In a forked child: drop the parent's helper and this copy of its pipes,
+    so that the helper still sees its input end when the parent closes it."""
+    global _helper
+    if _helper is not None:
+        _helper.proc.stdin.close()
+        _helper.proc.stdout.close()
+        _helper = None
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve() -> None:
+    """The helper's loop: answer each request on stdin until stdin ends."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+    requests = open(0, "rb", buffering=0, closefd=False)
+    replies = open(os.dup(1), "wb", buffering=0)
+    os.dup2(2, 1)  # a stray print goes to stderr, never into a reply
+    _tail_table(KernelParams(float(sys.argv[1]), int(sys.argv[2])))
+    header = bytearray(_HEADER.size)
+    try:
+        replies.write(_READY)
+        while _read_into(requests, header):
+            n_t, n_h, length, images, block = _HEADER.unpack(header)
+            pos, out = np.empty((n_t + n_h, 2)), np.empty((n_t, 2))
+            if not _read_into(requests, pos):
+                return
+            _table_drift(pos[:n_t], pos[n_t:], KernelParams(length, images), block, out)
+            _write_all(replies, out)
+    except BrokenPipeError:
+        pass  # the caller has gone
+
+
+def _split_drift(targets: np.ndarray, herders: np.ndarray,
+                 kernel: KernelParams) -> np.ndarray:
+    """``_table_drift`` of all targets, shared with the helper where it pays.
+
+    With two target blocks or more and a second CPU, the helper drifts the
+    trailing half of the blocks while this process drifts the leading half.
+    Until the helper has reported ready, this process drifts them all.
+    """
+    global _split_calls
+    out = np.empty_like(targets)
+    block = max(1, _BLOCK_PAIRS // herders.shape[0])
+    blocks = -(-targets.shape[0] // block)
+    helper = _ready_helper(kernel) if blocks >= 2 and _spare_cpu() else None
+    if helper is None:
+        _table_drift(targets, herders, kernel, block, out)
+        return out
+    lead = blocks // 2 * block
+    try:
+        helper.send(targets[lead:], herders, kernel, block)
+        _table_drift(targets[:lead], herders, kernel, block, out[:lead])
+        helper.receive(out[lead:])
+    except BaseException:
+        # a reply may still be on its way: never read it as the next call's
+        _stop_helper(kill=True)
+        raise
+    _split_calls += 1
     return out
 
 
@@ -305,15 +508,17 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     every position negates its drift bit for bit, except on the seam. A
     block's arrays are views of one kept workspace (``_workspace``, 1.0 MB
     at 260 herders) written through ``out=``: a warm call at 720 x 260 makes
-    no per-block temporaries and peaks at 160 KiB traced. The result does
-    not depend on the block size, bit for bit.
+    no per-block temporaries and peaks at 74 KiB traced (46 KiB split). Each target's row
+    depends on no other target, so the result is the same bits for every
+    block size and whether or not the helper process took a share
+    (``_split_drift``).
     """
     targets = np.asarray(targets, dtype=float)
     herders = np.asarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
     if fast:
-        return alpha * _table_drift(wrap(targets), wrap(herders), kernel)
+        return alpha * _split_drift(wrap(targets), wrap(herders), kernel)
     disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
     return alpha * kernel_periodic(disp, kernel).sum(axis=1)
 
@@ -380,6 +585,8 @@ class SimulationResult:
     n_herders: int
     herder_mass: float
     wall_time: float
+    cpu_time: float  # this process's CPU seconds over the run, helper excluded
+    drift_processes: int  # 2 if the drift helper took a share of any step, else 1
     # seconds per stage: kde, control (herder_error, control_field), sampling
     # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
@@ -407,18 +614,24 @@ def run(
     The control field is refreshed every ``sim.control_every`` steps from
     the state at that step and held between refreshes. With
     ``snapshot_every`` > 0 the run stores (t, herders, targets) tuples at
-    that cadence plus the final state; 0 stores initial and final only. The metric series always
-    holds a t = 0 record and a final record at t = n_steps * dt (both at
-    t = 0 for a zero horizon); in a run with steps the t = 0 record
-    follows the first control tick, so it carries that tick's loop health.
+    that cadence plus the final state; 0 stores initial and final only. The
+    metric series always holds a t = 0 record and a final record at
+    t = n_steps * dt (both at t = 0 for a zero horizon); in a run with steps
+    the t = 0 record follows the first control tick, so it carries that
+    tick's loop health.
 
     Every step goes through ``step`` on the state at the start of that
     step; the control chain reads the same state. ``stage_seconds`` sums
     the ``time.perf_counter`` deltas of each stage; its total never
-    exceeds ``wall_time``. Progress goes to the ``swarmherd`` logger at
-    INFO, at most once per 10% of the steps.
+    exceeds ``wall_time``. ``cpu_time`` is this process's
+    ``time.process_time`` over the run, without the drift helper's: well
+    above ``wall_time``, it shows a spinning thread pool.
+    ``drift_processes`` is 2 if the helper shared the drift of any step.
+    Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
+    of the steps.
     """
-    t_start = time.perf_counter()
+    t_start, cpu_start = time.perf_counter(), time.process_time()
+    split_start = _split_calls
     grid = rho_bar_h.grid
     herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
@@ -501,5 +714,7 @@ def run(
         n_herders=n_herders,
         herder_mass=herder_mass,
         wall_time=time.perf_counter() - t_start,
+        cpu_time=time.process_time() - cpu_start,
+        drift_processes=2 if _split_calls > split_start else 1,
         stage_seconds=stage_seconds,
     )

@@ -53,8 +53,8 @@ class ArenaMap:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("arena half width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("arena half width must be finite and positive")
 
     @property
     def scale(self) -> float:

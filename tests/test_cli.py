@@ -90,6 +90,8 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert set(stages) == {*run_stages, "write"}
     assert all(math.isfinite(v) and v >= 0 for v in stages.values())
     assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
+    assert math.isfinite(summary["cpu_time_s"]) and summary["cpu_time_s"] >= 0
+    assert summary["drift_processes"] == 1  # 40 targets are one block of work
     assert summary["removed_mean_max_abs"] < 1e-14
     assert summary["peak_speed_max"] > 0
     assert summary["clipped_share_max"] == 0.0  # no speed limit
@@ -204,6 +206,26 @@ def test_analyze_maps_arena_positions_back(tmp_path):
     shared = sorted(set(live) & set(again), key=float)
     assert len(shared) == 6
     assert [again[t] for t in shared] == [live[t] for t in shared]
+
+
+@pytest.mark.parametrize("width", ["inf", "-inf", "nan", "0", "wide"])
+def test_analyze_rejects_a_bad_arena_width_naming_the_file(tmp_path, small_config,
+                                                           capsys, width):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(small_config), "--out", str(out),
+                 "--rescale-arena", "2.0"]) == 0
+    trajectory = out / "trajectory.csv"
+    text = trajectory.read_text()
+    assert "arena_half_width=2.0\n" in text
+    trajectory.write_text(text.replace("arena_half_width=2.0\n",
+                                       f"arena_half_width={width}\n"))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(small_config), "--trajectory",
+                 str(trajectory), "--out", str(tmp_path / "an")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(trajectory) in err
+    assert "arena_half_width" in err and "Traceback" not in err
+    assert not (tmp_path / "an" / "chi.csv").exists()
 
 
 def assert_run_record(summary, config_path, steps):

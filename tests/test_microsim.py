@@ -1,5 +1,10 @@
 import itertools
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -251,19 +256,196 @@ def test_fast_drift_row_equals_single_target_call(kernel):
         assert np.array_equal(one, full[k:k + 1]), k
 
 
-def test_warm_fast_drift_makes_no_block_temporaries(kernel):
-    # a warm call at paper scale allocates its result, its wrapped inputs
-    # and the ufunc iterators' buffers; every block array is a workspace view
+def warm_drift_peak(kernel, monkeypatch, split):
+    """Traced peak of a warm drift call at paper scale, split or in one process."""
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    if split:
+        ready_helper(monkeypatch, kernel)
+    else:
+        monkeypatch.setattr(microsim, "_spare_cpu", lambda: False)
     drift_all(targets, herders, 1e-3, kernel)
+    calls = microsim._split_calls
     tracemalloc.start()
     try:
         drift_all(targets, herders, 1e-3, kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 192 * 1024, peak
+    assert microsim._split_calls - calls == split
+    return peak
+
+
+def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch):
+    # a warm call at paper scale allocates its result and its wrapped and
+    # transposed inputs; every block array is a workspace view, and no call
+    # needs iterator buffers (measured 74 KiB)
+    peak = warm_drift_peak(kernel, monkeypatch, split=False)
+    assert peak <= 80 * 1024, peak
+
+
+def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
+    # the caller's share plus the request and the reply (measured 46 KiB)
+    peak = warm_drift_peak(kernel, monkeypatch, split=True)
+    assert peak <= 80 * 1024, peak
+
+
+# ---------------------------------------------------------------------------
+# the drift helper process
+# ---------------------------------------------------------------------------
+
+
+def ready_helper(monkeypatch, kernel):
+    """This process's drift helper, started if need be, once it reports ready.
+
+    The split is forced on, so it is tested on a single CPU too.
+    """
+    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
+    deadline = time.monotonic() + 60
+    while (helper := microsim._ready_helper(kernel)) is None:
+        assert time.monotonic() < deadline, "the drift helper never reported ready"
+        time.sleep(0.01)
+    return helper
+
+
+def one_process_drift(monkeypatch, targets, herders, alpha, kernel):
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_spare_cpu", lambda: False)
+        return drift_all(targets, herders, alpha, kernel)
+
+
+def split_cases():
+    rng = np.random.default_rng(42)
+    uniform = lambda n: rng.uniform(-PI, PI, (n, 2))
+    herders = uniform(260)
+    clustered = wrap(np.array([3.0, -3.0]) + 1e-3 * rng.standard_normal((260, 2)))
+    seam = np.array([[-PI, -PI], [-PI, 0.0], [0.0, -PI], [-PI, 1.5]])
+    return {
+        "one block": (uniform(31), herders),
+        "two blocks": (uniform(62), herders),
+        "721 x 260": (uniform(721), herders),
+        "1 herder": (uniform(721), uniform(1)),
+        "7 herders": (uniform(721), uniform(7)),
+        "9000 herders": (uniform(40), uniform(9000)),
+        "seam": (np.vstack([np.repeat(seam, 20, axis=0), uniform(100)]),
+                 np.vstack([seam, herders])),
+        "targets on herders": (np.vstack([uniform(100), herders]), herders),
+        "clustered herders": (uniform(300), clustered),
+        "herder lattice": (uniform(720), herder_lattice(260)),
+    }
+
+
+@pytest.mark.parametrize("case", list(split_cases()))
+def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
+    targets, herders = split_cases()[case]
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    ready_helper(monkeypatch, kernel)
+    calls = microsim._split_calls
+    got = drift_all(targets, herders, 1e-3, kernel)
+    block = max(1, microsim._BLOCK_PAIRS // len(herders))
+    assert microsim._split_calls - calls == (len(targets) > block)
+    assert np.array_equal(got, expected)
+
+
+def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
+    # the helper computes its share with the block size of the request
+    rng = np.random.default_rng(43)
+    targets, herders = rng.uniform(-PI, PI, (300, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    ready_helper(monkeypatch, kernel)
+    for pairs in (1, 260, 4096):
+        monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
+        calls = microsim._split_calls
+        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+        assert microsim._split_calls == calls + 1
+
+
+def test_killed_helper_is_named_then_replaced(kernel, monkeypatch):
+    rng = np.random.default_rng(44)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    helper = ready_helper(monkeypatch, kernel)
+    helper.proc.kill()
+    helper.proc.wait(timeout=60)
+    with pytest.raises(RuntimeError, match=f"drift helper process {helper.proc.pid} "):
+        drift_all(targets, herders, 1e-3, kernel)
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    fresh = ready_helper(monkeypatch, kernel)
+    assert fresh is not helper
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+
+
+def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch):
+    rng = np.random.default_rng(45)
+    first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, *second, 1e-3, kernel)
+    ready_helper(monkeypatch, kernel)
+
+    def failing(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_table_drift", failing)  # the caller's share only
+        with pytest.raises(KeyboardInterrupt):
+            drift_all(*first, 1e-3, kernel)
+    # the request for ``first`` was sent; its reply must never be read as this one
+    assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
+    ready_helper(monkeypatch, kernel)
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_leaves_the_parents_helper_alone(kernel, monkeypatch):
+    rng = np.random.default_rng(47)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    helper = ready_helper(monkeypatch, kernel)
+    pid = os.fork()
+    if pid == 0:  # the child must never return into pytest
+        code = 1
+        try:
+            ok = microsim._helper is None and np.array_equal(
+                drift_all(targets, herders, 1e-3, kernel), expected)
+            microsim._stop_helper()
+            code = 0 if ok else 2
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert microsim._helper is helper
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+
+
+def test_helper_does_not_outlive_its_caller(tmp_path):
+    script = tmp_path / "drift.py"
+    script.write_text(textwrap.dedent("""
+        import time
+        import numpy as np
+        from swarmherd import KernelParams, microsim
+        microsim._spare_cpu = lambda: True
+        rng = np.random.default_rng(46)
+        targets, herders = rng.uniform(-3, 3, (720, 2)), rng.uniform(-3, 3, (260, 2))
+        kernel = KernelParams()
+        while microsim._ready_helper(kernel) is None:
+            time.sleep(0.01)
+        microsim.drift_all(targets, herders, 1e-3, kernel)
+        print(microsim._helper.proc.pid, microsim._split_calls)
+    """))
+    src = os.path.dirname(os.path.dirname(microsim.__file__))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    pid, calls = map(int, done.stdout.split())
+    assert calls == 1
+    # checked at once: the caller reaped its helper before it exited
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +689,28 @@ def test_run_records_loop_health_per_metric(kernel, small_plan, v_max):
         assert np.all(res.clipped_share == 0.0)
     else:  # commands start at several rad/s, far above the limit
         assert np.all((res.clipped_share > 0) & (res.clipped_share <= 1))
+
+
+def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
+    # paper scale is many blocks of work: split or not, the run ends in the
+    # same state
+    goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
+    plan = plan_herders(goal, 720, 0.01, kernel, GridSpec(15), GridSpec(32))
+    kwargs = dict(
+        n_targets=720, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+        goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+        sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.05, seed=6),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_spare_cpu", lambda: False)
+        alone = run(**kwargs)
+    ready_helper(monkeypatch, kernel)
+    shared = run(**kwargs)
+    assert (alone.drift_processes, shared.drift_processes) == (1, 2)
+    assert np.array_equal(alone.final.targets, shared.final.targets)
+    assert np.array_equal(alone.chi, shared.chi)
+    for res in (alone, shared):
+        assert np.isfinite(res.cpu_time) and 0 <= res.cpu_time
 
 
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):

@@ -107,5 +107,7 @@ def test_arena_round_trip():
 
 
 def test_arena_rejects_bad_width():
-    with pytest.raises(ValueError):
-        ArenaMap(half_width=0.0)
+    # an infinite width would map every arena point to the torus origin
+    for width in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ArenaMap(half_width=width)
