@@ -211,7 +211,6 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         report = verify_target_convergence(
             DensityField(grid, uniform), plan.rho_bar_t, config.sim.diffusion,
             horizon=horizon if horizon is not None else 20.0,
-            stability=plan.stability,
         )
         wall = time.perf_counter() - start
         decay_file = "target_decay.csv"

@@ -279,7 +279,6 @@ def verify_target_convergence(
     velocity: VectorField | None = None,
     dt: float | None = None,
     sample_every: float = 0.1,
-    stability: StabilityReport | None = None,
 ) -> TargetDecayReport:
     """Feed-forward target transport against the exponential envelope.
 
@@ -289,9 +288,7 @@ def verify_target_convergence(
     an exact stationary state, isolating the decay-envelope check from
     deconvolution residue. The squared error is compared against
     exp(-rate*t) with the rate from the log-density curvature bound; the
-    comparison is only asserted (``bounded``) when the bound applies;
-    ``stability`` is that bound's ``stability_margin(rho_bar_t, diffusion)``,
-    computed here unless the caller already holds it (a plan does). The
+    comparison is only asserted (``bounded``) when the bound applies. The
     step lands on the sampling instants without exceeding the stability
     bound; an explicit ``dt`` above the bound raises, as does a horizon that
     is not finite or holds less than one step.
@@ -301,7 +298,7 @@ def verify_target_convergence(
     if v.grid.m != grid.m:
         raise ValueError("velocity grid differs from the density grid")
 
-    report = stability_margin(rho_bar_t, diffusion) if stability is None else stability
+    report = stability_margin(rho_bar_t, diffusion)
     v_max = float(np.sqrt((v.values**2).sum(axis=0)).max())
     bound = stable_dt(grid.h, diffusion, v_max)
     if dt is None:

@@ -18,8 +18,9 @@ half, with the same bits as one process. The helper is a child interpreter
 (``_serve``) that exchanges fixed-size binary frames over its stdin and
 stdout. It starts on first need and is never waited for: it reports ready
 about 0.25 s later, and until then the caller drifts every block. It peaks
-at about 33 MB resident; the caller's own peak did not grow. It is stopped
-and reaped at exit, and after any failure between a request and its reply.
+at about 33 MB resident, besides the caller's 44 MB at paper scale. It is
+stopped and reaped at exit, and after any failure between a request and its
+reply; one that fails to start leaves the caller drifting alone.
 Threads would not help: block-sized NumPy calls gained nothing under the
 GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
 calls no BLAS, so no idle BLAS worker spins on the core the helper needs.
@@ -390,6 +391,7 @@ class _DriftHelper:
 
 
 _helper: _DriftHelper | None = None
+_no_helper = False  # a helper failed to start here: never split again
 _split_calls = 0  # drift calls the helper shared; ``run`` reports whether it did
 
 
@@ -401,13 +403,21 @@ def _spare_cpu() -> bool:
 
 def _ready_helper(kernel: KernelParams) -> _DriftHelper | None:
     """This process's helper once it has reported ready, else None; starts
-    one if none runs."""
-    global _helper
-    if _helper is None:
-        _helper = _DriftHelper(kernel)
-        return None
+    one if none runs. A helper that cannot be launched, or that ends before
+    it reports ready, leaves this process drifting alone from then on: the
+    split only saves time."""
+    global _helper, _no_helper
     try:
-        return _helper if _helper.ready() else None
+        if _helper is None:
+            _helper = _DriftHelper(kernel)
+        elif _helper.ready():
+            return _helper
+        return None
+    except (OSError, RuntimeError) as exc:
+        _stop_helper(kill=True)
+        _no_helper = True
+        log.warning("drift helper unavailable, drifting in one process: %s", exc)
+        return None
     except BaseException:
         _stop_helper(kill=True)
         raise
@@ -466,13 +476,15 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
 
     With two target blocks or more and a second CPU, the helper drifts the
     trailing half of the blocks while this process drifts the leading half.
-    Until the helper has reported ready, this process drifts them all.
+    Until the helper has reported ready, and after it failed to start, this
+    process drifts them all.
     """
     global _split_calls
     out = np.empty_like(targets)
     block = max(1, _BLOCK_PAIRS // herders.shape[0])
     blocks = -(-targets.shape[0] // block)
-    helper = _ready_helper(kernel) if blocks >= 2 and _spare_cpu() else None
+    helper = (_ready_helper(kernel) if blocks >= 2 and not _no_helper and _spare_cpu()
+              else None)
     if helper is None:
         _table_drift(targets, herders, kernel, block, out)
         return out

@@ -225,30 +225,6 @@ def test_uncertified_regime_reports_without_asserting(kernel):
     assert rep.bounded is None
 
 
-def test_target_driver_takes_the_plans_stability_report(kernel, monkeypatch):
-    # the plan has already computed the bound for the same density and
-    # diffusion: passing it gives the same report without recomputing it
-    g = GridSpec(32)
-    goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
-    plan = plan_herders(goal, 120, 0.01, kernel, GridSpec(15), g)
-    rho0 = uniform(g, plan.target_mass)
-    own = verify_target_convergence(rho0, plan.rho_bar_t, diffusion=0.01, horizon=1.0)
-    assert (own.stability.sup_norm, own.stability.rate, own.stability.certified) == \
-        (plan.stability.sup_norm, plan.stability.rate, plan.stability.certified)
-
-    def recomputed(*args):
-        raise AssertionError("stability_margin called although a report was passed")
-
-    monkeypatch.setattr(continuum, "stability_margin", recomputed)
-    passed = verify_target_convergence(rho0, plan.rho_bar_t, diffusion=0.01,
-                                       horizon=1.0, stability=plan.stability)
-    assert passed.stability is plan.stability
-    for name in ("times", "error_sq", "envelope"):
-        assert np.array_equal(getattr(passed, name), getattr(own, name)), name
-    assert (passed.bounded, passed.mass_drift, passed.steps) == \
-        (own.bounded, own.mass_drift, own.steps)
-
-
 def test_frozen_herder_convection_route(kernel):
     # the kernel convolved with the planned herder density as the field
     g = GridSpec(32)

@@ -377,6 +377,35 @@ def test_killed_helper_is_named_then_replaced(kernel, monkeypatch):
     assert microsim._split_calls == calls + 1
 
 
+@pytest.mark.parametrize("start", ["exits before ready", "cannot launch"])
+def test_helper_that_fails_to_start_leaves_one_process(kernel, monkeypatch, tmp_path,
+                                                       caplog, start):
+    # the split only saves time: a helper that never reports ready warns once
+    # and leaves every later call to this process, with the same bits
+    rng = np.random.default_rng(48)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    microsim._stop_helper()
+    interpreter = tmp_path / "interpreter"
+    if start == "exits before ready":
+        interpreter.write_text("#!/bin/sh\nexit 3\n")
+        interpreter.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(interpreter))
+    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(microsim, "_no_helper", False)
+    calls = microsim._split_calls
+    with caplog.at_level(logging.WARNING, logger="swarmherd"):
+        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+        if microsim._helper is not None:
+            microsim._helper.proc.wait(timeout=60)
+        for _ in range(3):
+            assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._helper is None and microsim._no_helper
+    assert microsim._split_calls == calls
+    warnings = [r for r in caplog.records if "drift helper unavailable" in r.message]
+    assert len(warnings) == 1
+
+
 def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch):
     rng = np.random.default_rng(45)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
