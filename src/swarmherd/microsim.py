@@ -14,13 +14,13 @@ a single pair on the seam (L = pi).
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is split: one persistent helper process
 drifts the trailing half of the blocks while the caller drifts the leading
-half, with the same bits as one process. The helper is a child interpreter
-(``_serve``) that exchanges fixed-size binary frames over its stdin and
-stdout. It starts on first need and is never waited for: it reports ready
-about 0.25 s later, and until then the caller drifts every block. It peaks
-at about 33 MB resident, besides the caller's 44 MB at paper scale. It is
-stopped and reaped at exit, and after any failure between a request and its
-reply; one that fails to start leaves the caller drifting alone.
+half, with the same bits as one process. The helper is an ``os.fork`` of the
+caller, made at the first call that can split and used by it (fork plus reap
+measured 3.2-3.6 ms), that exchanges binary frames with it over two pipes
+(``_serve``). It shares the caller's pages until either writes them: at
+paper scale its proportional set size is about 15.5 MB beside the caller's
+26.5 MB. It is stopped and reaped at exit, and after any failure between a
+request and its reply; a fork that fails leaves the caller drifting alone.
 Threads would not help: block-sized NumPy calls gained nothing under the
 GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
 calls no BLAS, so no idle BLAS worker spins on the core the helper needs.
@@ -31,9 +31,10 @@ from __future__ import annotations
 import atexit
 import logging
 import os
+import signal
 import struct
-import sys
 import time
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -311,87 +312,96 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
 # The helper's frames: a request is this header, then n_t + n_h positions
 # (float64 x, y pairs, targets first); its reply is n_t drift rows.
 _HEADER = struct.Struct("<qqdqq")  # n_t, n_h, kernel length, images, block
-_READY = b"R"  # the helper's first and only other byte on its stdout
 
 
-def _read_into(stream, buf) -> bool:
-    """Fill ``buf`` from an unbuffered binary stream; False if it ends first."""
+def _read_into(fd: int, buf) -> bool:
+    """Fill ``buf`` from a pipe; False if it ends first."""
     view = memoryview(buf).cast("B")
     while view:
-        got = stream.readinto(view)
+        got = os.readv(fd, [view])
         if not got:
             return False
         view = view[got:]
     return True
 
 
-def _write_all(stream, data) -> None:
+def _write_all(fd: int, data) -> None:
     view = memoryview(data).cast("B")
     while view:
-        view = view[stream.write(view):]
+        view = view[os.write(fd, view):]
 
 
 class _DriftHelper:
-    """A child interpreter that drifts the trailing share of a split call.
+    """A fork of the caller that drifts the trailing share of a split call.
 
-    It runs ``_serve`` in ``sys.executable`` with the directory of this
-    package first on ``PYTHONPATH``, so it imports nothing of the caller's
-    ``__main__``. It ignores SIGINT and exits when its stdin ends.
+    It shares the caller's pages (the tail table among them) until either
+    writes them. It reads requests from one pipe and writes replies to
+    another, so a stray print cannot reach a reply. It ignores SIGINT, exits
+    when its input ends and always leaves through ``os._exit``, so the
+    caller's ``atexit`` hooks and buffered output never run twice; an
+    exception in its loop prints its traceback to stderr and exits 1. It is
+    forked only where ``_spare_cpu`` holds, which means Linux, and runs
+    NumPy ufuncs and ``einsum`` on its own arrays: no BLAS, no import, no
+    logging. OpenBLAS quiesces its thread pool across the fork; from Python
+    3.12 on, ``os.fork`` warns (``DeprecationWarning``) in a process with
+    other OS threads, OpenBLAS's among them: expected, and not filtered.
     """
 
-    def __init__(self, kernel: KernelParams):
-        import subprocess
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", "from swarmherd.microsim import _serve; _serve()",
-             repr(kernel.length), str(kernel.images)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
-            env=dict(os.environ, PYTHONPATH=path))
-        self.is_ready = False
+    def __init__(self):
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self.requests, self.replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # never returns into the caller's code
+            code = 1
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
+                _serve(requests, replies)
+                code = 0
+            except BaseException:
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
 
     def _failed(self, what: str) -> RuntimeError:
-        code = self.proc.poll()
-        state = "still running" if code is None else f"exit status {code}"
-        return RuntimeError(f"drift helper process {self.proc.pid} {what} ({state})")
-
-    def ready(self) -> bool:
-        """Whether the helper has reported ready; never waits."""
-        if not self.is_ready:
-            import select
-
-            if select.select([self.proc.stdout], [], [], 0)[0]:
-                if self.proc.stdout.read(1) != _READY:
-                    raise self._failed("exited before it was ready")
-                self.is_ready = True
-        return self.is_ready
+        # it has ended or is ending: reap it now, for its status
+        status = _stop_helper(kill=True)
+        return RuntimeError(f"drift helper process {self.pid} {what} (exit status {status})")
 
     def send(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
              block: int) -> None:
         header = _HEADER.pack(targets.shape[0], herders.shape[0], kernel.length,
                               kernel.images, block)
         try:
-            _write_all(self.proc.stdin, header + targets.tobytes() + herders.tobytes())
+            _write_all(self.requests, header + targets.tobytes() + herders.tobytes())
         except BrokenPipeError:
             raise self._failed("has exited") from None
 
     def receive(self, out: np.ndarray) -> None:
-        if not _read_into(self.proc.stdout, out):
+        if not _read_into(self.replies, out):
             raise self._failed("sent a short reply")
 
-    def close(self, kill: bool) -> None:
-        """Stop the helper and reap it: at the end of its stdin, or killed."""
+    def close(self, kill: bool) -> int:
+        """Stop the helper, at the end of its input or killed, and reap it;
+        its exit status, negative for the signal that ended it."""
         if kill:
-            self.proc.kill()
-        # its stdout first, so a helper still writing a reply stops on a broken pipe
-        self.proc.stdout.close()
-        self.proc.stdin.close()
-        self.proc.wait()
+            os.kill(self.pid, signal.SIGKILL)
+        # replies first, so a helper still writing one stops on a broken pipe
+        os.close(self.replies)
+        os.close(self.requests)
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 _helper: _DriftHelper | None = None
-_no_helper = False  # a helper failed to start here: never split again
+_no_helper = False  # a fork failed here: never split again
 _split_calls = 0  # drift calls the helper shared; ``run`` reports whether it did
 
 
@@ -401,35 +411,26 @@ def _spare_cpu() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _ready_helper(kernel: KernelParams) -> _DriftHelper | None:
-    """This process's helper once it has reported ready, else None; starts
-    one if none runs. A helper that cannot be launched, or that ends before
-    it reports ready, leaves this process drifting alone from then on: the
-    split only saves time."""
+def _running_helper(kernel: KernelParams) -> _DriftHelper | None:
+    """This process's helper, forked if none runs. A fork that fails leaves
+    this process drifting alone from then on: the split only saves time."""
     global _helper, _no_helper
-    try:
-        if _helper is None:
-            _helper = _DriftHelper(kernel)
-        elif _helper.ready():
-            return _helper
-        return None
-    except (OSError, RuntimeError) as exc:
-        _stop_helper(kill=True)
-        _no_helper = True
-        log.warning("drift helper unavailable, drifting in one process: %s", exc)
-        return None
-    except BaseException:
-        _stop_helper(kill=True)
-        raise
+    if _helper is None:
+        _tail_table(kernel)  # built before the fork, so both share its pages
+        try:
+            _helper = _DriftHelper()
+        except OSError as exc:
+            _no_helper = True
+            log.warning("drift helper unavailable, drifting in one process: %s", exc)
+    return _helper
 
 
-def _stop_helper(kill: bool = False) -> None:
-    """Stop and forget this process's helper, if it has one. One that has not
-    reported ready holds no request, and is killed rather than waited for."""
+def _stop_helper(kill: bool = False) -> int | None:
+    """Stop, reap and forget this process's helper, if it has one; its exit
+    status."""
     global _helper
     helper, _helper = _helper, None
-    if helper is not None:
-        helper.close(kill or not helper.is_ready)
+    return None if helper is None else helper.close(kill)
 
 
 def _forget_helper() -> None:
@@ -437,8 +438,8 @@ def _forget_helper() -> None:
     so that the helper still sees its input end when the parent closes it."""
     global _helper
     if _helper is not None:
-        _helper.proc.stdin.close()
-        _helper.proc.stdout.close()
+        os.close(_helper.requests)
+        os.close(_helper.replies)
         _helper = None
 
 
@@ -447,18 +448,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _serve() -> None:
-    """The helper's loop: answer each request on stdin until stdin ends."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
-    requests = open(0, "rb", buffering=0, closefd=False)
-    replies = open(os.dup(1), "wb", buffering=0)
-    os.dup2(2, 1)  # a stray print goes to stderr, never into a reply
-    _tail_table(KernelParams(float(sys.argv[1]), int(sys.argv[2])))
+def _serve(requests: int, replies: int) -> None:
+    """The helper's loop: answer each request until its input ends."""
     header = bytearray(_HEADER.size)
     try:
-        replies.write(_READY)
         while _read_into(requests, header):
             n_t, n_h, length, images, block = _HEADER.unpack(header)
             pos, out = np.empty((n_t + n_h, 2)), np.empty((n_t, 2))
@@ -476,14 +469,13 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
 
     With two target blocks or more and a second CPU, the helper drifts the
     trailing half of the blocks while this process drifts the leading half.
-    Until the helper has reported ready, and after it failed to start, this
-    process drifts them all.
+    After a fork failed, this process drifts them all.
     """
     global _split_calls
     out = np.empty_like(targets)
     block = max(1, _BLOCK_PAIRS // herders.shape[0])
     blocks = -(-targets.shape[0] // block)
-    helper = (_ready_helper(kernel) if blocks >= 2 and not _no_helper and _spare_cpu()
+    helper = (_running_helper(kernel) if blocks >= 2 and not _no_helper and _spare_cpu()
               else None)
     if helper is None:
         _table_drift(targets, herders, kernel, block, out)
@@ -520,7 +512,8 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     every position negates its drift bit for bit, except on the seam. A
     block's arrays are views of one kept workspace (``_workspace``, 1.0 MB
     at 260 herders) written through ``out=``: a warm call at 720 x 260 makes
-    no per-block temporaries and peaks at 74 KiB traced (46 KiB split). Each target's row
+    no per-block temporaries and peaks at 74 KiB traced, 46 KiB when split
+    (the caller's share, the request and the reply). Each target's row
     depends on no other target, so the result is the same bits for every
     block size and whether or not the helper process took a share
     (``_split_drift``).

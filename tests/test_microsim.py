@@ -1,10 +1,12 @@
+import errno
 import itertools
+import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import textwrap
-import time
 import tracemalloc
 
 import numpy as np
@@ -261,7 +263,7 @@ def warm_drift_peak(kernel, monkeypatch, split):
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     if split:
-        ready_helper(monkeypatch, kernel)
+        forked_helper(monkeypatch, kernel)
     else:
         monkeypatch.setattr(microsim, "_spare_cpu", lambda: False)
     drift_all(targets, herders, 1e-3, kernel)
@@ -295,17 +297,13 @@ def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def ready_helper(monkeypatch, kernel):
-    """This process's drift helper, started if need be, once it reports ready.
+def forked_helper(monkeypatch, kernel):
+    """This process's drift helper, forked if need be.
 
     The split is forced on, so it is tested on a single CPU too.
     """
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    deadline = time.monotonic() + 60
-    while (helper := microsim._ready_helper(kernel)) is None:
-        assert time.monotonic() < deadline, "the drift helper never reported ready"
-        time.sleep(0.01)
-    return helper
+    return microsim._running_helper(kernel)
 
 
 def one_process_drift(monkeypatch, targets, herders, alpha, kernel):
@@ -339,7 +337,7 @@ def split_cases():
 def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
     targets, herders = split_cases()[case]
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    ready_helper(monkeypatch, kernel)
+    forked_helper(monkeypatch, kernel)
     calls = microsim._split_calls
     got = drift_all(targets, herders, 1e-3, kernel)
     block = max(1, microsim._BLOCK_PAIRS // len(herders))
@@ -352,7 +350,7 @@ def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
     rng = np.random.default_rng(43)
     targets, herders = rng.uniform(-PI, PI, (300, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    ready_helper(monkeypatch, kernel)
+    forked_helper(monkeypatch, kernel)
     for pairs in (1, 260, 4096):
         monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
         calls = microsim._split_calls
@@ -364,46 +362,75 @@ def test_killed_helper_is_named_then_replaced(kernel, monkeypatch):
     rng = np.random.default_rng(44)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    helper = ready_helper(monkeypatch, kernel)
-    helper.proc.kill()
-    helper.proc.wait(timeout=60)
-    with pytest.raises(RuntimeError, match=f"drift helper process {helper.proc.pid} "):
+    helper = forked_helper(monkeypatch, kernel)
+    os.kill(helper.pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} .*exit "
+                                           f"status -{signal.SIGKILL:d}"):
         drift_all(targets, herders, 1e-3, kernel)
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    fresh = ready_helper(monkeypatch, kernel)
-    assert fresh is not helper
+    assert microsim._helper is None
+    # the next call forks a fresh helper and shares with it
     calls = microsim._split_calls
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
     assert microsim._split_calls == calls + 1
+    assert microsim._helper.pid != helper.pid
 
 
-@pytest.mark.parametrize("start", ["exits before ready", "cannot launch"])
-def test_helper_that_fails_to_start_leaves_one_process(kernel, monkeypatch, tmp_path,
-                                                       caplog, start):
-    # the split only saves time: a helper that never reports ready warns once
-    # and leaves every later call to this process, with the same bits
+def test_failure_in_the_helper_is_printed_named_then_replaced(kernel, monkeypatch,
+                                                              capfd):
+    rng = np.random.default_rng(49)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    microsim._stop_helper()
+    caller, table_drift = os.getpid(), microsim._table_drift
+
+    def failing_in_the_helper(*args):
+        if os.getpid() != caller:
+            raise ValueError("no drift in the helper")
+        table_drift(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_table_drift", failing_in_the_helper)
+        helper = forked_helper(patch, kernel)  # the fork sees the patch
+        with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} "
+                                               r".*\(exit status 1\)"):
+            drift_all(targets, herders, 1e-3, kernel)
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ValueError: no drift in the helper" in err
+    forked_helper(monkeypatch, kernel)
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+    assert microsim._helper.pid != helper.pid
+
+
+def test_failed_fork_leaves_one_process(kernel, monkeypatch, caplog):
+    # the split only saves time: a fork that fails warns once, is never
+    # retried, and leaves every later call to this process, with the same bits
     rng = np.random.default_rng(48)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     microsim._stop_helper()
-    interpreter = tmp_path / "interpreter"
-    if start == "exits before ready":
-        interpreter.write_text("#!/bin/sh\nexit 3\n")
-        interpreter.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(interpreter))
+    forks = []
+
+    def failing_fork():
+        forks.append(os.getpid())
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
     monkeypatch.setattr(microsim, "_no_helper", False)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
     calls = microsim._split_calls
     with caplog.at_level(logging.WARNING, logger="swarmherd"):
-        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-        if microsim._helper is not None:
-            microsim._helper.proc.wait(timeout=60)
-        for _ in range(3):
+        for _ in range(4):
             assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert len(forks) == 1
     assert microsim._helper is None and microsim._no_helper
     assert microsim._split_calls == calls
     warnings = [r for r in caplog.records if "drift helper unavailable" in r.message]
     assert len(warnings) == 1
+    if fds is not None:  # both pipes closed again
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
 
 
 def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch):
@@ -411,7 +438,7 @@ def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, *second, 1e-3, kernel)
-    ready_helper(monkeypatch, kernel)
+    forked_helper(monkeypatch, kernel)
 
     def failing(*args):
         raise KeyboardInterrupt
@@ -422,7 +449,7 @@ def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch)
             drift_all(*first, 1e-3, kernel)
     # the request for ``first`` was sent; its reply must never be read as this one
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
-    ready_helper(monkeypatch, kernel)
+    forked_helper(monkeypatch, kernel)
     calls = microsim._split_calls
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
     assert microsim._split_calls == calls + 1
@@ -433,7 +460,7 @@ def test_forked_child_leaves_the_parents_helper_alone(kernel, monkeypatch):
     rng = np.random.default_rng(47)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    helper = ready_helper(monkeypatch, kernel)
+    helper = forked_helper(monkeypatch, kernel)
     pid = os.fork()
     if pid == 0:  # the child must never return into pytest
         code = 1
@@ -452,27 +479,26 @@ def test_forked_child_leaves_the_parents_helper_alone(kernel, monkeypatch):
 
 
 def test_helper_does_not_outlive_its_caller(tmp_path):
-    script = tmp_path / "drift.py"
-    script.write_text(textwrap.dedent("""
-        import time
-        import numpy as np
-        from swarmherd import KernelParams, microsim
+    # a paper-scale simulate, split from its first step, then checked at once:
+    # the caller reaped its helper before it exited
+    config = tmp_path / "paper.json"
+    config.write_text('{"sim": {"horizon": 0.03}}')
+    script = tmp_path / "simulate.py"
+    script.write_text(textwrap.dedent(f"""
+        from swarmherd import cli, microsim
         microsim._spare_cpu = lambda: True
-        rng = np.random.default_rng(46)
-        targets, herders = rng.uniform(-3, 3, (720, 2)), rng.uniform(-3, 3, (260, 2))
-        kernel = KernelParams()
-        while microsim._ready_helper(kernel) is None:
-            time.sleep(0.01)
-        microsim.drift_all(targets, herders, 1e-3, kernel)
-        print(microsim._helper.proc.pid, microsim._split_calls)
+        code = cli.main(["simulate", "--config", {str(config)!r},
+                         "--out", {str(tmp_path / "out")!r}])
+        assert code == 0
+        print(microsim._helper.pid)
     """))
     src = os.path.dirname(os.path.dirname(microsim.__file__))
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
-    pid, calls = map(int, done.stdout.split())
-    assert calls == 1
-    # checked at once: the caller reaped its helper before it exited
+    pid = int(done.stdout.split()[-1])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["drift_processes"] == 2
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
 
@@ -733,7 +759,7 @@ def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(microsim, "_spare_cpu", lambda: False)
         alone = run(**kwargs)
-    ready_helper(monkeypatch, kernel)
+    forked_helper(monkeypatch, kernel)
     shared = run(**kwargs)
     assert (alone.drift_processes, shared.drift_processes) == (1, 2)
     assert np.array_equal(alone.final.targets, shared.final.targets)
