@@ -12,17 +12,23 @@ max-norm relative error measured about 3e-10 at scale and at most 3.1e-8 for
 a single pair on the seam (L = pi).
 
 No target's drift depends on another's, so a call of two blocks or more,
-in a process allowed two CPUs, is split: one persistent helper process
-drifts the trailing half of the blocks while the caller drifts the leading
-half, with the same bits as one process. The helper is an ``os.fork`` of the
-caller, made at the first call that can split and used by it (fork plus reap
-measured 3.2-3.6 ms), that exchanges binary frames with it over two pipes
+in a process allowed two CPUs, is shared with one persistent helper
+process through a queue: a pipe that holds one 4-byte token per block (per
+run of blocks, in a call of more than 1024) and whose non-blocking end both
+processes read, one token per read. The kernel hands each token to one
+reader, so every block is drifted once, by whichever process is free, with
+the same bits as one process. ``run`` hands out each step's drift at the
+top of the step, so the helper drifts while the caller runs the control
+tick, metrics and noise draw; ``step`` then collects it through
+``drift_all``. The helper is an ``os.fork`` of the caller, made at the
+first call that can share and used by it (fork plus reap measured
+3.2-3.6 ms), that exchanges binary frames with it over two more pipes
 (``_serve``). It shares the caller's pages until either writes them: at
 paper scale its proportional set size is about 15.5 MB beside the caller's
 26.5 MB. It is stopped and reaped at exit, and after any failure between a
-request and its reply; a fork that fails leaves the caller drifting alone.
-Threads would not help: block-sized NumPy calls gained nothing under the
-GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
+hand-out and its collection; a fork that fails leaves the caller drifting
+alone. Threads would not help: block-sized NumPy calls gained nothing under
+the GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
 calls no BLAS, so no idle BLAS worker spins on the core the helper needs.
 """
 
@@ -35,9 +41,11 @@ import signal
 import struct
 import time
 import traceback
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,16 +259,18 @@ def _workspace(block: int, n_h: int) -> np.ndarray:
 
 
 def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
-                 block: int, out: np.ndarray) -> None:
+                 block: int, out: np.ndarray, blocks: Iterable[int]) -> None:
     """Unnormalized drift of wrapped targets under wrapped herders, into
-    ``out``, ``block`` targets at a time."""
+    ``out``, for each of ``blocks``: block j is the ``block`` targets from
+    row j * block on (fewer in the last)."""
     table = _tail_table(kernel)
     cells = _TAIL_CELLS
     n_h = herders.shape[0]
     tt = np.ascontiguousarray(targets.T)[:, :, None]
     ht = np.ascontiguousarray(herders.T)[:, None, :]
     ws = _workspace(block, n_h)
-    for lo in range(0, targets.shape[0], block):
+    for j in blocks:
+        lo = j * block
         n = min(block, targets.shape[0] - lo)
         m, pair = n * n_h, (2, n, n_h)
         # displacements (then signs), squares (then scaled |d| and fraction),
@@ -309,9 +319,16 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
         out[lo:lo + n] += np.einsum("cth,cth->tc", d, q, out=tail)
 
 
-# The helper's frames: a request is this header, then n_t + n_h positions
-# (float64 x, y pairs, targets first); its reply is n_t drift rows.
-_HEADER = struct.Struct("<qqdqq")  # n_t, n_h, kernel length, images, block
+# The helper's frames. A request is this header, then n_t + n_h positions
+# (float64 x, y pairs, targets first). Its reply is the count of blocks it
+# took, their indices, then their drift rows in that order.
+_HEADER = struct.Struct("<qqdqqq")  # n_t, n_h, kernel length, images, block, per token
+_COUNT = struct.Struct("<q")
+_TOKEN = np.dtype("<u4")  # a queued run of blocks: its index
+# At most this many tokens per call, 4 KiB: one write into the empty queue
+# that never waits (PIPE_BUF, and the least a Linux pipe holds). A call of
+# more blocks queues runs of consecutive blocks.
+_MAX_TOKENS = 1024
 
 
 def _read_into(fd: int, buf) -> bool:
@@ -331,38 +348,78 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
+def _pull(queue: int, per: int, blocks: int, taken: list[int]) -> Iterator[int]:
+    """Block indices from the shared queue, appended to ``taken``, until it
+    is empty. Each read takes one whole token, and the kernel hands it to
+    one reader only, so every block goes to exactly one process."""
+    while True:
+        try:
+            token = os.read(queue, _TOKEN.itemsize)
+        except BlockingIOError:
+            return
+        if not token:  # the caller has gone
+            return
+        first = int.from_bytes(token, "little") * per
+        for j in range(first, min(first + per, blocks)):
+            taken.append(j)
+            yield j
+
+
+class _Request(NamedTuple):
+    """A drift handed out to the queue and not yet collected."""
+
+    given: tuple[np.ndarray, np.ndarray]  # the caller's arrays, matched by identity
+    targets: np.ndarray  # wrapped
+    herders: np.ndarray  # wrapped
+    kernel: KernelParams
+    block: int
+    per: int  # blocks per token
+
+    @property
+    def blocks(self) -> int:
+        return -(-self.targets.shape[0] // self.block)
+
+
 class _DriftHelper:
-    """A fork of the caller that drifts the trailing share of a split call.
+    """A fork of the caller that drifts the blocks it pulls from a shared
+    queue.
 
     It shares the caller's pages (the tail table among them) until either
     writes them. It reads requests from one pipe and writes replies to
-    another, so a stray print cannot reach a reply. It ignores SIGINT, exits
-    when its input ends and always leaves through ``os._exit``, so the
-    caller's ``atexit`` hooks and buffered output never run twice; an
-    exception in its loop prints its traceback to stderr and exits 1. It is
-    forked only where ``_spare_cpu`` holds, which means Linux, and runs
-    NumPy ufuncs and ``einsum`` on its own arrays: no BLAS, no import, no
-    logging. OpenBLAS quiesces its thread pool across the fork; from Python
-    3.12 on, ``os.fork`` warns (``DeprecationWarning``) in a process with
-    other OS threads, OpenBLAS's among them: expected, and not filtered.
+    another, so a stray print cannot reach a reply. A third pipe is the
+    queue: the caller writes a call's tokens there before its request, and
+    both processes read its non-blocking end until it is empty. It ignores
+    SIGINT, exits when its input ends and always leaves through
+    ``os._exit``, so the caller's ``atexit`` hooks and buffered output never
+    run twice; an exception in its loop prints its traceback to stderr and
+    exits 1. It is forked only where ``_spare_cpu`` holds, which means
+    Linux, and runs NumPy ufuncs and ``einsum`` on its own arrays: no BLAS,
+    no import, no logging. OpenBLAS quiesces its thread pool across the
+    fork; from Python 3.12 on, ``os.fork`` warns (``DeprecationWarning``) in
+    a process with other OS threads, OpenBLAS's among them: expected, and
+    not filtered.
     """
 
     def __init__(self):
         requests, self.requests = os.pipe()
         self.replies, replies = os.pipe()
+        self.queue, self.deal = os.pipe()
+        os.set_blocking(self.queue, False)  # one open file, shared with the fork
+        self.handed: _Request | None = None
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self.requests, self.replies, replies):
+            for fd in (requests, self.requests, self.replies, replies, self.queue,
+                       self.deal):
                 os.close(fd)
             raise
         if self.pid == 0:  # never returns into the caller's code
             code = 1
             try:
-                os.close(self.requests)
-                os.close(self.replies)
+                for fd in (self.requests, self.replies, self.deal):
+                    os.close(fd)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
-                _serve(requests, replies)
+                _serve(requests, self.queue, replies)
                 code = 0
             except BaseException:
                 os.write(2, traceback.format_exc().encode())
@@ -376,17 +433,39 @@ class _DriftHelper:
         status = _stop_helper(kill=True)
         return RuntimeError(f"drift helper process {self.pid} {what} (exit status {status})")
 
-    def send(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
-             block: int) -> None:
-        header = _HEADER.pack(targets.shape[0], herders.shape[0], kernel.length,
-                              kernel.images, block)
+    def hand_out(self, request: _Request) -> None:
+        """Queue the request's tokens, then send it: the helper starts at once."""
+        tokens = -(-request.blocks // request.per)
+        os.write(self.deal, np.arange(tokens, dtype=_TOKEN).tobytes())
+        header = _HEADER.pack(request.targets.shape[0], request.herders.shape[0],
+                              request.kernel.length, request.kernel.images, request.block,
+                              request.per)
         try:
-            _write_all(self.requests, header + targets.tobytes() + herders.tobytes())
+            for frame in (header, request.targets, request.herders):
+                _write_all(self.requests, frame)
         except BrokenPipeError:
             raise self._failed("has exited") from None
+        self.handed = request
 
-    def receive(self, out: np.ndarray) -> None:
-        if not _read_into(self.replies, out):
+    def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
+        """Whether the drift handed out is of these very arrays."""
+        request = self.handed
+        return (request is not None and request.given[0] is targets
+                and request.given[1] is herders and request.kernel == kernel)
+
+    def collect(self, out: np.ndarray) -> None:
+        """Drift the blocks still queued, then read the helper's into ``out``."""
+        request, self.handed = self.handed, None
+        block = request.block
+        _table_drift(request.targets, request.herders, request.kernel, block, out,
+                     _pull(self.queue, request.per, request.blocks, []))
+        count = bytearray(_COUNT.size)
+        if not _read_into(self.replies, count):
+            raise self._failed("sent a short reply")
+        taken = np.empty(_COUNT.unpack(count)[0], _TOKEN)
+        if not (_read_into(self.replies, taken)
+                and all(_read_into(self.replies, out[j * block:(j + 1) * block])
+                        for j in taken.tolist())):
             raise self._failed("sent a short reply")
 
     def close(self, kill: bool) -> int:
@@ -395,8 +474,8 @@ class _DriftHelper:
         if kill:
             os.kill(self.pid, signal.SIGKILL)
         # replies first, so a helper still writing one stops on a broken pipe
-        os.close(self.replies)
-        os.close(self.requests)
+        for fd in (self.replies, self.requests, self.queue, self.deal):
+            os.close(fd)
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
@@ -433,13 +512,20 @@ def _stop_helper(kill: bool = False) -> int | None:
     return None if helper is None else helper.close(kill)
 
 
+def _drop_hand_out() -> None:
+    """Stop the helper if it holds a drift never collected, so that neither
+    its tokens nor its reply can reach a later call."""
+    if _helper is not None and _helper.handed is not None:
+        _stop_helper(kill=True)
+
+
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper and this copy of its pipes,
     so that the helper still sees its input end when the parent closes it."""
     global _helper
     if _helper is not None:
-        os.close(_helper.requests)
-        os.close(_helper.replies)
+        for fd in (_helper.requests, _helper.replies, _helper.queue, _helper.deal):
+            os.close(fd)
         _helper = None
 
 
@@ -448,43 +534,80 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: answer each request until its input ends."""
+def _serve(requests: int, queue: int, replies: int) -> None:
+    """The helper's loop: for each request, drift the blocks it pulls from
+    the queue and reply with them, until its input ends."""
     header = bytearray(_HEADER.size)
     try:
         while _read_into(requests, header):
-            n_t, n_h, length, images, block = _HEADER.unpack(header)
+            n_t, n_h, length, images, block, per = _HEADER.unpack(header)
             pos, out = np.empty((n_t + n_h, 2)), np.empty((n_t, 2))
             if not _read_into(requests, pos):
                 return
-            _table_drift(pos[:n_t], pos[n_t:], KernelParams(length, images), block, out)
-            _write_all(replies, out)
+            taken: list[int] = []
+            _table_drift(pos[:n_t], pos[n_t:], KernelParams(length, images), block, out,
+                         _pull(queue, per, -(-n_t // block), taken))
+            _write_all(replies, b"".join([
+                _COUNT.pack(len(taken)), np.array(taken, _TOKEN).tobytes(),
+                *(out[j * block:(j + 1) * block] for j in taken)]))
     except BrokenPipeError:
         pass  # the caller has gone
+
+
+def _block_size(n_h: int) -> int:
+    """Targets per block: about ``_BLOCK_PAIRS`` pairs."""
+    return max(1, _BLOCK_PAIRS // n_h)
+
+
+def _hand_out(targets: np.ndarray, herders: np.ndarray,
+              kernel: KernelParams) -> _DriftHelper | None:
+    """Queue the blocks of this drift for the helper, which starts on them at
+    once; the helper, or None where this process drifts alone.
+
+    A drift is shared where it has two blocks or more and a second CPU.
+    ``drift_all`` of the same two arrays collects it; until then any failure
+    must drop it (``_drop_hand_out``). After a fork failed, nothing is
+    handed out.
+    """
+    _drop_hand_out()
+    if herders.size == 0 or targets.size == 0:
+        return None
+    block = _block_size(herders.shape[0])
+    if targets.shape[0] <= block or _no_helper or not _spare_cpu():
+        return None
+    helper = _running_helper(kernel)
+    if helper is not None:
+        per = -(-targets.shape[0] // (block * _MAX_TOKENS))  # blocks per token
+        try:
+            helper.hand_out(_Request((targets, herders), wrap(targets), wrap(herders),
+                                     kernel, block, per))
+        except BaseException:
+            _stop_helper(kill=True)
+            raise
+    return helper
 
 
 def _split_drift(targets: np.ndarray, herders: np.ndarray,
                  kernel: KernelParams) -> np.ndarray:
     """``_table_drift`` of all targets, shared with the helper where it pays.
 
-    With two target blocks or more and a second CPU, the helper drifts the
-    trailing half of the blocks while this process drifts the leading half.
-    After a fork failed, this process drifts them all.
+    Collects the drift ``_hand_out`` queued for these arrays, handing it out
+    first if it was not: this process pulls blocks from the queue until it
+    is empty, then reads the helper's. Where nothing is handed out, this
+    process drifts every block.
     """
     global _split_calls
     out = np.empty_like(targets)
-    block = max(1, _BLOCK_PAIRS // herders.shape[0])
-    blocks = -(-targets.shape[0] // block)
-    helper = (_running_helper(kernel) if blocks >= 2 and not _no_helper and _spare_cpu()
-              else None)
+    helper = _helper
+    if helper is None or not helper.holds(targets, herders, kernel):
+        helper = _hand_out(targets, herders, kernel)
     if helper is None:
-        _table_drift(targets, herders, kernel, block, out)
+        block = _block_size(herders.shape[0])
+        _table_drift(wrap(targets), wrap(herders), kernel, block, out,
+                     range(-(-targets.shape[0] // block)))
         return out
-    lead = blocks // 2 * block
     try:
-        helper.send(targets[lead:], herders, kernel, block)
-        _table_drift(targets[:lead], herders, kernel, block, out[:lead])
-        helper.receive(out[lead:])
+        helper.collect(out)
     except BaseException:
         # a reply may still be on its way: never read it as the next call's
         _stop_helper(kill=True)
@@ -512,18 +635,22 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     every position negates its drift bit for bit, except on the seam. A
     block's arrays are views of one kept workspace (``_workspace``, 1.0 MB
     at 260 herders) written through ``out=``: a warm call at 720 x 260 makes
-    no per-block temporaries and peaks at 74 KiB traced, 46 KiB when split
-    (the caller's share, the request and the reply). Each target's row
-    depends on no other target, so the result is the same bits for every
-    block size and whether or not the helper process took a share
-    (``_split_drift``).
+    no per-block temporaries and peaks at 74 KiB traced, 48-75 KiB when
+    shared, by the share of blocks this process takes. Each target's
+    row depends on no other target, so the result is the same bits for
+    every block size and whichever process drifts which block.
+
+    Where the drift is shared, this process and the helper pull its blocks
+    from one queue until it is empty (``_split_drift``). ``run`` hands out
+    each step's drift before its control tick (``_hand_out``), so the
+    helper starts on it at once; this call then collects it.
     """
     targets = np.asarray(targets, dtype=float)
     herders = np.asarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
     if fast:
-        return alpha * _split_drift(wrap(targets), wrap(herders), kernel)
+        return alpha * _split_drift(targets, herders, kernel)
     disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
     return alpha * kernel_periodic(disp, kernel).sum(axis=1)
 
@@ -554,12 +681,12 @@ def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
     if commands.shape != ensemble.herders.shape:
         raise ValueError("need one velocity command per herder")
     new_herders = wrap(ensemble.herders + commands * params.dt)
+    # the noise before the drift, which ``run`` handed out at the top of the step
+    noise = (noise_rng(params.seed, step_index).standard_normal(ensemble.targets.shape)
+             if params.diffusion > 0 else None)
     drift = drift_all(ensemble.targets, ensemble.herders, ensemble.alpha, kernel)
     move = drift * params.dt
-    if params.diffusion > 0:
-        noise = noise_rng(params.seed, step_index).standard_normal(
-            ensemble.targets.shape
-        )
+    if noise is not None:
         move = move + np.sqrt(2.0 * params.diffusion * params.dt) * noise
     return AgentEnsemble(herders=new_herders, targets=wrap(ensemble.targets + move))
 
@@ -677,33 +804,40 @@ def run(
     record_snapshot(0.0)
     if n_steps == 0:
         record_metrics(0.0)
-    for s in range(n_steps):
-        t = s * sim.dt
-        if n_herders > 0 and s % sim.control_every == 0:
-            estimate = estimate_density(state.herders, kde, grid, mass=herder_mass)
-            lap("kde")
-            err = herder_error(rho_bar_h, estimate)
-            solution = control_field(err, estimate, gain)
-            err_l2 = l2_norm(err)
-            lap("control")
-            commands = sample_at_herders(solution.velocity, state.herders)
-            speeds = np.sqrt(np.sum(commands * commands, axis=-1))
-            clipped = 0 if sim.v_max is None else np.count_nonzero(speeds > sim.v_max)
-            health = (err_l2, solution.removed_mean, float(speeds.max()),
-                      clipped / n_herders, solution.floor_share)
-            if sim.v_max is not None:
-                commands = speed_limit(commands, sim.v_max)
-            lap("sampling")
-        if s % metrics_every == 0:
-            record_metrics(t)
-        if snapshot_every > 0 and s > 0 and s % snapshot_every == 0:
-            record_snapshot(t)
-        lap("metrics")
-        state = step(state, commands, sim, s, kernel)
-        if (s + 1) % progress == 0:
-            log.info("step %d of %d, %.1f s; chi %.1f%% at t = %g", s + 1, n_steps,
-                     time.perf_counter() - t_start, chis[-1], times[-1])
-        lap("step")
+    try:
+        for s in range(n_steps):
+            t = s * sim.dt
+            # the helper drifts this step while this process runs its control tick
+            _hand_out(state.targets, state.herders, kernel)
+            lap("step")
+            if n_herders > 0 and s % sim.control_every == 0:
+                estimate = estimate_density(state.herders, kde, grid, mass=herder_mass)
+                lap("kde")
+                err = herder_error(rho_bar_h, estimate)
+                solution = control_field(err, estimate, gain)
+                err_l2 = l2_norm(err)
+                lap("control")
+                commands = sample_at_herders(solution.velocity, state.herders)
+                speeds = np.sqrt(np.sum(commands * commands, axis=-1))
+                clipped = 0 if sim.v_max is None else np.count_nonzero(speeds > sim.v_max)
+                health = (err_l2, solution.removed_mean, float(speeds.max()),
+                          clipped / n_herders, solution.floor_share)
+                if sim.v_max is not None:
+                    commands = speed_limit(commands, sim.v_max)
+                lap("sampling")
+            if s % metrics_every == 0:
+                record_metrics(t)
+            if snapshot_every > 0 and s > 0 and s % snapshot_every == 0:
+                record_snapshot(t)
+            lap("metrics")
+            state = step(state, commands, sim, s, kernel)
+            if (s + 1) % progress == 0:
+                log.info("step %d of %d, %.1f s; chi %.1f%% at t = %g", s + 1, n_steps,
+                         time.perf_counter() - t_start, chis[-1], times[-1])
+            lap("step")
+    except BaseException:
+        _drop_hand_out()  # its tokens and reply must never reach a later call
+        raise
     record_metrics(n_steps * sim.dt)
     record_snapshot(n_steps * sim.dt)
     lap("metrics")

@@ -1,12 +1,16 @@
 import errno
+import fcntl
 import itertools
 import json
 import logging
 import os
 import signal
+import struct
 import subprocess
 import sys
+import termios
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -287,7 +291,8 @@ def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch):
 
 
 def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
-    # the caller's share plus the request and the reply (measured 46 KiB)
+    # the wrapped inputs, the result and whatever share of the blocks this
+    # process pulls (measured 48-75 KiB; 74 KiB with every block)
     peak = warm_drift_peak(kernel, monkeypatch, split=True)
     assert peak <= 80 * 1024, peak
 
@@ -452,6 +457,153 @@ def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch)
     forked_helper(monkeypatch, kernel)
     calls = microsim._split_calls
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+
+
+def queued_bytes(helper):
+    """Bytes of tokens still in the helper's queue."""
+    return struct.unpack("i", fcntl.ioctl(helper.queue, termios.FIONREAD, bytes(4)))[0]
+
+
+def callers_blocks(monkeypatch):
+    """The block indices this process pulls from the queue from now on; a
+    helper forked before keeps its own ``_pull``."""
+    mine, pull = [], microsim._pull
+
+    def recording(*args):
+        for j in pull(*args):
+            mine.append(j)
+            yield j
+
+    monkeypatch.setattr(microsim, "_pull", recording)
+    return mine
+
+
+@pytest.fixture(scope="module")
+def paper_run(kernel):
+    """``run`` arguments at paper scale: many blocks of drift per step."""
+    goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
+    plan = plan_herders(goal, 720, 0.01, kernel, GridSpec(15), GridSpec(32))
+    return dict(n_targets=720, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+                goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+                sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.05, seed=8))
+
+
+def one_process_run(monkeypatch, kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_spare_cpu", lambda: False)
+        return run(**kwargs)
+
+
+def test_queue_same_bits_when_the_helper_takes_every_block(kernel, monkeypatch,
+                                                           paper_run):
+    # each control tick waits until the helper has pulled every token
+    alone = one_process_run(monkeypatch, paper_run)
+    helper = forked_helper(monkeypatch, kernel)
+    estimate = microsim.estimate_density
+
+    def after_the_queue_empties(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while queued_bytes(helper) and time.monotonic() < deadline:
+            time.sleep(1e-4)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(microsim, "estimate_density", after_the_queue_empties)
+    mine = callers_blocks(monkeypatch)
+    shared = run(**paper_run)
+    assert (mine, shared.drift_processes) == ([], 2)
+    assert np.array_equal(shared.final.targets, alone.final.targets)
+    assert np.array_equal(shared.chi, alone.chi)
+
+
+def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
+    rng = np.random.default_rng(50)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    helper = forked_helper(monkeypatch, kernel)
+    # stopped, the helper pulls nothing until this process waits for its reply
+    os.kill(helper.pid, signal.SIGSTOP)
+    os.waitpid(helper.pid, os.WUNTRACED)
+    read_into = microsim._read_into
+
+    def resuming(fd, buf):
+        os.kill(helper.pid, signal.SIGCONT)
+        return read_into(fd, buf)
+
+    monkeypatch.setattr(microsim, "_read_into", resuming)
+    mine = callers_blocks(monkeypatch)
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert mine == list(range(-(-720 // (microsim._BLOCK_PAIRS // 260))))
+    assert microsim._split_calls == calls + 1
+
+
+def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
+                                                                  paper_run):
+    # the control tick runs while the helper drifts: its failure must leave
+    # no token or reply for the next call
+    alone = one_process_run(monkeypatch, paper_run)
+    helper = forked_helper(monkeypatch, kernel)
+
+    def failing(*args):
+        raise ValueError("no control field")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "control_field", failing)
+        with pytest.raises(ValueError, match="no control field"):
+            run(**paper_run)
+    assert microsim._helper is None
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(helper.pid, 0)
+    shared = run(**paper_run)
+    assert shared.drift_processes == 2 and microsim._helper.pid != helper.pid
+    assert np.array_equal(shared.final.targets, alone.final.targets)
+
+
+def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
+    rng = np.random.default_rng(51)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    microsim._stop_helper()
+    caller, table_drift = os.getpid(), microsim._table_drift
+
+    def dying_in_the_helper(targets, herders, kernel, block, out, blocks):
+        if os.getpid() != caller:
+            next(blocks)  # takes a token from the queue, then dies with it
+            os.kill(os.getpid(), signal.SIGKILL)
+        table_drift(targets, herders, kernel, block, out, blocks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_table_drift", dying_in_the_helper)
+        helper = forked_helper(patch, kernel)  # the fork sees the patch
+    forked_helper(monkeypatch, kernel)
+    queued = queued_bytes(helper)
+    microsim._hand_out(targets, herders, kernel)
+    full, deadline = queued_bytes(helper), time.monotonic() + 60
+    while queued_bytes(helper) == full and time.monotonic() < deadline:
+        time.sleep(1e-4)
+    assert queued == 0 and queued_bytes(helper) < full
+    with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} .*exit "
+                                           f"status -{signal.SIGKILL:d}"):
+        drift_all(targets, herders, 1e-3, kernel)
+    assert microsim._helper is None
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1
+    assert microsim._helper.pid != helper.pid
+
+
+def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
+    # one target per block, a few more blocks than the pipe holds tokens
+    helper = forked_helper(monkeypatch, kernel)
+    capacity = fcntl.fcntl(helper.queue, fcntl.F_GETPIPE_SZ)
+    rng = np.random.default_rng(52)
+    n_t = capacity // microsim._TOKEN.itemsize + 7
+    targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
+    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
     assert microsim._split_calls == calls + 1
 
 
