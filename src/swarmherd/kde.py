@@ -37,6 +37,11 @@ def _rings(bandwidth: float) -> int:
     return math.ceil(math.sqrt(PI**2 + 106 * math.log(2) * bandwidth**2) / TWO_PI)
 
 
+# m * n * k of a matrix product at or below which OpenBLAS's gemm runs on
+# the calling thread (65536 times its GEMM_MULTITHREAD_THRESHOLD of 4)
+_SERIAL_GEMM = 1 << 18
+
+
 @lru_cache(maxsize=2)
 def _image_buffer(n: int, m: int) -> np.ndarray:
     """Scratch (3, n, M): the image sums of both axes and one image term.
@@ -58,8 +63,9 @@ def estimate_density(
     The agents are wrapped into [-pi, pi) first. The wrapped Gaussian
     factorizes per axis, so each agent contributes an outer product of two
     one-dimensional image sums over ``_rings(params.bandwidth)`` rings; the
-    agent reduction is one ``einsum``, which calls no BLAS. The estimate is
-    renormalized to integrate to ``mass`` afterwards.
+    agent reduction is a matrix product, taken a few output rows at a time
+    so that OpenBLAS keeps it on the calling thread (``_SERIAL_GEMM``). The
+    estimate is renormalized to integrate to ``mass`` afterwards.
     """
     if not mass > 0:
         raise ValueError("target mass must be positive")
@@ -83,10 +89,16 @@ def estimate_density(
             t *= coef
             g += np.exp(t, out=t)
 
-    # einsum, not g1.T @ g2: a matmul this size wakes BLAS's thread pool, whose
-    # idle workers then spin on the core the drift helper needs
-    values = (np.einsum("ni,nj->ij", g1, g2)
-              / (TWO_PI * params.bandwidth**2 * agents.shape[0]) * mass)
+    # g1.T @ g2 by chunks of output rows: each product stays at or below
+    # OpenBLAS's threading threshold, so it runs on this thread, and no woken
+    # BLAS worker spins on the core the drift helper needs. Chunks of agents
+    # would change the sum's rounding.
+    values = np.empty((grid.m, grid.m))
+    rows = max(1, _SERIAL_GEMM // (grid.m * agents.shape[0]))
+    for lo in range(0, grid.m, rows):
+        np.matmul(g1[:, lo:lo + rows].T, g2, out=values[lo:lo + rows])
+    values /= TWO_PI * params.bandwidth**2 * agents.shape[0]
+    values *= mass
     total = values.sum() * grid.cell_area
     values *= mass / total
     return DensityField(grid, values)
