@@ -133,7 +133,8 @@ def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,
     """Snapshots are (t, herders, targets) tuples; positions scaled on write.
 
     Rows are CSV with csv's default ``\r\n`` terminator; no field needs
-    quoting, so each block of rows is formatted in one join.
+    quoting, so each block of rows is one ``%`` format of the row format
+    repeated, over one flat tuple of (id, x1, x2) values.
     """
     with open(path, "w", newline="") as fh:
         for line in metadata_lines(meta or {}):
@@ -142,9 +143,13 @@ def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,
         for t, herders, targets in snapshots:
             for kind, block in (("herder", herders), ("target", targets)):
                 row = f"{FLOAT_FMT % t},{kind},%d,{FLOAT_FMT},{FLOAT_FMT}\r\n"
-                positions = (np.asarray(block, dtype=float) * scale).tolist()
-                fh.write("".join(row % (idx, x1, x2)
-                                 for idx, (x1, x2) in enumerate(positions)))
+                positions = np.asarray(block, dtype=float) * scale
+                n = positions.shape[0]
+                values = [0] * (3 * n)
+                values[0::3] = range(n)
+                values[1::3] = positions[:, 0].tolist()
+                values[2::3] = positions[:, 1].tolist()
+                fh.write(row * n % tuple(values))
 
 
 def read_trajectory(path: str | Path):
