@@ -28,8 +28,9 @@ paper scale its proportional set size is about 15.5 MB beside the caller's
 26.5 MB. It is stopped and reaped at exit, and after any failure between a
 hand-out and its collection; a fork that fails leaves the caller drifting
 alone. Threads would not help: block-sized NumPy calls gained nothing under
-the GIL, where two processes ran 1.7-2.1 times as fast. The KDE's reduction
-calls no BLAS, so no idle BLAS worker spins on the core the helper needs.
+the GIL, where two processes ran 1.7-2.1 times as fast. The KDE's matrix
+product stays below OpenBLAS's threading threshold, so no idle BLAS worker
+spins on the core the helper needs.
 """
 
 from __future__ import annotations
@@ -718,7 +719,7 @@ class SimulationResult:
     herder_mass: float
     wall_time: float
     cpu_time: float  # this process's CPU seconds over the run, helper excluded
-    drift_processes: int  # 2 if the drift helper took a share of any step, else 1
+    drift_processes: int  # 2 if any step's drift was handed to the helper, else 1
     # seconds per stage: kde, control (herder_error, control_field), sampling
     # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
@@ -758,7 +759,7 @@ def run(
     exceeds ``wall_time``. ``cpu_time`` is this process's
     ``time.process_time`` over the run, without the drift helper's: well
     above ``wall_time``, it shows a spinning thread pool.
-    ``drift_processes`` is 2 if the helper shared the drift of any step.
+    ``drift_processes`` is 2 if any step's drift was handed to the helper.
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """

@@ -603,7 +603,18 @@ def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
     calls = microsim._split_calls
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+
+    def deadlocked(signum, frame):
+        raise TimeoutError("the drift call did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        got = drift_all(targets, herders, 1e-3, kernel)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(got, expected)
     assert microsim._split_calls == calls + 1
 
 
