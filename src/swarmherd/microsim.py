@@ -579,9 +579,10 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     helper = _running_helper(kernel)
     if helper is not None:
         per = -(-targets.shape[0] // (block * _MAX_TOKENS))  # blocks per token
+        request = _Request((targets, herders), wrap(targets), wrap(herders), kernel,
+                           block, per)
         try:
-            helper.hand_out(_Request((targets, herders), wrap(targets), wrap(herders),
-                                     kernel, block, per))
+            helper.hand_out(request)
         except BaseException:
             _stop_helper(kill=True)
             raise
