@@ -11,14 +11,13 @@ the convergence rates.
 """
 
 from .torus import ArenaMap, torus_distance, wrap, wrapped_displacement
-from .kernel import KernelParams, kernel_free, kernel_periodic, sample_on_grid
+from .kernel import KernelParams, kernel_periodic, sample_on_grid
 from .grids import (
     DensityField,
     GridSpec,
     ScalarField,
     VectorField,
     circular_convolve,
-    curl,
     divergence,
     gradient,
     kernel_symbol,
@@ -104,7 +103,6 @@ __all__ = [
     "containment",
     "continuum_step",
     "control_field",
-    "curl",
     "deconvolve",
     "desired_velocity_field",
     "divergence",
@@ -115,7 +113,6 @@ __all__ = [
     "herder_count",
     "herder_error",
     "herder_lattice",
-    "kernel_free",
     "kernel_periodic",
     "kernel_symbol",
     "l2_norm",

@@ -8,7 +8,6 @@ level of ``--log-level`` (default INFO); summaries go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -22,17 +21,16 @@ from .config import ConfigError, ExperimentConfig
 from .continuum import verify_herder_convergence, verify_target_convergence
 from .feasibility import InfeasibleError, feasibility_map, plan_herders
 from .fileio import (
-    FLOAT_FMT,
-    metadata_lines,
     read_metadata,
     read_trajectory,
-    write_decay,
     write_field,
     write_metrics,
+    write_series,
+    write_summary,
     write_sweep_csv,
     write_trajectory,
 )
-from .grids import DensityField, ScalarField, mass
+from .grids import DensityField, ScalarField
 from .microsim import AgentEnsemble, containment, run
 from .torus import ArenaMap, PI
 
@@ -42,13 +40,6 @@ log = logging.getLogger("swarmherd")
 def _meta(config: ExperimentConfig, seed: int | None = None) -> dict:
     """The run record every output carries: the config hash and the seed."""
     return {"config_sha256": config.hash(), "seed": config.sim.seed if seed is None else seed}
-
-
-def _write_summary(out: Path, summary: dict) -> None:
-    """``summary.json`` with sorted keys and a trailing newline; echoed to stdout."""
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    (out / "summary.json").write_text(text + "\n")
-    print(text)
 
 
 def _max_or_none(values: np.ndarray) -> float | None:
@@ -76,7 +67,8 @@ def _plan_record(plan) -> dict:
 
 def _infeasible(out: Path, meta: dict, exc: InfeasibleError) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    _write_summary(out, dict(meta, feasible=False, min_mass=exc.min_mass))
+    print(write_summary(out / "summary.json",
+                        dict(meta, feasible=False, min_mass=exc.min_mass)))
     log.warning("infeasible: minimal herder mass %.4f >= 1", exc.min_mass)
     return 2
 
@@ -107,7 +99,7 @@ def cmd_feasibility(config: ExperimentConfig, out: Path) -> int:
     write_field(out / "v_bar_TH.field", plan.desired_velocity, "vector", meta)
     write_field(out / "deconvolution_H.field", plan.feasibility.deconvolved,
                 "scalar", meta)
-    _write_summary(out, dict(meta, **_plan_record(plan)))
+    print(write_summary(out / "summary.json", dict(meta, **_plan_record(plan))))
     return 0
 
 
@@ -156,7 +148,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta,
                     arena_half_width=arena)
     write_s = time.perf_counter() - write_start
-    _write_summary(out, dict(
+    print(write_summary(out / "summary.json", dict(
         meta,
         **_plan_record(plan),
         chi_final=float(result.chi[-1]),
@@ -170,7 +162,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         peak_speed_max=_max_or_none(result.peak_speed),
         clipped_share_max=_max_or_none(result.clipped_share),
         floor_share_max=_max_or_none(result.floor_share),
-    ))
+    )))
     return 0
 
 
@@ -222,9 +214,9 @@ def cmd_continuum(config: ExperimentConfig, out: Path, mode: str,
         log.error("unknown continuum mode %r", mode)
         return 1
     out.mkdir(parents=True, exist_ok=True)
-    write_decay(out / decay_file, report.times, columns, meta)
-    _write_summary(out, dict(meta, **_plan_record(plan), **summary,
-                             rk4_steps=report.steps, wall_time_s=wall))
+    write_series(out / decay_file, report.times, columns, meta)
+    print(write_summary(out / "summary.json", dict(meta, **_plan_record(plan), **summary,
+                                                   rk4_steps=report.steps, wall_time_s=wall)))
     return 0
 
 
@@ -254,13 +246,8 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
             return 1
         metric = containment(AgentEnsemble(herders=herders, targets=targets), goal, t)
         rows.append((t, metric.chi, metric.n_inside))
-    meta = _meta(config)
-    with open(out / "chi.csv", "w") as fh:
-        for line in metadata_lines(meta):
-            fh.write(line + "\n")
-        fh.write("t,chi,n_inside\n")
-        for t, chi, n_in in rows:
-            fh.write(f"{FLOAT_FMT % t},{FLOAT_FMT % chi},{n_in}\n")
+    times, chi, n_inside = zip(*rows)
+    write_series(out / "chi.csv", times, {"chi": chi, "n_inside": n_inside}, _meta(config))
     print(f"wrote {out / 'chi.csv'} ({len(rows)} frames)")
     return 0
 

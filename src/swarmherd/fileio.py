@@ -1,4 +1,4 @@
-"""On-disk formats: grid fields, trajectories, metric series, sweep matrices.
+"""On-disk formats: grid fields, trajectories, metric series, sweeps, summaries.
 
 Every file starts with ``#``-prefixed metadata lines (config hash, seed,
 package version) so a result can be traced to the exact run that produced
@@ -10,6 +10,10 @@ position in the last bit, so re-analysis with the run's goal reproduces
 the live containment except for a target within that rounding of the goal
 boundary. Re-analysis sees only the snapshot times.
 
+Tables (trajectories, metric and decay series, sweep maps) are CSV from
+one writer: metadata lines, a header row, then rows ending in ``\r\n``,
+floats with 17 significant digits and NaN as an empty cell.
+
 Field files: metadata lines, then ``key=value`` header lines (m, h, kind,
 components, arena_half_width), then the samples row-major with one grid
 row per line (for two-component fields, the full component-0 block is
@@ -19,6 +23,7 @@ followed by the component-1 block).
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ from .grids import DensityField, GridSpec, ScalarField, VectorField
 from .torus import PI
 
 FLOAT_FMT = "%.17g"
+_TRAJECTORY_COLUMNS = ["t", "agent_kind", "agent_id", "x1", "x2"]
 
 
 def metadata_lines(meta: dict) -> list[str]:
@@ -124,112 +130,98 @@ def read_field(path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# trajectories and metrics
+# tables and the run summary
 # ---------------------------------------------------------------------------
+
+
+def _write_table(path: str | Path, header: list[str], blocks, meta: dict | None = None):
+    """Every table's writer. A block's columns are 1-D arrays of one length, or scalars
+    repeated down it; one ``%`` format of the repeated row writes it: no cell needs quotes."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in metadata_lines(meta or {}))
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fields, cells = [], []
+            for column in block:
+                values = np.asarray(column)
+                items, kind = values.tolist(), values.dtype.kind
+                field = "%d" if kind in "iu" else FLOAT_FMT if kind == "f" else "%s"
+                if not values.ndim:  # a scalar: a constant of the row format
+                    text = "" if items != items else field % items
+                    fields.append(text.replace("%", "%%"))
+                    continue
+                if kind == "f" and np.isnan(sum(items)):  # NaN (inf - inf too, harmlessly)
+                    field, items = "%s", ["" if v != v else FLOAT_FMT % v for v in items]
+                fields.append(field)
+                cells.append(items)
+            k, n = len(cells), len(cells[0])
+            flat = [0] * (k * n)
+            for j, items in enumerate(cells):
+                flat[j::k] = items  # a column of another length raises here
+            fh.write((",".join(fields) + "\r\n") * n % tuple(flat))
 
 
 def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,
                      scale: float = 1.0):
-    """Snapshots are (t, herders, targets) tuples; positions scaled on write.
-
-    Rows are CSV with csv's default ``\r\n`` terminator; no field needs
-    quoting, so each block of rows is one ``%`` format of the row format
-    repeated, over one flat tuple of (id, x1, x2) values.
-    """
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(meta or {}):
-            fh.write(line + "\n")
-        fh.write("t,agent_kind,agent_id,x1,x2\r\n")
-        for t, herders, targets in snapshots:
-            for kind, block in (("herder", herders), ("target", targets)):
-                row = f"{FLOAT_FMT % t},{kind},%d,{FLOAT_FMT},{FLOAT_FMT}\r\n"
-                positions = np.asarray(block, dtype=float) * scale
-                n = positions.shape[0]
-                values = [0] * (3 * n)
-                values[0::3] = range(n)
-                values[1::3] = positions[:, 0].tolist()
-                values[2::3] = positions[:, 1].tolist()
-                fh.write(row * n % tuple(values))
+    """Snapshots are (t, herders, targets) tuples; positions scaled on write."""
+    blocks = ((t, kind, np.arange(len(p)), p[:, 0], p[:, 1])
+              for t, herders, targets in snapshots
+              for kind, p in (("herder", np.asarray(herders, dtype=float) * scale),
+                              ("target", np.asarray(targets, dtype=float) * scale)))
+    _write_table(path, _TRAJECTORY_COLUMNS, blocks, meta)
 
 
 def read_trajectory(path: str | Path):
     """Returns a list of (t, herders, targets) tuples in file order."""
-    frames: dict[float, dict[str, list]] = {}
-    order: list[float] = []
+    frames: dict[float, dict[str, list]] = {}  # in file order
+    header = None
     with open(path, newline="") as fh:
-        line_no = 0
-        reader = None
-        for raw in fh:
-            line_no += 1
+        for line_no, raw in enumerate(fh, 1):
             if raw.startswith("#"):
                 continue
-            if reader is None:
-                header = next(csv.reader([raw]))
-                expected = ["t", "agent_kind", "agent_id", "x1", "x2"]
-                if header != expected:
-                    raise ValueError(f"{path}:{line_no}: bad header {header}")
-                reader = True
-                continue
             row = next(csv.reader([raw]))
+            if header is None:
+                header = row
+                if header != _TRAJECTORY_COLUMNS:
+                    raise ValueError(f"{path}:{line_no}: bad header {header}")
+                continue
             if not row:
                 continue
             try:
-                t = float(row[0])
-                kind = row[1]
-                idx = int(row[2])
+                t, kind, idx = float(row[0]), row[1], int(row[2])
                 x1, x2 = float(row[3]), float(row[4])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad trajectory row ({exc})") from exc
             if kind not in ("herder", "target"):
                 raise ValueError(f"{path}:{line_no}: unknown agent kind {kind!r}")
-            if t not in frames:
-                frames[t] = {"herder": [], "target": []}
-                order.append(t)
-            frames[t][kind].append((idx, (x1, x2)))
-    out = []
-    for t in order:
-        frame = frames[t]
-        herders = np.array([p for _, p in sorted(frame["herder"])]).reshape(-1, 2)
-        targets = np.array([p for _, p in sorted(frame["target"])]).reshape(-1, 2)
-        out.append((t, herders, targets))
-    return out
+            frames.setdefault(t, {"herder": [], "target": []})[kind].append((idx, (x1, x2)))
+
+    def positions(rows):  # (id, (x1, x2)) pairs, in id order
+        return np.array([p for _, p in sorted(rows)]).reshape(-1, 2)
+
+    return [(t, positions(f["herder"]), positions(f["target"])) for t, f in frames.items()]
 
 
 def write_metrics(path: str | Path, times, chi, n_inside, herder_error_l2,
                   meta: dict | None = None, columns: dict | None = None):
-    """Metric records: time, containment, herder error and any further
-    named float ``columns``, in order; NaN (no control tick yet) is written
-    as an empty cell."""
-    series = {"herder_error_l2": herder_error_l2, **(columns or {})}
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(meta or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "chi", "n_inside", *series])
-        for t, c, n, *values in zip(times, chi, n_inside, *series.values()):
-            writer.writerow([FLOAT_FMT % t, FLOAT_FMT % c, int(n)]
-                            + ["" if np.isnan(v) else FLOAT_FMT % v for v in values])
+    """Metric records: time, containment, herder error, further named ``columns``."""
+    write_series(path, times, {"chi": chi, "n_inside": n_inside,
+                               "herder_error_l2": herder_error_l2, **(columns or {})}, meta)
 
 
-def write_decay(path: str | Path, times, columns: dict, meta: dict | None = None):
-    """Line-delimited decay records: time plus named series columns."""
-    names = list(columns)
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(meta or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + names)
-        for i, t in enumerate(times):
-            writer.writerow([FLOAT_FMT % t] + [FLOAT_FMT % columns[n][i] for n in names])
+def write_series(path: str | Path, times, columns: dict, meta: dict | None = None):
+    """``t``, then the named ``columns`` in order: one row per time."""
+    _write_table(path, ["t", *columns], [[times, *columns.values()]], meta)
 
 
-def write_sweep_csv(path: str | Path, k_values, d_values, matrix,
-                    meta: dict | None = None):
+def write_sweep_csv(path: str | Path, k_values, d_values, matrix, meta: dict | None = None):
     """Feasibility sweep: first row holds k values, first column D values."""
-    with open(path, "w", newline="") as fh:
-        for line in metadata_lines(meta or {}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["D\\k"] + [FLOAT_FMT % k for k in k_values])
-        for i, d in enumerate(d_values):
-            writer.writerow([FLOAT_FMT % d] + [FLOAT_FMT % v for v in matrix[i]])
+    _write_table(path, ["D\\k", *(FLOAT_FMT % k for k in k_values)],
+                 [[d_values, *np.asarray(matrix, dtype=float).T]], meta)
+
+
+def write_summary(path: str | Path, summary: dict) -> str:
+    """``summary.json``: sorted keys, a trailing newline; returns the JSON."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
+    return text

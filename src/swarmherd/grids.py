@@ -211,18 +211,6 @@ def laplacian(field: ScalarField) -> ScalarField:
     return ScalarField(field.grid, irfft2(lhat, m))
 
 
-def curl(field: VectorField) -> ScalarField:
-    """Scalar curl d(v2)/dx1 - d(v1)/dx2 of a planar field.
-
-    Nothing in the package calls it; it stays as the tests' definitional
-    oracle for a curl-free flux.
-    """
-    m = field.grid.m
-    ik = half_plane(m).ik
-    fhat = rfft2(field.values)
-    return ScalarField(field.grid, irfft2(ik[0] * fhat[1] - ik[1] * fhat[0], m))
-
-
 def kernel_symbol(kernel_samples: np.ndarray) -> np.ndarray:
     """Quadrature symbol of a sampled two-component kernel, (2, M, M//2 + 1).
 

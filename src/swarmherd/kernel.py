@@ -40,20 +40,6 @@ class KernelParams:
         return self
 
 
-def kernel_free(x: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Non-periodic kernel (x/|x|) * exp(-|x|/L), with value zero at x = 0.
-
-    The zero at the origin is the only choice consistent with oddness.
-    Nothing in the package calls it; it stays as the tests' definitional
-    oracle for the image sums.
-    """
-    arr = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(arr * arr, axis=-1))
-    safe = np.where(r > 0.0, r, 1.0)
-    mag = np.where(r > 0.0, np.exp(-r / params.length) / safe, 0.0)
-    return arr * mag[..., None]
-
-
 def image_shifts(images: int) -> np.ndarray:
     """All 2*pi image shift vectors with integer offsets in [-images, images]^2."""
     offs = np.arange(-images, images + 1, dtype=float)
@@ -62,15 +48,15 @@ def image_shifts(images: int) -> np.ndarray:
 
 
 def kernel_periodic(x: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Truncated image sum of ``kernel_free`` over the (2P+1)^2 block.
+    """Truncated image sum of the free kernel over the (2P+1)^2 block.
 
     The argument is wrapped first, so the result is 2*pi-periodic in the
     raw input up to the rounding of ``x + 2*pi*n`` itself: it is bit-exact
     wherever that sum is exact in float64 (then ``wrap`` recovers ``x``),
     and elsewhere differs by the kernel's change over the lost low bits.
     The images are added one at a time, component by component, with the
-    arithmetic of ``kernel_free``, so the result equals the sum of its
-    terms bit for bit.
+    arithmetic of the free kernel (x/|x|) * exp(-|x|/L), zero at x = 0, so
+    the result equals the sum of its terms bit for bit.
     """
     arr = wrap(x)
     x1, x2 = arr[..., 0], arr[..., 1]

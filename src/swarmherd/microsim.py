@@ -303,7 +303,8 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
         np.minimum(np.trunc(a, out=cell), cells - 1, out=cell)
         frac = np.subtract(a, cell, out=a)
         np.copyto(i, cell, casting="unsafe")
-        np.add(np.multiply(i, cells, out=flat), i[::-1], out=flat)
+        for k in (0, 1):  # not through i[::-1]: NumPy copies that view of a short block
+            np.add(np.multiply(i[k], cells, out=flat[k]), i[1 - k], out=flat[k])
         # tail: component k reads Q at (|d_k|, |d_other|)
         for k, (u, v) in enumerate(((frac[0], frac[1]), (frac[1], frac[0]))):
             # indices are in range by construction; mode="raise" would buffer out
@@ -637,10 +638,10 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     every position negates its drift bit for bit, except on the seam. A
     block's arrays are views of one kept workspace (``_workspace``, 1.0 MB
     at 260 herders) written through ``out=``: a warm call at 720 x 260 makes
-    no per-block temporaries and peaks at 74 KiB traced, 48-75 KiB when
-    shared, by the share of blocks this process takes. Each target's
-    row depends on no other target, so the result is the same bits for
-    every block size and whichever process drifts which block.
+    no per-block temporaries and peaks at 48 KiB traced, shared or not,
+    its shorter last block included. Each target's row depends on no other
+    target, so the result is the same bits for every block size and
+    whichever process drifts which block.
 
     Where the drift is shared, this process and the helper pull its blocks
     from one queue until it is empty (``_split_drift``). ``run`` hands out
@@ -682,7 +683,7 @@ def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
     commands = np.asarray(commands, dtype=float)
     if commands.shape != ensemble.herders.shape:
         raise ValueError("need one velocity command per herder")
-    new_herders = wrap(ensemble.herders + commands * params.dt)
+    new_herders = ensemble.herders + commands * params.dt
     # the noise before the drift, which ``run`` handed out at the top of the step
     noise = (noise_rng(params.seed, step_index).standard_normal(ensemble.targets.shape)
              if params.diffusion > 0 else None)
@@ -690,7 +691,7 @@ def step(ensemble: AgentEnsemble, commands: np.ndarray, params: SimParams,
     move = drift * params.dt
     if noise is not None:
         move = move + np.sqrt(2.0 * params.diffusion * params.dt) * noise
-    return AgentEnsemble(herders=new_herders, targets=wrap(ensemble.targets + move))
+    return AgentEnsemble(herders=new_herders, targets=ensemble.targets + move)
 
 
 _HEALTH = ("herder_error_l2", "removed_mean", "peak_speed", "clipped_share",

@@ -208,6 +208,29 @@ def test_analyze_maps_arena_positions_back(tmp_path):
     assert [again[t] for t in shared] == [live[t] for t in shared]
 
 
+def test_chi_csv_bytes(tmp_path):
+    # the layout of every other table: rows end in \r\n, as csv.writer ends them
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(
+        "t,agent_kind,agent_id,x1,x2\n"
+        "0,herder,0,3,3\n"
+        "0,target,0,0,0\n"
+        "0,target,1,3,0\n"
+        "0,target,2,0,3\n"
+        "0.10000000000000001,target,0,0,0\n"
+        "0.10000000000000001,target,1,0.5,0\n"
+        "0.10000000000000001,target,2,0,-0.5\n")
+    an = tmp_path / "an"
+    assert main(["analyze", "--trajectory", str(trajectory), "--out", str(an)]) == 0
+    assert (an / "chi.csv").read_bytes() == (
+        f"# swarmherd {swarmherd.__version__}\n"
+        f"# config_sha256={ExperimentConfig().hash()}\n"
+        "# seed=0\n"
+        "t,chi,n_inside\r\n"
+        "0,33.333333333333336,1\r\n"
+        "0.10000000000000001,100,3\r\n").encode()
+
+
 @pytest.mark.parametrize("width", ["inf", "-inf", "nan", "0", "wide"])
 def test_analyze_rejects_a_bad_arena_width_naming_the_file(tmp_path, small_config,
                                                            capsys, width):

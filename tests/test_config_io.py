@@ -7,8 +7,10 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from swarmherd import (DensityField, GoalRegion, GridSpec, KdeParams, KernelParams,
-                       ScalarField, SimParams, VectorField, mass)
+from swarmherd import (ArenaMap, DensityField, GoalRegion, GridSpec, KdeParams,
+                       KernelParams, ScalarField, SimParams, VectorField, __version__,
+                       mass)
+from swarmherd.cli import parse_range
 from swarmherd.config import ConfigError, ExperimentConfig
 from swarmherd.fileio import (
     FLOAT_FMT,
@@ -17,6 +19,7 @@ from swarmherd.fileio import (
     read_trajectory,
     write_field,
     write_metrics,
+    write_series,
     write_sweep_csv,
     write_trajectory,
 )
@@ -412,3 +415,70 @@ def test_sweep_csv_layout(tmp_path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].split(",")[0] == "D\\k"
     assert len(lines) == 2
+
+
+# Every table has one layout: the metadata lines, the header, then rows
+# ending in \r\n, floats with 17 significant digits, NaN as an empty cell.
+
+
+def test_metrics_bytes(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, [0.0, 0.1], [12.5, 100.0], np.array([1, 8]), [np.nan, 0.25],
+                  {"seed": 1}, {"peak_speed": np.array([np.nan, 1 / 3]),
+                                "floor_share": [0.0, 0.5]})
+    assert path.read_bytes() == (
+        f"# swarmherd {__version__}\n"
+        "# seed=1\n"
+        "t,chi,n_inside,herder_error_l2,peak_speed,floor_share\r\n"
+        "0,12.5,1,,,0\r\n"
+        "0.10000000000000001,100,8,0.25,0.33333333333333331,0.5\r\n").encode()
+
+
+def test_trajectory_bytes_in_an_arena(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    arena = ArenaMap(2 * PI)  # scale 2: every scaled value is exact
+    snaps = [
+        (0.0, np.array([[0.1, -0.25]]), np.array([[1.0, 2.0], [-PI, 0.5]])),
+        (0.5, np.array([[0.2, 0.0]]), np.array([[1.5, -1.0], [0.0, 3.0]])),
+    ]
+    write_trajectory(path, snaps, {"seed": 9, "arena_half_width": arena.half_width},
+                     scale=arena.scale)
+    assert path.read_bytes() == (
+        f"# swarmherd {__version__}\n"
+        "# seed=9\n"
+        "# arena_half_width=6.283185307179586\n"
+        "t,agent_kind,agent_id,x1,x2\r\n"
+        "0,herder,0,0.20000000000000001,-0.5\r\n"
+        "0,target,0,2,4\r\n"
+        "0,target,1,-6.2831853071795862,1\r\n"
+        "0.5,herder,0,0.40000000000000002,0\r\n"
+        "0.5,target,0,3,-2\r\n"
+        "0.5,target,1,0,6\r\n").encode()
+
+
+def test_decay_bytes(tmp_path):
+    path = tmp_path / "target_decay.csv"
+    write_series(path, np.array([0.0, 0.15]),
+                 {"error_sq": np.array([1.0, 1 / 3]), "envelope": [2.0, 1e-300]},
+                 {"config_sha256": "ab", "seed": 0})
+    assert path.read_bytes() == (
+        f"# swarmherd {__version__}\n"
+        "# config_sha256=ab\n"
+        "# seed=0\n"
+        "t,error_sq,envelope\r\n"
+        "0,1,2\r\n"
+        "0.14999999999999999,0.33333333333333331,1e-300\r\n").encode()
+
+
+def test_sweep_bytes_with_a_repeated_k(tmp_path):
+    # --k-range 1:1:3 gives three equal k values: three columns, not one
+    path = tmp_path / "feasibility_map.csv"
+    k_values = parse_range("--k-range", "1:1:3")
+    write_sweep_csv(path, k_values, [0.01, 0.35],
+                    np.array([[0.5, 0.5, 0.5], [1 / 3, 1.0, np.inf]]), {"seed": 0})
+    assert path.read_bytes() == (
+        f"# swarmherd {__version__}\n"
+        "# seed=0\n"
+        "D\\k,1,1,1\r\n"
+        "0.01,0.5,0.5,0.5\r\n"
+        "0.34999999999999998,0.33333333333333331,1,inf\r\n").encode()

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import curl
 from swarmherd import (
     DensityField,
     GridSpec,
     KdeParams,
     ScalarField,
     control_field,
-    curl,
     divergence,
     estimate_density,
     herder_error,

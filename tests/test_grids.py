@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import curl
 from swarmherd import (
     DensityField,
     GridSpec,
@@ -11,7 +12,6 @@ from swarmherd import (
     VectorField,
     circular_convolve,
     control_field,
-    curl,
     desired_velocity_field,
     divergence,
     gradient,

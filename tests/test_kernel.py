@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from swarmherd import (DeconvolutionOperator, GridSpec, KernelParams, kernel_free,
-                       kernel_periodic, kernel_symbol, wrap)
+from oracles import kernel_free
+from swarmherd import (DeconvolutionOperator, GridSpec, KernelParams, kernel_periodic,
+                       kernel_symbol, wrap)
 from swarmherd.grids import irfft2
 from swarmherd.kernel import image_shifts, sample_on_grid
 

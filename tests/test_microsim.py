@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import kernel_free
 from swarmherd import (
     AgentEnsemble,
     GoalRegion,
@@ -28,7 +29,6 @@ from swarmherd import (
     containment,
     drift_all,
     herder_lattice,
-    kernel_free,
     plan_herders,
     run,
     step,
@@ -285,16 +285,38 @@ def warm_drift_peak(kernel, monkeypatch, split):
 def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch):
     # a warm call at paper scale allocates its result and its wrapped and
     # transposed inputs; every block array is a workspace view, and no call
-    # needs iterator buffers (measured 74 KiB)
+    # needs iterator buffers (measured 48 KiB)
     peak = warm_drift_peak(kernel, monkeypatch, split=False)
     assert peak <= 80 * 1024, peak
 
 
 def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
     # the wrapped inputs, the result and whatever share of the blocks this
-    # process pulls (measured 48-75 KiB; 74 KiB with every block)
+    # process pulls (measured 48 KiB, whichever blocks it takes)
     peak = warm_drift_peak(kernel, monkeypatch, split=True)
     assert peak <= 80 * 1024, peak
+
+
+def test_short_last_block_makes_no_temporaries(kernel):
+    # the 7-target last block of 720 x 260 carves its arrays from a prefix of
+    # the workspace and traces no more than a full block (the transposed
+    # inputs); a ufunc over a reversed view of so short a block copies it
+    rng = np.random.default_rng(41)
+    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    block = microsim._block_size(260)
+    last = 720 // block
+    assert 0 < 720 - last * block < block
+    out = np.empty_like(targets)
+    microsim._table_drift(targets, herders, kernel, block, out, [0])  # warm
+    peaks = []
+    for j in (0, last):
+        tracemalloc.start()
+        try:
+            microsim._table_drift(targets, herders, kernel, block, out, [j])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * 1024, peaks
 
 
 # ---------------------------------------------------------------------------
