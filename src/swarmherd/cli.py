@@ -94,11 +94,10 @@ def cmd_feasibility(config: ExperimentConfig, out: Path) -> int:
         plan = _plan(config)
     except InfeasibleError as exc:
         return _infeasible(out, meta, exc)
-    write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta)
-    write_field(out / "rho_bar_H.field", plan.rho_bar_h, "density", meta)
-    write_field(out / "v_bar_TH.field", plan.desired_velocity, "vector", meta)
-    write_field(out / "deconvolution_H.field", plan.feasibility.deconvolved,
-                "scalar", meta)
+    write_field(out / "rho_bar_T.field", plan.rho_bar_t, meta)
+    write_field(out / "rho_bar_H.field", plan.rho_bar_h, meta)
+    write_field(out / "v_bar_TH.field", plan.desired_velocity, meta)
+    write_field(out / "deconvolution_H.field", plan.feasibility.deconvolved, meta)
     print(write_summary(out / "summary.json", dict(meta, **_plan_record(plan))))
     return 0
 
@@ -143,10 +142,8 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
                   result.n_inside, result.herder_error_l2, meta, health)
     write_trajectory(out / "trajectory.csv", result.snapshots, meta, scale=scale)
     if config.output.fields:
-        write_field(out / "rho_bar_H.field", plan.rho_bar_h, "density", meta,
-                    arena_half_width=arena)
-        write_field(out / "rho_bar_T.field", plan.rho_bar_t, "density", meta,
-                    arena_half_width=arena)
+        write_field(out / "rho_bar_H.field", plan.rho_bar_h, meta, arena_half_width=arena)
+        write_field(out / "rho_bar_T.field", plan.rho_bar_t, meta, arena_half_width=arena)
     write_s = time.perf_counter() - write_start
     print(write_summary(out / "summary.json", dict(
         meta,
@@ -244,7 +241,7 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
         if targets.size == 0:
             log.error("frame t=%s: no targets, containment undefined", t)
             return 1
-        metric = containment(AgentEnsemble(herders=herders, targets=targets), goal, t)
+        metric = containment(AgentEnsemble(herders=herders, targets=targets), goal)
         rows.append((t, metric.chi, metric.n_inside))
     times, chi, n_inside = zip(*rows)
     write_series(out / "chi.csv", times, {"chi": chi, "n_inside": n_inside}, _meta(config))

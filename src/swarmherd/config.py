@@ -200,6 +200,3 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(data)
 
-    def save(self, path: str | Path):
-        Path(path).write_text(self.canonical_json() + "\n")
-

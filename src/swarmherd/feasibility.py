@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,18 +108,8 @@ class VonMisesSpec:
                    cross_term=cross_term)
 
 
-def von_mises_density(spec: VonMisesSpec, grid: GridSpec,
-                      goal: GoalRegion | None = None) -> DensityField:
-    """Sample the bump density on the grid, normalized to spec.mass.
-
-    If ``goal`` is given, the spec must encode it (mean at the center,
-    concentration 3/radius).
-    """
-    if goal is not None:
-        k = 3.0 / goal.radius
-        if not (np.allclose(spec.mean, goal.center)
-                and np.allclose(spec.concentration, (k, k))):
-            raise ValueError("spec is not consistent with the goal region")
+def von_mises_density(spec: VonMisesSpec, grid: GridSpec) -> DensityField:
+    """Sample the bump density on the grid, normalized to spec.mass."""
     k1, k2 = spec.concentration
     values = _von_mises_values(k1, k2, spec.mean, grid, spec.cross_term)
     values *= spec.mass / (values.sum() * grid.cell_area)
@@ -369,7 +359,6 @@ class HerdingPlan:
     """Everything the closed loop needs, derived from goal and population."""
 
     goal: GoalRegion
-    spec: VonMisesSpec
     n_targets: int
     n_herders: int
     target_mass: float
@@ -422,11 +411,7 @@ def plan_herders(
     target_mass = n_targets / (n_targets + count)
     herder_mass = 1.0 - target_mass
 
-    spec = VonMisesSpec(
-        concentration=spec_unit.concentration, mean=spec_unit.mean,
-        mass=target_mass, cross_term=cross_term,
-    )
-    rho_bar_t = von_mises_density(spec, control_grid)
+    rho_bar_t = von_mises_density(replace(spec_unit, mass=target_mass), control_grid)
 
     fine = resample(feas.rho_bar_h, control_grid.m)
     values = np.clip(fine.values, 0.0, None)  # trig interpolation can ring below zero
@@ -441,7 +426,6 @@ def plan_herders(
 
     return HerdingPlan(
         goal=goal,
-        spec=spec,
         n_targets=n_targets,
         n_herders=count,
         target_mass=target_mass,

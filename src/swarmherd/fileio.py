@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +66,12 @@ _FIELD_KINDS = {"density": (DensityField, 1), "scalar": (ScalarField, 1),
                 "vector": (VectorField, 2)}
 
 
-def write_field(path: str | Path, field, kind: str, meta: dict | None = None,
+def write_field(path: str | Path, field, meta: dict | None = None,
                 arena_half_width: float | None = None):
-    if kind not in _FIELD_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}")
-    cls, components = _FIELD_KINDS[kind]
-    if not isinstance(field, cls):
-        raise ValueError(f"a {type(field).__name__} cannot be written as kind={kind}")
+    """The field's exact class gives its kind: a ``DensityField`` is written
+    as ``density``, never as ``scalar``."""
+    kind = {cls: name for name, (cls, _) in _FIELD_KINDS.items()}[type(field)]
+    components = _FIELD_KINDS[kind][1]
     values = field.values
     m = field.grid.m
     lines = metadata_lines(meta or {})
@@ -172,8 +172,9 @@ def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,
 
 
 def read_trajectory(path: str | Path):
-    """Returns a list of (t, herders, targets) tuples in file order."""
-    frames: dict[float, dict[str, list]] = {}  # in file order
+    """Returns a list of (t, herders, targets) tuples in file order. A frame
+    that holds one agent twice is an error."""
+    frames: dict[float, dict[str, dict]] = {}  # in file order
     header = None
     with open(path, newline="") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -194,10 +195,13 @@ def read_trajectory(path: str | Path):
                 raise ValueError(f"{path}:{line_no}: bad trajectory row ({exc})") from exc
             if kind not in ("herder", "target"):
                 raise ValueError(f"{path}:{line_no}: unknown agent kind {kind!r}")
-            frames.setdefault(t, {"herder": [], "target": []})[kind].append((idx, (x1, x2)))
+            agents = frames.setdefault(t, {"herder": {}, "target": {}})[kind]
+            if idx in agents:
+                raise ValueError(f"{path}:{line_no}: {kind} {idx} repeated at t={row[0]}")
+            agents[idx] = (x1, x2)
 
-    def positions(rows):  # (id, (x1, x2)) pairs, in id order
-        return np.array([p for _, p in sorted(rows)]).reshape(-1, 2)
+    def positions(agents):  # id -> (x1, x2), in id order
+        return np.array([agents[i] for i in sorted(agents)]).reshape(-1, 2)
 
     return [(t, positions(f["herder"]), positions(f["target"])) for t, f in frames.items()]
 
@@ -220,8 +224,18 @@ def write_sweep_csv(path: str | Path, k_values, d_values, matrix, meta: dict | N
                  [[d_values, *np.asarray(matrix, dtype=float).T]], meta)
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float, nested ones too, as None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(v) for key, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_summary(path: str | Path, summary: dict) -> str:
-    """``summary.json``: sorted keys, a trailing newline; returns the JSON."""
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    """``summary.json``: strict JSON (a NaN or infinity is null), sorted keys,
+    a trailing newline; returns the JSON."""
+    text = json.dumps(_finite_or_none(summary), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
     return text

@@ -208,6 +208,24 @@ def test_analyze_maps_arena_positions_back(tmp_path):
     assert [again[t] for t in shared] == [live[t] for t in shared]
 
 
+def test_zero_horizon_run_is_analyzed_to_its_own_counts(tmp_path):
+    # the initial state is the final one: stored twice, analyze merged the
+    # two copies of the frame and counted every target twice
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({
+        "population": {"n_targets": 40}, "grids": {"control": 16, "deconvolution": 9},
+        "sim": {"horizon": 0},
+    }))
+    out, an = tmp_path / "sim", tmp_path / "an"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--trajectory",
+                 str(out / "trajectory.csv"), "--out", str(an)]) == 0
+    assert len(read_trajectory(out / "trajectory.csv")) == 1
+    live = {(t, chi, n_in) for t, chi, n_in, *_ in data_rows(out / "metrics.csv")}
+    assert len(live) == 1  # two records, both at t = 0
+    assert {tuple(row) for row in data_rows(an / "chi.csv")} == live
+
+
 def test_chi_csv_bytes(tmp_path):
     # the layout of every other table: rows end in \r\n, as csv.writer ends them
     trajectory = tmp_path / "trajectory.csv"
@@ -268,6 +286,20 @@ def test_continuum_herders_mode(tmp_path, small_config):
     # default horizon 3 / gain at the driver's default step min(0.05 / gain, 0.01)
     gain = ExperimentConfig.load(small_config).gain
     assert_run_record(summary, small_config, round((3.0 / gain) / min(0.05 / gain, 0.01)))
+
+
+def test_continuum_without_perturbation_writes_strict_json(tmp_path, small_config):
+    # no error to fit: the rate and its deviation are null, not NaN and Infinity
+    out = tmp_path / "flat"
+    assert main(["continuum", "--config", str(small_config), "--out", str(out),
+                 "--mode", "herders", "--perturbation", "0"]) == 0
+
+    def not_strict(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=not_strict)
+    assert summary["fitted_rate"] is None and summary["relative_deviation"] is None
+    assert summary["mode"] == "herders" and math.isfinite(summary["mass_drift"])
 
 
 def test_continuum_targets_mode(tmp_path):

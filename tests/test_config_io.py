@@ -35,7 +35,7 @@ PI = np.pi
 def test_default_config_round_trip(tmp_path):
     cfg = ExperimentConfig()
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(cfg.canonical_json())
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     assert loaded.hash() == cfg.hash()
@@ -225,7 +225,7 @@ def test_scalar_field_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     f = ScalarField(g, rng.standard_normal((16, 16)))
     path = tmp_path / "f.field"
-    write_field(path, f, "scalar", {"config_sha256": "abc", "seed": 3})
+    write_field(path, f, {"config_sha256": "abc", "seed": 3})
     back, header = read_field(path)
     assert isinstance(back, ScalarField)
     np.testing.assert_array_equal(back.values, f.values)  # 17 digits: exact
@@ -237,7 +237,7 @@ def test_density_field_round_trip_and_header(tmp_path):
     g = GridSpec(25)
     f = DensityField(g, np.full((25, 25), 0.3))
     path = tmp_path / "rho.field"
-    write_field(path, f, "density", {"seed": 0})
+    write_field(path, f, {"seed": 0})
     back, header = read_field(path)
     assert isinstance(back, DensityField)
     assert mass(back) == pytest.approx(mass(f))
@@ -251,7 +251,7 @@ def test_vector_field_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     f = VectorField(g, rng.standard_normal((2, 16, 16)))
     path = tmp_path / "v.field"
-    write_field(path, f, "vector")
+    write_field(path, f)
     back, header = read_field(path)
     assert isinstance(back, VectorField)
     np.testing.assert_array_equal(back.values, f.values)
@@ -264,7 +264,7 @@ def test_vector_field_file_holds_component_0_block_first(tmp_path):
     m = 4
     values = np.arange(2 * m * m, dtype=float).reshape(2, m, m)
     path = tmp_path / "v.field"
-    write_field(path, VectorField(GridSpec(m), values), "vector")
+    write_field(path, VectorField(GridSpec(m), values))
     rows = [line for line in path.read_text().splitlines()
             if line and not line.startswith("#") and "=" not in line]
     assert rows == [" ".join(str(int(v)) for v in row)
@@ -315,15 +315,17 @@ def test_field_reader_names_file_of_a_field_it_cannot_build(tmp_path, text, mess
         read_field(p)
 
 
-def test_field_writer_rejects_a_kind_that_does_not_fit(tmp_path):
+def test_field_writer_takes_the_kind_from_the_exact_class(tmp_path):
+    # a DensityField is a ScalarField, and is still written as a density
     g = GridSpec(4)
     path = tmp_path / "f.field"
-    for field, kind in ((ScalarField(g, np.zeros((4, 4))), "vector"),
-                        (ScalarField(g, -np.ones((4, 4))), "density"),
-                        (VectorField(g, np.zeros((2, 4, 4))), "scalar")):
-        with pytest.raises(ValueError, match=f"kind={kind}"):
-            write_field(path, field, kind)
-        assert not path.exists()
+    for field, kind, components in ((ScalarField(g, -np.ones((4, 4))), "scalar", 1),
+                                    (DensityField(g, np.ones((4, 4))), "density", 1),
+                                    (VectorField(g, np.zeros((2, 4, 4))), "vector", 2)):
+        write_field(path, field)
+        back, header = read_field(path)
+        assert type(back) is type(field)
+        assert (header["kind"], int(header["components"])) == (kind, components)
 
 
 def test_field_reader_validates(tmp_path):
@@ -396,6 +398,14 @@ def test_trajectory_reader_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("t,agent_kind,agent_id,x1,x2\n0.0,herder,zero,1,2\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
+        read_trajectory(p)
+
+
+def test_trajectory_reader_rejects_a_repeated_agent_naming_file_and_line(tmp_path):
+    p = tmp_path / "twice.csv"
+    p.write_text("t,agent_kind,agent_id,x1,x2\n0,herder,0,1,2\n0,target,0,0,0\n"
+                 "0,target,1,3,0\n0.5,target,0,1,1\n0,target,1,3,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:6: target 1 repeated at t=0")):
         read_trajectory(p)
 
 

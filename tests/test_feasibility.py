@@ -70,7 +70,7 @@ def test_von_mises_mass_and_argmax():
     goal = GoalRegion(center=np.array([0.5, -1.0]), radius=1.0)
     spec = VonMisesSpec.from_goal(goal, total_mass=0.6)
     g = GridSpec(64)
-    rho = von_mises_density(spec, g, goal=goal)
+    rho = von_mises_density(spec, g)
     assert mass(rho) == pytest.approx(0.6, rel=1e-12)
     peak = np.unravel_index(np.argmax(rho.values), rho.values.shape)
     np.testing.assert_allclose(g.nodes()[peak], goal.center, atol=g.h / 2)
@@ -82,13 +82,6 @@ def test_von_mises_minimum_at_antipode():
     low = np.unravel_index(np.argmin(rho.values), rho.values.shape)
     node = GridSpec(64).nodes()[low]
     assert np.all(np.abs(np.abs(node) - PI) < 0.1)
-
-
-def test_von_mises_goal_consistency_enforced():
-    goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
-    bad = VonMisesSpec(concentration=(1.0, 1.0), mean=np.zeros(2))
-    with pytest.raises(ValueError):
-        von_mises_density(bad, GridSpec(32), goal=goal)
 
 
 def test_cross_term_variant_normalizes_too():

@@ -303,7 +303,7 @@ def test_short_last_block_makes_no_temporaries(kernel):
     # inputs); a ufunc over a reversed view of so short a block copies it
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    block = microsim._block_size(260)
+    block = microsim._block_size(720, 260)
     last = 720 // block
     assert 0 < 720 - last * block < block
     out = np.empty_like(targets)
@@ -560,6 +560,40 @@ def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
     assert microsim._split_calls == calls + 1
 
 
+def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
+    # the helper's reply is the only sign it is done with a request: unread,
+    # the stopped helper would read that request late, pull the next call's
+    # tokens and drift them with the first call's positions
+    rng = np.random.default_rng(53)
+    first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
+    expected = one_process_drift(monkeypatch, *second, 1e-3, kernel)
+    helper = forked_helper(monkeypatch, kernel)
+    os.kill(helper.pid, signal.SIGSTOP)
+    os.waitpid(helper.pid, os.WUNTRACED)
+    read_into = microsim._read_into
+
+    def resuming(fd, buf):
+        os.kill(helper.pid, signal.SIGCONT)
+        return read_into(fd, buf)
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(microsim, "_read_into", resuming)
+            mine = callers_blocks(patch)
+            drift_all(*first, 1e-3, kernel)
+        assert mine == list(range(-(-720 // microsim._block_size(720, 260))))
+        microsim._hand_out(*second, kernel)
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    deadline = time.monotonic() + 60
+    while queued_bytes(helper) and time.monotonic() < deadline:
+        time.sleep(1e-4)
+    mine = callers_blocks(monkeypatch)
+    assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
+    assert mine == []  # every block of the second call came from the helper
+
+
 def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
                                                                   paper_run):
     # the control tick runs while the helper drifts: its failure must leave
@@ -615,8 +649,18 @@ def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
     assert microsim._helper.pid != helper.pid
 
 
-def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
-    # one target per block, a few more blocks than the pipe holds tokens
+def test_block_size_keeps_every_call_within_the_token_limit():
+    # a call's tokens fit the empty queue in one write, for any target count
+    block_size, limit = microsim._block_size, microsim._MAX_TOKENS
+    for n_h in (1, 260, 9000):
+        assert all(-(-n_t // block_size(n_t, n_h)) <= limit for n_t in range(1, 10**6 + 1))
+    # paper scale keeps 24 blocks of 31 targets; blocks grow only past 1024 of them
+    assert [block_size(n_t, 260) for n_t in (720, 31_744, 31_745)] == [31, 31, 32]
+
+
+def test_more_targets_than_the_queue_holds_tokens(kernel, monkeypatch):
+    # one target per block would be a few more blocks than the pipe holds
+    # tokens; longer blocks keep the call to one token write
     helper = forked_helper(monkeypatch, kernel)
     capacity = fcntl.fcntl(helper.queue, fcntl.F_GETPIPE_SZ)
     rng = np.random.default_rng(52)
@@ -624,6 +668,7 @@ def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
+    assert -(-n_t // microsim._block_size(n_t, 1)) <= microsim._MAX_TOKENS
     calls = microsim._split_calls
 
     def deadlocked(signum, frame):
