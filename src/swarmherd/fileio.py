@@ -64,13 +64,16 @@ def read_metadata(path: str | Path) -> dict[str, str]:
 # kind -> field class and component count
 _FIELD_KINDS = {"density": (DensityField, 1), "scalar": (ScalarField, 1),
                 "vector": (VectorField, 2)}
+_KIND_OF = {cls: kind for kind, (cls, _) in _FIELD_KINDS.items()}  # exact class -> kind
 
 
 def write_field(path: str | Path, field, meta: dict | None = None,
                 arena_half_width: float | None = None):
     """The field's exact class gives its kind: a ``DensityField`` is written
     as ``density``, never as ``scalar``."""
-    kind = {cls: name for name, (cls, _) in _FIELD_KINDS.items()}[type(field)]
+    if type(field) not in _KIND_OF:
+        raise ValueError(f"cannot write a {type(field).__name__}")
+    kind = _KIND_OF[type(field)]
     components = _FIELD_KINDS[kind][1]
     values = field.values
     m = field.grid.m

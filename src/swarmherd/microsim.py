@@ -13,13 +13,13 @@ a single pair on the seam (L = pi).
 
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared with one persistent helper
-process through a queue: a pipe that holds one 4-byte token per block (a
-call has at most 1024, made longer where needed) and whose non-blocking
-end both processes read, one token per read. The kernel hands each token
-to one reader, so every block is drifted once, by whichever process is
-free, with the same bits as one process. ``run`` hands out each step's
-drift at the top of the step, so the helper drifts while the caller runs
-the control tick, metrics and noise draw; ``step`` then collects it through
+process through a queue: a pipe that holds one 4-byte token per block (per
+run of blocks, in a call of more than 1024) and whose non-blocking end both
+processes read, one token per read. The kernel hands each token to one
+reader, so every block is drifted once, by whichever process is free, with
+the same bits as one process. ``run`` hands out each step's drift at the
+top of the step, so the helper drifts while the caller runs the control
+tick, metrics and noise draw; ``step`` then collects it through
 ``drift_all``. The helper is an ``os.fork`` of the caller, made at the
 first call that can share and used by it (fork plus reap measured
 3.2-3.6 ms), that exchanges binary frames with it over two more pipes
@@ -320,12 +320,12 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
 # The helper's frames. A request is this header, then n_t + n_h positions
 # (float64 x, y pairs, targets first). Its reply is the count of blocks it
 # took, their indices, then their drift rows in that order.
-_HEADER = struct.Struct("<qqdqq")  # n_t, n_h, kernel length, images, block
+_HEADER = struct.Struct("<qqdqqq")  # n_t, n_h, kernel length, images, block, per token
 _COUNT = struct.Struct("<q")
-_TOKEN = np.dtype("<u4")  # a queued block: its index
-# At most this many blocks per call (``_block_size``), so its tokens are
-# 4 KiB at most: one write into the empty queue that never waits (PIPE_BUF,
-# and the least a Linux pipe holds).
+_TOKEN = np.dtype("<u4")  # a queued run of blocks: its index
+# At most this many tokens per call, 4 KiB: one write into the empty queue
+# that never waits (PIPE_BUF, and the least a Linux pipe holds). A call of
+# more blocks queues runs of consecutive blocks.
 _MAX_TOKENS = 1024
 
 
@@ -346,7 +346,7 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-def _pull(queue: int, taken: list[int]) -> Iterator[int]:
+def _pull(queue: int, per: int, blocks: int, taken: list[int]) -> Iterator[int]:
     """Block indices from the shared queue, appended to ``taken``, until it
     is empty. Each read takes one whole token, and the kernel hands it to
     one reader only, so every block goes to exactly one process."""
@@ -357,9 +357,10 @@ def _pull(queue: int, taken: list[int]) -> Iterator[int]:
             return
         if not token:  # the caller has gone
             return
-        j = int.from_bytes(token, "little")
-        taken.append(j)
-        yield j
+        first = int.from_bytes(token, "little") * per
+        for j in range(first, min(first + per, blocks)):
+            taken.append(j)
+            yield j
 
 
 class _Request(NamedTuple):
@@ -370,6 +371,7 @@ class _Request(NamedTuple):
     herders: np.ndarray  # wrapped
     kernel: KernelParams
     block: int
+    per: int  # blocks per token
 
     @property
     def blocks(self) -> int:
@@ -431,9 +433,11 @@ class _DriftHelper:
 
     def hand_out(self, request: _Request) -> None:
         """Queue the request's tokens, then send it: the helper starts at once."""
-        os.write(self.deal, np.arange(request.blocks, dtype=_TOKEN).tobytes())
+        tokens = -(-request.blocks // request.per)
+        os.write(self.deal, np.arange(tokens, dtype=_TOKEN).tobytes())
         header = _HEADER.pack(request.targets.shape[0], request.herders.shape[0],
-                              request.kernel.length, request.kernel.images, request.block)
+                              request.kernel.length, request.kernel.images, request.block,
+                              request.per)
         try:
             for frame in (header, request.targets, request.herders):
                 _write_all(self.requests, frame)
@@ -449,16 +453,13 @@ class _DriftHelper:
 
     def collect(self, out: np.ndarray) -> None:
         """Drift the blocks still queued, then read the helper's into ``out``.
-
-        The reply is read even when this process drifted every block: it is
-        the only sign that the helper is done with the request. A helper
-        that had not read the request yet would read it later, pull the next
-        call's tokens and drift them with this call's positions.
-        """
+        The reply is read even when this process drifted every block: it is the
+        only sign that the helper is done with the request, and one that read it
+        late would pull the next call's tokens and drift them with its positions."""
         request, self.handed = self.handed, None
         block = request.block
         _table_drift(request.targets, request.herders, request.kernel, block, out,
-                     _pull(self.queue, []))
+                     _pull(self.queue, request.per, request.blocks, []))
         count = bytearray(_COUNT.size)
         if not _read_into(self.replies, count):
             raise self._failed("sent a short reply")
@@ -540,13 +541,13 @@ def _serve(requests: int, queue: int, replies: int) -> None:
     header = bytearray(_HEADER.size)
     try:
         while _read_into(requests, header):
-            n_t, n_h, length, images, block = _HEADER.unpack(header)
+            n_t, n_h, length, images, block, per = _HEADER.unpack(header)
             pos, out = np.empty((n_t + n_h, 2)), np.empty((n_t, 2))
             if not _read_into(requests, pos):
                 return
             taken: list[int] = []
             _table_drift(pos[:n_t], pos[n_t:], KernelParams(length, images), block, out,
-                         _pull(queue, taken))
+                         _pull(queue, per, -(-n_t // block), taken))
             _write_all(replies, b"".join([
                 _COUNT.pack(len(taken)), np.array(taken, _TOKEN).tobytes(),
                 *(out[j * block:(j + 1) * block] for j in taken)]))
@@ -554,10 +555,14 @@ def _serve(requests: int, queue: int, replies: int) -> None:
         pass  # the caller has gone
 
 
-def _block_size(n_t: int, n_h: int) -> int:
-    """Targets per block: about ``_BLOCK_PAIRS`` pairs, more where the call
-    would otherwise have more than ``_MAX_TOKENS`` blocks."""
-    return max(1, _BLOCK_PAIRS // n_h, -(-n_t // _MAX_TOKENS))
+def _block_size(n_h: int) -> int:
+    """Targets per block: about ``_BLOCK_PAIRS`` pairs."""
+    return max(1, _BLOCK_PAIRS // n_h)
+
+
+def _blocks_per_token(n_t: int, block: int) -> int:
+    """Blocks per queued token: 1, or runs of them past ``_MAX_TOKENS`` blocks."""
+    return -(-n_t // (block * _MAX_TOKENS))
 
 
 def _hand_out(targets: np.ndarray, herders: np.ndarray,
@@ -573,13 +578,14 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     _drop_hand_out()
     if herders.size == 0 or targets.size == 0:
         return None
-    block = _block_size(targets.shape[0], herders.shape[0])
+    block = _block_size(herders.shape[0])
     if targets.shape[0] <= block or _no_helper or not _spare_cpu():
         return None
     helper = _running_helper(kernel)
     if helper is not None:
+        per = _blocks_per_token(targets.shape[0], block)
         request = _Request((targets, herders), wrap(targets), wrap(herders), kernel,
-                           block)
+                           block, per)
         try:
             helper.hand_out(request)
         except BaseException:
@@ -603,7 +609,7 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
     if helper is None or not helper.holds(targets, herders, kernel):
         helper = _hand_out(targets, herders, kernel)
     if helper is None:
-        block = _block_size(targets.shape[0], herders.shape[0])
+        block = _block_size(herders.shape[0])
         _table_drift(wrap(targets), wrap(herders), kernel, block, out,
                      range(-(-targets.shape[0] // block)))
         return out
@@ -621,8 +627,7 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
               kernel: KernelParams, fast: bool = True) -> np.ndarray:
     """Drift of every target under every herder, shape (n_t, 2).
 
-    The fast path works on blocks of about 8192 target-herder pairs (longer
-    where a call would have more than 1024 blocks, ``_block_size``). It
+    The fast path works on blocks of about 8192 target-herder pairs. It
     adds the exact nearest-image term to the other images' tail, read from
     the table of ``_tail_table``: per cell a least-squares cubic of total
     degree <= 3 (10 coefficients) fitted at 4 x 4 Chebyshev nodes, 96^2
@@ -750,9 +755,9 @@ def run(
     ``snapshot_every`` > 0 the run stores (t, herders, targets) tuples at
     that cadence plus the final state; 0 stores initial and final only, and
     a zero horizon stores the initial state once. The metric series always
-    holds a t = 0 record and a final record at t = n_steps * dt (both at
-    t = 0 for a zero horizon); in a run with steps the t = 0 record follows
-    the first control tick, so it carries that tick's loop health.
+    holds a t = 0 record and a final record at t = n_steps * dt, one record
+    for a zero horizon; in a run with steps the t = 0 record follows the
+    first control tick, so it carries that tick's loop health.
 
     Every step goes through ``step`` on the state at the start of that
     step; the control chain reads the same state. ``stage_seconds`` sums
@@ -804,8 +809,6 @@ def run(
     n_steps = sim.n_steps
     progress = -(-n_steps // 10)  # steps between progress reports
     record_snapshot(0.0)
-    if n_steps == 0:
-        record_metrics(0.0)
     try:
         for s in range(n_steps):
             t = s * sim.dt

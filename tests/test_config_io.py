@@ -326,6 +326,8 @@ def test_field_writer_takes_the_kind_from_the_exact_class(tmp_path):
         back, header = read_field(path)
         assert type(back) is type(field)
         assert (header["kind"], int(header["components"])) == (kind, components)
+    with pytest.raises(ValueError, match="cannot write a GridSpec"):
+        write_field(path, g)
 
 
 def test_field_reader_validates(tmp_path):

@@ -303,7 +303,7 @@ def test_short_last_block_makes_no_temporaries(kernel):
     # inputs); a ufunc over a reversed view of so short a block copies it
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    block = microsim._block_size(720, 260)
+    block = microsim._block_size(260)
     last = 720 // block
     assert 0 < 720 - last * block < block
     out = np.empty_like(targets)
@@ -582,7 +582,7 @@ def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
             patch.setattr(microsim, "_read_into", resuming)
             mine = callers_blocks(patch)
             drift_all(*first, 1e-3, kernel)
-        assert mine == list(range(-(-720 // microsim._block_size(720, 260))))
+        assert mine == list(range(-(-720 // microsim._block_size(260))))
         microsim._hand_out(*second, kernel)
     finally:
         os.kill(helper.pid, signal.SIGCONT)
@@ -649,18 +649,23 @@ def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
     assert microsim._helper.pid != helper.pid
 
 
-def test_block_size_keeps_every_call_within_the_token_limit():
-    # a call's tokens fit the empty queue in one write, for any target count
-    block_size, limit = microsim._block_size, microsim._MAX_TOKENS
+def test_every_call_queues_at_most_the_token_limit():
+    # a call's tokens fit the empty queue in one write, for any target
+    # count, while each block stays about _BLOCK_PAIRS pairs
+    limit, n_t = microsim._MAX_TOKENS, np.arange(1, 10**6 + 1)
     for n_h in (1, 260, 9000):
-        assert all(-(-n_t // block_size(n_t, n_h)) <= limit for n_t in range(1, 10**6 + 1))
-    # paper scale keeps 24 blocks of 31 targets; blocks grow only past 1024 of them
-    assert [block_size(n_t, 260) for n_t in (720, 31_744, 31_745)] == [31, 31, 32]
+        block = microsim._block_size(n_h)
+        assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)  # bounds the workspace
+        blocks = -(-n_t // block)
+        per = microsim._blocks_per_token(n_t, block)
+        assert (-(-blocks // per) <= limit).all()  # the tokens ``hand_out`` writes
+        assert (per[blocks <= limit] == 1).all()  # runs only past the limit
+    # paper scale: 24 blocks of 31 targets, one token each
+    assert (microsim._block_size(260), microsim._blocks_per_token(720, 31)) == (31, 1)
 
 
-def test_more_targets_than_the_queue_holds_tokens(kernel, monkeypatch):
-    # one target per block would be a few more blocks than the pipe holds
-    # tokens; longer blocks keep the call to one token write
+def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
+    # one target per block, a few more blocks than the pipe holds tokens
     helper = forked_helper(monkeypatch, kernel)
     capacity = fcntl.fcntl(helper.queue, fcntl.F_GETPIPE_SZ)
     rng = np.random.default_rng(52)
@@ -668,7 +673,6 @@ def test_more_targets_than_the_queue_holds_tokens(kernel, monkeypatch):
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
-    assert -(-n_t // microsim._block_size(n_t, 1)) <= microsim._MAX_TOKENS
     calls = microsim._split_calls
 
     def deadlocked(signum, frame):
@@ -1005,8 +1009,9 @@ def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
         goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
         sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.0, seed=3),
     )
-    assert len(res.chi) == 2  # the t=0 record and the final record coincide
-    assert res.chi[0] == res.chi[-1]
+    # the initial state is the final one: one record and one snapshot of it
+    assert res.metric_times.tolist() == [0.0] and len(res.chi) == 1
+    assert [t for t, *_ in res.snapshots] == [0.0]
 
 
 def test_zero_gain_frozen_lattice_baseline(kernel):
