@@ -153,7 +153,7 @@ def _write_table(path: str | Path, header: list[str], blocks, meta: dict | None 
                     text = "" if items != items else field % items
                     fields.append(text.replace("%", "%%"))
                     continue
-                if kind == "f" and np.isnan(sum(items)):  # NaN (inf - inf too, harmlessly)
+                if kind == "f" and np.isnan(values).any():
                     field, items = "%s", ["" if v != v else FLOAT_FMT % v for v in items]
                 fields.append(field)
                 cells.append(items)
@@ -178,19 +178,25 @@ def read_trajectory(path: str | Path):
     """Returns a list of (t, herders, targets) tuples in file order. A frame
     that holds one agent twice is an error."""
     frames: dict[float, dict[str, dict]] = {}  # in file order
-    header = None
-    with open(path, newline="") as fh:
-        for line_no, raw in enumerate(fh, 1):
+    comments = 0  # lines skipped so far, so that errors give the file's line numbers
+
+    def table(fh):
+        nonlocal comments
+        for raw in fh:
             if raw.startswith("#"):
-                continue
-            row = next(csv.reader([raw]))
-            if header is None:
-                header = row
-                if header != _TRAJECTORY_COLUMNS:
-                    raise ValueError(f"{path}:{line_no}: bad header {header}")
-                continue
+                comments += 1
+            else:
+                yield raw
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(table(fh))
+        header = next(reader, None)
+        if header is not None and header != _TRAJECTORY_COLUMNS:
+            raise ValueError(f"{path}:{reader.line_num + comments}: bad header {header}")
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num + comments
             try:
                 t, kind, idx = float(row[0]), row[1], int(row[2])
                 x1, x2 = float(row[3]), float(row[4])

@@ -23,9 +23,12 @@ def wrap(p: np.ndarray) -> np.ndarray:
 
     Works elementwise on arrays of any shape. Values already in range are
     returned bit-exactly, so the operation is idempotent; the seam maps
-    +pi -> -pi.
+    +pi -> -pi. The result is always a new array; when every value is
+    already in range it is a copy, after one range check.
     """
     arr = np.asarray(p, dtype=float)
+    if arr.size and arr.min() >= -PI and arr.max() < PI:  # a NaN fails the check
+        return arr.copy()
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot wrap non-finite coordinates")
     shifted = arr - TWO_PI * np.floor((arr + PI) / TWO_PI)

@@ -403,6 +403,17 @@ def test_trajectory_reader_rejects_garbage(tmp_path):
         read_trajectory(p)
 
 
+def test_trajectory_reader_counts_comment_lines_in_line_numbers(tmp_path):
+    p = tmp_path / "commented.csv"
+    p.write_text("# swarmherd 0\n# seed=1\nt,agent_kind,agent_id,x1,x2\n0,herder,0,1,2\n"
+                 "# a note\n\n0,robot,0,1,2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:7: unknown agent kind 'robot'")):
+        read_trajectory(p)
+    p.write_text("# swarmherd 0\nt,kind,agent_id,x1,x2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: bad header")):
+        read_trajectory(p)
+
+
 def test_trajectory_reader_rejects_a_repeated_agent_naming_file_and_line(tmp_path):
     p = tmp_path / "twice.csv"
     p.write_text("t,agent_kind,agent_id,x1,x2\n0,herder,0,1,2\n0,target,0,0,0\n"

@@ -537,33 +537,119 @@ def test_decay_fit_needs_two_usable_points(norms):
     assert np.isnan(continuum._fit_decay_rate(0.1 * np.arange(norms.size), norms))
 
 
-def test_transport_symbols_are_read_only():
-    symbols = continuum._step_symbols(16, 0.05)
-    assert not symbols.flags.writeable
-    with pytest.raises(ValueError):
-        symbols[0, 0, 0] = 1.0
+def clear_memos():
+    for memo in (continuum._step_symbols, continuum._kernel_hat, continuum._reference,
+                 continuum._equilibrium):
+        memo.cache_clear()
 
 
-def target_call(m, diffusion, seed):
+def test_transport_symbols_are_read_only(samples32):
+    # each memo hands every caller the same arrays
+    g = GridSpec(16)
+    rho_bar = DensityField(g, uniform(g, 1.0).values * (1 + rough(16, 3, 0.2)))
+    report, ref_hat = continuum._reference(rho_bar, 0.05)
+    for shared in (continuum._step_symbols(16, 0.05), continuum._kernel_hat(samples32),
+                   report.curvature.values, ref_hat,
+                   continuum._equilibrium(rho_bar, 0.05).values):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0, 0] = 1.0
+
+
+def test_second_call_takes_the_memoized_constants(samples32, monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(continuum, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(continuum, name, wrapper)
+
+    for name in ("stability_margin", "desired_velocity_field", "kernel_symbol"):
+        counted(name)
+    clear_memos()
+    g = GridSpec(16)
+    rho_bar = DensityField(g, uniform(g, 1.0).values * (1 + rough(16, 3, 0.2)))
+    for reference in (rho_bar, DensityField(g, rho_bar.values.copy())):  # equal values
+        report = verify_target_convergence(rho_bar, reference, 0.05, horizon=0.3,
+                                           sample_every=0.1)
+        assert np.isfinite(report.envelope).all()
+        report.stability.rate = np.nan  # a caller's edit stays its own
+    assert calls == ["desired_velocity_field", "stability_margin"]
+    calls.clear()
+    g = GridSpec(32)
+    state = ContinuumState(uniform(g, 0.3), uniform(g, 0.7))
+    for _ in range(2):
+        state = continuum_step(state, None, samples32, 0.05, 0.01)
+    assert calls == ["kernel_symbol"]
+
+
+def target_call(m, diffusion, seed, equilibrium=False, rho_bar=None):
+    """A short target-driver call: uniform reference and a rough velocity, or
+    with ``equilibrium`` a rough reference with its own equilibrium drift."""
     g = GridSpec(m)
-    rho_bar = uniform(g, 1.0)
-    rho0 = DensityField(g, rho_bar.values * (1 + rough(m, seed, 0.2)))
+    if rho_bar is None:
+        rho_bar = uniform(g, 1.0)
+        if equilibrium:
+            rho_bar = DensityField(g, rho_bar.values * (1 + rough(m, seed + 3, 0.2)))
+    rho0 = DensityField(g, uniform(g, 1.0).values * (1 + rough(m, seed, 0.2)))
+    if equilibrium:
+        return verify_target_convergence(rho0, rho_bar, diffusion, horizon=0.03,
+                                         sample_every=0.01)
     v = VectorField(g, np.stack([rough(m, seed + 1, 0.3), rough(m, seed + 2, 0.3)]))
     dt = 0.5 * stable_dt(g.h, diffusion, float(np.sqrt((v.values**2).sum(0)).max()))
     return verify_target_convergence(rho0, rho_bar, diffusion, horizon=3 * dt,
                                      velocity=v, dt=dt, sample_every=dt)
 
 
+def assert_same_report(got, fresh):
+    assert np.array_equal(got.times, fresh.times)
+    assert np.array_equal(got.error_sq, fresh.error_sq)
+    assert np.array_equal(got.envelope, fresh.envelope)
+    assert np.array_equal(got.stability.curvature.values, fresh.stability.curvature.values)
+    assert got.stability.rate == fresh.stability.rate
+    assert got.mass_drift == fresh.mass_drift and got.steps == fresh.steps
+
+
 @settings(max_examples=10, deadline=None)
-@given(calls=st.lists(st.tuples(st.sampled_from([15, 16]), st.sampled_from([0.02, 0.05])),
+@given(calls=st.lists(st.tuples(st.sampled_from([15, 16]), st.sampled_from([0.02, 0.05]),
+                                st.booleans()),
                       min_size=2, max_size=6),
        seed=st.integers(0, 1000))
-@example(calls=[(15, 0.02), (16, 0.05), (15, 0.05), (16, 0.02), (15, 0.02)], seed=0)
+@example(calls=[(15, 0.02, False), (16, 0.05, True), (15, 0.05, True), (16, 0.02, False),
+                (15, 0.02, False)], seed=0)
+@example(calls=[(16, 0.02, True), (16, 0.05, True), (16, 0.02, False), (16, 0.02, True)],
+         seed=1)
 def test_interleaved_target_calls_equal_fresh_calls(calls, seed):
-    interleaved = [target_call(m, d, seed) for m, d in calls]
-    for (m, d), got in zip(calls, interleaved):
-        continuum._step_symbols.cache_clear()
-        fresh = target_call(m, d, seed)
-        assert np.array_equal(got.times, fresh.times)
-        assert np.array_equal(got.error_sq, fresh.error_sq)
-        assert got.mass_drift == fresh.mass_drift and got.steps == fresh.steps
+    # two references (uniform, rough) and two diffusions in any order
+    interleaved = [target_call(m, d, seed, eq) for m, d, eq in calls]
+    for (m, d, eq), got in zip(calls, interleaved):
+        clear_memos()
+        assert_same_report(got, target_call(m, d, seed, eq))
+    # a reference changed in place after a call is a new reference
+    m, d, eq = calls[-1]
+    rho_bar = DensityField(GridSpec(m), uniform(GridSpec(m), 1.0).values
+                           * (1 + rough(m, seed + 3, 0.2)))
+    target_call(m, d, seed, eq, rho_bar)
+    rho_bar.values[1:3] *= 1.25
+    got = target_call(m, d, seed, eq, rho_bar)
+    clear_memos()
+    assert_same_report(got, target_call(m, d, seed, eq, rho_bar))
+
+
+def test_step_after_samples_change_in_place_equals_fresh_step(samples32):
+    g = GridSpec(32)
+    state = ContinuumState(DensityField(g, uniform(g, 0.3).values * (1 + rough(32, 5, 0.2))),
+                           uniform(g, 0.7))
+    samples = samples32.copy()
+    continuum_step(state, None, samples, 0.05, 0.01)
+    samples *= 0.5
+    got = continuum_step(state, None, samples, 0.05, 0.01)
+    clear_memos()
+    fresh = continuum_step(state, None, samples, 0.05, 0.01)
+    assert np.array_equal(got.rho_t.values, fresh.rho_t.values)
+    assert not np.array_equal(
+        got.rho_t.values, continuum_step(state, None, samples32, 0.05, 0.01).rho_t.values)

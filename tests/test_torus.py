@@ -46,6 +46,16 @@ def test_wrap_rejects_non_finite():
         wrap(np.array([np.inf, 0.0]))
 
 
+def test_wrap_in_range_is_a_bitwise_copy():
+    p = np.array([[-PI, -0.0], [np.nextafter(PI, 0), 1e-300], [0.5, -3.0]])
+    out = wrap(p)
+    assert not np.shares_memory(out, p)
+    assert out.tobytes() == p.tobytes()
+    for bad in ([0.0, np.nan], [np.nan, 0.0], [-PI, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            wrap(np.array(bad))
+
+
 def test_wrap_idempotent_and_periodic():
     rng = np.random.default_rng(7)
     p = rng.uniform(-10, 10, size=(500, 2))
