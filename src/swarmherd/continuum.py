@@ -20,11 +20,11 @@ The transport symbols are built once per grid size and diffusion and
 shared, read-only, by ``continuum_step`` and the target driver. Values that
 depend only on an input are kept for the last distinct input, keyed on its
 exact values: the target driver's reference constants (stability report,
-equilibrium drift, reference coefficients) per reference and diffusion, and
-``continuum_step``'s kernel symbol per sample array. The herder driver
-builds its control symbol at each call: cached, it would stop calling
-``poisson_solve``, ``gradient`` and ``divergence``, which the benchmark's
-traced ``continuum`` run requires. A driver transforms its
+reference coefficients, equilibrium drift), in one memo per reference and
+diffusion, and ``continuum_step``'s kernel symbol per sample array. The
+herder driver builds its control symbol at each call: cached, it would stop
+calling ``poisson_solve``, ``gradient`` and ``divergence``, which the
+benchmark's traced ``continuum`` run requires. A driver transforms its
 density back once, at the end, and measures errors by Parseval. Each mass
 is conserved to rounding. The two verification drivers measure the
 closed-loop herder error decay, fitted by the closed-form least-squares
@@ -150,20 +150,14 @@ def _kernel_hat(kernel_samples: np.ndarray) -> np.ndarray:
 
 @_once_per_input
 def _reference(rho_bar_t: DensityField, diffusion: float):
-    """The target driver's stability report and ``rfft2`` of the reference."""
-    report = stability_margin(rho_bar_t, diffusion)
-    report.curvature.values.flags.writeable = False
-    ref_hat = rfft2(rho_bar_t.values)
-    ref_hat.flags.writeable = False
-    return report, ref_hat
-
-
-@_once_per_input
-def _equilibrium(rho_bar_t: DensityField, diffusion: float) -> VectorField:
-    """``desired_velocity_field`` of the reference, read-only."""
+    """The target driver's constants of the reference, all read-only: its
+    stability report, its ``rfft2`` and its ``desired_velocity_field``."""
     v = desired_velocity_field(rho_bar_t, diffusion)
-    v.values.flags.writeable = False
-    return v
+    report = stability_margin(rho_bar_t, diffusion)
+    ref_hat = rfft2(rho_bar_t.values)
+    for values in (v.values, report.curvature.values, ref_hat):
+        values.flags.writeable = False
+    return report, ref_hat, v
 
 
 # continuum_step and the target driver share these; the herder driver
@@ -291,7 +285,7 @@ def verify_herder_convergence(
     """
     grid = rho_h0.grid
     m0 = mass(rho_h0)
-    if abs(m0 - mass(rho_bar_h)) > 1e-6 * max(m0, 1e-300):
+    if abs(m0 - mass(rho_bar_h)) > 1e-6 * max(abs(m0), 1e-300):
         raise ValueError("initial and reference herder masses differ")
     if dt is None:
         dt = min(0.05 / gain, 0.01)
@@ -350,11 +344,11 @@ def verify_target_convergence(
     values share the report's curvature field, whose values are read-only.
     """
     grid = rho_t0.grid
-    v = velocity if velocity is not None else _equilibrium(rho_bar_t, diffusion)
+    report, ref_hat, equilibrium = _reference(rho_bar_t, diffusion)
+    v = velocity if velocity is not None else equilibrium
     if v.grid.m != grid.m:
         raise ValueError("velocity grid differs from the density grid")
 
-    report, ref_hat = _reference(rho_bar_t, diffusion)
     v_max = float(np.sqrt((v.values**2).sum(axis=0)).max())
     bound = stable_dt(grid.h, diffusion, v_max)
     if dt is None:

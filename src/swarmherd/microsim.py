@@ -68,24 +68,19 @@ class SimParams:
     dt: float = 0.01
     horizon: float = 200.0
     seed: int = 0
-    control_every: int = 1
     v_max: float | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise FieldError("dt", "time step must be positive")
-        if not self.horizon >= 0:
-            raise FieldError("horizon", "horizon cannot be negative")
-        if self.diffusion < 0:
-            raise FieldError("diffusion", "diffusion coefficient cannot be negative")
+        if not 0 < self.dt < np.inf:  # also false for NaN
+            raise FieldError("dt", "time step must be positive and finite")
+        if not 0 <= self.horizon < np.inf:
+            raise FieldError("horizon", "horizon must be finite and non-negative")
+        if not 0 <= self.diffusion < np.inf:
+            raise FieldError("diffusion", "diffusion must be finite and non-negative")
         if not isinstance(self.seed, Integral):
             raise FieldError("seed", "seed must be an integer")
         if self.seed < 0:
             raise FieldError("seed", "seed cannot be negative")
-        if not isinstance(self.control_every, Integral):
-            raise FieldError("control_every", "control period must be an integer")
-        if self.control_every < 1:
-            raise FieldError("control_every", "control period must be >= 1 step")
         if self.v_max is not None and not self.v_max > 0:
             raise FieldError("v_max", "speed limit must be positive")
         # two fields clash here, so no one field is named
@@ -364,9 +359,9 @@ def _pull(queue: int, per: int, blocks: int, taken: list[int]) -> Iterator[int]:
 
 
 class _Request(NamedTuple):
-    """A drift handed out to the queue and not yet collected."""
+    """A drift handed out to the queue and not yet collected. Its arrays are
+    the caller's own, matched by identity at collection."""
 
-    given: tuple[np.ndarray, np.ndarray]  # the caller's arrays, matched by identity
     targets: np.ndarray  # wrapped
     herders: np.ndarray  # wrapped
     kernel: KernelParams
@@ -448,8 +443,8 @@ class _DriftHelper:
     def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
         """Whether the drift handed out is of these very arrays."""
         request = self.handed
-        return (request is not None and request.given[0] is targets
-                and request.given[1] is herders and request.kernel == kernel)
+        return (request is not None and request.targets is targets
+                and request.herders is herders and request.kernel == kernel)
 
     def collect(self, out: np.ndarray) -> None:
         """Drift the blocks still queued, then read the helper's into ``out``.
@@ -570,10 +565,12 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     """Queue the blocks of this drift for the helper, which starts on them at
     once; the helper, or None where this process drifts alone.
 
-    A drift is shared where it has two blocks or more and a second CPU.
-    ``drift_all`` of the same two arrays collects it; until then any failure
-    must drop it (``_drop_hand_out``). After a fork failed, nothing is
-    handed out.
+    The arrays must be wrapped and C-contiguous, and stay unchanged until the
+    drift is collected: the helper drifts the bytes sent now, this process
+    the arrays as they are at collection. A drift is shared where it has two
+    blocks or more and a second CPU. ``drift_all`` of the same two arrays
+    collects it; until then any failure must drop it (``_drop_hand_out``).
+    After a fork failed, nothing is handed out.
     """
     _drop_hand_out()
     if herders.size == 0 or targets.size == 0:
@@ -584,8 +581,7 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     helper = _running_helper(kernel)
     if helper is not None:
         per = _blocks_per_token(targets.shape[0], block)
-        request = _Request((targets, herders), wrap(targets), wrap(herders), kernel,
-                           block, per)
+        request = _Request(targets, herders, kernel, block, per)
         try:
             helper.hand_out(request)
         except BaseException:
@@ -598,19 +594,21 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
                  kernel: KernelParams) -> np.ndarray:
     """``_table_drift`` of all targets, shared with the helper where it pays.
 
-    Collects the drift ``_hand_out`` queued for these arrays, handing it out
-    first if it was not: this process pulls blocks from the queue until it
-    is empty, then reads the helper's. Where nothing is handed out, this
-    process drifts every block.
+    Collects the drift ``_hand_out`` queued for these arrays, or wraps them
+    and hands that out first: this process pulls blocks from the queue until
+    it is empty, then reads the helper's. Where nothing is handed out, this
+    process drifts every block. ``targets`` must be C-contiguous, as ``out``
+    takes its layout and the helper's rows are read into slices of it.
     """
     global _split_calls
     out = np.empty_like(targets)
     helper = _helper
     if helper is None or not helper.holds(targets, herders, kernel):
+        targets, herders = wrap(targets), wrap(herders)
         helper = _hand_out(targets, herders, kernel)
     if helper is None:
         block = _block_size(herders.shape[0])
-        _table_drift(wrap(targets), wrap(herders), kernel, block, out,
+        _table_drift(targets, herders, kernel, block, out,
                      range(-(-targets.shape[0] // block)))
         return out
     try:
@@ -652,8 +650,8 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     each step's drift before its control tick (``_hand_out``), so the
     helper starts on it at once; this call then collects it.
     """
-    targets = np.asarray(targets, dtype=float)
-    herders = np.asarray(herders, dtype=float)
+    targets = np.ascontiguousarray(targets, dtype=float)
+    herders = np.ascontiguousarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
     if fast:
@@ -709,10 +707,11 @@ class SimulationResult:
     metric_times: np.ndarray
     chi: np.ndarray
     n_inside: np.ndarray
-    # loop health at each metric time, from the latest control tick (NaN before
-    # one): herder error L2, the mean the Poisson solve removed, the peak
-    # commanded speed before the speed limit, the share the limit clipped and
-    # the share of grid nodes where the density estimate hit DENSITY_FLOOR
+    # loop health at each metric time, from that step's own control tick (NaN
+    # without herders): herder error L2, the mean the Poisson solve removed,
+    # the peak commanded speed before the speed limit, the share the limit
+    # clipped and the share of grid nodes where the density estimate hit
+    # DENSITY_FLOOR
     herder_error_l2: np.ndarray
     removed_mean: np.ndarray
     peak_speed: np.ndarray
@@ -722,7 +721,6 @@ class SimulationResult:
     final: AgentEnsemble
     n_targets: int
     n_herders: int
-    herder_mass: float
     wall_time: float
     cpu_time: float  # this process's CPU seconds over the run, helper excluded
     drift_processes: int  # 2 if any step's drift was handed to the helper, else 1
@@ -750,8 +748,8 @@ def run(
     control runs on the grid of ``rho_bar_h``: each tick estimates the
     herder density there with a KDE of bandwidth ``kde.bandwidth``, at the
     herders' share of the agent mass, and samples the commands bilinearly.
-    The control field is refreshed every ``sim.control_every`` steps from
-    the state at that step and held between refreshes. With
+    Each step with herders runs its own control tick from the state at that
+    step; nothing carries over from an earlier step. With
     ``snapshot_every`` > 0 the run stores (t, herders, targets) tuples at
     that cadence plus the final state; 0 stores initial and final only, and
     a zero horizon stores the initial state once. The metric series always
@@ -769,6 +767,9 @@ def run(
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """
+    if not (isinstance(metrics_every, Integral) and metrics_every >= 1):
+        raise ValueError(f"metrics_every = {metrics_every!r}: metrics cadence must be "
+                         "an integer >= 1 step")
     t_start, cpu_start = time.perf_counter(), time.process_time()
     split_start = _split_calls
     grid = rho_bar_h.grid
@@ -777,8 +778,8 @@ def run(
     init = np.random.default_rng((sim.seed, 0))  # noise_rng keys the steps from 1
     state = AgentEnsemble(herders=herder_lattice(n_herders),
                           targets=uniform_targets(n_targets, init))
-    commands = np.zeros((n_herders, 2))
-    health = (np.nan,) * len(_HEALTH)  # the latest control tick's, in _HEALTH order
+    commands = np.zeros((n_herders, 2))  # stays zero without herders
+    health = (np.nan,) * len(_HEALTH)  # the step's control tick's, in _HEALTH order
 
     times: list[float] = []
     chis: list[float] = []
@@ -815,7 +816,7 @@ def run(
             # the helper drifts this step while this process runs its control tick
             _hand_out(state.targets, state.herders, kernel)
             lap("step")
-            if n_herders > 0 and s % sim.control_every == 0:
+            if n_herders > 0:
                 estimate = estimate_density(state.herders, kde, grid, mass=herder_mass)
                 lap("kde")
                 err = herder_error(rho_bar_h, estimate)
@@ -857,7 +858,6 @@ def run(
         final=state,
         n_targets=n_targets,
         n_herders=n_herders,
-        herder_mass=herder_mass,
         wall_time=time.perf_counter() - t_start,
         cpu_time=time.process_time() - cpu_start,
         drift_processes=2 if _split_calls > split_start else 1,

@@ -23,6 +23,7 @@ from swarmherd.fileio import (
     write_sweep_csv,
     write_trajectory,
 )
+from swarmherd.torus import FieldError
 
 PI = np.pi
 
@@ -77,7 +78,7 @@ def test_invalid_values_rejected():
                 {"grids": {"control": 64.5}}, {"grids": {"deconvolution": 24.5}},
                 {"population": {"n_targets": 10.5}},
                 {"population": {"n_herders": 2.5}},
-                {"sim": {"seed": 1.5}}, {"sim": {"control_every": 1.5}},
+                {"sim": {"seed": 1.5}},
                 {"output": {"metrics_every": 1.5}},
                 {"output": {"snapshot_every": 0.5}},
                 # JSON true/false is not a number; NaN and Infinity, which
@@ -86,11 +87,16 @@ def test_invalid_values_rejected():
                 {"population": {"n_herders": False}}, {"kernel": {"length": True}},
                 {"goal": {"center": [True, 0.0]}},
                 {"sim": {"horizon": float("inf")}}, {"sim": {"diffusion": float("nan")}},
+                {"sim": {"diffusion": float("inf")}}, {"sim": {"dt": float("inf")}},
                 {"goal": {"center": [0.0, float("-inf")]}}):
         ((section, values),) = bad.items()
         (key,) = values
         with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):
             ExperimentConfig.from_dict(bad)
+        if section == "sim":  # the library's own class rejects it too
+            with pytest.raises(FieldError) as exc:
+                SimParams(**values)
+            assert exc.value.field == key
 
 
 def test_bad_value_named_next_to_a_field_pair():
@@ -170,6 +176,12 @@ def test_retired_kde_keys_rejected(key, value):
         ExperimentConfig.from_dict({"kde": {key: value}})
 
 
+def test_retired_control_period_rejected():
+    # every step with herders runs its own control tick
+    with pytest.raises(ConfigError, match=r"unknown key.*'sim'.*'control_every'"):
+        ExperimentConfig.from_dict({"sim": {"control_every": 1}})
+
+
 def test_goal_center_is_stored_wrapped():
     cfg = ExperimentConfig.from_dict({"goal": {"center": [4.0, -PI]}})
     assert cfg.goal.center == (4.0 - 2 * PI, -PI)
@@ -205,7 +217,7 @@ def test_hash_tracks_content():
 def test_default_hash_unchanged():
     # validation must not change the canonical form, or old outputs lose
     # their link to the default config
-    assert ExperimentConfig().hash() == "aeba37bbf8c4090e"
+    assert ExperimentConfig().hash() == "bf8ded808f40ed3a"
 
 
 def test_malformed_json_reported(tmp_path):

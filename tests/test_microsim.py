@@ -357,6 +357,10 @@ def split_cases():
         "targets on herders": (np.vstack([uniform(100), herders]), herders),
         "clustered herders": (uniform(300), clustered),
         "herder lattice": (uniform(720), herder_lattice(260)),
+        # the helper's rows are read into row slices of a C-ordered result
+        "Fortran order": (np.asfortranarray(uniform(720)), np.asfortranarray(herders)),
+        "Fortran order, out of range": (np.asfortranarray(3 * uniform(720)),
+                                        np.asfortranarray(3 * uniform(260))),
     }
 
 
@@ -1000,6 +1004,26 @@ def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
     assert np.array_equal(alone.chi, shared.chi)
     for res in (alone, shared):
         assert np.isfinite(res.cpu_time) and 0 <= res.cpu_time
+
+
+def test_shared_run_wraps_each_state_once(kernel, monkeypatch, paper_run):
+    # the hand-out sends the ensemble's own arrays, wrapped when it was built:
+    # the initial state and each step's new one are the only wraps
+    forked_helper(monkeypatch, kernel)
+    wraps, real = [], microsim.wrap
+    monkeypatch.setattr(microsim, "wrap", lambda p: wraps.append(p.shape) or real(p))
+    res = run(**paper_run)
+    assert res.drift_processes == 2
+    assert len(wraps) == 2 + 2 * paper_run["sim"].n_steps
+
+
+@pytest.mark.parametrize("every", [0, -1, 1.5])
+def test_run_rejects_a_bad_metrics_cadence(kernel, small_plan, every):
+    goal, plan = small_plan
+    with pytest.raises(ValueError, match=rf"metrics_every = {every}\b"):
+        run(n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+            goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+            sim=SimParams(dt=0.01, horizon=0.03), metrics_every=every)
 
 
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
