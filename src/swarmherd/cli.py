@@ -268,7 +268,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path, k_range: str, d_range: str) -
     d_values = parse_range("--d-range", d_range)
     out.mkdir(parents=True, exist_ok=True)
     matrix = feasibility_map(k_values, d_values, config.kernel,
-                             config.grids.deconvolution_grid())
+                             config.grids.deconvolution_grid(),
+                             center=config.goal.center,
+                             cross_term=config.target_density.cross_term)
     write_sweep_csv(out / "feasibility_map.csv", k_values, d_values, matrix,
                     _meta(config))
     n_infeasible = int(np.count_nonzero(matrix >= 1.0))

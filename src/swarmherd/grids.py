@@ -128,16 +128,6 @@ def half_plane(m: int) -> HalfPlane:
     return HalfPlane(m)
 
 
-def gradient_values(values: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a stack of fields, shape (..., M, M) -> (..., 2, M, M).
-
-    One ``rfft2``/``irfft2`` pair serves both components of every field.
-    """
-    m = values.shape[-1]
-    fhat = rfft2(values)[..., None, :, :]
-    return irfft2(half_plane(m).ik * fhat, m)
-
-
 @dataclass
 class ScalarField:
     """Signed scalar samples on a grid (errors, potentials, divergences)."""
@@ -195,7 +185,9 @@ def l2_norm(field) -> float:
 
 
 def gradient(field: ScalarField) -> VectorField:
-    return VectorField(field.grid, gradient_values(field.values))
+    """Spectral gradient: one ``rfft2``/``irfft2`` pair serves both components."""
+    m = field.grid.m
+    return VectorField(field.grid, irfft2(half_plane(m).ik * rfft2(field.values), m))
 
 
 def divergence(field: VectorField) -> ScalarField:

@@ -770,6 +770,9 @@ def run(
     if not (isinstance(metrics_every, Integral) and metrics_every >= 1):
         raise ValueError(f"metrics_every = {metrics_every!r}: metrics cadence must be "
                          "an integer >= 1 step")
+    if not (isinstance(snapshot_every, Integral) and snapshot_every >= 0):
+        raise ValueError(f"snapshot_every = {snapshot_every!r}: snapshot cadence must be "
+                         "an integer >= 0 steps")
     t_start, cpu_start = time.perf_counter(), time.process_time()
     split_start = _split_calls
     grid = rho_bar_h.grid

@@ -366,6 +366,28 @@ def test_sweep_command(tmp_path, small_config):
     assert matrix[-1, -1] >= 1.0
 
 
+def test_sweep_uses_the_configs_goal_center_and_cross_term(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "goal": {"center": [0.5, -1.0]},
+        "target_density": {"cross_term": True},
+        "grids": {"control": 32, "deconvolution": 15},
+    }))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--k-range", "1:5:3", "--d-range", "0.002:0.005:2"]) == 0
+    lines = [l for l in (out / "feasibility_map.csv").read_text().splitlines()
+             if l and not l.startswith("#")]
+    got = np.array([[float(x) for x in l.split(",")[1:]] for l in lines[1:]])
+    config = ExperimentConfig.load(cfg)
+    k, d = np.linspace(1, 5, 3), np.linspace(0.002, 0.005, 2)
+    args = (k, d, config.kernel, config.grids.deconvolution_grid())
+    expected = swarmherd.feasibility_map(*args, center=config.goal.center, cross_term=True)
+    assert (got < 1).all()
+    np.testing.assert_array_equal(got, expected)
+    assert not np.allclose(got, swarmherd.feasibility_map(*args), rtol=1e-3)
+
+
 def test_sweep_single_value_range(tmp_path, small_config):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(small_config), "--out", str(out),

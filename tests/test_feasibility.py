@@ -116,6 +116,23 @@ def test_log_gradient_of_single_axis_bump():
     np.testing.assert_allclose(v.values[1], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [16, 25])
+def test_cross_term_drift_is_the_analytic_log_gradient(m):
+    # log rho is k1 cos(x1 - mu) + k2 cos(x2 - nu) + cos(x1 - mu) cos(x1 - nu)
+    # + sin(x2 - mu) sin(x2 - nu) plus a constant: a trigonometric
+    # polynomial of degree 2, whose spectral gradient is exact to rounding
+    g = GridSpec(m)
+    k1, k2, mu, nu, d = 5.5, 2.25, 0.7, -2.0, 0.03
+    spec = VonMisesSpec(concentration=(k1, k2), mean=np.array([mu, nu]), cross_term=True)
+    v = desired_velocity_field(von_mises_density(spec, g), d)
+    x1, x2 = g.axis()[:, None], g.axis()[None, :]
+    exact = d * np.stack(np.broadcast_arrays(
+        -k1 * np.sin(x1 - mu) - np.sin(2 * x1 - mu - nu),
+        -k2 * np.sin(x2 - nu) + np.sin(2 * x2 - mu - nu),
+    ))
+    np.testing.assert_allclose(v.values, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
+
+
 def test_drift_vanishes_at_density_peak():
     goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
     g = GridSpec(64)
@@ -389,36 +406,87 @@ def test_map_matches_column_loop(kernel, m):
     d_values = np.array([0.005, 0.01, 0.1])
     got = feasibility_map(k_values, d_values, kernel, grid, op, saturate=np.inf)
     ref = column_loop_map(k_values, d_values, grid, op)
-    rel = np.abs(got - ref) / ref
-    # the density spans exp(4k), so rounding grows with k
-    assert rel[:, k_values <= 2].max() <= 1e-10
-    assert rel.max() <= 1e-6
+    # the loop's drift takes one more transform pair: rounding apart, equal
+    assert (np.abs(got - ref) / ref).max() <= 1e-10
     saturated = feasibility_map(k_values, d_values, kernel, grid, op)
     np.testing.assert_array_equal(saturated, np.minimum(got, 1.0))
 
 
 def test_map_warns_once_per_unrealizable_column(grid25, kernel, operator):
-    # the kernel's lowest ring alone realizes the continuum drift
-    # -D k (sin x1, sin x2); on 25^2 the large-k bumps alias onto higher
-    # modes, which this operator cannot produce
+    # an operator that keeps only the wavenumbers |k1|, |k2| <= 1 realizes
+    # the separable drift -D k (sin(x1 - mu), sin(x2 - nu)) exactly, but not
+    # the cross term's degree-2 part, whose share of the drift is
+    # 1 / sqrt(1 + k^2): above RESIDUAL_WARN for k < 20
     k = np.rint(np.fft.fftfreq(25) * 25)
     ring = (np.abs(k)[:, None] <= 1) & (np.abs(k)[None, :] <= 1)
     low_pass = DeconvolutionOperator(grid25, kernel, operator.symbol * ring[:, :13])
-    k_values = np.array([1.0, 6.0, 2.0, 8.0, 10.0])
+    k_values = np.array([1.0, 25.0, 2.0, 30.0, 6.0])
+    center = (0.3, -1.1)
     column_warnings = []
     for kv in k_values:
-        spec = VonMisesSpec(concentration=(kv, kv), mean=np.zeros(2))
+        spec = VonMisesSpec(concentration=(kv, kv), mean=np.array(center), cross_term=True)
         v = desired_velocity_field(von_mises_density(spec, grid25), 1.0)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             deconvolve(v, low_pass)
         column_warnings.append(len(seen))
-    assert column_warnings == [0, 1, 0, 1, 1]
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        feasibility_map(k_values, np.array([0.01]), kernel, grid25, low_pass)
-    assert len(seen) == 3
-    assert all("residual" in str(w.message) and w.filename == __file__ for w in seen)
+    assert column_warnings == [1, 0, 1, 0, 1]
+    for cross_term, expected in ((True, 3), (False, 0)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            feasibility_map(k_values, np.array([0.01]), kernel, grid25, low_pass,
+                            center=center, cross_term=cross_term)
+        assert len(seen) == expected, cross_term
+        assert all("residual" in str(w.message) and w.filename == __file__ for w in seen)
+
+
+@pytest.mark.parametrize("m", [16, 25])
+def test_separable_sweep_mass_is_linear_in_k(kernel, m):
+    # the separable drift is exactly -D k (sin x1, sin x2) on the grid, so
+    # its preimage, offset and mass are k times those of k = 1
+    grid = GridSpec(m)
+    k_values = np.linspace(0.5, 6.0, 12)
+    unit = feasibility_map(k_values, np.array([1.0]), kernel, grid,
+                           saturate=np.inf)[0] / k_values
+    assert np.ptp(unit) <= 1e-10 * unit.min()
+
+
+def test_map_makes_one_transform_each_way(grid25, kernel, operator, monkeypatch):
+    # every rfft2 makes one np.fft.rfft call and every irfft2 one np.fft.irfft
+    calls = []
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    cells = feasibility_map(np.linspace(0.5, 6.0, 8), np.linspace(0.005, 0.1, 8),
+                            kernel, grid25, operator)
+    assert cells.shape == (8, 8)
+    assert sorted(calls) == ["irfft", "rfft"]
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.5, -1.0)])
+def test_map_columns_are_the_plans_cross_term_masses(kernel, center):
+    grid = GridSpec(16)
+    goal = GoalRegion(center=center, radius=PI / 2)
+    k_values = np.array([0.5, 1.7, 3.0, 4.5, 6.0])
+    d_values = np.array([0.005, 0.03])
+    got = feasibility_map(k_values, d_values, kernel, grid, saturate=np.inf,
+                          center=goal.center, cross_term=True)
+    # at D = 1 every plan is infeasible; a head count skips herder_count
+    plans = [plan_herders(goal, 720, 1.0, kernel, grid, grid, cross_term=True,
+                          n_herders=260, concentration=k).min_mass for k in k_values]
+    np.testing.assert_allclose(got, np.outer(d_values, plans), rtol=1e-12, atol=0)
+    separable = feasibility_map(k_values, d_values, kernel, grid, saturate=np.inf,
+                                center=goal.center)
+    assert np.abs(separable / got - 1).min() > 1e-3
 
 
 def test_map_rejects_nonpositive_ranges(grid25, kernel, operator):
@@ -450,8 +518,27 @@ def test_default_plan_mass_and_head_count():
         deconv_grid=cfg.grids.deconvolution_grid(),
         control_grid=cfg.grids.control_grid(),
     )
-    assert plan.min_mass == pytest.approx(0.265200813, abs=1e-9)
+    assert plan.min_mass == pytest.approx(0.2652008488, abs=1e-9)
     assert plan.n_herders == 260
+
+
+def test_default_plan_mass_is_the_analytic_drifts():
+    # the default target is separable, so its drift is exactly
+    # -D k (sin x1, sin x2) with k = 3 / r; the plan's minimal mass is that
+    # field's deconvolution
+    cfg = ExperimentConfig()
+    grid = cfg.grids.deconvolution_grid()
+    plan = plan_herders(
+        goal=cfg.goal, n_targets=cfg.population.n_targets,
+        diffusion=cfg.sim.diffusion, kernel=cfg.kernel, deconv_grid=grid,
+        control_grid=cfg.grids.control_grid(),
+    )
+    k = 3.0 / cfg.goal.radius
+    x = grid.nodes()
+    drift = -cfg.sim.diffusion * k * np.sin(np.moveaxis(x, -1, 0))
+    op = DeconvolutionOperator.build(grid, cfg.kernel)
+    oracle = minimal_herder_mass(deconvolve(VectorField(grid, drift), op).field).min_mass
+    assert plan.min_mass == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_default_plan_spreads_herder_surplus_as_constant():

@@ -1026,6 +1026,16 @@ def test_run_rejects_a_bad_metrics_cadence(kernel, small_plan, every):
             sim=SimParams(dt=0.01, horizon=0.03), metrics_every=every)
 
 
+@pytest.mark.parametrize("every", [-1, 1.5])
+def test_run_rejects_a_bad_snapshot_cadence(kernel, small_plan, every):
+    # the config loader rejects these; run used to store the ends only
+    goal, plan = small_plan
+    with pytest.raises(ValueError, match=rf"snapshot_every = {every}\b"):
+        run(n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+            goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+            sim=SimParams(dt=0.01, horizon=0.03), snapshot_every=every)
+
+
 def test_run_zero_horizon_gives_initial_metric_only(kernel, small_plan):
     goal, plan = small_plan
     res = run(
