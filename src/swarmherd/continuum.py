@@ -16,6 +16,14 @@ explicit 4-stage Runge-Kutta helper integrates both densities:
   stage's herder density with the kernel from the coefficients the stage
   already holds.
 
+A stage's temporaries are the densities it transforms back, the flux
+components rho v and their coefficients: the symbols multiply those
+coefficients in place, the two components are added into the first one's
+slice and the diffusion term is formed in the second's. An RK4 step adds
+one stage buffer, reused by stages 2-4, one accumulator that becomes the
+result, and the product 2 k3; it writes into neither its input nor the
+stages' results.
+
 The transport symbols are built once per grid size and diffusion and
 shared, read-only, by ``continuum_step`` and the target driver. Values that
 depend only on an input are kept for the last distinct input, keyed on its
@@ -34,6 +42,7 @@ envelopes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -69,12 +78,44 @@ def stable_dt(h: float, diffusion: float, v_max: float) -> float:
 
 
 def _rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of dy/dt = rhs(y)."""
+    """One classical Runge-Kutta step of dy/dt = rhs(y), rhs(y) of y's shape
+    and dtype.
+
+    The bits of y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right,
+    from one accumulator and one stage buffer; neither y nor an array
+    ``rhs`` returns is written. Every product keeps the stage form's operand
+    order, scalar first: numpy's complex multiply may fuse a multiply-add,
+    and then a*b and b*a can differ in the last bit. 2 k3 gets its own
+    temporary because ``rhs`` may return the stage buffer itself.
+    """
+    half = 0.5 * dt
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    stage = np.multiply(half, k1)
+    stage += y
+    k2 = rhs(stage)
+    acc = np.multiply(2, k2)
+    acc += k1
+    np.multiply(half, k2, out=stage)
+    stage += y
+    k3 = rhs(stage)
+    acc += 2 * k3
+    np.multiply(dt, k3, out=stage)
+    stage += y
+    acc += rhs(stage)
+    np.multiply(dt / 6.0, acc, out=acc)
+    acc += y
+    return acc
+
+
+def _positive(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_diffusion(diffusion: float) -> None:
+    if not (math.isfinite(diffusion) and diffusion >= 0):
+        raise ValueError(f"diffusion must be finite and nonnegative, got {diffusion}")
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -181,12 +222,18 @@ def _transport(symbols: np.ndarray, rho_hat: np.ndarray, velocity) -> np.ndarray
     One irfft2 of rho and one batched rfft2 of the flux components rho v;
     ``velocity(rho_hat)`` gives v from the stage's coefficients. Shapes:
     ``rho_hat`` (..., M, M//2+1), v (..., 2, M, M), ``symbols``
-    (..., 3, M, M//2+1).
+    (..., 3, M, M//2+1). The result is a view of the flux coefficients'
+    buffer, in which the arithmetic runs in place.
     """
     m = rho_hat.shape[-2]
     rho = irfft2(rho_hat, m)
     flux_hat = rfft2(rho[..., None, :, :] * velocity(rho_hat))
-    return (symbols[..., :2, :, :] * flux_hat).sum(axis=-3) + symbols[..., 2, :, :] * rho_hat
+    np.multiply(symbols[..., :2, :, :], flux_hat, out=flux_hat)  # symbols first, see _rk4
+    out, spare = flux_hat[..., 0, :, :], flux_hat[..., 1, :, :]
+    out += spare  # -div(rho v)
+    np.multiply(symbols[..., 2, :, :], rho_hat, out=spare)  # D lap(rho)
+    out += spare
+    return out
 
 
 def continuum_step(state: ContinuumState, u: VectorField | None,
@@ -200,11 +247,15 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
     by multiplying its coefficients with the kernel symbol. The samples are
     transformed into that symbol once while their values stay the same; it
     also gives the field of the step's start, which sets the stability bound.
-    Raises when ``dt`` exceeds the stability bound for the current fields.
+    Raises when ``dt`` is not finite and positive, ``diffusion`` is not
+    finite and nonnegative, ``u`` is on another grid, or ``dt`` exceeds the
+    stability bound for the current fields.
     """
     grid = state.rho_h.grid
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _positive("dt", dt)
+    _check_diffusion(diffusion)
+    if u is not None and u.grid != grid:
+        raise ValueError("u must be on the densities' grid")
     k_hat = _kernel_hat(kernel_samples)
     v_th0 = circular_convolve(k_hat, state.rho_h)
     fields = (v_th0,) if u is None else (v_th0, u)
@@ -268,10 +319,13 @@ def verify_herder_convergence(
     Integrates the continuity equation driven by the analytic control flux
     (gradient of the potential solve), so the density error contracts at
     exactly the control gain; the report carries the fitted rate for
-    comparison. Masses must match, otherwise the offset cannot decay, and
-    the horizon must be finite and hold at least one step.
-    Signed fields are accepted: a perturbation around a reference whose
-    minimum is zero dips below zero.
+    comparison. The start and reference share a grid, and their masses
+    must match, otherwise the offset cannot decay; ``gain`` and ``dt`` are
+    finite and positive, the horizon is finite and holds at least one step,
+    and ``sample_every`` is finite; at or below 0 it takes horizon / 60, at
+    least one step. A ValueError names the argument that is not. Signed
+    fields are accepted: a perturbation around a reference whose minimum is
+    zero dips below zero.
 
     The error coefficients obey e' = -S e, one equation per wavenumber, so
     one RK4 step multiplies them by the step's stability polynomial
@@ -284,11 +338,17 @@ def verify_herder_convergence(
     projects the checkerboards out; the twin does not).
     """
     grid = rho_h0.grid
+    if rho_bar_h.grid != grid:
+        raise ValueError("herder start and reference must share a grid")
     m0 = mass(rho_h0)
     if abs(m0 - mass(rho_bar_h)) > 1e-6 * max(abs(m0), 1e-300):
         raise ValueError("initial and reference herder masses differ")
+    _positive("gain", gain)
     if dt is None:
         dt = min(0.05 / gain, 0.01)
+    _positive("dt", dt)
+    if not math.isfinite(sample_every):
+        raise ValueError(f"sample_every must be finite, got {sample_every}")
     n_steps = _step_count(horizon, dt)
     if sample_every <= 0:
         sample_every = max(horizon / 60.0, dt)
@@ -339,11 +399,19 @@ def verify_target_convergence(
     exp(-rate*t) with the rate from the log-density curvature bound; the
     comparison is only asserted (``bounded``) when the bound applies. The
     step lands on the sampling instants without exceeding the stability
-    bound; an explicit ``dt`` above the bound raises, as does a horizon that
-    is not finite or holds less than one step. Calls on references of equal
+    bound; an explicit ``dt`` above the bound raises, as do a start off the
+    reference's grid, a negative ``diffusion``, a ``dt`` or ``sample_every``
+    that is not positive, any of them not finite, and a horizon that is
+    not finite or holds less than one step. Calls on references of equal
     values share the report's curvature field, whose values are read-only.
     """
     grid = rho_t0.grid
+    if rho_bar_t.grid != grid:
+        raise ValueError("target start and reference must share a grid")
+    _check_diffusion(diffusion)
+    if dt is not None:
+        _positive("dt", dt)
+    _positive("sample_every", sample_every)
     report, ref_hat, equilibrium = _reference(rho_bar_t, diffusion)
     v = velocity if velocity is not None else equilibrium
     if v.grid.m != grid.m:

@@ -188,6 +188,53 @@ def test_drivers_reject_horizon_without_a_step(herder_reference, horizon, match)
         verify_target_convergence(rho, rho, diffusion=0.05, horizon=horizon)
 
 
+@pytest.mark.parametrize("driver, bad", [
+    *[("herder", {"gain": v}) for v in (0.0, -1.0, np.nan, np.inf)],
+    *[(d, {"dt": v}) for d in ("herder", "target") for v in (0.0, -0.05, np.nan, np.inf)],
+    *[("herder", {"sample_every": v}) for v in (np.nan, np.inf, -np.inf)],
+    *[("target", {"sample_every": v}) for v in (0.0, -0.1, np.nan, np.inf)],
+    *[(d, {"diffusion": v}) for d in ("target", "step") for v in (-0.05, np.nan, np.inf)],
+    *[("step", {"dt": v}) for v in (0.0, -0.01, np.nan, np.inf)],
+])
+def test_twin_rejects_bad_argument_naming_it(herder_reference, samples32, driver, bad):
+    g = herder_reference.grid
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        if driver == "herder":
+            verify_herder_convergence(herder_reference, herder_reference,
+                                      **{"gain": 1.0, "horizon": 1.0, **bad})
+        elif driver == "target":
+            rho = uniform(g, 1.0)
+            verify_target_convergence(rho, rho, **{"diffusion": 0.05, "horizon": 1.0, **bad})
+        else:
+            state = ContinuumState(uniform(g, 0.3), uniform(g, 0.7))
+            continuum_step(state, None, samples32, **{"diffusion": 0.05, "dt": 0.01, **bad})
+
+
+def test_twin_rejects_fields_on_another_grid(herder_reference, samples32):
+    g, other = herder_reference.grid, GridSpec(16)
+    with pytest.raises(ValueError, match="herder start and reference must share a grid"):
+        verify_herder_convergence(uniform(other, mass(herder_reference)), herder_reference,
+                                  1.0, horizon=1.0)
+    with pytest.raises(ValueError, match="target start and reference must share a grid"):
+        verify_target_convergence(uniform(other, 1.0), uniform(g, 1.0), 0.05, horizon=1.0)
+    state = ContinuumState(uniform(g, 0.3), uniform(g, 0.7))
+    with pytest.raises(ValueError, match="u must be on the densities' grid"):
+        continuum_step(state, VectorField(other, np.zeros((2, 16, 16))), samples32, 0.05, 0.01)
+
+
+@pytest.mark.parametrize("sample_every", [0.0, -0.1])
+def test_herder_sample_every_at_or_below_zero_takes_the_default(herder_reference,
+                                                                sample_every):
+    g = herder_reference.grid
+    rho0 = ScalarField(g, herder_reference.values + 0.01 * np.cos(g.nodes()[..., 0]))
+    rep = verify_herder_convergence(rho0, herder_reference, 10.0, horizon=0.3,
+                                    sample_every=sample_every)
+    default = verify_herder_convergence(rho0, herder_reference, 10.0, horizon=0.3)
+    np.testing.assert_array_equal(rep.times, default.times)
+    np.testing.assert_array_equal(rep.error_l2, default.error_l2)
+
+
 # ---------------------------------------------------------------------------
 # target feed-forward decay (envelope bound)
 # ---------------------------------------------------------------------------
@@ -294,6 +341,34 @@ def oracle_rk4(rhs, y, dt):
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rk4_is_the_stage_form_bit_for_bit(dtype):
+    # a nonlinear right-hand side; y and every array rhs returns are
+    # read-only, so a write into either raises
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((2, 8, 5)).astype(dtype)
+    if dtype is complex:
+        y += 1j * rng.standard_normal(y.shape)
+    y.flags.writeable = False
+    returned = []
+
+    def rhs(x):
+        out = np.sin(x) * x - 0.3 * x * x
+        out.flags.writeable = False
+        returned.append(out)
+        return out
+
+    expected = oracle_rk4(rhs, y, 0.07)
+    returned.clear()
+    got = continuum._rk4(rhs, y, 0.07)
+    assert np.array_equal(got, expected)
+    assert len(returned) == 4
+    assert not any(np.shares_memory(got, a) for a in [y, *returned])
+    # an rhs may hand back its argument, the stage buffer itself
+    assert np.array_equal(continuum._rk4(lambda x: x, y, 0.07),
+                          oracle_rk4(lambda x: x, y, 0.07))
 
 
 def oracle_transport(rho, velocity, diffusion, grid):

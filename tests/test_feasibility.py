@@ -30,6 +30,7 @@ from swarmherd import (
     stability_margin,
     von_mises_density,
 )
+from swarmherd import feasibility
 from swarmherd.config import ExperimentConfig
 from swarmherd.grids import half_plane
 
@@ -452,11 +453,11 @@ def test_separable_sweep_mass_is_linear_in_k(kernel, m):
 
 
 def test_map_makes_one_transform_each_way(grid25, kernel, operator, monkeypatch):
-    # every rfft2 makes one np.fft.rfft call and every irfft2 one np.fft.irfft
+    # the whole sweep makes one rfft2 (of log rho) and one irfft2
     calls = []
 
     def counted(name):
-        real = getattr(np.fft, name)
+        real = getattr(feasibility, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -464,12 +465,12 @@ def test_map_makes_one_transform_each_way(grid25, kernel, operator, monkeypatch)
 
         return wrapper
 
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(name))
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(feasibility, name, counted(name))
     cells = feasibility_map(np.linspace(0.5, 6.0, 8), np.linspace(0.005, 0.1, 8),
                             kernel, grid25, operator)
     assert cells.shape == (8, 8)
-    assert sorted(calls) == ["irfft", "rfft"]
+    assert sorted(calls) == ["irfft2", "rfft2"]
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.5, -1.0)])

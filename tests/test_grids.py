@@ -455,16 +455,39 @@ def test_resample_matches_full_plane_reference(m_old, m_new, seed):
 # ---------------------------------------------------------------------------
 
 
+def laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """A new array of ``a``'s values: C-contiguous, read-only, transposed in
+    memory (Fortran order in the last two axes) or a strided slice."""
+    if layout == "transposed":
+        return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if layout == "strided":
+        big = np.zeros(a.shape[:-2] + (2 * a.shape[-2], 3 * a.shape[-1]), dtype=a.dtype)
+        big[..., ::2, ::3] = a
+        return big[..., ::2, ::3]
+    out = a.copy()
+    out.flags.writeable = layout != "read-only"
+    return out
+
+
+_layouts = st.sampled_from(["contiguous", "read-only", "transposed", "strided"])
+
+
 @settings(max_examples=80, deadline=None)
-@given(m=_wide_sizes, lead=st.lists(st.integers(1, 3), max_size=2), seed=_seeds)
-@example(m=4, lead=[], seed=0)
-@example(m=64, lead=[2], seed=0)  # a flux stack on the control grid
-@example(m=33, lead=[2, 2], seed=0)  # the actuated step's stacked fluxes
-def test_real_fft_pair_matches_numpy_bit_for_bit(m, lead, seed):
-    values = np.random.default_rng(seed).standard_normal((*lead, m, m))
-    coeffs = np.fft.rfft2(values)
+@given(m=_wide_sizes, lead=st.lists(st.integers(1, 3), max_size=2), seed=_seeds,
+       layout=_layouts)
+@example(m=4, lead=[], seed=0, layout="contiguous")
+@example(m=64, lead=[2], seed=0, layout="contiguous")  # a flux stack on the control grid
+@example(m=33, lead=[2, 2], seed=0, layout="contiguous")  # the actuated step's fluxes
+@example(m=64, lead=[], seed=0, layout="read-only")  # a memo's reference coefficients
+@example(m=16, lead=[2], seed=0, layout="transposed")
+@example(m=25, lead=[3], seed=0, layout="strided")
+def test_real_fft_pair_matches_numpy_bit_for_bit(m, lead, seed, layout):
+    base = np.random.default_rng(seed).standard_normal((*lead, m, m))
+    coeffs = np.fft.rfft2(base)
+    values, given_coeffs = laid_out(base, layout), laid_out(coeffs, layout)
     assert np.array_equal(rfft2(values), coeffs)
-    assert np.array_equal(irfft2(coeffs, m), np.fft.irfft2(coeffs, s=(m, m)))
+    assert np.array_equal(irfft2(given_coeffs, m), np.fft.irfft2(coeffs, s=(m, m)))
+    assert np.array_equal(values, base) and np.array_equal(given_coeffs, coeffs)
 
 
 def numpy_resample(values: np.ndarray, m_new: int) -> np.ndarray:
