@@ -274,9 +274,12 @@ def continuum_step(state: ContinuumState, u: VectorField | None,
         new_t = irfft2(t_hat, m)
     else:
         symbols = np.stack([_step_symbols(m, 0.0), target_symbols])
+        stage_v = np.empty((2, 2, m, m))  # each stage's (u, convection field)
+        stage_v[0] = u.values  # fixed over the step: copied once
 
         def velocity(y_hat: np.ndarray) -> np.ndarray:
-            return np.stack([u.values, irfft2(k_hat * y_hat[0], m)])
+            irfft2(k_hat * y_hat[0], m, out=stage_v[1])
+            return stage_v
 
         y_hat = _rk4(lambda y: _transport(symbols, y, velocity),
                      rfft2(np.stack([h0, t0])), dt)

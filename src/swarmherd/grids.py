@@ -83,12 +83,14 @@ def rfft2(values: np.ndarray) -> np.ndarray:
     return _pocketfft.fft(out, 1.0, axes=_ROWS, out=out)
 
 
-def irfft2(coeffs: np.ndarray, m: int) -> np.ndarray:
+def irfft2(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.irfft2(coeffs, s=(m, m))`` of a stack of (..., m, K) coefficients,
-    bit for bit; columns past m//2 are dropped and missing ones read as 0."""
+    bit for bit, into ``out`` if given; columns past m//2 are dropped and
+    missing ones read as 0."""
     rows = np.empty(coeffs.shape, dtype=complex)
     _pocketfft.ifft(coeffs, 1.0 / coeffs.shape[-2], axes=_ROWS, out=rows)
-    out = np.empty(coeffs.shape[:-1] + (m,))
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (m,))
     return _pocketfft.irfft(rows, 1.0 / m, axes=_LAST, out=out)
 
 

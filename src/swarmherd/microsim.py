@@ -22,15 +22,18 @@ top of the step, so the helper drifts while the caller runs the control
 tick, metrics and noise draw; ``step`` then collects it through
 ``drift_all``. The helper is an ``os.fork`` of the caller, made at the
 first call that can share and used by it (fork plus reap measured
-3.2-3.6 ms), that exchanges binary frames with it over two more pipes
-(``_serve``). It shares the caller's pages until either writes them: at
-paper scale its proportional set size is about 15.5 MB beside the caller's
-26.5 MB. It is stopped and reaped at exit, and after any failure between a
-hand-out and its collection; a fork that fails leaves the caller drifting
-alone. Threads would not help: block-sized NumPy calls gained nothing under
-the GIL, where two processes ran 1.7-2.1 times as fast. The KDE's matrix
-product stays below OpenBLAS's threading threshold, so no idle BLAS worker
-spins on the core the helper needs.
+3.2-3.6 ms), and again when a call needs a larger mapping. Both processes
+map one anonymous shared buffer: the caller writes a request's positions
+there, both drift the blocks they pull into its rows there
+(``_drift_shared``), and one byte each way over two more pipes starts a
+request and ends it. The helper shares the caller's other pages until
+either writes them: at paper scale its proportional set size is about
+15.5 MB beside the caller's 26.5 MB. It is stopped and reaped at exit, and
+after any failure between a hand-out and its collection; a fork that fails
+leaves the caller drifting alone. Threads would not help: block-sized
+NumPy calls gained nothing under the GIL, where two processes ran 1.7-2.1
+times as fast. The KDE's matrix product stays below OpenBLAS's threading
+threshold, so no idle BLAS worker spins on the core the helper needs.
 """
 
 from __future__ import annotations
@@ -39,14 +42,12 @@ import atexit
 import logging
 import os
 import signal
-import struct
 import time
 import traceback
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,10 @@ class SimParams:
         # two fields clash here, so no one field is named
         if self.horizon < self.dt and self.horizon != 0:
             raise ValueError("horizon must be zero or at least one step")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"horizon {self.horizon} is not a whole number of steps "
+                             f"of dt {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -312,11 +317,11 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
         out[lo:lo + n] += np.einsum("cth,cth->tc", d, q, out=tail)
 
 
-# The helper's frames. A request is this header, then n_t + n_h positions
-# (float64 x, y pairs, targets first). Its reply is the count of blocks it
-# took, their indices, then their drift rows in that order.
-_HEADER = struct.Struct("<qqdqqq")  # n_t, n_h, kernel length, images, block, per token
-_COUNT = struct.Struct("<q")
+# The buffer shared with the helper, in float64 words: a header of this
+# many (n_t, n_h, kernel length, images, block, blocks per token), then the
+# n_t + n_h wrapped positions (x, y pairs, targets first), then the n_t
+# drift rows.
+_HEAD = 6
 _TOKEN = np.dtype("<u4")  # a queued run of blocks: its index
 # At most this many tokens per call, 4 KiB: one write into the empty queue
 # that never waits (PIPE_BUF, and the least a Linux pipe holds). A call of
@@ -324,27 +329,17 @@ _TOKEN = np.dtype("<u4")  # a queued run of blocks: its index
 _MAX_TOKENS = 1024
 
 
-def _read_into(fd: int, buf) -> bool:
-    """Fill ``buf`` from a pipe; False if it ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
+def _request(shared: np.ndarray, n_t: int, n_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions, shape (n_t + n_h, 2), and the drift rows, shape
+    (n_t, 2), of a request in the shared buffer."""
+    rows = _HEAD + 2 * (n_t + n_h)
+    return shared[_HEAD:rows].reshape(-1, 2), shared[rows:rows + 2 * n_t].reshape(-1, 2)
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _pull(queue: int, per: int, blocks: int, taken: list[int]) -> Iterator[int]:
-    """Block indices from the shared queue, appended to ``taken``, until it
-    is empty. Each read takes one whole token, and the kernel hands it to
-    one reader only, so every block goes to exactly one process."""
+def _pull(queue: int, per: int, blocks: int) -> Iterator[int]:
+    """Block indices from the shared queue until it is empty. Each read
+    takes one whole token, and the kernel hands it to one reader only, so
+    every block goes to exactly one process."""
     while True:
         try:
             token = os.read(queue, _TOKEN.itemsize)
@@ -353,52 +348,57 @@ def _pull(queue: int, per: int, blocks: int, taken: list[int]) -> Iterator[int]:
         if not token:  # the caller has gone
             return
         first = int.from_bytes(token, "little") * per
-        for j in range(first, min(first + per, blocks)):
-            taken.append(j)
-            yield j
+        yield from range(first, min(first + per, blocks))
 
 
-class _Request(NamedTuple):
-    """A drift handed out to the queue and not yet collected. Its arrays are
-    the caller's own, matched by identity at collection."""
-
-    targets: np.ndarray  # wrapped
-    herders: np.ndarray  # wrapped
-    kernel: KernelParams
-    block: int
-    per: int  # blocks per token
-
-    @property
-    def blocks(self) -> int:
-        return -(-self.targets.shape[0] // self.block)
+def _drift_shared(shared: np.ndarray, queue: int) -> np.ndarray:
+    """Drift the blocks this process pulls from ``queue`` of the request in
+    ``shared`` into its rows there; the rows. Caller and helper both run it,
+    on the same words, so each row is written once, by whichever process
+    pulled its block."""
+    n_t, n_h, length, images, block, per = shared[:_HEAD].tolist()
+    n_t, n_h, block = int(n_t), int(n_h), int(block)
+    positions, rows = _request(shared, n_t, n_h)
+    _table_drift(positions[:n_t], positions[n_t:], KernelParams(length, int(images)),
+                 block, rows, _pull(queue, int(per), -(-n_t // block)))
+    return rows
 
 
 class _DriftHelper:
     """A fork of the caller that drifts the blocks it pulls from a shared
-    queue.
+    queue, in a buffer both processes map.
 
-    It shares the caller's pages (the tail table among them) until either
-    writes them. It reads requests from one pipe and writes replies to
-    another, so a stray print cannot reach a reply. A third pipe is the
-    queue: the caller writes a call's tokens there before its request, and
-    both processes read its non-blocking end until it is empty. It ignores
-    SIGINT, exits when its input ends and always leaves through
-    ``os._exit``, so the caller's ``atexit`` hooks and buffered output never
-    run twice; an exception in its loop prints its traceback to stderr and
-    exits 1. It is forked only where ``_spare_cpu`` holds, which means
-    Linux, and runs NumPy ufuncs and ``einsum`` on its own arrays: no BLAS,
-    no import, no logging. OpenBLAS quiesces its thread pool across the
-    fork; from Python 3.12 on, ``os.fork`` warns (``DeprecationWarning``) in
-    a process with other OS threads, OpenBLAS's among them: expected, and
-    not filtered.
+    ``shared`` is an anonymous ``MAP_SHARED`` mapping of float64 words, made
+    just before the fork, so each process sees the other's writes there: the
+    caller writes a request into it, and both drift that request there. The
+    helper shares the caller's other pages (the tail table among them) until
+    either writes them. A request starts with one byte on one pipe and ends
+    with one byte back on another, so a stray print cannot reach either. A
+    third pipe is the queue: the caller writes a call's tokens there before
+    its byte, and both processes read its non-blocking end until it is
+    empty. The caller writes the next request only after it has read the
+    byte that ends the last one: a helper still on the last request would
+    read a half-written header. The helper ignores SIGINT, exits when its
+    input ends and always leaves through ``os._exit``, so the caller's
+    ``atexit`` hooks and buffered output never run twice; an exception in
+    its loop prints its traceback to stderr and exits 1. It is forked only
+    where ``_spare_cpu`` holds, which means Linux, and runs NumPy ufuncs and
+    ``einsum`` on its own arrays and the shared ones: no BLAS, no import, no
+    logging. OpenBLAS quiesces its thread pool across the fork; from Python
+    3.12 on, ``os.fork`` warns (``DeprecationWarning``) in a process with
+    other OS threads, OpenBLAS's among them: expected, and not filtered.
     """
 
-    def __init__(self):
+    def __init__(self, words: int):
+        import mmap  # only a process that forks a helper pays for the module
+
+        self.shared = np.frombuffer(mmap.mmap(-1, 8 * words), dtype=float)
         requests, self.requests = os.pipe()
         self.replies, replies = os.pipe()
         self.queue, self.deal = os.pipe()
         os.set_blocking(self.queue, False)  # one open file, shared with the fork
-        self.handed: _Request | None = None
+        # the arrays and kernel of the drift handed out, matched by identity
+        self.handed: tuple[np.ndarray, np.ndarray, KernelParams] | None = None
         try:
             self.pid = os.fork()
         except OSError:
@@ -412,8 +412,12 @@ class _DriftHelper:
                 for fd in (self.requests, self.replies, self.deal):
                     os.close(fd)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
-                _serve(requests, self.queue, replies)
+                while os.read(requests, 1):  # until the caller closes its end
+                    _drift_shared(self.shared, self.queue)
+                    os.write(replies, b"\0")
                 code = 0
+            except BrokenPipeError:
+                code = 0  # the caller has gone
             except BaseException:
                 os.write(2, traceback.format_exc().encode())
             finally:
@@ -426,43 +430,37 @@ class _DriftHelper:
         status = _stop_helper(kill=True)
         return RuntimeError(f"drift helper process {self.pid} {what} (exit status {status})")
 
-    def hand_out(self, request: _Request) -> None:
-        """Queue the request's tokens, then send it: the helper starts at once."""
-        tokens = -(-request.blocks // request.per)
-        os.write(self.deal, np.arange(tokens, dtype=_TOKEN).tobytes())
-        header = _HEADER.pack(request.targets.shape[0], request.herders.shape[0],
-                              request.kernel.length, request.kernel.images, request.block,
-                              request.per)
+    def hand_out(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
+                 block: int, per: int) -> None:
+        """Write the request into the shared buffer and queue its tokens, then
+        send its byte: the helper starts at once."""
+        n_t, n_h = targets.shape[0], herders.shape[0]
+        self.shared[:_HEAD] = n_t, n_h, kernel.length, kernel.images, block, per
+        np.concatenate((targets, herders), out=_request(self.shared, n_t, n_h)[0])
+        os.write(self.deal, np.arange(-(-n_t // (block * per)), dtype=_TOKEN).tobytes())
         try:
-            for frame in (header, request.targets, request.herders):
-                _write_all(self.requests, frame)
+            os.write(self.requests, b"\0")
         except BrokenPipeError:
             raise self._failed("has exited") from None
-        self.handed = request
+        self.handed = targets, herders, kernel
 
     def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
         """Whether the drift handed out is of these very arrays."""
-        request = self.handed
-        return (request is not None and request.targets is targets
-                and request.herders is herders and request.kernel == kernel)
+        handed = self.handed
+        return (handed is not None and handed[0] is targets and handed[1] is herders
+                and handed[2] == kernel)
 
-    def collect(self, out: np.ndarray) -> None:
-        """Drift the blocks still queued, then read the helper's into ``out``.
-        The reply is read even when this process drifted every block: it is the
-        only sign that the helper is done with the request, and one that read it
-        late would pull the next call's tokens and drift them with its positions."""
-        request, self.handed = self.handed, None
-        block = request.block
-        _table_drift(request.targets, request.herders, request.kernel, block, out,
-                     _pull(self.queue, request.per, request.blocks, []))
-        count = bytearray(_COUNT.size)
-        if not _read_into(self.replies, count):
-            raise self._failed("sent a short reply")
-        taken = np.empty(_COUNT.unpack(count)[0], _TOKEN)
-        if not (_read_into(self.replies, taken)
-                and all(_read_into(self.replies, out[j * block:(j + 1) * block])
-                        for j in taken.tolist())):
-            raise self._failed("sent a short reply")
+    def collect(self) -> np.ndarray:
+        """Drift the blocks still queued, then wait for the helper's byte; the
+        request's drift rows, a view of the shared buffer that the next request
+        overwrites. The byte is read even when this process drifted every
+        block: it is the only sign that the helper is done with the request,
+        and so that the next one may be written."""
+        self.handed = None
+        rows = _drift_shared(self.shared, self.queue)
+        if not os.read(self.replies, 1):
+            raise self._failed("has exited")
+        return rows
 
     def close(self, kill: bool) -> int:
         """Stop the helper, at the end of its input or killed, and reap it;
@@ -486,14 +484,18 @@ def _spare_cpu() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _running_helper(kernel: KernelParams) -> _DriftHelper | None:
-    """This process's helper, forked if none runs. A fork that fails leaves
-    this process drifting alone from then on: the split only saves time."""
+def _running_helper(kernel: KernelParams, words: int) -> _DriftHelper | None:
+    """This process's helper, with a shared buffer of ``words`` words or
+    more: forked if none runs, forked again if the running one's buffer is
+    smaller. A fork that fails leaves this process drifting alone from then
+    on: the split only saves time."""
     global _helper, _no_helper
+    if _helper is not None and _helper.shared.size < words:
+        _stop_helper()
     if _helper is None:
         _tail_table(kernel)  # built before the fork, so both share its pages
         try:
-            _helper = _DriftHelper()
+            _helper = _DriftHelper(words)
         except OSError as exc:
             _no_helper = True
             log.warning("drift helper unavailable, drifting in one process: %s", exc)
@@ -510,7 +512,7 @@ def _stop_helper(kill: bool = False) -> int | None:
 
 def _drop_hand_out() -> None:
     """Stop the helper if it holds a drift never collected, so that neither
-    its tokens nor its reply can reach a later call."""
+    its tokens nor its byte can reach a later call."""
     if _helper is not None and _helper.handed is not None:
         _stop_helper(kill=True)
 
@@ -530,26 +532,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _serve(requests: int, queue: int, replies: int) -> None:
-    """The helper's loop: for each request, drift the blocks it pulls from
-    the queue and reply with them, until its input ends."""
-    header = bytearray(_HEADER.size)
-    try:
-        while _read_into(requests, header):
-            n_t, n_h, length, images, block, per = _HEADER.unpack(header)
-            pos, out = np.empty((n_t + n_h, 2)), np.empty((n_t, 2))
-            if not _read_into(requests, pos):
-                return
-            taken: list[int] = []
-            _table_drift(pos[:n_t], pos[n_t:], KernelParams(length, images), block, out,
-                         _pull(queue, per, -(-n_t // block), taken))
-            _write_all(replies, b"".join([
-                _COUNT.pack(len(taken)), np.array(taken, _TOKEN).tobytes(),
-                *(out[j * block:(j + 1) * block] for j in taken)]))
-    except BrokenPipeError:
-        pass  # the caller has gone
-
-
 def _block_size(n_h: int) -> int:
     """Targets per block: about ``_BLOCK_PAIRS`` pairs."""
     return max(1, _BLOCK_PAIRS // n_h)
@@ -565,9 +547,8 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     """Queue the blocks of this drift for the helper, which starts on them at
     once; the helper, or None where this process drifts alone.
 
-    The arrays must be wrapped and C-contiguous, and stay unchanged until the
-    drift is collected: the helper drifts the bytes sent now, this process
-    the arrays as they are at collection. A drift is shared where it has two
+    The arrays must be wrapped. They are copied into the shared buffer, and
+    both processes drift that copy. A drift is shared where it has two
     blocks or more and a second CPU. ``drift_all`` of the same two arrays
     collects it; until then any failure must drop it (``_drop_hand_out``).
     After a fork failed, nothing is handed out.
@@ -575,15 +556,14 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     _drop_hand_out()
     if herders.size == 0 or targets.size == 0:
         return None
-    block = _block_size(herders.shape[0])
-    if targets.shape[0] <= block or _no_helper or not _spare_cpu():
+    n_t, n_h = targets.shape[0], herders.shape[0]
+    block = _block_size(n_h)
+    if n_t <= block or _no_helper or not _spare_cpu():
         return None
-    helper = _running_helper(kernel)
+    helper = _running_helper(kernel, _HEAD + 4 * n_t + 2 * n_h)
     if helper is not None:
-        per = _blocks_per_token(targets.shape[0], block)
-        request = _Request(targets, herders, kernel, block, per)
         try:
-            helper.hand_out(request)
+            helper.hand_out(targets, herders, kernel, block, _blocks_per_token(n_t, block))
         except BaseException:
             _stop_helper(kill=True)
             raise
@@ -596,29 +576,29 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
 
     Collects the drift ``_hand_out`` queued for these arrays, or wraps them
     and hands that out first: this process pulls blocks from the queue until
-    it is empty, then reads the helper's. Where nothing is handed out, this
-    process drifts every block. ``targets`` must be C-contiguous, as ``out``
-    takes its layout and the helper's rows are read into slices of it.
+    it is empty, then waits for the helper to finish its own. The result is
+    then a view of the shared buffer, valid until the next hand-out. Where
+    nothing is handed out, this process drifts every block into a new array.
     """
     global _split_calls
-    out = np.empty_like(targets)
     helper = _helper
     if helper is None or not helper.holds(targets, herders, kernel):
         targets, herders = wrap(targets), wrap(herders)
         helper = _hand_out(targets, herders, kernel)
     if helper is None:
+        out = np.empty_like(targets)
         block = _block_size(herders.shape[0])
         _table_drift(targets, herders, kernel, block, out,
                      range(-(-targets.shape[0] // block)))
         return out
     try:
-        helper.collect(out)
+        rows = helper.collect()
     except BaseException:
-        # a reply may still be on its way: never read it as the next call's
+        # its byte may still be on its way: never read it as the next call's
         _stop_helper(kill=True)
         raise
     _split_calls += 1
-    return out
+    return rows
 
 
 def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,

@@ -97,6 +97,14 @@ def test_invalid_values_rejected():
             with pytest.raises(FieldError) as exc:
                 SimParams(**values)
             assert exc.value.field == key
+    # a horizon between two step counts was rounded, ties to even: 0.015 and
+    # 0.025 both ran 2 steps of 0.01, 0.035 ran 4
+    for horizon in (0.015, 0.025, 0.035, 200.005):
+        clash = rf"horizon {horizon} is not a whole number of steps of dt 0\.01\b"
+        with pytest.raises(ConfigError, match=rf"invalid 'sim' section: {clash}"):
+            ExperimentConfig.from_dict({"sim": {"horizon": horizon}})
+        with pytest.raises(ValueError, match=clash):
+            SimParams(horizon=horizon)
 
 
 def test_bad_value_named_next_to_a_field_pair():

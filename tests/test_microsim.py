@@ -327,10 +327,13 @@ def test_short_last_block_makes_no_temporaries(kernel):
 def forked_helper(monkeypatch, kernel):
     """This process's drift helper, forked if need be.
 
-    The split is forced on, so it is tested on a single CPU too.
+    The split is forced on, so it is tested on a single CPU too. Its shared
+    buffer has room for every call of these tests (the largest, 16 391
+    targets under one herder, needs 65 572 words), so no call forks it again
+    and callers can compare its pid across calls.
     """
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    return microsim._running_helper(kernel)
+    return microsim._running_helper(kernel, 1 << 17)
 
 
 def one_process_drift(monkeypatch, targets, herders, alpha, kernel):
@@ -542,21 +545,28 @@ def test_queue_same_bits_when_the_helper_takes_every_block(kernel, monkeypatch,
     assert np.array_equal(shared.chi, alone.chi)
 
 
+def resuming_read(helper):
+    """``os.read`` that lets a stopped helper go on once this process waits
+    for its byte."""
+    read = os.read
+
+    def resuming(fd, n):
+        if fd == helper.replies:
+            os.kill(helper.pid, signal.SIGCONT)
+        return read(fd, n)
+
+    return resuming
+
+
 def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
     rng = np.random.default_rng(50)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     helper = forked_helper(monkeypatch, kernel)
-    # stopped, the helper pulls nothing until this process waits for its reply
+    # stopped, the helper pulls nothing until this process waits for its byte
     os.kill(helper.pid, signal.SIGSTOP)
     os.waitpid(helper.pid, os.WUNTRACED)
-    read_into = microsim._read_into
-
-    def resuming(fd, buf):
-        os.kill(helper.pid, signal.SIGCONT)
-        return read_into(fd, buf)
-
-    monkeypatch.setattr(microsim, "_read_into", resuming)
+    monkeypatch.setattr(os, "read", resuming_read(helper))
     mine = callers_blocks(monkeypatch)
     calls = microsim._split_calls
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
@@ -565,9 +575,9 @@ def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
 
 
 def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
-    # the helper's reply is the only sign it is done with a request: unread,
-    # the stopped helper would read that request late, pull the next call's
-    # tokens and drift them with the first call's positions
+    # the helper's byte is the only sign it is done with a request: unread,
+    # the stopped helper would start that request late, pull the next call's
+    # tokens and drift them from a buffer the next call is writing
     rng = np.random.default_rng(53)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
@@ -575,15 +585,9 @@ def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
     helper = forked_helper(monkeypatch, kernel)
     os.kill(helper.pid, signal.SIGSTOP)
     os.waitpid(helper.pid, os.WUNTRACED)
-    read_into = microsim._read_into
-
-    def resuming(fd, buf):
-        os.kill(helper.pid, signal.SIGCONT)
-        return read_into(fd, buf)
-
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(microsim, "_read_into", resuming)
+            patch.setattr(os, "read", resuming_read(helper))
             mine = callers_blocks(patch)
             drift_all(*first, 1e-3, kernel)
         assert mine == list(range(-(-720 // microsim._block_size(260))))
@@ -691,6 +695,49 @@ def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(got, expected)
     assert microsim._split_calls == calls + 1
+
+
+def test_larger_call_forks_a_helper_with_room(kernel, monkeypatch):
+    # the shared buffer holds one request: a call that needs more room forks
+    # a new helper, and a smaller call keeps the running one
+    rng = np.random.default_rng(54)
+    herders = rng.uniform(-PI, PI, (260, 2))
+    calls = [rng.uniform(-PI, PI, (n_t, 2)) for n_t in (720, 5000, 720)]
+    expected = [one_process_drift(monkeypatch, t, herders, 1e-3, kernel) for t in calls]
+    microsim._stop_helper()
+    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
+    split, pids = microsim._split_calls, []
+    for targets, want in zip(calls, expected):
+        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), want)
+        pids.append(microsim._helper.pid)
+    assert pids[0] != pids[1] == pids[2]
+    assert microsim._split_calls == split + 3
+
+
+def shared_mappings() -> int:
+    """Shared mappings of this process: its helper's buffer among them."""
+    with open("/proc/self/maps") as maps:
+        return sum(line.split()[1].endswith("s") for line in maps)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_growing_calls_leak_no_descriptor_or_mapping(kernel, monkeypatch):
+    # each larger call stops the running helper and forks one with room: the
+    # old helper's pipes are closed and its buffer is unmapped
+    rng = np.random.default_rng(55)
+    herders = rng.uniform(-PI, PI, (260, 2))
+    microsim._stop_helper()
+    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
+    drift_all(rng.uniform(-PI, PI, (100, 2)), herders, 1e-3, kernel)
+    fds, maps, pids = len(os.listdir("/proc/self/fd")), shared_mappings(), set()
+    for n_t in (200, 400, 800, 1600, 3200):
+        targets = rng.uniform(-PI, PI, (n_t, 2))
+        expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+        pids.add(microsim._helper.pid)
+    assert len(pids) == 5
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert shared_mappings() == maps
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -1007,7 +1054,7 @@ def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
 
 
 def test_shared_run_wraps_each_state_once(kernel, monkeypatch, paper_run):
-    # the hand-out sends the ensemble's own arrays, wrapped when it was built:
+    # the hand-out copies the ensemble's own arrays, wrapped when it was built:
     # the initial state and each step's new one are the only wraps
     forked_helper(monkeypatch, kernel)
     wraps, real = [], microsim.wrap
