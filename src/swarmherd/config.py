@@ -15,6 +15,7 @@ configuration that produced it.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -168,8 +169,8 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise FieldError("gain", "gain must be positive")
+        if not 0 < self.gain < math.inf:  # also false for NaN
+            raise FieldError("gain", "gain must be positive and finite")
 
     # -- dict / file round trip -------------------------------------------------
 

@@ -101,8 +101,8 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
     error norm nor change a command beyond rounding. The density twin
     (``continuum.verify_herder_convergence``) keeps them in its error.
     """
-    if not gain > 0:
-        raise ValueError("control gain must be positive")
+    if not 0 < gain < np.inf:  # also false for NaN
+        raise ValueError("control gain must be positive and finite")
     if rho_h_est.grid.m != error.grid.m:
         raise ValueError("error and density grids differ")
     if rho_h_est.values.min() <= 0:

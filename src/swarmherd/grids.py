@@ -261,8 +261,8 @@ def poisson_solve(rhs: ScalarField, gain: float) -> tuple[ScalarField, float]:
     solvable only for zero-mean sources -- and its magnitude is returned so
     callers can assert it is numerical noise.
     """
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+    if not 0 < gain < np.inf:  # also false for NaN
+        raise ValueError("gain must be positive and finite")
     m = rhs.grid.m
     chat = rfft2(rhs.values)
     removed_mean = float(np.real(chat[0, 0]) / (m * m))

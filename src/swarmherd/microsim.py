@@ -13,27 +13,28 @@ a single pair on the seam (L = pi).
 
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared with one persistent helper
-process through a queue: a pipe that holds one 4-byte token per block (per
-run of blocks, in a call of more than 1024) and whose non-blocking end both
-processes read, one token per read. The kernel hands each token to one
-reader, so every block is drifted once, by whichever process is free, with
-the same bits as one process. ``run`` hands out each step's drift at the
-top of the step, so the helper drifts while the caller runs the control
-tick, metrics and noise draw; ``step`` then collects it through
-``drift_all``. The helper is an ``os.fork`` of the caller, made at the
-first call that can share and used by it (fork plus reap measured
-3.2-3.6 ms), and again when a call needs a larger mapping. Both processes
-map one anonymous shared buffer: the caller writes a request's positions
-there, both drift the blocks they pull into its rows there
-(``_drift_shared``), and one byte each way over two more pipes starts a
-request and ends it. The helper shares the caller's other pages until
-either writes them: at paper scale its proportional set size is about
-15.5 MB beside the caller's 26.5 MB. It is stopped and reaped at exit, and
-after any failure between a hand-out and its collection; a fork that fails
-leaves the caller drifting alone. Threads would not help: block-sized
-NumPy calls gained nothing under the GIL, where two processes ran 1.7-2.1
-times as fast. The KDE's matrix product stays below OpenBLAS's threading
-threshold, so no idle BLAS worker spins on the core the helper needs.
+process through a queue: a non-blocking Linux eventfd in semaphore mode.
+The caller adds the call's block count to it, and each read takes one
+unit; the caller numbers the blocks it takes from the front, the helper
+from the back. The two take every unit between them, so every block is
+drifted once, by whichever process is free, with the same bits as one
+process. ``run`` hands out each step's drift at the top of the step, so
+the helper drifts while the caller runs the control tick, metrics and noise
+draw; ``step`` then collects it through ``drift_all``. The helper is an
+``os.fork`` of the caller, made at the first call that can share and used
+by it (fork plus reap measured 3.2-3.6 ms), and again when a call needs a
+larger mapping. Both processes map one anonymous shared buffer: the caller
+writes a request's positions there, both drift the blocks they pull into
+its rows there (``_drift_shared``), and one byte each way over two pipes
+starts a request and ends it. The helper shares the caller's other pages
+until either writes them: at paper scale its proportional set size is
+about 15.5 MB beside the caller's 26.5 MB. It is stopped and reaped at
+exit, and after any failure between a hand-out and its collection; a fork
+that fails leaves the caller drifting alone. Threads would not help:
+block-sized NumPy calls gained nothing under the GIL, where two processes
+ran 1.7-2.1 times as fast. The KDE's matrix product stays below
+OpenBLAS's threading threshold, so no idle BLAS worker spins on the core
+the helper needs.
 """
 
 from __future__ import annotations
@@ -318,15 +319,9 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
 
 
 # The buffer shared with the helper, in float64 words: a header of this
-# many (n_t, n_h, kernel length, images, block, blocks per token), then the
-# n_t + n_h wrapped positions (x, y pairs, targets first), then the n_t
-# drift rows.
-_HEAD = 6
-_TOKEN = np.dtype("<u4")  # a queued run of blocks: its index
-# At most this many tokens per call, 4 KiB: one write into the empty queue
-# that never waits (PIPE_BUF, and the least a Linux pipe holds). A call of
-# more blocks queues runs of consecutive blocks.
-_MAX_TOKENS = 1024
+# many (n_t, n_h, kernel length, images, block), then the n_t + n_h wrapped
+# positions (x, y pairs, targets first), then the n_t drift rows.
+_HEAD = 5
 
 
 def _request(shared: np.ndarray, n_t: int, n_h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,31 +331,29 @@ def _request(shared: np.ndarray, n_t: int, n_h: int) -> tuple[np.ndarray, np.nda
     return shared[_HEAD:rows].reshape(-1, 2), shared[rows:rows + 2 * n_t].reshape(-1, 2)
 
 
-def _pull(queue: int, per: int, blocks: int) -> Iterator[int]:
-    """Block indices from the shared queue until it is empty. Each read
-    takes one whole token, and the kernel hands it to one reader only, so
-    every block goes to exactly one process."""
-    while True:
+def _pull(queue: int, blocks: int, from_back: bool) -> Iterator[int]:
+    """Block indices from the shared queue until it is empty: 0, 1, 2, ...
+    or, ``from_back``, blocks - 1, blocks - 2, ... Each read takes one unit
+    of the semaphore, and the two processes take the call's ``blocks`` units
+    between them, so their indices meet with no gap and no overlap."""
+    for taken in range(blocks):
         try:
-            token = os.read(queue, _TOKEN.itemsize)
+            os.eventfd_read(queue)
         except BlockingIOError:
             return
-        if not token:  # the caller has gone
-            return
-        first = int.from_bytes(token, "little") * per
-        yield from range(first, min(first + per, blocks))
+        yield blocks - 1 - taken if from_back else taken
 
 
-def _drift_shared(shared: np.ndarray, queue: int) -> np.ndarray:
+def _drift_shared(shared: np.ndarray, queue: int, from_back: bool) -> np.ndarray:
     """Drift the blocks this process pulls from ``queue`` of the request in
     ``shared`` into its rows there; the rows. Caller and helper both run it,
-    on the same words, so each row is written once, by whichever process
-    pulled its block."""
-    n_t, n_h, length, images, block, per = shared[:_HEAD].tolist()
+    on the same words, from opposite ends, so each row is written once, by
+    whichever process pulled its block."""
+    n_t, n_h, length, images, block = shared[:_HEAD].tolist()
     n_t, n_h, block = int(n_t), int(n_h), int(block)
     positions, rows = _request(shared, n_t, n_h)
     _table_drift(positions[:n_t], positions[n_t:], KernelParams(length, int(images)),
-                 block, rows, _pull(queue, int(per), -(-n_t // block)))
+                 block, rows, _pull(queue, -(-n_t // block), from_back))
     return rows
 
 
@@ -373,20 +366,21 @@ class _DriftHelper:
     caller writes a request into it, and both drift that request there. The
     helper shares the caller's other pages (the tail table among them) until
     either writes them. A request starts with one byte on one pipe and ends
-    with one byte back on another, so a stray print cannot reach either. A
-    third pipe is the queue: the caller writes a call's tokens there before
-    its byte, and both processes read its non-blocking end until it is
-    empty. The caller writes the next request only after it has read the
-    byte that ends the last one: a helper still on the last request would
-    read a half-written header. The helper ignores SIGINT, exits when its
-    input ends and always leaves through ``os._exit``, so the caller's
-    ``atexit`` hooks and buffered output never run twice; an exception in
-    its loop prints its traceback to stderr and exits 1. It is forked only
-    where ``_spare_cpu`` holds, which means Linux, and runs NumPy ufuncs and
-    ``einsum`` on its own arrays and the shared ones: no BLAS, no import, no
-    logging. OpenBLAS quiesces its thread pool across the fork; from Python
-    3.12 on, ``os.fork`` warns (``DeprecationWarning``) in a process with
-    other OS threads, OpenBLAS's among them: expected, and not filtered.
+    with one byte back on another, so a stray print cannot reach either. The
+    queue is an eventfd semaphore, made before the fork: the caller adds a
+    call's block count to it before its byte, and both processes take one
+    unit per read until it is empty. The caller writes the next request only
+    after it has read the byte that ends the last one: a helper still on the
+    last request would read a half-written header. The helper ignores
+    SIGINT, exits when its input ends and always leaves through
+    ``os._exit``, so the caller's ``atexit`` hooks and buffered output never
+    run twice; an exception in its loop prints its traceback to stderr and
+    exits 1. It is forked only where ``_spare_cpu`` holds, which means
+    Linux, and runs NumPy ufuncs and ``einsum`` on its own arrays and the
+    shared ones: no BLAS, no import, no logging. OpenBLAS quiesces its
+    thread pool across the fork; from Python 3.12 on, ``os.fork`` warns
+    (``DeprecationWarning``) in a process with other OS threads, OpenBLAS's
+    among them: expected, and not filtered.
     """
 
     def __init__(self, words: int):
@@ -395,25 +389,23 @@ class _DriftHelper:
         self.shared = np.frombuffer(mmap.mmap(-1, 8 * words), dtype=float)
         requests, self.requests = os.pipe()
         self.replies, replies = os.pipe()
-        self.queue, self.deal = os.pipe()
-        os.set_blocking(self.queue, False)  # one open file, shared with the fork
+        self.queue = os.eventfd(0, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
         # the arrays and kernel of the drift handed out, matched by identity
         self.handed: tuple[np.ndarray, np.ndarray, KernelParams] | None = None
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self.requests, self.replies, replies, self.queue,
-                       self.deal):
+            for fd in (requests, self.requests, self.replies, replies, self.queue):
                 os.close(fd)
             raise
         if self.pid == 0:  # never returns into the caller's code
             code = 1
             try:
-                for fd in (self.requests, self.replies, self.deal):
+                for fd in (self.requests, self.replies):
                     os.close(fd)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
                 while os.read(requests, 1):  # until the caller closes its end
-                    _drift_shared(self.shared, self.queue)
+                    _drift_shared(self.shared, self.queue, from_back=True)
                     os.write(replies, b"\0")
                 code = 0
             except BrokenPipeError:
@@ -431,13 +423,13 @@ class _DriftHelper:
         return RuntimeError(f"drift helper process {self.pid} {what} (exit status {status})")
 
     def hand_out(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
-                 block: int, per: int) -> None:
-        """Write the request into the shared buffer and queue its tokens, then
-        send its byte: the helper starts at once."""
+                 block: int) -> None:
+        """Write the request into the shared buffer and queue its block count,
+        then send its byte: the helper starts at once."""
         n_t, n_h = targets.shape[0], herders.shape[0]
-        self.shared[:_HEAD] = n_t, n_h, kernel.length, kernel.images, block, per
+        self.shared[:_HEAD] = n_t, n_h, kernel.length, kernel.images, block
         np.concatenate((targets, herders), out=_request(self.shared, n_t, n_h)[0])
-        os.write(self.deal, np.arange(-(-n_t // (block * per)), dtype=_TOKEN).tobytes())
+        os.eventfd_write(self.queue, -(-n_t // block))
         try:
             os.write(self.requests, b"\0")
         except BrokenPipeError:
@@ -457,7 +449,7 @@ class _DriftHelper:
         block: it is the only sign that the helper is done with the request,
         and so that the next one may be written."""
         self.handed = None
-        rows = _drift_shared(self.shared, self.queue)
+        rows = _drift_shared(self.shared, self.queue, from_back=False)
         if not os.read(self.replies, 1):
             raise self._failed("has exited")
         return rows
@@ -468,7 +460,7 @@ class _DriftHelper:
         if kill:
             os.kill(self.pid, signal.SIGKILL)
         # replies first, so a helper still writing one stops on a broken pipe
-        for fd in (self.replies, self.requests, self.queue, self.deal):
+        for fd in (self.replies, self.requests, self.queue):
             os.close(fd)
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
@@ -479,9 +471,10 @@ _split_calls = 0  # drift calls the helper shared; ``run`` reports whether it di
 
 
 def _spare_cpu() -> bool:
-    """Whether this process may run on two CPUs or more (never split where
-    the platform cannot tell)."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    """Whether this process may run on two CPUs or more and has the eventfd
+    queue (never split where the platform cannot tell or has none)."""
+    return (hasattr(os, "eventfd") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _running_helper(kernel: KernelParams, words: int) -> _DriftHelper | None:
@@ -512,17 +505,18 @@ def _stop_helper(kill: bool = False) -> int | None:
 
 def _drop_hand_out() -> None:
     """Stop the helper if it holds a drift never collected, so that neither
-    its tokens nor its byte can reach a later call."""
+    its queued blocks nor its byte can reach a later call."""
     if _helper is not None and _helper.handed is not None:
         _stop_helper(kill=True)
 
 
 def _forget_helper() -> None:
-    """In a forked child: drop the parent's helper and this copy of its pipes,
-    so that the helper still sees its input end when the parent closes it."""
+    """In a forked child: drop the parent's helper and this copy of its
+    descriptors, so that the helper still sees its input end when the parent
+    closes it."""
     global _helper
     if _helper is not None:
-        for fd in (_helper.requests, _helper.replies, _helper.queue, _helper.deal):
+        for fd in (_helper.requests, _helper.replies, _helper.queue):
             os.close(fd)
         _helper = None
 
@@ -535,11 +529,6 @@ if hasattr(os, "register_at_fork"):
 def _block_size(n_h: int) -> int:
     """Targets per block: about ``_BLOCK_PAIRS`` pairs."""
     return max(1, _BLOCK_PAIRS // n_h)
-
-
-def _blocks_per_token(n_t: int, block: int) -> int:
-    """Blocks per queued token: 1, or runs of them past ``_MAX_TOKENS`` blocks."""
-    return -(-n_t // (block * _MAX_TOKENS))
 
 
 def _hand_out(targets: np.ndarray, herders: np.ndarray,
@@ -563,7 +552,7 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray,
     helper = _running_helper(kernel, _HEAD + 4 * n_t + 2 * n_h)
     if helper is not None:
         try:
-            helper.hand_out(targets, herders, kernel, block, _blocks_per_token(n_t, block))
+            helper.hand_out(targets, herders, kernel, block)
         except BaseException:
             _stop_helper(kill=True)
             raise
@@ -825,7 +814,7 @@ def run(
                          time.perf_counter() - t_start, chis[-1], times[-1])
             lap("step")
     except BaseException:
-        _drop_hand_out()  # its tokens and reply must never reach a later call
+        _drop_hand_out()  # its queued blocks and reply must never reach a later call
         raise
     record_metrics(n_steps * sim.dt)
     if n_steps > 0:  # with none, the initial state is the final one

@@ -66,10 +66,19 @@ def test_invalid_values_rejected():
     for gain in (True, float("inf"), float("nan")):
         with pytest.raises(ConfigError, match=r"'gain'.*\bgain = "):
             ExperimentConfig.from_dict({"gain": gain})
+    for gain in (0.0, float("inf"), float("nan")):  # built directly, not loaded
+        with pytest.raises(FieldError) as exc:
+            ExperimentConfig(gain=gain)
+        assert exc.value.field == "gain"
     for bad in ({"sim": {"dt": -0.01}}, {"kernel": {"length": 0.0}},
                 {"sim": {"v_max": 0}}, {"kde": {"bandwidth": -1}},
                 {"grids": {"control": 2}}, {"grids": {"deconvolution": 2}},
                 {"kde": {"bandwidth": 0.0}},
+                # past 2 pi the estimate is flat to 2.7e-9, and the image
+                # rings grow with the bandwidth: 1e9 spent over 20 s in them,
+                # 1e200 overflowed
+                {"kde": {"bandwidth": 6.3}}, {"kde": {"bandwidth": 1e9}},
+                {"kde": {"bandwidth": 1e200}}, {"kde": {"bandwidth": float("inf")}},
                 {"goal": {"radius": 0.0}},
                 {"goal": {"center": [0.0, 0.0, 0.0]}},
                 # counts must be integers: 1.5 image rings would shift the
@@ -93,9 +102,9 @@ def test_invalid_values_rejected():
         (key,) = values
         with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):
             ExperimentConfig.from_dict(bad)
-        if section == "sim":  # the library's own class rejects it too
+        if section in ("sim", "kde"):  # the library's own class rejects it too
             with pytest.raises(FieldError) as exc:
-                SimParams(**values)
+                {"sim": SimParams, "kde": KdeParams}[section](**values)
             assert exc.value.field == key
     # a horizon between two step counts was rounded, ties to even: 0.015 and
     # 0.025 both ran 2 steps of 0.01, 0.035 ran 4

@@ -150,6 +150,14 @@ def test_rejects_nonpositive_density(grid):
         control_field(err, rho, 1.0)
 
 
+def test_rejects_a_gain_not_positive_and_finite(grid):
+    # an infinite gain made every command non-finite, far from its cause
+    err = ScalarField(grid, np.zeros((grid.m, grid.m)))
+    for gain in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="control gain must be positive and finite"):
+            control_field(err, uniform_density(grid), gain)
+
+
 def test_floor_share_counts_the_floored_nodes(grid):
     zero = ScalarField(grid, np.zeros((grid.m, grid.m)))
     assert control_field(zero, uniform_density(grid), 1.0).floor_share == 0.0

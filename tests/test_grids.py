@@ -256,8 +256,9 @@ def test_poisson_laplacian_round_trip():
 
 def test_poisson_requires_positive_gain():
     g = GridSpec(16)
-    with pytest.raises(ValueError):
-        poisson_solve(ScalarField(g, np.zeros((16, 16))), gain=0.0)
+    for gain in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gain must be positive and finite"):
+            poisson_solve(ScalarField(g, np.zeros((16, 16))), gain=gain)
 
 
 # ---------------------------------------------------------------------------

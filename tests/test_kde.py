@@ -105,6 +105,11 @@ def test_empty_agent_set_rejected(grid):
 def test_param_validation(grid):
     with pytest.raises(ValueError):
         KdeParams(bandwidth=0.0)
+    # the widest bandwidth taken: each Fourier mode is at most exp(-2 pi^2)
+    # of the mean, and the four first modes of one agent peak at 1.07e-8
+    est = estimate_density(np.zeros((1, 2)), KdeParams(bandwidth=2 * PI), grid)
+    uniform = 1.0 / (4 * PI**2)
+    assert np.abs(est.values - uniform).max() < 4.1 * np.exp(-2 * PI**2) * uniform
     with pytest.raises(ValueError, match="mass"):
         estimate_density(np.zeros((1, 2)), KdeParams(), grid, mass=-1.0)
 

@@ -1,14 +1,11 @@
 import errno
-import fcntl
 import itertools
 import json
 import logging
 import os
 import signal
-import struct
 import subprocess
 import sys
-import termios
 import textwrap
 import time
 import tracemalloc
@@ -489,9 +486,15 @@ def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch)
     assert microsim._split_calls == calls + 1
 
 
-def queued_bytes(helper):
-    """Bytes of tokens still in the helper's queue."""
-    return struct.unpack("i", fcntl.ioctl(helper.queue, termios.FIONREAD, bytes(4)))[0]
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fdinfo"),
+                                reason="needs /proc")
+
+
+def queued_blocks(helper):
+    """Blocks still in the helper's queue: the count of its eventfd."""
+    with open(f"/proc/self/fdinfo/{helper.queue}") as info:
+        (count,) = (line.split()[1] for line in info if line.startswith("eventfd-count:"))
+    return int(count, 16)
 
 
 def callers_blocks(monkeypatch):
@@ -524,16 +527,17 @@ def one_process_run(monkeypatch, kwargs):
         return run(**kwargs)
 
 
+@needs_proc
 def test_queue_same_bits_when_the_helper_takes_every_block(kernel, monkeypatch,
                                                            paper_run):
-    # each control tick waits until the helper has pulled every token
+    # each control tick waits until the helper has pulled every block
     alone = one_process_run(monkeypatch, paper_run)
     helper = forked_helper(monkeypatch, kernel)
     estimate = microsim.estimate_density
 
     def after_the_queue_empties(*args, **kwargs):
         deadline = time.monotonic() + 60
-        while queued_bytes(helper) and time.monotonic() < deadline:
+        while queued_blocks(helper) and time.monotonic() < deadline:
             time.sleep(1e-4)
         return estimate(*args, **kwargs)
 
@@ -574,10 +578,11 @@ def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
     assert microsim._split_calls == calls + 1
 
 
+@needs_proc
 def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
     # the helper's byte is the only sign it is done with a request: unread,
     # the stopped helper would start that request late, pull the next call's
-    # tokens and drift them from a buffer the next call is writing
+    # blocks and drift them from a buffer the next call is writing
     rng = np.random.default_rng(53)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
@@ -595,7 +600,7 @@ def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
     finally:
         os.kill(helper.pid, signal.SIGCONT)
     deadline = time.monotonic() + 60
-    while queued_bytes(helper) and time.monotonic() < deadline:
+    while queued_blocks(helper) and time.monotonic() < deadline:
         time.sleep(1e-4)
     mine = callers_blocks(monkeypatch)
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
@@ -605,7 +610,7 @@ def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
 def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
                                                                   paper_run):
     # the control tick runs while the helper drifts: its failure must leave
-    # no token or reply for the next call
+    # no queued block or reply for the next call
     alone = one_process_run(monkeypatch, paper_run)
     helper = forked_helper(monkeypatch, kernel)
 
@@ -624,6 +629,7 @@ def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkey
     assert np.array_equal(shared.final.targets, alone.final.targets)
 
 
+@needs_proc
 def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
     rng = np.random.default_rng(51)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
@@ -633,7 +639,7 @@ def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
 
     def dying_in_the_helper(targets, herders, kernel, block, out, blocks):
         if os.getpid() != caller:
-            next(blocks)  # takes a token from the queue, then dies with it
+            next(blocks)  # takes a block from the queue, then dies with it
             os.kill(os.getpid(), signal.SIGKILL)
         table_drift(targets, herders, kernel, block, out, blocks)
 
@@ -641,12 +647,12 @@ def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
         patch.setattr(microsim, "_table_drift", dying_in_the_helper)
         helper = forked_helper(patch, kernel)  # the fork sees the patch
     forked_helper(monkeypatch, kernel)
-    queued = queued_bytes(helper)
+    queued = queued_blocks(helper)
     microsim._hand_out(targets, herders, kernel)
-    full, deadline = queued_bytes(helper), time.monotonic() + 60
-    while queued_bytes(helper) == full and time.monotonic() < deadline:
+    full, deadline = queued_blocks(helper), time.monotonic() + 60
+    while queued_blocks(helper) == full and time.monotonic() < deadline:
         time.sleep(1e-4)
-    assert queued == 0 and queued_bytes(helper) < full
+    assert queued == 0 and queued_blocks(helper) < full
     with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} .*exit "
                                            f"status -{signal.SIGKILL:d}"):
         drift_all(targets, herders, 1e-3, kernel)
@@ -657,30 +663,26 @@ def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
     assert microsim._helper.pid != helper.pid
 
 
-def test_every_call_queues_at_most_the_token_limit():
-    # a call's tokens fit the empty queue in one write, for any target
-    # count, while each block stays about _BLOCK_PAIRS pairs
-    limit, n_t = microsim._MAX_TOKENS, np.arange(1, 10**6 + 1)
-    for n_h in (1, 260, 9000):
+def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
+    # one write queues any number of blocks: here 16 391 of one target each
+    for n_h in (1, 260, 9000):  # each block stays about _BLOCK_PAIRS pairs
         block = microsim._block_size(n_h)
         assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)  # bounds the workspace
-        blocks = -(-n_t // block)
-        per = microsim._blocks_per_token(n_t, block)
-        assert (-(-blocks // per) <= limit).all()  # the tokens ``hand_out`` writes
-        assert (per[blocks <= limit] == 1).all()  # runs only past the limit
-    # paper scale: 24 blocks of 31 targets, one token each
-    assert (microsim._block_size(260), microsim._blocks_per_token(720, 31)) == (31, 1)
-
-
-def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
-    # one target per block, a few more blocks than the pipe holds tokens
-    helper = forked_helper(monkeypatch, kernel)
-    capacity = fcntl.fcntl(helper.queue, fcntl.F_GETPIPE_SZ)
+    assert microsim._block_size(260) == 31  # paper scale: 24 blocks of 720 targets
+    forked_helper(monkeypatch, kernel)
     rng = np.random.default_rng(52)
-    n_t = capacity // microsim._TOKEN.itemsize + 7
+    n_t = 16391
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
     expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
+    writes, eventfd_write = [], os.eventfd_write
+
+    def counted(fd, n):
+        writes.append(n)
+        eventfd_write(fd, n)
+
+    monkeypatch.setattr(os, "eventfd_write", counted)
+    mine = callers_blocks(monkeypatch)
     calls = microsim._split_calls
 
     def deadlocked(signum, frame):
@@ -695,6 +697,9 @@ def test_more_blocks_than_the_queue_holds_tokens(kernel, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(got, expected)
     assert microsim._split_calls == calls + 1
+    assert writes == [n_t]
+    # the caller's blocks from the front, the helper's (the rest) from the back
+    assert mine == list(range(len(mine))) and len(mine) < n_t
 
 
 def test_larger_call_forks_a_helper_with_room(kernel, monkeypatch):
@@ -720,16 +725,18 @@ def shared_mappings() -> int:
         return sum(line.split()[1].endswith("s") for line in maps)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@needs_proc
 def test_growing_calls_leak_no_descriptor_or_mapping(kernel, monkeypatch):
     # each larger call stops the running helper and forks one with room: the
-    # old helper's pipes are closed and its buffer is unmapped
+    # old helper's descriptors are closed and its buffer is unmapped
     rng = np.random.default_rng(55)
     herders = rng.uniform(-PI, PI, (260, 2))
     microsim._stop_helper()
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
+    alone = len(os.listdir("/proc/self/fd"))
     drift_all(rng.uniform(-PI, PI, (100, 2)), herders, 1e-3, kernel)
     fds, maps, pids = len(os.listdir("/proc/self/fd")), shared_mappings(), set()
+    assert fds == alone + 3  # two pipe ends and the queue
     for n_t in (200, 400, 800, 1600, 3200):
         targets = rng.uniform(-PI, PI, (n_t, 2))
         expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
