@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .continuum import verify_herder_convergence, verify_target_convergence
-from .feasibility import InfeasibleError, feasibility_map, plan_herders
+from .feasibility import InfeasibleError, feasibility_map, max_concentration, plan_herders
 from .fileio import (
     read_metadata,
     read_trajectory,
@@ -153,7 +153,8 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         goal_radius=plan.goal.radius * scale,
         wall_time_s=result.wall_time,
         cpu_time_s=result.cpu_time,
-        drift_processes=result.drift_processes,
+        thread_cpu_time_s=result.thread_cpu_time,
+        drift_threads=result.drift_threads,
         stage_seconds=dict(result.stage_seconds, write=write_s),
         removed_mean_max_abs=_max_or_none(np.abs(result.removed_mean)),
         peak_speed_max=_max_or_none(result.peak_speed),
@@ -265,6 +266,11 @@ def parse_range(flag: str, spec: str) -> np.ndarray:
 
 def cmd_sweep(config: ExperimentConfig, out: Path, k_range: str, d_range: str) -> int:
     k_values = parse_range("--k-range", k_range)
+    top = max_concentration(config.target_density.cross_term)
+    if k_values.max() > top:
+        raise ConfigError(f"--k-range: range {k_range!r} reaches past the largest "
+                          f"concentration, {top:.2f}: beyond it the target density's "
+                          "smallest value is not a normal float64")
     d_values = parse_range("--d-range", d_range)
     out.mkdir(parents=True, exist_ok=True)
     matrix = feasibility_map(k_values, d_values, config.kernel,

@@ -20,7 +20,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .feasibility import GoalRegion
+from .feasibility import GoalRegion, max_concentration
 from .grids import GridSpec
 from .kde import KdeParams
 from .kernel import KernelParams
@@ -75,7 +75,8 @@ def _build(cls, data: dict, section: str | None = None):
                           f"{sorted(unknown)}; allowed: {sorted(schema)}")
 
     def where(key: str) -> str:
-        return (f"invalid '{section}' section: {section}.{key}" if section
+        path = f"{section}.{key}" if section else key
+        return (f"invalid '{path.split('.')[0]}' section: {path}" if "." in path
                 else f"invalid '{key}': {key}")
 
     values = {}
@@ -86,7 +87,10 @@ def _build(cls, data: dict, section: str | None = None):
     try:
         return cls(**values)
     except FieldError as exc:
-        raise ConfigError(f"{where(exc.field)} = {data[exc.field]!r}: {exc}") from exc
+        value = data  # the field may be one of a section's, "section.key"
+        for key in exc.field.split("."):
+            value = value[key]
+        raise ConfigError(f"{where(exc.field)} = {value!r}: {exc}") from exc
     except ValueError as exc:  # a clash between fields
         raise ConfigError(f"invalid '{section}' section: {exc}") from exc
 
@@ -100,6 +104,11 @@ class DomainConfig:
             raise FieldError("arena_half_width", "arena half width must be positive")
 
 
+def _too_concentrated(what: str, top: float, cross_term: bool) -> str:
+    return (f"{what} must be at most {top:.2f}{' with cross_term' if cross_term else ''}"
+            ": beyond it the target density's smallest value is not a normal float64")
+
+
 @dataclass(frozen=True)
 class TargetDensityConfig:
     concentration: float | None = None  # null: 3 / goal radius
@@ -108,6 +117,10 @@ class TargetDensityConfig:
     def __post_init__(self):
         if self.concentration is not None and not self.concentration > 0:
             raise FieldError("concentration", "concentration must be positive")
+        top = max_concentration(self.cross_term)
+        if self.concentration is not None and self.concentration > top:
+            raise FieldError("concentration", _too_concentrated("concentration", top,
+                                                                self.cross_term))
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.gain < math.inf:  # also false for NaN
             raise FieldError("gain", "gain must be positive and finite")
+        top = max_concentration(self.target_density.cross_term)
+        if self.target_density.concentration is None and 3.0 / self.goal.radius > top:
+            what = f"the target concentration 3 / radius = {3.0 / self.goal.radius:.4g}"
+            raise FieldError("goal.radius",
+                             _too_concentrated(what, top, self.target_density.cross_term)
+                             + f"; the radius must be at least {3.0 / top:.5f}")
 
     # -- dict / file round trip -------------------------------------------------
 

@@ -81,6 +81,20 @@ class GoalRegion:
             raise FieldError("radius", "goal radius must lie in (0, pi)")
 
 
+# -ln of the smallest normal float64, 708.40. Past it the exponent of a
+# von Mises bump spans more than float64's range: its smallest value,
+# exp(-span) of its peak, is subnormal or zero, and the plan goes wrong
+# (concentration 186 planned min_mass 25.82, 187 planned 77.37, 190 failed).
+MAX_EXPONENT_SPAN = -math.log(np.finfo(float).tiny)
+
+
+def max_concentration(cross_term: bool = False) -> float:
+    """The largest k of a (k, k) target: its exponent spans 4 k, or 4 k + 4
+    with ``cross_term``, and that must not exceed ``MAX_EXPONENT_SPAN``
+    (k <= 177.10, or 176.10)."""
+    return (MAX_EXPONENT_SPAN - 4.0 * cross_term) / 4.0
+
+
 @dataclass(frozen=True, eq=False)
 class VonMisesSpec:
     """Periodic bump density: Z * exp(k1*cos(x1-mu) + k2*cos(x2-nu)).
@@ -103,6 +117,10 @@ class VonMisesSpec:
         k1, k2 = self.concentration
         if not (k1 > 0 and k2 > 0):
             raise ValueError("concentrations must be positive")
+        if 2.0 * (k1 + k2) + 4.0 * self.cross_term > MAX_EXPONENT_SPAN:
+            raise ValueError(f"concentrations ({k1:g}, {k2:g}) span more than float64's "
+                             "range: the density's smallest value would not be a "
+                             "normal float")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
 

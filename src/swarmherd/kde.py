@@ -93,8 +93,8 @@ def estimate_density(
 
     # g1.T @ g2 by chunks of output rows: each product stays at or below
     # OpenBLAS's threading threshold, so it runs on this thread, and no woken
-    # BLAS worker spins on the core the drift helper needs. Chunks of agents
-    # would change the sum's rounding.
+    # BLAS worker spins on the core the drift's helper thread needs. Chunks
+    # of agents would change the sum's rounding.
     values = np.empty((grid.m, grid.m))
     rows = max(1, _SERIAL_GEMM // (grid.m * agents.shape[0]))
     for lo in range(0, grid.m, rows):

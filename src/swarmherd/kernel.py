@@ -10,6 +10,12 @@ import numpy as np
 from .torus import PI, TWO_PI, FieldError, wrap
 
 
+# The drift's tail table sums (2P+1)^2 - 1 image shifts: its build took
+# 0.07 s at P = 2, 1.09 s at P = 10 and 3.39 s at P = 20. At 12 rings the
+# sum is within 1.5e-9 of a 14-ring sum, and the table builds in about 1.6 s.
+MAX_IMAGES = 12
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Soft-core repulsion: unit direction times exp(-|x| / length).
@@ -34,6 +40,8 @@ class KernelParams:
             raise FieldError("images", "image ring count must be an integer")
         if self.images < 0:
             raise FieldError("images", "image ring count must be >= 0")
+        if self.images > MAX_IMAGES:
+            raise FieldError("images", f"image ring count must be <= {MAX_IMAGES}")
 
     def params(self) -> KernelParams:
         # kept for perfbench/workloads.py, which calls cfg.kernel.params()

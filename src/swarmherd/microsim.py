@@ -3,52 +3,50 @@
 Herders are velocity-controlled integrators; each target drifts with the
 normalized sum of the periodized repulsion kernel over all herders plus
 isotropic diffusion noise. The pairwise drift is almost all of a step's
-cost. ``drift_all`` computes it with NumPy; there is no compiled path. Over
-blocks of 8192 pairs in one reused workspace it adds the exact nearest-image
-kernel term to the smooth tail of the other images, read from a table of
-local cubics (10 coefficients per cell, 96^2 cells of side pi/96 on
-[0, pi]^2, 0.74 MB). Against the image sum, ``drift_all(fast=False)``, its
-max-norm relative error measured about 3e-10 at scale and at most 3.1e-8 for
-a single pair on the seam (L = pi).
+cost. ``drift_all`` adds the exact nearest-image kernel term to the smooth
+tail of the other images, read from a table of local cubics (10
+coefficients per cell, 96^2 cells of side pi/96 on [0, pi]^2, 0.74 MB).
+Against the image sum, ``drift_all(fast=False)``, its max-norm relative
+error measured about 3e-10 at scale and at most 3.1e-8 for a single pair
+on the seam (L = pi).
+
+That arithmetic runs in a small C kernel, ``_drift.c``, called through
+``ctypes``, which releases the GIL for the whole call: about 27 ns per pair
+against about 50 ns for the same arithmetic in NumPy. The kernel is
+compiled on the first drift that needs it, with the C compiler Python was
+built with, and cached under ``$XDG_CACHE_HOME/swarmherd`` (else
+``~/.cache/swarmherd``). Where it cannot be built, one warning is logged and
+``_table_drift`` does the arithmetic with NumPy in one thread, over blocks
+of 8192 pairs in one reused workspace.
 
 No target's drift depends on another's, so a call of two blocks or more,
-in a process allowed two CPUs, is shared with one persistent helper
-process through a queue: a non-blocking Linux eventfd in semaphore mode.
-The caller adds the call's block count to it, and each read takes one
-unit; the caller numbers the blocks it takes from the front, the helper
-from the back. The two take every unit between them, so every block is
-drifted once, by whichever process is free, with the same bits as one
-process. ``run`` hands out each step's drift at the top of the step, so
-the helper drifts while the caller runs the control tick, metrics and noise
-draw; ``step`` then collects it through ``drift_all``. The helper is an
-``os.fork`` of the caller, made at the first call that can share and used
-by it (fork plus reap measured 3.2-3.6 ms), and again when a call needs a
-larger mapping. Both processes map one anonymous shared buffer: the caller
-writes a request's positions there, both drift the blocks they pull into
-its rows there (``_drift_shared``), and one byte each way over two pipes
-starts a request and ends it. The helper shares the caller's other pages
-until either writes them: at paper scale its proportional set size is
-about 15.5 MB beside the caller's 26.5 MB. It is stopped and reaped at
-exit, and after any failure between a hand-out and its collection; a fork
-that fails leaves the caller drifting alone. Threads would not help:
-block-sized NumPy calls gained nothing under the GIL, where two processes
-ran 1.7-2.1 times as fast. The KDE's matrix product stays below
-OpenBLAS's threading threshold, so no idle BLAS worker spins on the core
-the helper needs.
+in a process allowed two CPUs, is shared between the calling thread and
+one helper thread: both take block indices from one counter, by an atomic
+add in the kernel, until none is left, so every block is drifted once, by
+whichever thread is free, with the same bits as one thread. ``run`` hands
+out each step's drift at the top of the step, so the helper thread drifts
+while the caller runs the control tick, metrics and noise draw; ``step``
+then collects it through ``drift_all``, which drifts the blocks still left
+and joins the thread. Threads help only because the kernel holds no GIL:
+over block-sized NumPy calls they gained nothing, as each short ufunc hands
+the GIL back and forth. The KDE's matrix product stays below OpenBLAS's
+threading threshold, so no idle BLAS worker spins on the core the helper
+thread needs.
 """
 
 from __future__ import annotations
 
-import atexit
 import logging
 import os
-import signal
+import shutil
+import tempfile
+import threading
 import time
-import traceback
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
+from pathlib import Path
 
 import numpy as np
 
@@ -247,6 +245,16 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)
+def _tail_rows(kernel: KernelParams) -> np.ndarray:
+    """``_tail_table`` cell by cell, shape (96^2, 10), read-only: the compiled
+    kernel reads each pair's 10 coefficients from one 80-byte row. Built
+    through the uncached table, so a process keeps one layout of it."""
+    rows = np.ascontiguousarray(_tail_table.__wrapped__(kernel).T)
+    rows.flags.writeable = False
+    return rows
+
+
 @lru_cache(maxsize=2)
 def _workspace(block: int, n_h: int) -> np.ndarray:
     """Flat float64 scratch for every array of a block, reused across calls:
@@ -318,212 +326,83 @@ def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
         out[lo:lo + n] += np.einsum("cth,cth->tc", d, q, out=tail)
 
 
-# The buffer shared with the helper, in float64 words: a header of this
-# many (n_t, n_h, kernel length, images, block), then the n_t + n_h wrapped
-# positions (x, y pairs, targets first), then the n_t drift rows.
-_HEAD = 5
+_SOURCE = Path(__file__).with_name("_drift.c")
+# no -march=native and no -ffast-math: the bits must not depend on the
+# build host's vector units, and every operation must round as NumPy's does
+_CFLAGS = ("-O2", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _request(shared: np.ndarray, n_t: int, n_h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The positions, shape (n_t + n_h, 2), and the drift rows, shape
-    (n_t, 2), of a request in the shared buffer."""
-    rows = _HEAD + 2 * (n_t + n_h)
-    return shared[_HEAD:rows].reshape(-1, 2), shared[rows:rows + 2 * n_t].reshape(-1, 2)
+def _compiler() -> list[str]:
+    """The C compiler Python was built with, else ``cc``, as a command."""
+    import shlex
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    return cc if cc and shutil.which(cc[0]) else ["cc"]
 
 
-def _pull(queue: int, blocks: int, from_back: bool) -> Iterator[int]:
-    """Block indices from the shared queue until it is empty: 0, 1, 2, ...
-    or, ``from_back``, blocks - 1, blocks - 2, ... Each read takes one unit
-    of the semaphore, and the two processes take the call's ``blocks`` units
-    between them, so their indices meet with no gap and no overlap."""
-    for taken in range(blocks):
-        try:
-            os.eventfd_read(queue)
-        except BlockingIOError:
-            return
-        yield blocks - 1 - taken if from_back else taken
+def _build_kernel(directory: str, name: str) -> str:
+    """Compile ``_drift.c`` into the shared library ``directory/name``; its
+    path. Raises ``OSError``, with the compiler's last words, on failure."""
+    import subprocess
+
+    path = os.path.join(directory, name)
+    done = subprocess.run([*_compiler(), *_CFLAGS, "-o", path, str(_SOURCE), "-lm"],
+                          capture_output=True, timeout=120)
+    if done.returncode != 0:
+        words = done.stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(f"the C compiler exited with status {done.returncode}"
+                      + (f": {words[-1]}" if words else ""))
+    return path
 
 
-def _drift_shared(shared: np.ndarray, queue: int, from_back: bool) -> np.ndarray:
-    """Drift the blocks this process pulls from ``queue`` of the request in
-    ``shared`` into its rows there; the rows. Caller and helper both run it,
-    on the same words, from opposite ends, so each row is written once, by
-    whichever process pulled its block."""
-    n_t, n_h, length, images, block = shared[:_HEAD].tolist()
-    n_t, n_h, block = int(n_t), int(n_h), int(block)
-    positions, rows = _request(shared, n_t, n_h)
-    _table_drift(positions[:n_t], positions[n_t:], KernelParams(length, int(images)),
-                 block, rows, _pull(queue, -(-n_t // block), from_back))
-    return rows
+def _cache_dir() -> str:
+    return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                        "swarmherd")
 
 
-class _DriftHelper:
-    """A fork of the caller that drifts the blocks it pulls from a shared
-    queue, in a buffer both processes map.
+@lru_cache(maxsize=None)
+def _compiled_drift():
+    """The kernel's ``drift_blocks`` through ``ctypes``; None, with one
+    warning, where it cannot be built or loaded.
 
-    ``shared`` is an anonymous ``MAP_SHARED`` mapping of float64 words, made
-    just before the fork, so each process sees the other's writes there: the
-    caller writes a request into it, and both drift that request there. The
-    helper shares the caller's other pages (the tail table among them) until
-    either writes them. A request starts with one byte on one pipe and ends
-    with one byte back on another, so a stray print cannot reach either. The
-    queue is an eventfd semaphore, made before the fork: the caller adds a
-    call's block count to it before its byte, and both processes take one
-    unit per read until it is empty. The caller writes the next request only
-    after it has read the byte that ends the last one: a helper still on the
-    last request would read a half-written header. The helper ignores
-    SIGINT, exits when its input ends and always leaves through
-    ``os._exit``, so the caller's ``atexit`` hooks and buffered output never
-    run twice; an exception in its loop prints its traceback to stderr and
-    exits 1. It is forked only where ``_spare_cpu`` holds, which means
-    Linux, and runs NumPy ufuncs and ``einsum`` on its own arrays and the
-    shared ones: no BLAS, no import, no logging. OpenBLAS quiesces its
-    thread pool across the fork; from Python 3.12 on, ``os.fork`` warns
-    (``DeprecationWarning``) in a process with other OS threads, OpenBLAS's
-    among them: expected, and not filtered.
+    Built on the first drift that needs it, never at import or in the plan.
+    The library's name is keyed by a hash of the source, the compiler and
+    the flags. It is built in a temporary directory and loaded from there,
+    then moved into the cache directory where that is writable, so later
+    processes load it without building.
     """
+    import ctypes
+    import hashlib
+    import subprocess
 
-    def __init__(self, words: int):
-        import mmap  # only a process that forks a helper pays for the module
-
-        self.shared = np.frombuffer(mmap.mmap(-1, 8 * words), dtype=float)
-        requests, self.requests = os.pipe()
-        self.replies, replies = os.pipe()
-        self.queue = os.eventfd(0, os.EFD_SEMAPHORE | os.EFD_NONBLOCK)
-        # the arrays and kernel of the drift handed out, matched by identity
-        self.handed: tuple[np.ndarray, np.ndarray, KernelParams] | None = None
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests, self.requests, self.replies, replies, self.queue):
-                os.close(fd)
-            raise
-        if self.pid == 0:  # never returns into the caller's code
-            code = 1
+    cc, cache = _compiler(), _cache_dir()
+    try:
+        key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join([*cc, *_CFLAGS]).encode())
+        name = f"_drift-{key.hexdigest()[:16]}.so"
+        cached = os.path.join(cache, name)
+        if os.path.exists(cached):
+            lib = ctypes.CDLL(cached)
+        else:
             try:
-                for fd in (self.requests, self.replies):
-                    os.close(fd)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
-                while os.read(requests, 1):  # until the caller closes its end
-                    _drift_shared(self.shared, self.queue, from_back=True)
-                    os.write(replies, b"\0")
-                code = 0
-            except BrokenPipeError:
-                code = 0  # the caller has gone
-            except BaseException:
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(code)
-        os.close(requests)
-        os.close(replies)
-
-    def _failed(self, what: str) -> RuntimeError:
-        # it has ended or is ending: reap it now, for its status
-        status = _stop_helper(kill=True)
-        return RuntimeError(f"drift helper process {self.pid} {what} (exit status {status})")
-
-    def hand_out(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
-                 block: int) -> None:
-        """Write the request into the shared buffer and queue its block count,
-        then send its byte: the helper starts at once."""
-        n_t, n_h = targets.shape[0], herders.shape[0]
-        self.shared[:_HEAD] = n_t, n_h, kernel.length, kernel.images, block
-        np.concatenate((targets, herders), out=_request(self.shared, n_t, n_h)[0])
-        os.eventfd_write(self.queue, -(-n_t // block))
-        try:
-            os.write(self.requests, b"\0")
-        except BrokenPipeError:
-            raise self._failed("has exited") from None
-        self.handed = targets, herders, kernel
-
-    def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
-        """Whether the drift handed out is of these very arrays."""
-        handed = self.handed
-        return (handed is not None and handed[0] is targets and handed[1] is herders
-                and handed[2] == kernel)
-
-    def collect(self) -> np.ndarray:
-        """Drift the blocks still queued, then wait for the helper's byte; the
-        request's drift rows, a view of the shared buffer that the next request
-        overwrites. The byte is read even when this process drifted every
-        block: it is the only sign that the helper is done with the request,
-        and so that the next one may be written."""
-        self.handed = None
-        rows = _drift_shared(self.shared, self.queue, from_back=False)
-        if not os.read(self.replies, 1):
-            raise self._failed("has exited")
-        return rows
-
-    def close(self, kill: bool) -> int:
-        """Stop the helper, at the end of its input or killed, and reap it;
-        its exit status, negative for the signal that ended it."""
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        # replies first, so a helper still writing one stops on a broken pipe
-        for fd in (self.replies, self.requests, self.queue):
-            os.close(fd)
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-_helper: _DriftHelper | None = None
-_no_helper = False  # a fork failed here: never split again
-_split_calls = 0  # drift calls the helper shared; ``run`` reports whether it did
-
-
-def _spare_cpu() -> bool:
-    """Whether this process may run on two CPUs or more and has the eventfd
-    queue (never split where the platform cannot tell or has none)."""
-    return (hasattr(os, "eventfd") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _running_helper(kernel: KernelParams, words: int) -> _DriftHelper | None:
-    """This process's helper, with a shared buffer of ``words`` words or
-    more: forked if none runs, forked again if the running one's buffer is
-    smaller. A fork that fails leaves this process drifting alone from then
-    on: the split only saves time."""
-    global _helper, _no_helper
-    if _helper is not None and _helper.shared.size < words:
-        _stop_helper()
-    if _helper is None:
-        _tail_table(kernel)  # built before the fork, so both share its pages
-        try:
-            _helper = _DriftHelper(words)
-        except OSError as exc:
-            _no_helper = True
-            log.warning("drift helper unavailable, drifting in one process: %s", exc)
-    return _helper
-
-
-def _stop_helper(kill: bool = False) -> int | None:
-    """Stop, reap and forget this process's helper, if it has one; its exit
-    status."""
-    global _helper
-    helper, _helper = _helper, None
-    return None if helper is None else helper.close(kill)
-
-
-def _drop_hand_out() -> None:
-    """Stop the helper if it holds a drift never collected, so that neither
-    its queued blocks nor its byte can reach a later call."""
-    if _helper is not None and _helper.handed is not None:
-        _stop_helper(kill=True)
-
-
-def _forget_helper() -> None:
-    """In a forked child: drop the parent's helper and this copy of its
-    descriptors, so that the helper still sees its input end when the parent
-    closes it."""
-    global _helper
-    if _helper is not None:
-        for fd in (_helper.requests, _helper.replies, _helper.queue):
-            os.close(fd)
-        _helper = None
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+                os.makedirs(cache, exist_ok=True)
+                scratch = tempfile.TemporaryDirectory(dir=cache)
+            except OSError:  # no writable cache: build, load and let it go
+                scratch, cached = tempfile.TemporaryDirectory(), None
+            with scratch as directory:
+                lib = ctypes.CDLL(_build_kernel(directory, name))
+                if cached is not None:
+                    os.replace(os.path.join(directory, name), cached)
+    except (OSError, subprocess.SubprocessError) as exc:
+        log.warning("compiled drift unavailable, drifting with NumPy in one thread: %s",
+                    exc)
+        return None
+    fn = lib.drift_blocks
+    fn.restype = None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_void_p)
+    return fn
 
 
 def _block_size(n_h: int) -> int:
@@ -531,63 +410,130 @@ def _block_size(n_h: int) -> int:
     return max(1, _BLOCK_PAIRS // n_h)
 
 
-def _hand_out(targets: np.ndarray, herders: np.ndarray,
-              kernel: KernelParams) -> _DriftHelper | None:
-    """Queue the blocks of this drift for the helper, which starts on them at
-    once; the helper, or None where this process drifts alone.
+class _Drift:
+    """One call of the compiled kernel on wrapped, C-contiguous arrays: its
+    rows and the counter from which its threads take blocks.
 
-    The arrays must be wrapped. They are copied into the shared buffer, and
-    both processes drift that copy. A drift is shared where it has two
-    blocks or more and a second CPU. ``drift_all`` of the same two arrays
-    collects it; until then any failure must drop it (``_drop_hand_out``).
-    After a fork failed, nothing is handed out.
+    ``call`` drifts blocks until none is left, in whichever thread runs it;
+    ``work`` does so in the helper thread and then reads that thread's CPU
+    time. The arrays, the table and the rows are held here for as long as
+    any thread may read or write them.
     """
+
+    def __init__(self, fn, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams):
+        import ctypes
+
+        targets = np.ascontiguousarray(targets, dtype=float)
+        herders = np.ascontiguousarray(herders, dtype=float)
+        self.targets, self.herders, self.kernel = targets, herders, kernel
+        self.table = _tail_rows(kernel)
+        block = _block_size(herders.shape[0])
+        self.blocks = -(-targets.shape[0] // block)
+        self.out = np.empty_like(targets)
+        self.next = ctypes.c_int64(0)
+        self.args = (targets.ctypes.data, targets.shape[0], herders.ctypes.data,
+                     herders.shape[0], kernel.length, self.table.ctypes.data, _TAIL_CELLS,
+                     block, ctypes.addressof(self.next), self.out.ctypes.data)
+        self.fn = fn
+        self.thread: threading.Thread | None = None
+        self.cpu = 0.0  # the helper thread's CPU seconds
+
+    def call(self) -> None:
+        self.fn(*self.args)
+
+    def work(self) -> None:
+        self.call()
+        self.cpu = time.thread_time()
+
+    def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
+        """Whether this is the drift of these very arrays."""
+        return self.targets is targets and self.herders is herders and self.kernel == kernel
+
+
+_handed: _Drift | None = None  # the drift the helper thread is on
+_split_calls = 0  # drift calls the helper thread shared; ``run`` reports whether it did
+_helper_seconds = 0.0  # the helper threads' CPU seconds, for ``run``
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two CPUs or more (never split where
+    the platform cannot tell)."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _drop_hand_out() -> None:
+    """Stop the helper thread after its current block and join it, if it
+    holds a drift never collected."""
+    global _handed
+    drift, _handed = _handed, None
+    if drift is not None:
+        drift.next.value = drift.blocks  # past the last block
+        drift.thread.join()
+
+
+def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> _Drift | None:
+    """Start the helper thread on this drift; the drift, or None where this
+    thread drifts alone.
+
+    The arrays must be wrapped. A drift is shared where it has two blocks
+    or more, a second CPU and the compiled kernel. ``drift_all`` of the
+    same two arrays collects it; until then any failure must drop it
+    (``_drop_hand_out``). The helper thread runs only the kernel call and a
+    read of its own clock, so none of this package's traced functions runs
+    off the calling thread.
+    """
+    global _handed
     _drop_hand_out()
     if herders.size == 0 or targets.size == 0:
         return None
-    n_t, n_h = targets.shape[0], herders.shape[0]
-    block = _block_size(n_h)
-    if n_t <= block or _no_helper or not _spare_cpu():
+    if targets.shape[0] <= _block_size(herders.shape[0]) or not _spare_cpu():
         return None
-    helper = _running_helper(kernel, _HEAD + 4 * n_t + 2 * n_h)
-    if helper is not None:
-        try:
-            helper.hand_out(targets, herders, kernel, block)
-        except BaseException:
-            _stop_helper(kill=True)
-            raise
-    return helper
+    fn = _compiled_drift()
+    if fn is None:
+        return None
+    drift = _Drift(fn, targets, herders, kernel)
+    drift.thread = threading.Thread(target=drift.work, name="swarmherd-drift", daemon=True)
+    drift.thread.start()
+    _handed = drift
+    return drift
 
 
 def _split_drift(targets: np.ndarray, herders: np.ndarray,
                  kernel: KernelParams) -> np.ndarray:
-    """``_table_drift`` of all targets, shared with the helper where it pays.
+    """Unnormalized drift of all targets, shared with the helper thread where
+    it pays.
 
-    Collects the drift ``_hand_out`` queued for these arrays, or wraps them
-    and hands that out first: this process pulls blocks from the queue until
-    it is empty, then waits for the helper to finish its own. The result is
-    then a view of the shared buffer, valid until the next hand-out. Where
-    nothing is handed out, this process drifts every block into a new array.
+    Collects the drift ``_hand_out`` started for these arrays, or wraps them
+    and hands that out first: this thread takes blocks until none is left,
+    then joins the helper. Where nothing is handed out, this thread drifts
+    every block, with the compiled kernel or, without it, ``_table_drift``.
     """
-    global _split_calls
-    helper = _helper
-    if helper is None or not helper.holds(targets, herders, kernel):
+    global _handed, _split_calls, _helper_seconds
+    drift = _handed
+    if drift is None or not drift.holds(targets, herders, kernel):
         targets, herders = wrap(targets), wrap(herders)
-        helper = _hand_out(targets, herders, kernel)
-    if helper is None:
+        drift = _hand_out(targets, herders, kernel)
+    if drift is None:
+        fn = _compiled_drift()
+        if fn is not None:
+            drift = _Drift(fn, targets, herders, kernel)
+            drift.call()
+            return drift.out
         out = np.empty_like(targets)
         block = _block_size(herders.shape[0])
         _table_drift(targets, herders, kernel, block, out,
                      range(-(-targets.shape[0] // block)))
         return out
     try:
-        rows = helper.collect()
+        drift.call()
+        drift.thread.join()
     except BaseException:
-        # its byte may still be on its way: never read it as the next call's
-        _stop_helper(kill=True)
+        _drop_hand_out()
         raise
+    _handed = None
     _split_calls += 1
-    return rows
+    _helper_seconds += drift.cpu
+    return drift.out
 
 
 def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
@@ -606,18 +552,19 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     the kernel's own image-truncation error.
     ``fast=False`` is the plain vectorized image sum, the fast path's
     reference. Both are deterministic, and the fast path is odd: negating
-    every position negates its drift bit for bit, except on the seam. A
-    block's arrays are views of one kept workspace (``_workspace``, 1.0 MB
-    at 260 herders) written through ``out=``: a warm call at 720 x 260 makes
-    no per-block temporaries and peaks at 48 KiB traced, shared or not,
-    its shorter last block included. Each target's row depends on no other
-    target, so the result is the same bits for every block size and
-    whichever process drifts which block.
+    every position negates its drift bit for bit, except on the seam. The
+    compiled kernel allocates nothing; without it, a block's arrays are
+    views of one kept workspace (``_workspace``, 1.0 MB at 260 herders)
+    written through ``out=``. Either way a warm call at 720 x 260 makes no
+    per-block temporaries. Each target's row depends on no other target, so
+    the result is the same bits for every block size and whichever thread
+    drifts which block; the compiled kernel and ``_table_drift`` differ by
+    rounding only (at most 9e-15 relative measured).
 
-    Where the drift is shared, this process and the helper pull its blocks
-    from one queue until it is empty (``_split_drift``). ``run`` hands out
-    each step's drift before its control tick (``_hand_out``), so the
-    helper starts on it at once; this call then collects it.
+    Where the drift is shared, this thread and the helper thread take its
+    blocks from one counter until none is left (``_split_drift``). ``run``
+    hands out each step's drift before its control tick (``_hand_out``), so
+    the helper thread starts on it at once; this call then collects it.
     """
     targets = np.ascontiguousarray(targets, dtype=float)
     herders = np.ascontiguousarray(herders, dtype=float)
@@ -691,8 +638,9 @@ class SimulationResult:
     n_targets: int
     n_herders: int
     wall_time: float
-    cpu_time: float  # this process's CPU seconds over the run, helper excluded
-    drift_processes: int  # 2 if any step's drift was handed to the helper, else 1
+    cpu_time: float  # this process's CPU seconds over the run, every thread's
+    thread_cpu_time: float  # the CPU seconds of run's own thread and its helper threads
+    drift_threads: int  # 2 if any step's drift was handed to a helper thread, else 1
     # seconds per stage: kde, control (herder_error, control_field), sampling
     # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
@@ -730,9 +678,11 @@ def run(
     step; the control chain reads the same state. ``stage_seconds`` sums
     the ``time.perf_counter`` deltas of each stage; its total never
     exceeds ``wall_time``. ``cpu_time`` is this process's
-    ``time.process_time`` over the run, without the drift helper's: well
-    above ``wall_time``, it shows a spinning thread pool.
-    ``drift_processes`` is 2 if any step's drift was handed to the helper.
+    ``time.process_time`` over the run, and ``thread_cpu_time`` the
+    ``time.thread_time`` of the calling thread and of the drift's helper
+    threads: well above it, ``cpu_time`` shows some other thread spinning,
+    such as an idle BLAS worker. ``drift_threads`` is 2 if any step's drift
+    was handed to a helper thread.
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """
@@ -743,7 +693,7 @@ def run(
         raise ValueError(f"snapshot_every = {snapshot_every!r}: snapshot cadence must be "
                          "an integer >= 0 steps")
     t_start, cpu_start = time.perf_counter(), time.process_time()
-    split_start = _split_calls
+    thread_start, split_start, helper_start = time.thread_time(), _split_calls, _helper_seconds
     grid = rho_bar_h.grid
     herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
@@ -785,7 +735,7 @@ def run(
     try:
         for s in range(n_steps):
             t = s * sim.dt
-            # the helper drifts this step while this process runs its control tick
+            # the helper thread drifts this step while this one runs its control tick
             _hand_out(state.targets, state.herders, kernel)
             lap("step")
             if n_herders > 0:
@@ -814,7 +764,7 @@ def run(
                          time.perf_counter() - t_start, chis[-1], times[-1])
             lap("step")
     except BaseException:
-        _drop_hand_out()  # its queued blocks and reply must never reach a later call
+        _drop_hand_out()  # the helper thread stops after its current block
         raise
     record_metrics(n_steps * sim.dt)
     if n_steps > 0:  # with none, the initial state is the final one
@@ -832,6 +782,7 @@ def run(
         n_herders=n_herders,
         wall_time=time.perf_counter() - t_start,
         cpu_time=time.process_time() - cpu_start,
-        drift_processes=2 if _split_calls > split_start else 1,
+        thread_cpu_time=time.thread_time() - thread_start + _helper_seconds - helper_start,
+        drift_threads=2 if _split_calls > split_start else 1,
         stage_seconds=stage_seconds,
     )

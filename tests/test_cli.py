@@ -91,7 +91,8 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert all(math.isfinite(v) and v >= 0 for v in stages.values())
     assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
     assert math.isfinite(summary["cpu_time_s"]) and summary["cpu_time_s"] >= 0
-    assert summary["drift_processes"] == 1  # 40 targets are one block of work
+    assert 0 <= summary["thread_cpu_time_s"] <= summary["cpu_time_s"] + 0.01
+    assert summary["drift_threads"] == 1  # 40 targets are one block of work
     assert summary["removed_mean_max_abs"] < 1e-14
     assert summary["peak_speed_max"] > 0
     assert summary["clipped_share_max"] == 0.0  # no speed limit
@@ -402,6 +403,7 @@ def test_sweep_single_value_range(tmp_path, small_config):
     ("--k-range", "1:2:-3"),
     ("--k-range", "0:2:3"),  # zero concentration
     ("--k-range", "-1:2:3"),
+    ("--k-range", "100:178:3"),  # past max_concentration: subnormal density values
     ("--d-range", "0.01:inf:3"),
     ("--d-range", "nan:0.1:3"),
     ("--d-range", "0.01:0.1"),  # not lo:hi:n

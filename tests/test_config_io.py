@@ -172,6 +172,40 @@ def test_bad_value_named_at_load(bad, where):
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("bad, where", [
+    # the tail table's build grows with the square of the ring count
+    ({"kernel": {"images": 13}}, "kernel.images = 13: image ring count must be <= 12"),
+    ({"kernel": {"images": 200}}, "kernel.images = 200: image ring count must be <= 12"),
+    # the target density's smallest value, exp(-4 k) of its peak, stays normal
+    ({"target_density": {"concentration": 177.2}},
+     "target_density.concentration = 177.2: concentration must be at most 177.10:"),
+    ({"target_density": {"concentration": 176.5, "cross_term": True}},
+     "target_density.concentration = 176.5: concentration must be at most 176.10 "
+     "with cross_term"),
+    # without a concentration the goal radius sets it, to 3 / radius
+    ({"goal": {"radius": 0.016}},
+     "goal.radius = 0.016: the target concentration 3 / radius = 187.5 must be at "
+     "most 177.10"),
+    ({"goal": {"radius": 0.017}, "target_density": {"cross_term": True}},
+     "goal.radius = 0.017: the target concentration 3 / radius = 176.5 must be at "
+     "most 176.10 with cross_term"),
+])
+def test_costly_or_degenerate_value_named_at_load(bad, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("good", [
+    {"kernel": {"images": 12}},
+    {"target_density": {"concentration": 177.0}},
+    {"target_density": {"concentration": 176.0, "cross_term": True}},
+    {"goal": {"radius": 0.017}},
+    {"goal": {"radius": 0.016}, "target_density": {"concentration": 10.0}},
+])
+def test_values_at_the_bounds_load(good):
+    ExperimentConfig.from_dict(good)
+
+
 def test_integer_for_a_float_field_loads_as_that_float():
     cfg = ExperimentConfig.from_dict({"sim": {"horizon": 1}, "goal": {"center": [1, 0]}})
     same = ExperimentConfig.from_dict({"sim": {"horizon": 1.0},

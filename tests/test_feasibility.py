@@ -572,3 +572,16 @@ def test_plan_respects_override(grid25, kernel):
     assert plan.n_herders == 280
     assert plan.herder_mass == pytest.approx(0.28)
     assert mass(plan.rho_bar_h) == pytest.approx(0.28, rel=1e-9)
+
+
+@pytest.mark.parametrize("cross_term", [False, True])
+def test_largest_concentration_keeps_the_density_normal(cross_term):
+    # the exponent spans 4 k (4 k + 4 with the cross term): at the bound the
+    # smallest value is still a normal float64, and past it the spec is refused
+    k = feasibility.max_concentration(cross_term)
+    assert k == pytest.approx(177.099 - cross_term, abs=1e-3)
+    spec = VonMisesSpec(concentration=(k, k), mean=np.zeros(2), cross_term=cross_term)
+    rho = von_mises_density(spec, GridSpec(25)).values
+    assert rho.min() / rho.max() >= np.finfo(float).tiny
+    with pytest.raises(ValueError, match="range"):
+        VonMisesSpec(concentration=(k + 0.01, k), mean=np.zeros(2), cross_term=cross_term)

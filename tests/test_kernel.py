@@ -8,7 +8,8 @@ from oracles import kernel_free
 from swarmherd import (DeconvolutionOperator, GridSpec, KernelParams, kernel_periodic,
                        kernel_symbol, wrap)
 from swarmherd.grids import irfft2
-from swarmherd.kernel import image_shifts, sample_on_grid
+from swarmherd.kernel import MAX_IMAGES, image_shifts, sample_on_grid
+from swarmherd.torus import FieldError
 
 PI = np.pi
 
@@ -240,3 +241,11 @@ def test_params_validation():
         KernelParams(length=0.0)
     with pytest.raises(ValueError):
         KernelParams(length=1.0, images=-1)
+
+
+def test_image_rings_bounded():
+    # the drift's tail table sums (2P+1)^2 - 1 shifts: 3.4 s to build at 20 rings
+    assert KernelParams(images=MAX_IMAGES).images == 12
+    with pytest.raises(FieldError, match="<= 12") as err:
+        KernelParams(images=13)
+    assert err.value.field == "images"

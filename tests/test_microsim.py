@@ -1,12 +1,10 @@
-import errno
 import itertools
-import json
 import logging
 import os
-import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 
@@ -260,13 +258,10 @@ def test_fast_drift_row_equals_single_target_call(kernel):
 
 
 def warm_drift_peak(kernel, monkeypatch, split):
-    """Traced peak of a warm drift call at paper scale, split or in one process."""
+    """Traced peak of a warm drift call at paper scale, split or in one thread."""
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    if split:
-        forked_helper(monkeypatch, kernel)
-    else:
-        monkeypatch.setattr(microsim, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(microsim, "_spare_cpu", lambda: split)
     drift_all(targets, herders, 1e-3, kernel)
     calls = microsim._split_calls
     tracemalloc.start()
@@ -280,16 +275,14 @@ def warm_drift_peak(kernel, monkeypatch, split):
 
 
 def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch):
-    # a warm call at paper scale allocates its result and its wrapped and
-    # transposed inputs; every block array is a workspace view, and no call
-    # needs iterator buffers (measured 48 KiB)
+    # a warm call at paper scale allocates its result and its wrapped inputs;
+    # the compiled kernel allocates nothing (measured 28 KiB)
     peak = warm_drift_peak(kernel, monkeypatch, split=False)
     assert peak <= 80 * 1024, peak
 
 
 def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
-    # the wrapped inputs, the result and whatever share of the blocks this
-    # process pulls (measured 48 KiB, whichever blocks it takes)
+    # the same arrays, plus the helper thread (measured 32 KiB)
     peak = warm_drift_peak(kernel, monkeypatch, split=True)
     assert peak <= 80 * 1024, peak
 
@@ -317,26 +310,23 @@ def test_short_last_block_makes_no_temporaries(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the drift helper process
+# the compiled kernel and the helper thread
 # ---------------------------------------------------------------------------
 
 
-def forked_helper(monkeypatch, kernel):
-    """This process's drift helper, forked if need be.
-
-    The split is forced on, so it is tested on a single CPU too. Its shared
-    buffer has room for every call of these tests (the largest, 16 391
-    targets under one herder, needs 65 572 words), so no call forks it again
-    and callers can compare its pid across calls.
-    """
+def split_on(monkeypatch):
+    """Force the split on, so it is tested on a single CPU too."""
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    return microsim._running_helper(kernel, 1 << 17)
 
 
-def one_process_drift(monkeypatch, targets, herders, alpha, kernel):
+def one_thread_drift(monkeypatch, targets, herders, alpha, kernel):
     with monkeypatch.context() as patch:
         patch.setattr(microsim, "_spare_cpu", lambda: False)
         return drift_all(targets, herders, alpha, kernel)
+
+
+def drift_threads_alive():
+    return [t for t in threading.enumerate() if t.name == "swarmherd-drift"]
 
 
 def split_cases():
@@ -357,18 +347,37 @@ def split_cases():
         "targets on herders": (np.vstack([uniform(100), herders]), herders),
         "clustered herders": (uniform(300), clustered),
         "herder lattice": (uniform(720), herder_lattice(260)),
-        # the helper's rows are read into row slices of a C-ordered result
+        # the kernel reads C-ordered copies of these
         "Fortran order": (np.asfortranarray(uniform(720)), np.asfortranarray(herders)),
         "Fortran order, out of range": (np.asfortranarray(3 * uniform(720)),
                                         np.asfortranarray(3 * uniform(260))),
     }
 
 
+@pytest.mark.parametrize("case", list(split_cases()) + ["720 x 260"])
+def test_compiled_drift_matches_table_drift(kernel, monkeypatch, case):
+    # the same arithmetic; only libm's exp and the order of each row's sum
+    # differ from NumPy's (measured at most 9e-15)
+    assert microsim._compiled_drift() is not None
+    rng = np.random.default_rng(56)
+    targets, herders = (split_cases()[case] if case in split_cases()
+                        else (rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))))
+    targets, herders = wrap(targets), wrap(herders)
+    block = microsim._block_size(len(herders))
+    numpy_rows = np.empty_like(targets)
+    microsim._table_drift(targets, herders, kernel, block, numpy_rows,
+                          range(-(-len(targets) // block)))
+    for split in (False, True):
+        monkeypatch.setattr(microsim, "_spare_cpu", lambda: split)
+        compiled = drift_all(targets, herders, 1.0, kernel)
+        assert np.abs(compiled - numpy_rows).max() <= 1e-13 * np.abs(numpy_rows).max()
+
+
 @pytest.mark.parametrize("case", list(split_cases()))
 def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
     targets, herders = split_cases()[case]
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    forked_helper(monkeypatch, kernel)
+    expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    split_on(monkeypatch)
     calls = microsim._split_calls
     got = drift_all(targets, herders, 1e-3, kernel)
     block = max(1, microsim._BLOCK_PAIRS // len(herders))
@@ -377,11 +386,11 @@ def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
 
 
 def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
-    # the helper computes its share with the block size of the request
+    # the helper thread takes blocks of the call's size, down to one target
     rng = np.random.default_rng(43)
     targets, herders = rng.uniform(-PI, PI, (300, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    forked_helper(monkeypatch, kernel)
+    expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    split_on(monkeypatch)
     for pairs in (1, 260, 4096):
         monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
         calls = microsim._split_calls
@@ -389,126 +398,137 @@ def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
         assert microsim._split_calls == calls + 1
 
 
-def test_killed_helper_is_named_then_replaced(kernel, monkeypatch):
-    rng = np.random.default_rng(44)
-    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    helper = forked_helper(monkeypatch, kernel)
-    os.kill(helper.pid, signal.SIGKILL)
-    with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} .*exit "
-                                           f"status -{signal.SIGKILL:d}"):
-        drift_all(targets, herders, 1e-3, kernel)
-    assert microsim._helper is None
-    # the next call forks a fresh helper and shares with it
-    calls = microsim._split_calls
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
-    assert microsim._helper.pid != helper.pid
-
-
-def test_failure_in_the_helper_is_printed_named_then_replaced(kernel, monkeypatch,
-                                                              capfd):
-    rng = np.random.default_rng(49)
-    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    microsim._stop_helper()
-    caller, table_drift = os.getpid(), microsim._table_drift
-
-    def failing_in_the_helper(*args):
-        if os.getpid() != caller:
-            raise ValueError("no drift in the helper")
-        table_drift(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(microsim, "_table_drift", failing_in_the_helper)
-        helper = forked_helper(patch, kernel)  # the fork sees the patch
-        with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} "
-                                               r".*\(exit status 1\)"):
-            drift_all(targets, herders, 1e-3, kernel)
-    err = capfd.readouterr().err
-    assert "Traceback" in err and "ValueError: no drift in the helper" in err
-    forked_helper(monkeypatch, kernel)
-    calls = microsim._split_calls
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
-    assert microsim._helper.pid != helper.pid
-
-
-def test_failed_fork_leaves_one_process(kernel, monkeypatch, caplog):
-    # the split only saves time: a fork that fails warns once, is never
-    # retried, and leaves every later call to this process, with the same bits
+def test_failed_build_warns_once_and_drifts_with_numpy(kernel, monkeypatch, caplog,
+                                                       tmp_path):
+    # the kernel only saves time: a build that fails warns once, is never
+    # retried, and leaves every call to NumPy in one thread
     rng = np.random.default_rng(48)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    microsim._stop_helper()
-    forks = []
+    block = microsim._block_size(260)
+    expected = np.empty_like(targets)
+    microsim._table_drift(targets, herders, kernel, block, expected, range(-(-720 // block)))
+    builds = []
 
-    def failing_fork():
-        forks.append(os.getpid())
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    def failing(directory, name):
+        builds.append(name)
+        raise OSError("no compiler here")
 
-    monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    monkeypatch.setattr(microsim, "_no_helper", False)
-    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # nothing cached there
+    monkeypatch.setattr(microsim, "_build_kernel", failing)
+    split_on(monkeypatch)
+    microsim._compiled_drift.cache_clear()
     calls = microsim._split_calls
-    with caplog.at_level(logging.WARNING, logger="swarmherd"):
-        for _ in range(4):
-            assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert len(forks) == 1
-    assert microsim._helper is None and microsim._no_helper
-    assert microsim._split_calls == calls
-    warnings = [r for r in caplog.records if "drift helper unavailable" in r.message]
-    assert len(warnings) == 1
-    if fds is not None:  # both pipes closed again
-        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+    try:
+        with caplog.at_level(logging.WARNING, logger="swarmherd"):
+            for _ in range(3):
+                got = drift_all(targets, herders, 1e-3, kernel)
+                assert np.array_equal(got, 1e-3 * expected)
+            assert_fast_close(targets, herders, kernel)
+    finally:
+        microsim._compiled_drift.cache_clear()
+    assert len(builds) == 1 and microsim._split_calls == calls
+    warnings = [r for r in caplog.records if "compiled drift unavailable" in r.message]
+    assert len(warnings) == 1 and "no compiler here" in warnings[0].message
+
+
+def test_compiler_failure_is_named(monkeypatch, tmp_path):
+    monkeypatch.setattr(microsim, "_CFLAGS", microsim._CFLAGS + ("-no-such-flag",))
+    with pytest.raises(OSError, match="C compiler exited with status [1-9].*no-such-flag"):
+        microsim._build_kernel(str(tmp_path), "_drift-test.so")
+
+
+def test_kernel_is_built_once_then_loaded_from_the_cache(monkeypatch, tmp_path):
+    builds, build = [], microsim._build_kernel
+
+    def counted(directory, name):
+        builds.append(name)
+        return build(directory, name)
+
+    monkeypatch.setattr(microsim, "_build_kernel", counted)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    try:
+        for _ in range(2):
+            microsim._compiled_drift.cache_clear()
+            assert microsim._compiled_drift() is not None
+        assert len(builds) == 1
+        assert os.listdir(tmp_path / "swarmherd") == builds  # no temporary left
+        # where the cache cannot be written, the library is built, loaded and
+        # removed again
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        microsim._compiled_drift.cache_clear()
+        assert microsim._compiled_drift() is not None
+        assert len(builds) == 2
+    finally:
+        microsim._compiled_drift.cache_clear()
+
+
+def test_import_and_plan_build_no_kernel(tmp_path):
+    # the kernel is built at the first fast drift, so setup and the plan run
+    # none of it
+    script = tmp_path / "plan.py"
+    script.write_text(textwrap.dedent("""
+        import os
+        import swarmherd
+        from swarmherd import GoalRegion, GridSpec, KernelParams, microsim, plan_herders
+        plan_herders(GoalRegion(), 720, 0.01, KernelParams(), GridSpec(15), GridSpec(32))
+        assert microsim._compiled_drift.cache_info().currsize == 0
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps") as maps:
+                assert "_drift-" not in maps.read()
+    """))
+    src = os.path.dirname(os.path.dirname(microsim.__file__))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+
+
+def test_hand_out_is_collected_only_by_its_own_arrays(kernel, monkeypatch):
+    # a hand-out is matched by identity: equal arrays that are not the ones
+    # handed out drop it and drift anew, with the same bits
+    rng = np.random.default_rng(46)
+    targets, herders = wrap(rng.uniform(-PI, PI, (720, 2))), wrap(rng.uniform(-PI, PI, (260, 2)))
+    expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    split_on(monkeypatch)
+    for pair in ((targets.copy(), herders), (targets, herders.copy())):
+        handed = microsim._hand_out(targets, herders, kernel)
+        assert np.array_equal(drift_all(*pair, 1e-3, kernel), expected)
+        assert not handed.thread.is_alive() and microsim._handed is None
+    handed = microsim._hand_out(targets, herders, kernel)
+    assert np.array_equal(drift_all(targets, herders, 1e-3, KernelParams(PI, 1)),
+                          one_thread_drift(monkeypatch, targets, herders, 1e-3,
+                                           KernelParams(PI, 1)))
+    assert microsim._handed is None and not handed.thread.is_alive()
+    handed = microsim._hand_out(targets, herders, kernel)
+    calls = microsim._split_calls
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    assert microsim._split_calls == calls + 1 and microsim._handed is None
+    assert handed.next.value == handed.blocks + 2
 
 
 def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch):
+    # the caller's share fails: the helper thread is stopped and joined, and
+    # neither its rows nor its counter reach the next call
     rng = np.random.default_rng(45)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, *second, 1e-3, kernel)
-    forked_helper(monkeypatch, kernel)
+    expected = one_thread_drift(monkeypatch, *second, 1e-3, kernel)
+    split_on(monkeypatch)
+    call = microsim._Drift.call
 
-    def failing(*args):
-        raise KeyboardInterrupt
+    def failing_in_the_caller(self):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        call(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(microsim, "_table_drift", failing)  # the caller's share only
+        patch.setattr(microsim._Drift, "call", failing_in_the_caller)
         with pytest.raises(KeyboardInterrupt):
             drift_all(*first, 1e-3, kernel)
-    # the request for ``first`` was sent; its reply must never be read as this one
-    assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
-    forked_helper(monkeypatch, kernel)
+    assert microsim._handed is None and not drift_threads_alive()
     calls = microsim._split_calls
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
     assert microsim._split_calls == calls + 1
-
-
-needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fdinfo"),
-                                reason="needs /proc")
-
-
-def queued_blocks(helper):
-    """Blocks still in the helper's queue: the count of its eventfd."""
-    with open(f"/proc/self/fdinfo/{helper.queue}") as info:
-        (count,) = (line.split()[1] for line in info if line.startswith("eventfd-count:"))
-    return int(count, 16)
-
-
-def callers_blocks(monkeypatch):
-    """The block indices this process pulls from the queue from now on; a
-    helper forked before keeps its own ``_pull``."""
-    mine, pull = [], microsim._pull
-
-    def recording(*args):
-        for j in pull(*args):
-            mine.append(j)
-            yield j
-
-    monkeypatch.setattr(microsim, "_pull", recording)
-    return mine
 
 
 @pytest.fixture(scope="module")
@@ -521,98 +541,67 @@ def paper_run(kernel):
                 sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.05, seed=8))
 
 
-def one_process_run(monkeypatch, kwargs):
+def one_thread_run(monkeypatch, kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(microsim, "_spare_cpu", lambda: False)
         return run(**kwargs)
 
 
-@needs_proc
-def test_queue_same_bits_when_the_helper_takes_every_block(kernel, monkeypatch,
-                                                           paper_run):
-    # each control tick waits until the helper has pulled every block
-    alone = one_process_run(monkeypatch, paper_run)
-    helper = forked_helper(monkeypatch, kernel)
-    estimate = microsim.estimate_density
+def test_queue_same_bits_when_the_helper_takes_every_block(kernel, monkeypatch, paper_run):
+    # each control tick waits until the helper thread has taken every block
+    alone = one_thread_run(monkeypatch, paper_run)
+    split_on(monkeypatch)
+    estimate, waits = microsim.estimate_density, []
 
-    def after_the_queue_empties(*args, **kwargs):
-        deadline = time.monotonic() + 60
-        while queued_blocks(helper) and time.monotonic() < deadline:
+    def after_the_last_block(*args, **kwargs):
+        drift, deadline = microsim._handed, time.monotonic() + 60
+        while drift.next.value < drift.blocks and time.monotonic() < deadline:
             time.sleep(1e-4)
+        waits.append(drift.next.value >= drift.blocks)
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(microsim, "estimate_density", after_the_queue_empties)
-    mine = callers_blocks(monkeypatch)
+    monkeypatch.setattr(microsim, "estimate_density", after_the_last_block)
     shared = run(**paper_run)
-    assert (mine, shared.drift_processes) == ([], 2)
+    assert waits == [True] * paper_run["sim"].n_steps
+    assert shared.drift_threads == 2
     assert np.array_equal(shared.final.targets, alone.final.targets)
     assert np.array_equal(shared.chi, alone.chi)
 
 
-def resuming_read(helper):
-    """``os.read`` that lets a stopped helper go on once this process waits
-    for its byte."""
-    read = os.read
+class LateThread(threading.Thread):
+    """A thread that starts only when it is joined."""
 
-    def resuming(fd, n):
-        if fd == helper.replies:
-            os.kill(helper.pid, signal.SIGCONT)
-        return read(fd, n)
+    def start(self):
+        pass
 
-    return resuming
+    def join(self, timeout=None):
+        super().start()
+        super().join(timeout)
 
 
 def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
     rng = np.random.default_rng(50)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    helper = forked_helper(monkeypatch, kernel)
-    # stopped, the helper pulls nothing until this process waits for its byte
-    os.kill(helper.pid, signal.SIGSTOP)
-    os.waitpid(helper.pid, os.WUNTRACED)
-    monkeypatch.setattr(os, "read", resuming_read(helper))
-    mine = callers_blocks(monkeypatch)
+    expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    split_on(monkeypatch)
+    monkeypatch.setattr(microsim.threading, "Thread", LateThread)
+    handed = []
+    hand_out = microsim._hand_out
+    monkeypatch.setattr(microsim, "_hand_out", lambda *a: handed.append(hand_out(*a))
+                        or handed[-1])
     calls = microsim._split_calls
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert mine == list(range(-(-720 // (microsim._BLOCK_PAIRS // 260))))
     assert microsim._split_calls == calls + 1
-
-
-@needs_proc
-def test_reply_is_read_when_the_caller_took_every_block(kernel, monkeypatch):
-    # the helper's byte is the only sign it is done with a request: unread,
-    # the stopped helper would start that request late, pull the next call's
-    # blocks and drift them from a buffer the next call is writing
-    rng = np.random.default_rng(53)
-    first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, *second, 1e-3, kernel)
-    helper = forked_helper(monkeypatch, kernel)
-    os.kill(helper.pid, signal.SIGSTOP)
-    os.waitpid(helper.pid, os.WUNTRACED)
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "read", resuming_read(helper))
-            mine = callers_blocks(patch)
-            drift_all(*first, 1e-3, kernel)
-        assert mine == list(range(-(-720 // microsim._block_size(260))))
-        microsim._hand_out(*second, kernel)
-    finally:
-        os.kill(helper.pid, signal.SIGCONT)
-    deadline = time.monotonic() + 60
-    while queued_blocks(helper) and time.monotonic() < deadline:
-        time.sleep(1e-4)
-    mine = callers_blocks(monkeypatch)
-    assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
-    assert mine == []  # every block of the second call came from the helper
+    # the caller took all 24 blocks and one index past them, the helper one more
+    assert handed[0].blocks == 24 and handed[0].next.value == 26
 
 
 def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
                                                                   paper_run):
-    # the control tick runs while the helper drifts: its failure must leave
-    # no queued block or reply for the next call
-    alone = one_process_run(monkeypatch, paper_run)
-    helper = forked_helper(monkeypatch, kernel)
+    # the control tick runs while the helper thread drifts: its failure must
+    # stop and join that thread, and leave nothing for the next call
+    alone = one_thread_run(monkeypatch, paper_run)
+    split_on(monkeypatch)
 
     def failing(*args):
         raise ValueError("no control field")
@@ -621,178 +610,71 @@ def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkey
         patch.setattr(microsim, "control_field", failing)
         with pytest.raises(ValueError, match="no control field"):
             run(**paper_run)
-    assert microsim._helper is None
-    with pytest.raises(ProcessLookupError):  # killed and reaped
-        os.kill(helper.pid, 0)
+    assert microsim._handed is None and not drift_threads_alive()
     shared = run(**paper_run)
-    assert shared.drift_processes == 2 and microsim._helper.pid != helper.pid
+    assert shared.drift_threads == 2
     assert np.array_equal(shared.final.targets, alone.final.targets)
 
 
-@needs_proc
-def test_helper_killed_mid_queue_is_named_then_replaced(kernel, monkeypatch):
-    rng = np.random.default_rng(51)
-    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    microsim._stop_helper()
-    caller, table_drift = os.getpid(), microsim._table_drift
-
-    def dying_in_the_helper(targets, herders, kernel, block, out, blocks):
-        if os.getpid() != caller:
-            next(blocks)  # takes a block from the queue, then dies with it
-            os.kill(os.getpid(), signal.SIGKILL)
-        table_drift(targets, herders, kernel, block, out, blocks)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(microsim, "_table_drift", dying_in_the_helper)
-        helper = forked_helper(patch, kernel)  # the fork sees the patch
-    forked_helper(monkeypatch, kernel)
-    queued = queued_blocks(helper)
-    microsim._hand_out(targets, herders, kernel)
-    full, deadline = queued_blocks(helper), time.monotonic() + 60
-    while queued_blocks(helper) == full and time.monotonic() < deadline:
-        time.sleep(1e-4)
-    assert queued == 0 and queued_blocks(helper) < full
-    with pytest.raises(RuntimeError, match=f"drift helper process {helper.pid} .*exit "
-                                           f"status -{signal.SIGKILL:d}"):
-        drift_all(targets, herders, 1e-3, kernel)
-    assert microsim._helper is None
-    calls = microsim._split_calls
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
-    assert microsim._helper.pid != helper.pid
-
-
 def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
-    # one write queues any number of blocks: here 16 391 of one target each
+    # one counter serves any number of blocks: here 16 391 of one target each,
+    # every one drifted exactly once
     for n_h in (1, 260, 9000):  # each block stays about _BLOCK_PAIRS pairs
         block = microsim._block_size(n_h)
-        assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)  # bounds the workspace
+        assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)
     assert microsim._block_size(260) == 31  # paper scale: 24 blocks of 720 targets
-    forked_helper(monkeypatch, kernel)
     rng = np.random.default_rng(52)
     n_t = 16391
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
+    split_on(monkeypatch)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
-    writes, eventfd_write = [], os.eventfd_write
-
-    def counted(fd, n):
-        writes.append(n)
-        eventfd_write(fd, n)
-
-    monkeypatch.setattr(os, "eventfd_write", counted)
-    mine = callers_blocks(monkeypatch)
-    calls = microsim._split_calls
-
-    def deadlocked(signum, frame):
-        raise TimeoutError("the drift call did not finish in 60 s")
-
-    previous = signal.signal(signal.SIGALRM, deadlocked)
-    signal.alarm(60)
-    try:
-        got = drift_all(targets, herders, 1e-3, kernel)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert np.array_equal(got, expected)
-    assert microsim._split_calls == calls + 1
-    assert writes == [n_t]
-    # the caller's blocks from the front, the helper's (the rest) from the back
-    assert mine == list(range(len(mine))) and len(mine) < n_t
+    handed = []
+    hand_out = microsim._hand_out
+    monkeypatch.setattr(microsim, "_hand_out", lambda *a: handed.append(hand_out(*a))
+                        or handed[-1])
+    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+    # the counter hands out each index once: the blocks, then one past the
+    # last to each of the two threads
+    assert handed[0].blocks == n_t and handed[0].next.value == n_t + 2
 
 
-def test_larger_call_forks_a_helper_with_room(kernel, monkeypatch):
-    # the shared buffer holds one request: a call that needs more room forks
-    # a new helper, and a smaller call keeps the running one
-    rng = np.random.default_rng(54)
-    herders = rng.uniform(-PI, PI, (260, 2))
-    calls = [rng.uniform(-PI, PI, (n_t, 2)) for n_t in (720, 5000, 720)]
-    expected = [one_process_drift(monkeypatch, t, herders, 1e-3, kernel) for t in calls]
-    microsim._stop_helper()
-    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    split, pids = microsim._split_calls, []
-    for targets, want in zip(calls, expected):
-        assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), want)
-        pids.append(microsim._helper.pid)
-    assert pids[0] != pids[1] == pids[2]
-    assert microsim._split_calls == split + 3
-
-
-def shared_mappings() -> int:
-    """Shared mappings of this process: its helper's buffer among them."""
-    with open("/proc/self/maps") as maps:
-        return sum(line.split()[1].endswith("s") for line in maps)
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 
 
 @needs_proc
 def test_growing_calls_leak_no_descriptor_or_mapping(kernel, monkeypatch):
-    # each larger call stops the running helper and forks one with room: the
-    # old helper's descriptors are closed and its buffer is unmapped
+    # the kernel is loaded once; a call of any size opens no descriptor, maps
+    # nothing and leaves no thread behind
     rng = np.random.default_rng(55)
     herders = rng.uniform(-PI, PI, (260, 2))
-    microsim._stop_helper()
-    monkeypatch.setattr(microsim, "_spare_cpu", lambda: True)
-    alone = len(os.listdir("/proc/self/fd"))
+    split_on(monkeypatch)
     drift_all(rng.uniform(-PI, PI, (100, 2)), herders, 1e-3, kernel)
-    fds, maps, pids = len(os.listdir("/proc/self/fd")), shared_mappings(), set()
-    assert fds == alone + 3  # two pipe ends and the queue
+    fds = len(os.listdir("/proc/self/fd"))
+    with open("/proc/self/maps") as maps:
+        mapped = len(maps.readlines())
+    threads = threading.active_count()
     for n_t in (200, 400, 800, 1600, 3200):
         targets = rng.uniform(-PI, PI, (n_t, 2))
-        expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
+        expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
         assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-        pids.add(microsim._helper.pid)
-    assert len(pids) == 5
     assert len(os.listdir("/proc/self/fd")) == fds
-    assert shared_mappings() == maps
+    with open("/proc/self/maps") as maps:  # allocator arenas may come and go
+        assert len(maps.readlines()) <= mapped + 4
+    assert threading.active_count() == threads
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_leaves_the_parents_helper_alone(kernel, monkeypatch):
-    rng = np.random.default_rng(47)
-    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    expected = one_process_drift(monkeypatch, targets, herders, 1e-3, kernel)
-    helper = forked_helper(monkeypatch, kernel)
-    pid = os.fork()
-    if pid == 0:  # the child must never return into pytest
-        code = 1
-        try:
-            ok = microsim._helper is None and np.array_equal(
-                drift_all(targets, herders, 1e-3, kernel), expected)
-            microsim._stop_helper()
-            code = 0 if ok else 2
-        finally:
-            os._exit(code)
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    assert microsim._helper is helper
-    calls = microsim._split_calls
-    assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
-
-
-def test_helper_does_not_outlive_its_caller(tmp_path):
-    # a paper-scale simulate, split from its first step, then checked at once:
-    # the caller reaped its helper before it exited
-    config = tmp_path / "paper.json"
-    config.write_text('{"sim": {"horizon": 0.03}}')
-    script = tmp_path / "simulate.py"
-    script.write_text(textwrap.dedent(f"""
-        from swarmherd import cli, microsim
-        microsim._spare_cpu = lambda: True
-        code = cli.main(["simulate", "--config", {str(config)!r},
-                         "--out", {str(tmp_path / "out")!r}])
-        assert code == 0
-        print(microsim._helper.pid)
-    """))
-    src = os.path.dirname(os.path.dirname(microsim.__file__))
-    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert done.returncode == 0, done.stderr
-    pid = int(done.stdout.split()[-1])
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["drift_processes"] == 2
-    with pytest.raises(ProcessLookupError):
-        os.kill(pid, 0)
+def test_helper_does_not_outlive_its_caller(kernel, monkeypatch, paper_run):
+    # every step's helper thread is joined before the step ends
+    split_on(monkeypatch)
+    threads = threading.active_count()
+    joins, join = [], threading.Thread.join
+    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joins.append(
+        self.name) or join(self, *a))
+    res = run(**paper_run)
+    assert res.drift_threads == 2
+    assert joins == ["swarmherd-drift"] * paper_run["sim"].n_steps
+    assert threading.active_count() == threads and not drift_threads_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -1038,9 +920,9 @@ def test_run_records_loop_health_per_metric(kernel, small_plan, v_max):
         assert np.all((res.clipped_share > 0) & (res.clipped_share <= 1))
 
 
-def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
+def test_run_records_its_drift_threads_and_same_bits(kernel, monkeypatch):
     # paper scale is many blocks of work: split or not, the run ends in the
-    # same state
+    # same state, and its threads account for all of its CPU time but rounding
     goal = GoalRegion(center=np.zeros(2), radius=PI / 2)
     plan = plan_herders(goal, 720, 0.01, kernel, GridSpec(15), GridSpec(32))
     kwargs = dict(
@@ -1048,26 +930,25 @@ def test_run_records_its_drift_processes_and_same_bits(kernel, monkeypatch):
         goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
         sim=SimParams(diffusion=0.01, dt=0.01, horizon=0.05, seed=6),
     )
-    with monkeypatch.context() as patch:
-        patch.setattr(microsim, "_spare_cpu", lambda: False)
-        alone = run(**kwargs)
-    forked_helper(monkeypatch, kernel)
+    alone = one_thread_run(monkeypatch, kwargs)
+    split_on(monkeypatch)
     shared = run(**kwargs)
-    assert (alone.drift_processes, shared.drift_processes) == (1, 2)
+    assert (alone.drift_threads, shared.drift_threads) == (1, 2)
     assert np.array_equal(alone.final.targets, shared.final.targets)
     assert np.array_equal(alone.chi, shared.chi)
     for res in (alone, shared):
         assert np.isfinite(res.cpu_time) and 0 <= res.cpu_time
+        assert 0 < res.thread_cpu_time <= res.cpu_time + 0.01
 
 
 def test_shared_run_wraps_each_state_once(kernel, monkeypatch, paper_run):
-    # the hand-out copies the ensemble's own arrays, wrapped when it was built:
+    # the hand-out takes the ensemble's own arrays, wrapped when it was built:
     # the initial state and each step's new one are the only wraps
-    forked_helper(monkeypatch, kernel)
+    split_on(monkeypatch)
     wraps, real = [], microsim.wrap
     monkeypatch.setattr(microsim, "wrap", lambda p: wraps.append(p.shape) or real(p))
     res = run(**paper_run)
-    assert res.drift_processes == 2
+    assert res.drift_threads == 2
     assert len(wraps) == 2 + 2 * paper_run["sim"].n_steps
 
 
