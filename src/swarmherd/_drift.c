@@ -1,15 +1,16 @@
 /* Pairwise drift of targets under herders on the periodic square [-pi, pi)^2.
  *
- * The arithmetic of swarmherd.microsim._table_drift, pair by pair: the exact
- * nearest-image term of the kernel (x / |x|) exp(-|x| / L) plus the tail of
- * the other images, read from the cubic table of microsim._tail_table with
- * the same cell, fraction and Horner grouping. The table comes cell by cell
- * (microsim._tail_rows), so one pair's 10 coefficients share two cache
- * lines; read from the table's 10 planes, the drift took 1.6 times as long.
- * Both positions must be wrapped into [-pi, pi). Built by
- * microsim._compiled_drift without -ffast-math or contraction, so every
- * operation rounds as NumPy's does; only exp (libm's) and the order of each
- * row's sum differ from NumPy.
+ * Each pair adds the exact nearest-image term of the kernel
+ * (x / |x|) exp(-|x| / L) to the tail of the other images. The image block is
+ * symmetric, so the tail of a wrapped displacement d is
+ * (sign(d_0) Q(|d_0|, |d_1|), sign(d_1) Q(|d_1|, |d_0|)), with Q read from
+ * the cubic table of microsim._tail_table: the cell (i, j) of side pi / cells
+ * holding (|d_k|, |d_other|), the fractions (u, v) in [0, 1) within it, and
+ * a Horner evaluation of the cell's 10 coefficients in the order of
+ * microsim._POWERS. The table comes cell by cell, so one pair's coefficients
+ * share two cache lines. Both positions must be wrapped into [-pi, pi).
+ * Built by microsim._compiled_drift without -ffast-math or contraction, so
+ * every operation rounds as written, on any build host.
  */
 
 #include <math.h>

@@ -11,13 +11,14 @@ error measured about 3e-10 at scale and at most 3.1e-8 for a single pair
 on the seam (L = pi).
 
 That arithmetic runs in a small C kernel, ``_drift.c``, called through
-``ctypes``, which releases the GIL for the whole call: about 27 ns per pair
-against about 50 ns for the same arithmetic in NumPy. The kernel is
-compiled on the first drift that needs it, with the C compiler Python was
-built with, and cached under ``$XDG_CACHE_HOME/swarmherd`` (else
-``~/.cache/swarmherd``). Where it cannot be built, one warning is logged and
-``_table_drift`` does the arithmetic with NumPy in one thread, over blocks
-of 8192 pairs in one reused workspace.
+``ctypes``, which releases the GIL for the whole call: about 27 ns per
+pair. The kernel is compiled on the first drift that needs it, with the C
+compiler Python was built with, and cached under
+``$XDG_CACHE_HOME/swarmherd`` (else ``~/.cache/swarmherd``). Where it cannot
+be built or loaded, one warning is logged and every drift is the image sum,
+``fast=False``'s code, in one thread: at 720 targets and 260 herders 60 to
+65 ms a call with an 18 MB traced peak, against 3 to 5 ms for the kernel on
+two threads.
 
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared between the calling thread and
@@ -27,11 +28,12 @@ whichever thread is free, with the same bits as one thread. ``run`` hands
 out each step's drift at the top of the step, so the helper thread drifts
 while the caller runs the control tick, metrics and noise draw; ``step``
 then collects it through ``drift_all``, which drifts the blocks still left
-and joins the thread. Threads help only because the kernel holds no GIL:
-over block-sized NumPy calls they gained nothing, as each short ufunc hands
-the GIL back and forth. The KDE's matrix product stays below OpenBLAS's
-threading threshold, so no idle BLAS worker spins on the core the helper
-thread needs.
+and joins the thread. A helper thread that cannot be started logs one
+warning and leaves the process drifting in one thread. Threads help only
+because the kernel holds no GIL: block-sized NumPy calls gain nothing on
+two threads, as each short ufunc hands the GIL back and forth. The KDE's
+matrix product stays below OpenBLAS's threading threshold, so no idle BLAS
+worker spins on the core the helper thread needs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import shutil
 import tempfile
 import threading
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -163,15 +164,15 @@ def uniform_targets(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Read by reports that name the drift path; there is no compiled path.
+# Kept only for perfbench, which reports it as its ``numba_drift`` field.
 NUMBA_AVAILABLE = False
 
 _TAIL_CELLS = 96  # table cells per side of the quadrant [0, pi]^2, h = pi / 96
-_BLOCK_PAIRS = 8192  # pairs per block of the fast drift; larger measured no faster
+_BLOCK_PAIRS = 8192  # pairs per block the drift's threads take from their counter
 _BUILD_ROWS = 8  # cell rows per chunk of the table build
 
 # The 10 monomials u**p v**q of total degree <= 3, grouped by p: the
-# evaluation in ``_table_drift`` relies on this order.
+# kernel's Horner evaluation in ``_drift.c`` relies on this order.
 _POWERS = np.array([(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
                     (2, 0), (2, 1), (3, 0)])
 
@@ -209,7 +210,7 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
 
     The image block is symmetric, so the tail of a wrapped displacement
     (x, y) is (sign(x) Q(|x|, |y|), sign(y) Q(|y|, |x|)), where Q is its x
-    component on the quadrant [0, pi]^2. Entry [k, i * 96 + j] is the
+    component on the quadrant [0, pi]^2. Entry [i * 96 + j, k] is the
     coefficient of the monomial u**p v**q, (p, q) = ``_POWERS[k]``, of Q in
     cell (i, j) of side pi/96, local coordinates (u, v) in [0, 1]^2. Each
     cell's 10 coefficients are the least-squares fit of the cubics of total
@@ -219,8 +220,10 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
     Every image is at least pi away from the quadrant, so Q is smooth there.
     Against Q itself the table measured 9e-10 to 5.5e-9 of max|Q| at 20 000
     random points for L = 1 to 2 pi and 1 to 3 image rings (with no rings Q
-    and the table are 0). Shape (10, 96^2), 0.74 MB, read-only; built on
-    first use per kernel, 8 cell rows at a time, in about 60 ms at 2 rings.
+    and the table are 0). Shape (96^2, 10), 0.74 MB, read-only: the kernel
+    reads each pair's 10 coefficients from one 80-byte row (from 10 planes
+    of 96^2 it took 1.6 times as long). Built on first use per kernel, 8
+    cell rows at a time, in about 60 ms at 2 rings.
     """
     cells = _TAIL_CELLS
     h = PI / cells
@@ -240,95 +243,14 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
         table[:, lo:hi] = np.einsum("kn,ijn->kij", free, q)
         if lo == 0:
             table[:, 0] = np.einsum("kn,jn->kj", odd, q[0])
-    table = table.reshape(len(_POWERS), -1)
+    table = np.ascontiguousarray(table.reshape(len(_POWERS), -1).T)
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=4)
-def _tail_rows(kernel: KernelParams) -> np.ndarray:
-    """``_tail_table`` cell by cell, shape (96^2, 10), read-only: the compiled
-    kernel reads each pair's 10 coefficients from one 80-byte row. Built
-    through the uncached table, so a process keeps one layout of it."""
-    rows = np.ascontiguousarray(_tail_table.__wrapped__(kernel).T)
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=2)
-def _workspace(block: int, n_h: int) -> np.ndarray:
-    """Flat float64 scratch for every array of a block, reused across calls:
-    16 words per pair plus 2 per target, 1.0 MB for 260 herders. A shorter
-    last block carves its views from a prefix, so each stays C-contiguous.
-    Not safe for concurrent calls."""
-    return np.empty((6 + len(_POWERS)) * block * n_h + 2 * block)
-
-
-def _table_drift(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams,
-                 block: int, out: np.ndarray, blocks: Iterable[int]) -> None:
-    """Unnormalized drift of wrapped targets under wrapped herders, into
-    ``out``, for each of ``blocks``: block j is the ``block`` targets from
-    row j * block on (fewer in the last)."""
-    table = _tail_table(kernel)
-    cells = _TAIL_CELLS
-    n_h = herders.shape[0]
-    tt = np.ascontiguousarray(targets.T)[:, :, None]
-    ht = np.ascontiguousarray(herders.T)[:, None, :]
-    ws = _workspace(block, n_h)
-    for j in blocks:
-        lo = j * block
-        n = min(block, targets.shape[0] - lo)
-        m, pair = n * n_h, (2, n, n_h)
-        # displacements (then signs), squares (then scaled |d| and fraction),
-        # flat indices (then tail values), one component's coefficient planes
-        d, sq, q = (ws[j * m:(j + 2) * m].reshape(pair) for j in (0, 2, 4))
-        flat = q.view(np.intp)
-        c = ws[6 * m:16 * m].reshape(len(_POWERS), n, n_h)
-        tail = ws[16 * m:16 * m + 2 * n].reshape(n, 2)
-        # until the first gather the planes hold r, near, cell indices, masks
-        # and the cell indices as floats
-        r, near, i, cell = c[0], c[1], c[2:4].view(np.intp), c[5:7]
-        mask = c[4].reshape(-1).view(bool)[:2 * m].reshape(pair)
-        # broadcast by copies: a ufunc would allocate iterator buffers for it
-        np.copyto(d, tt[:, lo:lo + n])
-        np.copyto(sq, ht)
-        np.subtract(d, sq, out=d)
-        # both ends lie in [-pi, pi): one exact shift wraps d as torus.wrap does
-        np.subtract(d, TWO_PI, out=d, where=np.greater_equal(d, PI, out=mask))
-        np.add(d, TWO_PI, out=d, where=np.less(d, -PI, out=mask))
-        np.multiply(d, d, out=sq)
-        np.sqrt(np.add(sq[0], sq[1], out=r), out=r)
-        # r / -L is -r / L bit for bit
-        np.exp(np.divide(r, -kernel.length, out=near), out=near)
-        np.divide(near, r, out=near, where=np.greater(r, 0.0, out=mask[0]))
-        np.einsum("cth,th->tc", d, near, out=out[lo:lo + n])
-        a = np.multiply(np.abs(d, out=sq), cells / PI, out=sq)
-        np.sign(d, out=d)
-        # a >= 0, so trunc is the integer part; float - float needs no cast
-        np.minimum(np.trunc(a, out=cell), cells - 1, out=cell)
-        frac = np.subtract(a, cell, out=a)
-        np.copyto(i, cell, casting="unsafe")
-        for k in (0, 1):  # not through i[::-1]: NumPy copies that view of a short block
-            np.add(np.multiply(i[k], cells, out=flat[k]), i[1 - k], out=flat[k])
-        # tail: component k reads Q at (|d_k|, |d_other|)
-        for k, (u, v) in enumerate(((frac[0], frac[1]), (frac[1], frac[0]))):
-            # indices are in range by construction; mode="raise" would buffer out
-            np.take(table, flat[k], axis=1, out=c, mode="clip")
-            # in place, in the order of _POWERS: Horner in v for each power
-            # of u, into c[3], c[6], c[8], then Horner in u into c[9] ...
-            for acc, lower, w in ((3, (2, 1, 0), v), (6, (5, 4), v), (8, (7,), v),
-                                  (9, (8, 6), u)):
-                for j in lower:
-                    c[acc] *= w
-                    c[acc] += c[j]
-            # ... whose last step writes Q over the spent indices flat[k]
-            np.add(np.multiply(c[9], u, out=c[9]), c[3], out=q[k])
-        out[lo:lo + n] += np.einsum("cth,cth->tc", d, q, out=tail)
-
-
 _SOURCE = Path(__file__).with_name("_drift.c")
 # no -march=native and no -ffast-math: the bits must not depend on the
-# build host's vector units, and every operation must round as NumPy's does
+# build host's vector units, so every operation rounds as written
 _CFLAGS = ("-O2", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -394,8 +316,8 @@ def _compiled_drift():
                 if cached is not None:
                     os.replace(os.path.join(directory, name), cached)
     except (OSError, subprocess.SubprocessError) as exc:
-        log.warning("compiled drift unavailable, drifting with NumPy in one thread: %s",
-                    exc)
+        log.warning("compiled drift unavailable, drifting with the image sum in one "
+                    "thread: %s", exc)
         return None
     fn = lib.drift_blocks
     fn.restype = None
@@ -426,7 +348,7 @@ class _Drift:
         targets = np.ascontiguousarray(targets, dtype=float)
         herders = np.ascontiguousarray(herders, dtype=float)
         self.targets, self.herders, self.kernel = targets, herders, kernel
-        self.table = _tail_rows(kernel)
+        self.table = _tail_table(kernel)
         block = _block_size(herders.shape[0])
         self.blocks = -(-targets.shape[0] // block)
         self.out = np.empty_like(targets)
@@ -453,6 +375,7 @@ class _Drift:
 _handed: _Drift | None = None  # the drift the helper thread is on
 _split_calls = 0  # drift calls the helper thread shared; ``run`` reports whether it did
 _helper_seconds = 0.0  # the helper threads' CPU seconds, for ``run``
+_no_helper = False  # set once a helper thread failed to start: never tried again
 
 
 def _spare_cpu() -> bool:
@@ -480,11 +403,12 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) ->
     same two arrays collects it; until then any failure must drop it
     (``_drop_hand_out``). The helper thread runs only the kernel call and a
     read of its own clock, so none of this package's traced functions runs
-    off the calling thread.
+    off the calling thread. A thread that cannot be started logs one
+    warning, and the process drifts in one thread from then on.
     """
-    global _handed
+    global _handed, _no_helper
     _drop_hand_out()
-    if herders.size == 0 or targets.size == 0:
+    if _no_helper or herders.size == 0 or targets.size == 0:
         return None
     if targets.shape[0] <= _block_size(herders.shape[0]) or not _spare_cpu():
         return None
@@ -493,20 +417,25 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) ->
         return None
     drift = _Drift(fn, targets, herders, kernel)
     drift.thread = threading.Thread(target=drift.work, name="swarmherd-drift", daemon=True)
-    drift.thread.start()
+    try:
+        drift.thread.start()
+    except RuntimeError as exc:  # "can't start new thread"
+        _no_helper = True
+        log.warning("drift helper thread unavailable, drifting in one thread: %s", exc)
+        return None
     _handed = drift
     return drift
 
 
-def _split_drift(targets: np.ndarray, herders: np.ndarray,
+def _split_drift(fn, targets: np.ndarray, herders: np.ndarray,
                  kernel: KernelParams) -> np.ndarray:
-    """Unnormalized drift of all targets, shared with the helper thread where
-    it pays.
+    """Unnormalized drift of all targets by the compiled kernel ``fn``,
+    shared with the helper thread where it pays.
 
     Collects the drift ``_hand_out`` started for these arrays, or wraps them
     and hands that out first: this thread takes blocks until none is left,
     then joins the helper. Where nothing is handed out, this thread drifts
-    every block, with the compiled kernel or, without it, ``_table_drift``.
+    every block.
     """
     global _handed, _split_calls, _helper_seconds
     drift = _handed
@@ -514,16 +443,9 @@ def _split_drift(targets: np.ndarray, herders: np.ndarray,
         targets, herders = wrap(targets), wrap(herders)
         drift = _hand_out(targets, herders, kernel)
     if drift is None:
-        fn = _compiled_drift()
-        if fn is not None:
-            drift = _Drift(fn, targets, herders, kernel)
-            drift.call()
-            return drift.out
-        out = np.empty_like(targets)
-        block = _block_size(herders.shape[0])
-        _table_drift(targets, herders, kernel, block, out,
-                     range(-(-targets.shape[0] // block)))
-        return out
+        drift = _Drift(fn, targets, herders, kernel)
+        drift.call()
+        return drift.out
     try:
         drift.call()
         drift.thread.join()
@@ -540,26 +462,25 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
               kernel: KernelParams, fast: bool = True) -> np.ndarray:
     """Drift of every target under every herder, shape (n_t, 2).
 
-    The fast path works on blocks of about 8192 target-herder pairs. It
-    adds the exact nearest-image term to the other images' tail, read from
-    the table of ``_tail_table``: per cell a least-squares cubic of total
-    degree <= 3 (10 coefficients) fitted at 4 x 4 Chebyshev nodes, 96^2
-    cells of side pi/96, 0.74 MB, built on first use per kernel and cached.
-    Against the image sum its max-norm relative error measured 4e-12 to
-    3e-10 for 720 targets and 260 herders, L = 0.3 to 2 pi and 1 to 3 image
-    rings (1e-15 with none), and at most 3.1e-8 for a single pair over
-    40 000 pairs on the seam and near the axes (L = pi); both are far below
-    the kernel's own image-truncation error.
+    The fast path adds the exact nearest-image term to the other images'
+    tail, read from the table of ``_tail_table``: per cell a least-squares
+    cubic of total degree <= 3 (10 coefficients) fitted at 4 x 4 Chebyshev
+    nodes, 96^2 cells of side pi/96, 0.74 MB, built on first use per kernel
+    and cached. Against the image sum its max-norm relative error measured
+    4e-12 to 3e-10 for 720 targets and 260 herders, L = 0.3 to 2 pi and 1 to
+    3 image rings (1e-15 with none), and at most 3.1e-8 for a single pair
+    over 40 000 pairs on the seam and near the axes (L = pi); both are far
+    below the kernel's own image-truncation error. It runs in the compiled
+    kernel, over blocks of about 8192 target-herder pairs, and allocates
+    nothing: a warm call at 720 x 260 traces only its result and wrapped
+    inputs. Each target's row is summed over the herders in index order and
+    depends on no other target, so the result is the same bits for every
+    block size and whichever thread drifts which block. It is odd: negating
+    every position negates its drift bit for bit, except on the seam.
+
     ``fast=False`` is the plain vectorized image sum, the fast path's
-    reference. Both are deterministic, and the fast path is odd: negating
-    every position negates its drift bit for bit, except on the seam. The
-    compiled kernel allocates nothing; without it, a block's arrays are
-    views of one kept workspace (``_workspace``, 1.0 MB at 260 herders)
-    written through ``out=``. Either way a warm call at 720 x 260 makes no
-    per-block temporaries. Each target's row depends on no other target, so
-    the result is the same bits for every block size and whichever thread
-    drifts which block; the compiled kernel and ``_table_drift`` differ by
-    rounding only (at most 9e-15 relative measured).
+    reference. Where the kernel cannot be built or loaded, ``fast=True``
+    returns the image sum too, after one warning. Both are deterministic.
 
     Where the drift is shared, this thread and the helper thread take its
     blocks from one counter until none is left (``_split_drift``). ``run``
@@ -570,8 +491,9 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     herders = np.ascontiguousarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
-    if fast:
-        return alpha * _split_drift(targets, herders, kernel)
+    fn = _compiled_drift() if fast else None
+    if fn is not None:
+        return alpha * _split_drift(fn, targets, herders, kernel)
     disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
     return alpha * kernel_periodic(disp, kernel).sum(axis=1)
 

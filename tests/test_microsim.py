@@ -178,7 +178,7 @@ def test_tail_table_matches_image_tail(length, images):
     scaled = points * (cells / PI)
     cell = np.minimum(scaled.astype(int), cells - 1)
     u, v = scaled - cell
-    coeffs = table[:, cell[0] * cells + cell[1]]
+    coeffs = table[cell[0] * cells + cell[1]].T
     got = sum(c * u**p * v**q for c, (p, q) in zip(coeffs, microsim._POWERS))
     assert np.all(got[:200] == 0.0)
     expected = image_tail(*points, kernel)
@@ -218,15 +218,12 @@ def test_fast_drift_any_target_count(kernel, n_targets):
 
 
 def test_fast_drift_buffer_reuse_leaks_no_state(kernel):
-    # the workspace is shared by calls of one block shape, and a shorter
-    # last block (721 = 23 * 31 + 8 targets) carves its views from a prefix
+    # calls of other shapes, in any order, leave each call's bits alone; the
+    # last block of 721 = 23 * 31 + 8 targets is a short one
     rng = np.random.default_rng(38)
     cases = [(rng.uniform(-PI, PI, (nt, 2)), rng.uniform(-PI, PI, (nh, 2)))
              for nt, nh in [(15, 260), (721, 260), (40, 7)]]
-    first = []
-    for targets, herders in cases:
-        microsim._workspace.cache_clear()
-        first.append(drift_all(targets, herders, 1e-3, kernel))
+    first = [drift_all(targets, herders, 1e-3, kernel) for targets, herders in cases]
     for order in itertools.permutations(range(len(cases))):
         for idx in order:
             again = drift_all(*cases[idx], 1e-3, kernel)
@@ -287,28 +284,6 @@ def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
     assert peak <= 80 * 1024, peak
 
 
-def test_short_last_block_makes_no_temporaries(kernel):
-    # the 7-target last block of 720 x 260 carves its arrays from a prefix of
-    # the workspace and traces no more than a full block (the transposed
-    # inputs); a ufunc over a reversed view of so short a block copies it
-    rng = np.random.default_rng(41)
-    targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    block = microsim._block_size(260)
-    last = 720 // block
-    assert 0 < 720 - last * block < block
-    out = np.empty_like(targets)
-    microsim._table_drift(targets, herders, kernel, block, out, [0])  # warm
-    peaks = []
-    for j in (0, last):
-        tracemalloc.start()
-        try:
-            microsim._table_drift(targets, herders, kernel, block, out, [j])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2 * 1024, peaks
-
-
 # ---------------------------------------------------------------------------
 # the compiled kernel and the helper thread
 # ---------------------------------------------------------------------------
@@ -355,22 +330,18 @@ def split_cases():
 
 
 @pytest.mark.parametrize("case", list(split_cases()) + ["720 x 260"])
-def test_compiled_drift_matches_table_drift(kernel, monkeypatch, case):
-    # the same arithmetic; only libm's exp and the order of each row's sum
-    # differ from NumPy's (measured at most 9e-15)
+def test_compiled_drift_matches_the_reference(kernel, monkeypatch, case):
+    # the kernel against the image sum, on one thread and on two
     assert microsim._compiled_drift() is not None
     rng = np.random.default_rng(56)
     targets, herders = (split_cases()[case] if case in split_cases()
                         else (rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))))
-    targets, herders = wrap(targets), wrap(herders)
-    block = microsim._block_size(len(herders))
-    numpy_rows = np.empty_like(targets)
-    microsim._table_drift(targets, herders, kernel, block, numpy_rows,
-                          range(-(-len(targets) // block)))
+    shared = len(targets) > microsim._block_size(len(herders))
     for split in (False, True):
         monkeypatch.setattr(microsim, "_spare_cpu", lambda: split)
-        compiled = drift_all(targets, herders, 1.0, kernel)
-        assert np.abs(compiled - numpy_rows).max() <= 1e-13 * np.abs(numpy_rows).max()
+        calls = microsim._split_calls
+        assert_fast_close(targets, herders, kernel)
+        assert microsim._split_calls - calls == (split and shared)
 
 
 @pytest.mark.parametrize("case", list(split_cases()))
@@ -398,15 +369,13 @@ def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
         assert microsim._split_calls == calls + 1
 
 
-def test_failed_build_warns_once_and_drifts_with_numpy(kernel, monkeypatch, caplog,
-                                                       tmp_path):
+def test_failed_build_warns_once_and_drifts_with_the_reference(kernel, monkeypatch, caplog,
+                                                               tmp_path):
     # the kernel only saves time: a build that fails warns once, is never
-    # retried, and leaves every call to NumPy in one thread
+    # retried, and leaves every call to the image sum in one thread
     rng = np.random.default_rng(48)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
-    block = microsim._block_size(260)
-    expected = np.empty_like(targets)
-    microsim._table_drift(targets, herders, kernel, block, expected, range(-(-720 // block)))
+    expected = drift_all(targets, herders, 1e-3, kernel, fast=False)
     builds = []
 
     def failing(directory, name):
@@ -421,12 +390,12 @@ def test_failed_build_warns_once_and_drifts_with_numpy(kernel, monkeypatch, capl
     try:
         with caplog.at_level(logging.WARNING, logger="swarmherd"):
             for _ in range(3):
-                got = drift_all(targets, herders, 1e-3, kernel)
-                assert np.array_equal(got, 1e-3 * expected)
-            assert_fast_close(targets, herders, kernel)
+                assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
+            assert microsim._hand_out(wrap(targets), wrap(herders), kernel) is None
     finally:
         microsim._compiled_drift.cache_clear()
     assert len(builds) == 1 and microsim._split_calls == calls
+    assert microsim._handed is None and not drift_threads_alive()
     warnings = [r for r in caplog.records if "compiled drift unavailable" in r.message]
     assert len(warnings) == 1 and "no compiler here" in warnings[0].message
 
@@ -614,6 +583,31 @@ def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkey
     shared = run(**paper_run)
     assert shared.drift_threads == 2
     assert np.array_equal(shared.final.targets, alone.final.targets)
+
+
+def test_helper_thread_that_cannot_start_leaves_one_thread(kernel, monkeypatch, paper_run,
+                                                           caplog):
+    # a thread that fails to start warns once, is never tried again, and
+    # leaves the run on the calling thread, with the same bits
+    alone = one_thread_run(monkeypatch, paper_run)
+    split_on(monkeypatch)
+    monkeypatch.setattr(microsim, "_no_helper", False)
+    starts = []
+
+    def failing(self):
+        starts.append(self.name)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", failing)
+    with caplog.at_level(logging.WARNING, logger="swarmherd"):
+        res = run(**paper_run)
+    assert starts == ["swarmherd-drift"]
+    assert res.drift_threads == 1
+    assert np.array_equal(res.final.targets, alone.final.targets)
+    assert np.array_equal(res.chi, alone.chi)
+    assert microsim._handed is None and not drift_threads_alive()
+    warnings = [r for r in caplog.records if "helper thread unavailable" in r.message]
+    assert len(warnings) == 1 and "can't start new thread" in warnings[0].message
 
 
 def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
