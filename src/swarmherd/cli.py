@@ -115,10 +115,12 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
     scale = ArenaMap(arena).scale if arena is not None else 1.0
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config, seed)
+    plan_start = time.perf_counter()
     try:
         plan = _plan(config)
     except InfeasibleError as exc:
         return _infeasible(out, meta, exc)
+    plan_s = time.perf_counter() - plan_start
 
     result = run(
         n_targets=plan.n_targets,
@@ -155,7 +157,8 @@ def cmd_simulate(config: ExperimentConfig, out: Path, seed: int | None = None,
         cpu_time_s=result.cpu_time,
         thread_cpu_time_s=result.thread_cpu_time,
         drift_threads=result.drift_threads,
-        stage_seconds=dict(result.stage_seconds, write=write_s),
+        drift_lanes=result.drift_lanes,
+        stage_seconds=dict(result.stage_seconds, plan=plan_s, write=write_s),
         removed_mean_max_abs=_max_or_none(np.abs(result.removed_mean)),
         peak_speed_max=_max_or_none(result.peak_speed),
         clipped_share_max=_max_or_none(result.clipped_share),

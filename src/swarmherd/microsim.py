@@ -11,14 +11,22 @@ error measured about 3e-10 at scale and at most 3.1e-8 for a single pair
 on the seam (L = pi).
 
 That arithmetic runs in a small C kernel, ``_drift.c``, called through
-``ctypes``, which releases the GIL for the whole call: about 27 ns per
-pair. The kernel is compiled on the first drift that needs it, with the C
+``ctypes``, which releases the GIL for the whole call. Its exponential is
+its own, from add, sub and mul only (within 1 ulp of ``math.exp`` as
+measured), so the drift's bits do not depend on the host's libm. On an
+x86-64 CPU with AVX2 it drifts four targets of a block at once, one per
+vector lane: 15 to 16 ns per pair on one thread, against 35 to 38 ns for
+one target at a time, which other CPUs and a block's last 1 to 3 targets
+run. Each lane performs the one-target row's operations in the same order,
+so the bits depend neither on the vector width nor on the block size, and
+blocks hold whole groups of 4 targets wherever their pair budget allows.
+The kernel is compiled on the first drift that needs it, with the C
 compiler Python was built with, and cached under
 ``$XDG_CACHE_HOME/swarmherd`` (else ``~/.cache/swarmherd``). Where it cannot
 be built or loaded, one warning is logged and every drift is the image sum,
 ``fast=False``'s code, in one thread: at 720 targets and 260 herders 60 to
-65 ms a call with an 18 MB traced peak, against 3 to 5 ms for the kernel on
-two threads.
+65 ms a call with an 18 MB traced peak, against 1.7 to 2.3 ms for the
+kernel on two threads.
 
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared between the calling thread and
@@ -169,6 +177,7 @@ NUMBA_AVAILABLE = False
 
 _TAIL_CELLS = 96  # table cells per side of the quadrant [0, pi]^2, h = pi / 96
 _BLOCK_PAIRS = 8192  # pairs per block the drift's threads take from their counter
+_LANES = 4  # targets per lane group of the kernel's AVX2 function
 _BUILD_ROWS = 8  # cell rows per chunk of the table build
 
 # The 10 monomials u**p v**q of total degree <= 3, grouped by p: the
@@ -249,8 +258,10 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
 
 
 _SOURCE = Path(__file__).with_name("_drift.c")
-# no -march=native and no -ffast-math: the bits must not depend on the
-# build host's vector units, so every operation rounds as written
+# no -march and no -ffast-math: every operation rounds as written, on any
+# build host. The AVX2 lanes are one function compiled for AVX2 by its own
+# attribute and chosen at run time, and they round each lane as the scalar
+# row does, so the bits do not depend on the host's vector units either.
 _CFLAGS = ("-O2", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -285,8 +296,9 @@ def _cache_dir() -> str:
 
 @lru_cache(maxsize=None)
 def _compiled_drift():
-    """The kernel's ``drift_blocks`` through ``ctypes``; None, with one
-    warning, where it cannot be built or loaded.
+    """The kernel library through ``ctypes``, its ``drift_blocks``,
+    ``drift_lanes`` and ``drift_exp`` declared; None, with one warning, where
+    it cannot be built or loaded.
 
     Built on the first drift that needs it, never at import or in the plan.
     The library's name is keyed by a hash of the source, the compiler and
@@ -319,17 +331,23 @@ def _compiled_drift():
         log.warning("compiled drift unavailable, drifting with the image sum in one "
                     "thread: %s", exc)
         return None
-    fn = lib.drift_blocks
-    fn.restype = None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                   ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_void_p)
-    return fn
+    lib.drift_blocks.restype = None
+    lib.drift_blocks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                 ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
+                                 ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                                 ctypes.c_void_p)
+    lib.drift_lanes.restype = ctypes.c_int
+    lib.drift_lanes.argtypes = ()
+    lib.drift_exp.restype = None
+    lib.drift_exp.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    return lib
 
 
 def _block_size(n_h: int) -> int:
-    """Targets per block: about ``_BLOCK_PAIRS`` pairs."""
-    return max(1, _BLOCK_PAIRS // n_h)
+    """Targets per block: about ``_BLOCK_PAIRS`` pairs, in whole groups of
+    ``_LANES`` targets wherever that budget holds one."""
+    block = max(1, _BLOCK_PAIRS // n_h)
+    return block - block % _LANES if block >= _LANES else block
 
 
 class _Drift:
@@ -338,11 +356,12 @@ class _Drift:
 
     ``call`` drifts blocks until none is left, in whichever thread runs it;
     ``work`` does so in the helper thread and then reads that thread's CPU
-    time. The arrays, the table and the rows are held here for as long as
-    any thread may read or write them.
+    time. ``lanes`` is the kernel's ``drift_lanes()`` where a block holds a
+    whole lane group, else 1. The arrays, the table and the rows are held
+    here for as long as any thread may read or write them.
     """
 
-    def __init__(self, fn, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams):
+    def __init__(self, lib, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams):
         import ctypes
 
         targets = np.ascontiguousarray(targets, dtype=float)
@@ -356,7 +375,8 @@ class _Drift:
         self.args = (targets.ctypes.data, targets.shape[0], herders.ctypes.data,
                      herders.shape[0], kernel.length, self.table.ctypes.data, _TAIL_CELLS,
                      block, ctypes.addressof(self.next), self.out.ctypes.data)
-        self.fn = fn
+        self.fn = lib.drift_blocks
+        self.lanes = lib.drift_lanes() if min(block, targets.shape[0]) >= _LANES else 1
         self.thread: threading.Thread | None = None
         self.cpu = 0.0  # the helper thread's CPU seconds
 
@@ -374,6 +394,7 @@ class _Drift:
 
 _handed: _Drift | None = None  # the drift the helper thread is on
 _split_calls = 0  # drift calls the helper thread shared; ``run`` reports whether it did
+_lane_calls = 0  # drift calls that ran AVX2 lane groups; ``run`` reports whether one did
 _helper_seconds = 0.0  # the helper threads' CPU seconds, for ``run``
 _no_helper = False  # set once a helper thread failed to start: never tried again
 
@@ -412,10 +433,10 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) ->
         return None
     if targets.shape[0] <= _block_size(herders.shape[0]) or not _spare_cpu():
         return None
-    fn = _compiled_drift()
-    if fn is None:
+    lib = _compiled_drift()
+    if lib is None:
         return None
-    drift = _Drift(fn, targets, herders, kernel)
+    drift = _Drift(lib, targets, herders, kernel)
     drift.thread = threading.Thread(target=drift.work, name="swarmherd-drift", daemon=True)
     try:
         drift.thread.start()
@@ -427,9 +448,9 @@ def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) ->
     return drift
 
 
-def _split_drift(fn, targets: np.ndarray, herders: np.ndarray,
+def _split_drift(lib, targets: np.ndarray, herders: np.ndarray,
                  kernel: KernelParams) -> np.ndarray:
-    """Unnormalized drift of all targets by the compiled kernel ``fn``,
+    """Unnormalized drift of all targets by the compiled kernel ``lib``,
     shared with the helper thread where it pays.
 
     Collects the drift ``_hand_out`` started for these arrays, or wraps them
@@ -437,24 +458,25 @@ def _split_drift(fn, targets: np.ndarray, herders: np.ndarray,
     then joins the helper. Where nothing is handed out, this thread drifts
     every block.
     """
-    global _handed, _split_calls, _helper_seconds
+    global _handed, _split_calls, _lane_calls, _helper_seconds
     drift = _handed
     if drift is None or not drift.holds(targets, herders, kernel):
         targets, herders = wrap(targets), wrap(herders)
         drift = _hand_out(targets, herders, kernel)
     if drift is None:
-        drift = _Drift(fn, targets, herders, kernel)
+        drift = _Drift(lib, targets, herders, kernel)
         drift.call()
-        return drift.out
-    try:
-        drift.call()
-        drift.thread.join()
-    except BaseException:
-        _drop_hand_out()
-        raise
-    _handed = None
-    _split_calls += 1
-    _helper_seconds += drift.cpu
+    else:
+        try:
+            drift.call()
+            drift.thread.join()
+        except BaseException:
+            _drop_hand_out()
+            raise
+        _handed = None
+        _split_calls += 1
+        _helper_seconds += drift.cpu
+    _lane_calls += drift.lanes > 1
     return drift.out
 
 
@@ -471,12 +493,16 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     3 image rings (1e-15 with none), and at most 3.1e-8 for a single pair
     over 40 000 pairs on the seam and near the axes (L = pi); both are far
     below the kernel's own image-truncation error. It runs in the compiled
-    kernel, over blocks of about 8192 target-herder pairs, and allocates
-    nothing: a warm call at 720 x 260 traces only its result and wrapped
-    inputs. Each target's row is summed over the herders in index order and
-    depends on no other target, so the result is the same bits for every
-    block size and whichever thread drifts which block. It is odd: negating
-    every position negates its drift bit for bit, except on the seam.
+    kernel, over blocks of about 8192 target-herder pairs in whole groups of
+    4 targets, which an x86-64 CPU with AVX2 drifts one target per vector
+    lane, and allocates nothing: a warm call at 720 x 260 traces only its
+    result and wrapped inputs. Each target's row is summed over the herders
+    in index order, by the same operations in a lane as alone, with the
+    kernel's own exp in place of libm's, and depends on no other target, so
+    the result is the same bits for every block size, with or without the
+    lanes, on any libm, and whichever thread drifts which block. It is odd:
+    negating every position negates its drift bit for bit, except on the
+    seam.
 
     ``fast=False`` is the plain vectorized image sum, the fast path's
     reference. Where the kernel cannot be built or loaded, ``fast=True``
@@ -491,9 +517,9 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     herders = np.ascontiguousarray(herders, dtype=float)
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
-    fn = _compiled_drift() if fast else None
-    if fn is not None:
-        return alpha * _split_drift(fn, targets, herders, kernel)
+    lib = _compiled_drift() if fast else None
+    if lib is not None:
+        return alpha * _split_drift(lib, targets, herders, kernel)
     disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
     return alpha * kernel_periodic(disp, kernel).sum(axis=1)
 
@@ -563,6 +589,7 @@ class SimulationResult:
     cpu_time: float  # this process's CPU seconds over the run, every thread's
     thread_cpu_time: float  # the CPU seconds of run's own thread and its helper threads
     drift_threads: int  # 2 if any step's drift was handed to a helper thread, else 1
+    drift_lanes: int  # 4 if any step's drift ran the kernel's AVX2 lane groups, else 1
     # seconds per stage: kde, control (herder_error, control_field), sampling
     # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
@@ -604,7 +631,8 @@ def run(
     ``time.thread_time`` of the calling thread and of the drift's helper
     threads: well above it, ``cpu_time`` shows some other thread spinning,
     such as an idle BLAS worker. ``drift_threads`` is 2 if any step's drift
-    was handed to a helper thread.
+    was handed to a helper thread, and ``drift_lanes`` 4 if any step's
+    drift ran four targets per AVX2 lane group (1 without the kernel).
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """
@@ -616,6 +644,7 @@ def run(
                          "an integer >= 0 steps")
     t_start, cpu_start = time.perf_counter(), time.process_time()
     thread_start, split_start, helper_start = time.thread_time(), _split_calls, _helper_seconds
+    lane_start = _lane_calls
     grid = rho_bar_h.grid
     herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
@@ -706,5 +735,6 @@ def run(
         cpu_time=time.process_time() - cpu_start,
         thread_cpu_time=time.thread_time() - thread_start + _helper_seconds - helper_start,
         drift_threads=2 if _split_calls > split_start else 1,
+        drift_lanes=_LANES if _lane_calls > lane_start else 1,
         stage_seconds=stage_seconds,
     )

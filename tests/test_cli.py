@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import swarmherd
+from swarmherd import microsim
 from swarmherd.cli import main
 from swarmherd.config import ExperimentConfig
 from swarmherd.fileio import read_field, read_trajectory
@@ -87,12 +88,13 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
     assert isinstance(summary["rate_certified"], bool)
     stages = summary["stage_seconds"]
     run_stages = ("kde", "control", "sampling", "step", "metrics")
-    assert set(stages) == {*run_stages, "write"}
+    assert set(stages) == {*run_stages, "plan", "write"}
     assert all(math.isfinite(v) and v >= 0 for v in stages.values())
     assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
     assert math.isfinite(summary["cpu_time_s"]) and summary["cpu_time_s"] >= 0
     assert 0 <= summary["thread_cpu_time_s"] <= summary["cpu_time_s"] + 0.01
     assert summary["drift_threads"] == 1  # 40 targets are one block of work
+    assert summary["drift_lanes"] == microsim._compiled_drift().drift_lanes()
     assert summary["removed_mean_max_abs"] < 1e-14
     assert summary["peak_speed_max"] > 0
     assert summary["clipped_share_max"] == 0.0  # no speed limit

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -219,7 +220,7 @@ def test_fast_drift_any_target_count(kernel, n_targets):
 
 def test_fast_drift_buffer_reuse_leaks_no_state(kernel):
     # calls of other shapes, in any order, leave each call's bits alone; the
-    # last block of 721 = 23 * 31 + 8 targets is a short one
+    # last block of 721 = 25 * 28 + 21 targets is a short one
     rng = np.random.default_rng(38)
     cases = [(rng.uniform(-PI, PI, (nt, 2)), rng.uniform(-PI, PI, (nh, 2)))
              for nt, nh in [(15, 260), (721, 260), (40, 7)]]
@@ -237,8 +238,12 @@ def test_fast_drift_same_bits_for_every_block_size(kernel, monkeypatch, n_h):
     targets = np.vstack([herders[:3], [[-PI, -PI], [-PI, 0.0]],
                          rng.uniform(-PI, PI, (721 - min(n_h, 3) - 2, 2))])
     expected = drift_all(targets, herders, 1e-3, kernel)
-    # one pair, one target, the old and the current default, one block for all
-    for pairs in (1, n_h, 4096, 8192, 721 * n_h):
+    # one pair; blocks of 1 to 3 targets, scalar rows only (the bits of a CPU
+    # without AVX2), and of 4, 8 and 32, in lane groups where the CPU has
+    # AVX2, 721 = 22 * 32 + 17 of them ending in a partial group; the old and
+    # the current default; one block for all
+    for pairs in (1, n_h, 2 * n_h, 3 * n_h, 4 * n_h, 8 * n_h, 32 * n_h, 4096, 8192,
+                  721 * n_h):
         monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
         assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected), pairs
 
@@ -247,7 +252,7 @@ def test_fast_drift_row_equals_single_target_call(kernel):
     rng = np.random.default_rng(40)
     targets, herders = rng.uniform(-PI, PI, (721, 2)), rng.uniform(-PI, PI, (260, 2))
     full = drift_all(targets, herders, 1e-3, kernel)
-    block = microsim._BLOCK_PAIRS // 260
+    block = microsim._block_size(260)
     rows = {0, 720} | {j * block + o for j in (1, 2, 720 // block) for o in (-1, 0, 1)}
     for k in sorted(rows):
         one = drift_all(targets[k:k + 1], herders, 1e-3, kernel)
@@ -311,8 +316,8 @@ def split_cases():
     clustered = wrap(np.array([3.0, -3.0]) + 1e-3 * rng.standard_normal((260, 2)))
     seam = np.array([[-PI, -PI], [-PI, 0.0], [0.0, -PI], [-PI, 1.5]])
     return {
-        "one block": (uniform(31), herders),
-        "two blocks": (uniform(62), herders),
+        "one block": (uniform(28), herders),
+        "two blocks": (uniform(56), herders),
         "721 x 260": (uniform(721), herders),
         "1 herder": (uniform(721), uniform(1)),
         "7 herders": (uniform(721), uniform(7)),
@@ -351,7 +356,7 @@ def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
     split_on(monkeypatch)
     calls = microsim._split_calls
     got = drift_all(targets, herders, 1e-3, kernel)
-    block = max(1, microsim._BLOCK_PAIRS // len(herders))
+    block = microsim._block_size(len(herders))
     assert microsim._split_calls - calls == (len(targets) > block)
     assert np.array_equal(got, expected)
 
@@ -561,8 +566,8 @@ def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
     calls = microsim._split_calls
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
     assert microsim._split_calls == calls + 1
-    # the caller took all 24 blocks and one index past them, the helper one more
-    assert handed[0].blocks == 24 and handed[0].next.value == 26
+    # the caller took all 26 blocks and one index past them, the helper one more
+    assert handed[0].blocks == 26 and handed[0].next.value == 28
 
 
 def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
@@ -616,7 +621,10 @@ def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
     for n_h in (1, 260, 9000):  # each block stays about _BLOCK_PAIRS pairs
         block = microsim._block_size(n_h)
         assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)
-    assert microsim._block_size(260) == 31  # paper scale: 24 blocks of 720 targets
+    assert microsim._block_size(260) == 28  # paper scale: 26 blocks of 720 targets
+    # whole lane groups where the budget holds one, down to one target
+    assert [microsim._block_size(n_h) for n_h in (8192, 4096, 2730, 2048, 1366)] == \
+        [1, 2, 3, 4, 4]
     rng = np.random.default_rng(52)
     n_t = 16391
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
@@ -928,11 +936,63 @@ def test_run_records_its_drift_threads_and_same_bits(kernel, monkeypatch):
     split_on(monkeypatch)
     shared = run(**kwargs)
     assert (alone.drift_threads, shared.drift_threads) == (1, 2)
+    lanes = microsim._compiled_drift().drift_lanes()
+    assert alone.drift_lanes == shared.drift_lanes == lanes
     assert np.array_equal(alone.final.targets, shared.final.targets)
     assert np.array_equal(alone.chi, shared.chi)
     for res in (alone, shared):
         assert np.isfinite(res.cpu_time) and 0 <= res.cpu_time
         assert 0 < res.thread_cpu_time <= res.cpu_time + 0.01
+
+
+def test_run_records_its_drift_lanes(kernel, monkeypatch, paper_run):
+    # 4 where the CPU has AVX2 and a step's blocks hold whole lane groups; 1
+    # where blocks hold fewer than 4 targets or the kernel is missing
+    lanes = microsim._compiled_drift().drift_lanes()
+    assert lanes == (4 if "avx2" in cpu_flags() else 1)
+    assert run(**paper_run).drift_lanes == lanes
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_BLOCK_PAIRS", 3 * paper_run["n_herders"])
+        assert microsim._block_size(paper_run["n_herders"]) == 3
+        assert run(**paper_run).drift_lanes == 1
+    monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
+    one_step = dict(paper_run, sim=SimParams(dt=0.01, horizon=0.01, seed=8))
+    assert run(**one_step).drift_lanes == 1
+
+
+def cpu_flags() -> set[str]:
+    """The flags /proc/cpuinfo lists for the first CPU; empty without it."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def kernel_exp(x):
+    """The kernel's own exp(-x), element by element."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty_like(x)
+    microsim._compiled_drift().drift_exp(x.ctypes.data, x.size, out.ctypes.data)
+    return out
+
+
+def test_kernel_exp_within_2_ulp_of_math_exp():
+    # the drift's exp is the kernel's own, from add, sub and mul only
+    rng = np.random.default_rng(57)
+    x = np.concatenate([rng.uniform(0.0, 708.0, 900_000), rng.uniform(0.0, 5.0, 100_000)])
+    x[:4] = (0.0, 708.0, 5e-324, 1e-300)
+    got = kernel_exp(x)
+    expected = np.array([math.exp(-v) for v in x])
+    assert got[0] == 1.0
+    assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
+    # beyond 708 exp(-x) underflows towards 0: finite and nonnegative there
+    beyond = kernel_exp([np.nextafter(708.0, np.inf), 708.4, 709.0, 745.2, 746.0,
+                         1e300, np.inf])
+    assert np.all(np.isfinite(beyond) & (beyond >= 0) & (beyond < 3.4e-308))
 
 
 def test_shared_run_wraps_each_state_once(kernel, monkeypatch, paper_run):
