@@ -13,13 +13,15 @@ on the seam (L = pi).
 That arithmetic runs in a small C kernel, ``_drift.c``, called through
 ``ctypes``, which releases the GIL for the whole call. Its exponential is
 its own, from add, sub and mul only (within 1 ulp of ``math.exp`` as
-measured), so the drift's bits do not depend on the host's libm. On an
-x86-64 CPU with AVX2 it drifts four targets of a block at once, one per
-vector lane: 15 to 16 ns per pair on one thread, against 35 to 38 ns for
-one target at a time, which other CPUs and a block's last 1 to 3 targets
-run. Each lane performs the one-target row's operations in the same order,
-so the bits depend neither on the vector width nor on the block size, and
-blocks hold whole groups of 4 targets wherever their pair budget allows.
+measured), so the drift's bits do not depend on the host's libm. The kernel
+is one source, the drift of four targets at once, one per vector lane, each
+lane's 10 table coefficients loaded as one row and transposed with the
+other lanes'. It is compiled for the baseline ISA and for AVX2, which an
+x86-64 CPU with AVX2 runs: about 11 ns per pair on one thread, against 18
+for the baseline build. Blocks hold whole groups of 4 targets; a call's
+last 1 to 3 run as one group with the last repeated. Every lane performs
+the same operations in the same order, so the bits depend neither on the
+build nor on the block size.
 The kernel is compiled on the first drift that needs it, with the C
 compiler Python was built with, and cached under
 ``$XDG_CACHE_HOME/swarmherd`` (else ``~/.cache/swarmherd``). Where it cannot
@@ -177,7 +179,7 @@ NUMBA_AVAILABLE = False
 
 _TAIL_CELLS = 96  # table cells per side of the quadrant [0, pi]^2, h = pi / 96
 _BLOCK_PAIRS = 8192  # pairs per block the drift's threads take from their counter
-_LANES = 4  # targets per lane group of the kernel's AVX2 function
+_LANES = 4  # targets per group of the kernel, one per vector lane
 _BUILD_ROWS = 8  # cell rows per chunk of the table build
 
 # The 10 monomials u**p v**q of total degree <= 3, grouped by p: the
@@ -259,9 +261,9 @@ def _tail_table(kernel: KernelParams) -> np.ndarray:
 
 _SOURCE = Path(__file__).with_name("_drift.c")
 # no -march and no -ffast-math: every operation rounds as written, on any
-# build host. The AVX2 lanes are one function compiled for AVX2 by its own
-# attribute and chosen at run time, and they round each lane as the scalar
-# row does, so the bits do not depend on the host's vector units either.
+# build host. The kernel's one vector source is compiled for the baseline
+# ISA and, by a target attribute, for AVX2, chosen at run time; both round
+# each lane alike, so the bits do not depend on the host's vector units.
 _CFLAGS = ("-O2", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -301,18 +303,21 @@ def _compiled_drift():
     it cannot be built or loaded.
 
     Built on the first drift that needs it, never at import or in the plan.
-    The library's name is keyed by a hash of the source, the compiler and
-    the flags. It is built in a temporary directory and loaded from there,
-    then moved into the cache directory where that is writable, so later
-    processes load it without building.
+    The library's name is keyed by a hash of the source, the compiler, the
+    flags and the platform, so hosts of two architectures can share one
+    cache directory. It is built in a temporary directory and loaded from
+    there, then moved into the cache directory where that is writable, so
+    later processes load it without building.
     """
     import ctypes
     import hashlib
     import subprocess
+    import sysconfig
 
     cc, cache = _compiler(), _cache_dir()
     try:
-        key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join([*cc, *_CFLAGS]).encode())
+        words = [*cc, *_CFLAGS, sysconfig.get_platform()]
+        key = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(words).encode())
         name = f"_drift-{key.hexdigest()[:16]}.so"
         cached = os.path.join(cache, name)
         if os.path.exists(cached):
@@ -345,9 +350,8 @@ def _compiled_drift():
 
 def _block_size(n_h: int) -> int:
     """Targets per block: about ``_BLOCK_PAIRS`` pairs, in whole groups of
-    ``_LANES`` targets wherever that budget holds one."""
-    block = max(1, _BLOCK_PAIRS // n_h)
-    return block - block % _LANES if block >= _LANES else block
+    ``_LANES`` targets, at least one group."""
+    return _LANES * max(1, _BLOCK_PAIRS // (_LANES * n_h))
 
 
 class _Drift:
@@ -356,9 +360,8 @@ class _Drift:
 
     ``call`` drifts blocks until none is left, in whichever thread runs it;
     ``work`` does so in the helper thread and then reads that thread's CPU
-    time. ``lanes`` is the kernel's ``drift_lanes()`` where a block holds a
-    whole lane group, else 1. The arrays, the table and the rows are held
-    here for as long as any thread may read or write them.
+    time. The arrays, the table and the rows are held here for as long as
+    any thread may read or write them.
     """
 
     def __init__(self, lib, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams):
@@ -376,7 +379,6 @@ class _Drift:
                      herders.shape[0], kernel.length, self.table.ctypes.data, _TAIL_CELLS,
                      block, ctypes.addressof(self.next), self.out.ctypes.data)
         self.fn = lib.drift_blocks
-        self.lanes = lib.drift_lanes() if min(block, targets.shape[0]) >= _LANES else 1
         self.thread: threading.Thread | None = None
         self.cpu = 0.0  # the helper thread's CPU seconds
 
@@ -394,7 +396,6 @@ class _Drift:
 
 _handed: _Drift | None = None  # the drift the helper thread is on
 _split_calls = 0  # drift calls the helper thread shared; ``run`` reports whether it did
-_lane_calls = 0  # drift calls that ran AVX2 lane groups; ``run`` reports whether one did
 _helper_seconds = 0.0  # the helper threads' CPU seconds, for ``run``
 _no_helper = False  # set once a helper thread failed to start: never tried again
 
@@ -458,7 +459,7 @@ def _split_drift(lib, targets: np.ndarray, herders: np.ndarray,
     then joins the helper. Where nothing is handed out, this thread drifts
     every block.
     """
-    global _handed, _split_calls, _lane_calls, _helper_seconds
+    global _handed, _split_calls, _helper_seconds
     drift = _handed
     if drift is None or not drift.holds(targets, herders, kernel):
         targets, herders = wrap(targets), wrap(herders)
@@ -476,7 +477,6 @@ def _split_drift(lib, targets: np.ndarray, herders: np.ndarray,
         _handed = None
         _split_calls += 1
         _helper_seconds += drift.cpu
-    _lane_calls += drift.lanes > 1
     return drift.out
 
 
@@ -494,13 +494,14 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     over 40 000 pairs on the seam and near the axes (L = pi); both are far
     below the kernel's own image-truncation error. It runs in the compiled
     kernel, over blocks of about 8192 target-herder pairs in whole groups of
-    4 targets, which an x86-64 CPU with AVX2 drifts one target per vector
-    lane, and allocates nothing: a warm call at 720 x 260 traces only its
-    result and wrapped inputs. Each target's row is summed over the herders
-    in index order, by the same operations in a lane as alone, with the
-    kernel's own exp in place of libm's, and depends on no other target, so
-    the result is the same bits for every block size, with or without the
-    lanes, on any libm, and whichever thread drifts which block. It is odd:
+    4 targets, one per vector lane (the call's last 1 to 3 padded to a
+    group), in the AVX2 build where the CPU has AVX2 and in the baseline
+    build elsewhere, and allocates nothing: a warm call at 720 x 260 traces
+    only its result and wrapped inputs. Each target's row is summed over the
+    herders in index order, by the same operations in every lane and build,
+    with the kernel's own exp in place of libm's, and depends on no other
+    target, so the result is the same bits for every block size, in either
+    build, on any libm, and whichever thread drifts which block. It is odd:
     negating every position negates its drift bit for bit, except on the
     seam.
 
@@ -589,7 +590,7 @@ class SimulationResult:
     cpu_time: float  # this process's CPU seconds over the run, every thread's
     thread_cpu_time: float  # the CPU seconds of run's own thread and its helper threads
     drift_threads: int  # 2 if any step's drift was handed to a helper thread, else 1
-    drift_lanes: int  # 4 if any step's drift ran the kernel's AVX2 lane groups, else 1
+    drift_lanes: int  # the kernel's drift_lanes() if any step drifted with it, else 1
     # seconds per stage: kde, control (herder_error, control_field), sampling
     # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
@@ -631,8 +632,9 @@ def run(
     ``time.thread_time`` of the calling thread and of the drift's helper
     threads: well above it, ``cpu_time`` shows some other thread spinning,
     such as an idle BLAS worker. ``drift_threads`` is 2 if any step's drift
-    was handed to a helper thread, and ``drift_lanes`` 4 if any step's
-    drift ran four targets per AVX2 lane group (1 without the kernel).
+    was handed to a helper thread, and ``drift_lanes`` 4 if the steps
+    drifted with the kernel's AVX2 build (1 with its baseline build or
+    without the kernel).
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """
@@ -644,7 +646,6 @@ def run(
                          "an integer >= 0 steps")
     t_start, cpu_start = time.perf_counter(), time.process_time()
     thread_start, split_start, helper_start = time.thread_time(), _split_calls, _helper_seconds
-    lane_start = _lane_calls
     grid = rho_bar_h.grid
     herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
@@ -721,6 +722,8 @@ def run(
     if n_steps > 0:  # with none, the initial state is the final one
         record_snapshot(n_steps * sim.dt)
     lap("metrics")
+    # every step with herders drifted with the kernel, where it is built
+    lib = _compiled_drift() if n_steps > 0 and n_herders > 0 else None
 
     return SimulationResult(
         metric_times=np.asarray(times),
@@ -735,6 +738,6 @@ def run(
         cpu_time=time.process_time() - cpu_start,
         thread_cpu_time=time.thread_time() - thread_start + _helper_seconds - helper_start,
         drift_threads=2 if _split_calls > split_start else 1,
-        drift_lanes=_LANES if _lane_calls > lane_start else 1,
+        drift_lanes=lib.drift_lanes() if lib is not None else 1,
         stage_seconds=stage_seconds,
     )

@@ -238,10 +238,9 @@ def test_fast_drift_same_bits_for_every_block_size(kernel, monkeypatch, n_h):
     targets = np.vstack([herders[:3], [[-PI, -PI], [-PI, 0.0]],
                          rng.uniform(-PI, PI, (721 - min(n_h, 3) - 2, 2))])
     expected = drift_all(targets, herders, 1e-3, kernel)
-    # one pair; blocks of 1 to 3 targets, scalar rows only (the bits of a CPU
-    # without AVX2), and of 4, 8 and 32, in lane groups where the CPU has
-    # AVX2, 721 = 22 * 32 + 17 of them ending in a partial group; the old and
-    # the current default; one block for all
+    # budgets of one pair and of 1 to 4 targets, all blocks of one group of
+    # 4; blocks of 8 and 32, 721 = 22 * 32 + 17 of them ending in a padded
+    # group; the old and the current default; one block for all
     for pairs in (1, n_h, 2 * n_h, 3 * n_h, 4 * n_h, 8 * n_h, 32 * n_h, 4096, 8192,
                   721 * n_h):
         monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
@@ -362,7 +361,7 @@ def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
 
 
 def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
-    # the helper thread takes blocks of the call's size, down to one target
+    # the helper thread takes blocks of the call's size, down to one group
     rng = np.random.default_rng(43)
     targets, herders = rng.uniform(-PI, PI, (300, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
@@ -435,6 +434,74 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(monkeypatch, tmp_path):
         assert len(builds) == 2
     finally:
         microsim._compiled_drift.cache_clear()
+
+
+def test_kernel_cache_is_keyed_by_platform(monkeypatch, tmp_path):
+    # hosts of two architectures may share one cache directory: each builds
+    # and loads its own library
+    import sysconfig
+
+    builds, build = [], microsim._build_kernel
+
+    def counted(directory, name):
+        builds.append(name)
+        return build(directory, name)
+
+    monkeypatch.setattr(microsim, "_build_kernel", counted)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    try:
+        microsim._compiled_drift.cache_clear()
+        assert microsim._compiled_drift() is not None
+        monkeypatch.setattr(sysconfig, "get_platform", lambda: "linux-aarch64")
+        microsim._compiled_drift.cache_clear()
+        assert microsim._compiled_drift() is not None
+    finally:
+        microsim._compiled_drift.cache_clear()
+    assert len(builds) == 2 and builds[0] != builds[1]
+    assert sorted(os.listdir(tmp_path / "swarmherd")) == sorted(builds)
+
+
+def kernel_rows(lib, targets, herders, kernel, block):
+    """The rows of one ``drift_blocks`` call of ``lib``, in blocks of ``block``."""
+    import ctypes
+
+    targets = np.ascontiguousarray(wrap(targets))
+    herders = np.ascontiguousarray(wrap(herders))
+    table, counter = microsim._tail_table(kernel), ctypes.c_int64(0)
+    out = np.empty_like(targets)
+    lib.drift_blocks(targets.ctypes.data, len(targets), herders.ctypes.data, len(herders),
+                     kernel.length, table.ctypes.data, microsim._TAIL_CELLS, block,
+                     ctypes.addressof(counter), out.ctypes.data)
+    return out
+
+
+def test_baseline_build_same_bits(kernel, monkeypatch, tmp_path):
+    # the kernel built as for a CPU without AVX2 gives the shipped kernel's
+    # rows bit for bit, for every block size down to one target
+    source = tmp_path / "_drift.c"
+    text = microsim._SOURCE.read_text()
+    assert text.count('__builtin_cpu_supports("avx2")') == 1
+    source.write_text(text.replace('__builtin_cpu_supports("avx2")', "0"))
+    with monkeypatch.context() as patch:
+        patch.setattr(microsim, "_SOURCE", source)
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        microsim._compiled_drift.cache_clear()
+        try:
+            baseline = microsim._compiled_drift()
+        finally:
+            microsim._compiled_drift.cache_clear()
+    shipped = microsim._compiled_drift()
+    assert baseline is not None and baseline is not shipped
+    assert baseline.drift_lanes() == 1
+    for case, (targets, herders) in split_cases().items():
+        n_h = len(herders)
+        expected = kernel_rows(shipped, targets, herders, kernel, len(targets))
+        for pairs in (1, n_h, 2 * n_h, 3 * n_h, 4 * n_h, 8 * n_h, 32 * n_h, 4096, 8192,
+                      721 * n_h):
+            block = max(1, pairs // n_h)
+            for lib in (baseline, shipped):
+                got = kernel_rows(lib, targets, herders, kernel, block)
+                assert np.array_equal(got, expected), (case, block, lib is shipped)
 
 
 def test_import_and_plan_build_no_kernel(tmp_path):
@@ -615,16 +682,16 @@ def test_helper_thread_that_cannot_start_leaves_one_thread(kernel, monkeypatch, 
     assert len(warnings) == 1 and "can't start new thread" in warnings[0].message
 
 
-def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
-    # one counter serves any number of blocks: here 16 391 of one target each,
-    # every one drifted exactly once
+def test_many_four_target_blocks_from_one_write(kernel, monkeypatch):
+    # one counter serves any number of blocks: here 16 391 targets in 4098
+    # blocks of one group, the last one padded, every one drifted exactly once
     for n_h in (1, 260, 9000):  # each block stays about _BLOCK_PAIRS pairs
         block = microsim._block_size(n_h)
-        assert block * n_h <= max(microsim._BLOCK_PAIRS, n_h)
+        assert block * n_h <= max(microsim._BLOCK_PAIRS, microsim._LANES * n_h)
     assert microsim._block_size(260) == 28  # paper scale: 26 blocks of 720 targets
-    # whole lane groups where the budget holds one, down to one target
+    # whole groups of 4 targets, at least one group
     assert [microsim._block_size(n_h) for n_h in (8192, 4096, 2730, 2048, 1366)] == \
-        [1, 2, 3, 4, 4]
+        [4, 4, 4, 4, 4]
     rng = np.random.default_rng(52)
     n_t = 16391
     targets, herders = rng.uniform(-PI, PI, (n_t, 2)), rng.uniform(-PI, PI, (1, 2))
@@ -638,7 +705,7 @@ def test_many_one_target_blocks_from_one_write(kernel, monkeypatch):
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
     # the counter hands out each index once: the blocks, then one past the
     # last to each of the two threads
-    assert handed[0].blocks == n_t and handed[0].next.value == n_t + 2
+    assert handed[0].blocks == 4098 and handed[0].next.value == 4098 + 2
 
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
@@ -946,15 +1013,14 @@ def test_run_records_its_drift_threads_and_same_bits(kernel, monkeypatch):
 
 
 def test_run_records_its_drift_lanes(kernel, monkeypatch, paper_run):
-    # 4 where the CPU has AVX2 and a step's blocks hold whole lane groups; 1
-    # where blocks hold fewer than 4 targets or the kernel is missing
+    # 4 where the CPU has AVX2, for any block size; 1 where the kernel is missing
     lanes = microsim._compiled_drift().drift_lanes()
     assert lanes == (4 if "avx2" in cpu_flags() else 1)
     assert run(**paper_run).drift_lanes == lanes
     with monkeypatch.context() as patch:
-        patch.setattr(microsim, "_BLOCK_PAIRS", 3 * paper_run["n_herders"])
-        assert microsim._block_size(paper_run["n_herders"]) == 3
-        assert run(**paper_run).drift_lanes == 1
+        patch.setattr(microsim, "_BLOCK_PAIRS", 1)
+        assert microsim._block_size(paper_run["n_herders"]) == 4
+        assert run(**paper_run).drift_lanes == lanes
     monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
     one_step = dict(paper_run, sim=SimParams(dt=0.01, horizon=0.01, seed=8))
     assert run(**one_step).drift_lanes == 1
