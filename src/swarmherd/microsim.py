@@ -34,16 +34,15 @@ No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared between the calling thread and
 one helper thread: both take block indices from one counter, by an atomic
 add in the kernel, until none is left, so every block is drifted once, by
-whichever thread is free, with the same bits as one thread. ``run`` hands
-out each step's drift at the top of the step, so the helper thread drifts
-while the caller runs the control tick, metrics and noise draw; ``step``
-then collects it through ``drift_all``, which drifts the blocks still left
-and joins the thread. A helper thread that cannot be started logs one
-warning and leaves the process drifting in one thread. Threads help only
-because the kernel holds no GIL: block-sized NumPy calls gain nothing on
-two threads, as each short ufunc hands the GIL back and forth. The KDE's
-matrix product stays below OpenBLAS's threading threshold, so no idle BLAS
-worker spins on the core the helper thread needs.
+whichever thread is free, with the same bits as one thread. One ``_Drift``
+owns each call and its helper thread. ``run`` makes each step's drift at
+the top of the step, so the helper thread drifts while the caller runs the
+control tick, metrics and noise draw; ``step`` collects it through
+``drift_all``. Threads help only because the kernel holds no GIL:
+block-sized NumPy calls gain nothing on two threads, as each short ufunc
+hands the GIL back and forth. The KDE's matrix product stays below
+OpenBLAS's threading threshold, so no idle BLAS worker spins on the core
+the helper thread needs.
 """
 
 from __future__ import annotations
@@ -145,6 +144,8 @@ class ContainmentMetric:
 
 
 def containment(ensemble: AgentEnsemble, goal: GoalRegion) -> ContainmentMetric:
+    if ensemble.n_targets == 0:
+        raise ValueError("containment of an empty target set is undefined")
     dist = torus_distance(ensemble.targets, goal.center)
     n_in = int(np.count_nonzero(dist <= goal.radius))
     return ContainmentMetric(n_inside=n_in, chi=100.0 * n_in / ensemble.n_targets)
@@ -156,6 +157,8 @@ def herder_lattice(n: int) -> np.ndarray:
     Sites sit at cell centers, so margins to the domain edge are half a
     cell on every side.
     """
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValueError(f"n = {n!r}: the herder count must be an integer >= 0")
     if n == 0:
         return np.zeros((0, 2))
     side = int(np.ceil(np.sqrt(n)))
@@ -355,20 +358,24 @@ def _block_size(n_h: int) -> int:
 
 
 class _Drift:
-    """One call of the compiled kernel on wrapped, C-contiguous arrays: its
-    rows and the counter from which its threads take blocks.
+    """One call of the compiled kernel ``lib`` on wrapped, C-contiguous float
+    arrays: its rows, the counter its threads take blocks from, and its
+    helper thread.
 
-    ``call`` drifts blocks until none is left, in whichever thread runs it;
-    ``work`` does so in the helper thread and then reads that thread's CPU
-    time. The arrays, the table and the rows are held here for as long as
-    any thread may read or write them.
+    The constructor starts the helper thread where the call has two blocks
+    or more and the process a spare CPU; one that cannot be started logs one
+    warning, and none is tried again. The helper runs only the kernel call
+    and a read of its own clock (``cpu``), so none of this package's traced
+    functions runs off the calling thread. ``rows`` drifts the blocks left
+    on the calling thread and joins the helper; ``stop``, and ``rows`` on any
+    failure, moves the counter past the last block and joins it. The arrays,
+    the table and the rows live here while any thread may use them.
     """
 
     def __init__(self, lib, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams):
+        global _no_helper
         import ctypes
 
-        targets = np.ascontiguousarray(targets, dtype=float)
-        herders = np.ascontiguousarray(herders, dtype=float)
         self.targets, self.herders, self.kernel = targets, herders, kernel
         self.table = _tail_table(kernel)
         block = _block_size(herders.shape[0])
@@ -379,24 +386,46 @@ class _Drift:
                      herders.shape[0], kernel.length, self.table.ctypes.data, _TAIL_CELLS,
                      block, ctypes.addressof(self.next), self.out.ctypes.data)
         self.fn = lib.drift_blocks
+        self.cpu = 0.0  # the helper thread's CPU seconds, once joined
         self.thread: threading.Thread | None = None
-        self.cpu = 0.0  # the helper thread's CPU seconds
+        if self.blocks < 2 or _no_helper or not _spare_cpu():
+            return
 
-    def call(self) -> None:
-        self.fn(*self.args)
+        def share():
+            self.fn(*self.args)
+            self.cpu = time.thread_time()
 
-    def work(self) -> None:
-        self.call()
-        self.cpu = time.thread_time()
+        thread = threading.Thread(target=share, name="swarmherd-drift", daemon=True)
+        try:
+            thread.start()
+        except RuntimeError as exc:  # "can't start new thread"
+            _no_helper = True
+            log.warning("drift helper thread unavailable, drifting in one thread: %s", exc)
+        else:
+            self.thread = thread
+
+    def rows(self) -> np.ndarray:
+        """The unnormalized drift of every target."""
+        try:
+            self.fn(*self.args)
+        except BaseException:
+            self.stop()
+            raise
+        if self.thread is not None:
+            self.thread.join()
+        return self.out
+
+    def stop(self) -> None:
+        self.next.value = self.blocks  # past the last block
+        if self.thread is not None:
+            self.thread.join()
 
     def holds(self, targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> bool:
         """Whether this is the drift of these very arrays."""
         return self.targets is targets and self.herders is herders and self.kernel == kernel
 
 
-_handed: _Drift | None = None  # the drift the helper thread is on
-_split_calls = 0  # drift calls the helper thread shared; ``run`` reports whether it did
-_helper_seconds = 0.0  # the helper threads' CPU seconds, for ``run``
+_handed: _Drift | None = None  # run's drift of this step, until drift_all collects it
 _no_helper = False  # set once a helper thread failed to start: never tried again
 
 
@@ -406,78 +435,14 @@ def _spare_cpu() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _drop_hand_out() -> None:
-    """Stop the helper thread after its current block and join it, if it
-    holds a drift never collected."""
+def _hand_out(drift: _Drift | None) -> None:
+    """Park ``run``'s drift of a step, its helper thread already at work, for
+    ``drift_all`` to collect; stop the one parked before, if never collected.
+    ``run`` parks None on any failure, which stops the drift left parked."""
     global _handed
-    drift, _handed = _handed, None
-    if drift is not None:
-        drift.next.value = drift.blocks  # past the last block
-        drift.thread.join()
-
-
-def _hand_out(targets: np.ndarray, herders: np.ndarray, kernel: KernelParams) -> _Drift | None:
-    """Start the helper thread on this drift; the drift, or None where this
-    thread drifts alone.
-
-    The arrays must be wrapped. A drift is shared where it has two blocks
-    or more, a second CPU and the compiled kernel. ``drift_all`` of the
-    same two arrays collects it; until then any failure must drop it
-    (``_drop_hand_out``). The helper thread runs only the kernel call and a
-    read of its own clock, so none of this package's traced functions runs
-    off the calling thread. A thread that cannot be started logs one
-    warning, and the process drifts in one thread from then on.
-    """
-    global _handed, _no_helper
-    _drop_hand_out()
-    if _no_helper or herders.size == 0 or targets.size == 0:
-        return None
-    if targets.shape[0] <= _block_size(herders.shape[0]) or not _spare_cpu():
-        return None
-    lib = _compiled_drift()
-    if lib is None:
-        return None
-    drift = _Drift(lib, targets, herders, kernel)
-    drift.thread = threading.Thread(target=drift.work, name="swarmherd-drift", daemon=True)
-    try:
-        drift.thread.start()
-    except RuntimeError as exc:  # "can't start new thread"
-        _no_helper = True
-        log.warning("drift helper thread unavailable, drifting in one thread: %s", exc)
-        return None
+    if _handed is not None:
+        _handed.stop()
     _handed = drift
-    return drift
-
-
-def _split_drift(lib, targets: np.ndarray, herders: np.ndarray,
-                 kernel: KernelParams) -> np.ndarray:
-    """Unnormalized drift of all targets by the compiled kernel ``lib``,
-    shared with the helper thread where it pays.
-
-    Collects the drift ``_hand_out`` started for these arrays, or wraps them
-    and hands that out first: this thread takes blocks until none is left,
-    then joins the helper. Where nothing is handed out, this thread drifts
-    every block.
-    """
-    global _handed, _split_calls, _helper_seconds
-    drift = _handed
-    if drift is None or not drift.holds(targets, herders, kernel):
-        targets, herders = wrap(targets), wrap(herders)
-        drift = _hand_out(targets, herders, kernel)
-    if drift is None:
-        drift = _Drift(lib, targets, herders, kernel)
-        drift.call()
-    else:
-        try:
-            drift.call()
-            drift.thread.join()
-        except BaseException:
-            _drop_hand_out()
-            raise
-        _handed = None
-        _split_calls += 1
-        _helper_seconds += drift.cpu
-    return drift.out
 
 
 def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
@@ -507,22 +472,30 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
 
     ``fast=False`` is the plain vectorized image sum, the fast path's
     reference. Where the kernel cannot be built or loaded, ``fast=True``
-    returns the image sum too, after one warning. Both are deterministic.
-
-    Where the drift is shared, this thread and the helper thread take its
-    blocks from one counter until none is left (``_split_drift``). ``run``
-    hands out each step's drift before its control tick (``_hand_out``), so
-    the helper thread starts on it at once; this call then collects it.
+    returns the image sum too, after one warning. Both are deterministic
+    and reject ``targets`` or ``herders`` not shaped (n, 2) with a
+    ``ValueError``, before any kernel call. The fast path collects the drift
+    ``run`` parked where it holds these very arrays; otherwise it stops that
+    one and makes its own ``_Drift`` of the wrapped arrays.
     """
+    global _handed
     targets = np.ascontiguousarray(targets, dtype=float)
     herders = np.ascontiguousarray(herders, dtype=float)
+    for name, points in (("targets", targets), ("herders", herders)):
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"{name} of shape {points.shape}: need (n, 2) points")
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
     lib = _compiled_drift() if fast else None
-    if lib is not None:
-        return alpha * _split_drift(lib, targets, herders, kernel)
-    disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
-    return alpha * kernel_periodic(disp, kernel).sum(axis=1)
+    if lib is None:
+        disp = wrapped_displacement(targets[:, None, :], herders[None, :, :])
+        return alpha * kernel_periodic(disp, kernel).sum(axis=1)
+    drift, _handed = _handed, None
+    if drift is None or not drift.holds(targets, herders, kernel):
+        if drift is not None:
+            drift.stop()
+        drift = _Drift(lib, wrap(targets), wrap(herders), kernel)
+    return alpha * drift.rows()
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +564,9 @@ class SimulationResult:
     thread_cpu_time: float  # the CPU seconds of run's own thread and its helper threads
     drift_threads: int  # 2 if any step's drift was handed to a helper thread, else 1
     drift_lanes: int  # the kernel's drift_lanes() if any step drifted with it, else 1
-    # seconds per stage: kde, control (herder_error, control_field), sampling
-    # (sample_at_herders, speed_limit), step, metrics (metrics and snapshots)
+    # seconds per stage: kernel (the compiled kernel and its table), kde,
+    # control (herder_error, control_field), sampling (sample_at_herders,
+    # speed_limit), step, metrics (metrics and snapshots)
     stage_seconds: dict[str, float]
 
 
@@ -625,19 +599,25 @@ def run(
     first control tick, so it carries that tick's loop health.
 
     Every step goes through ``step`` on the state at the start of that
-    step; the control chain reads the same state. ``stage_seconds`` sums
-    the ``time.perf_counter`` deltas of each stage; its total never
-    exceeds ``wall_time``. ``cpu_time`` is this process's
-    ``time.process_time`` over the run, and ``thread_cpu_time`` the
-    ``time.thread_time`` of the calling thread and of the drift's helper
-    threads: well above it, ``cpu_time`` shows some other thread spinning,
-    such as an idle BLAS worker. ``drift_threads`` is 2 if any step's drift
-    was handed to a helper thread, and ``drift_lanes`` 4 if the steps
-    drifted with the kernel's AVX2 build (1 with its baseline build or
-    without the kernel).
+    step; the control chain reads the same state. The kernel library and
+    its table are obtained before the first step (stage ``kernel``); each
+    step's drift is made and parked (``_hand_out``) at the top of the step,
+    and ``step`` collects it. ``stage_seconds`` sums the
+    ``time.perf_counter`` deltas of each stage; its total never exceeds
+    ``wall_time``. ``cpu_time`` is this process's ``time.process_time``
+    over the run, and ``thread_cpu_time`` the ``time.thread_time`` of the
+    calling thread and of those drifts' helper threads: well above it,
+    ``cpu_time`` shows some other thread spinning, such as an idle BLAS
+    worker. ``drift_threads`` is 2 if any of those drifts had a helper
+    thread, and ``drift_lanes`` 4 if the steps drifted with the kernel's
+    AVX2 build (1 with its baseline build or without the kernel).
     Progress goes to the ``swarmherd`` logger at INFO, at most once per 10%
     of the steps.
     """
+    if not (isinstance(n_targets, Integral) and n_targets >= 1):
+        raise ValueError(f"n_targets = {n_targets!r}: need an integer >= 1 targets")
+    if not (isinstance(n_herders, Integral) and n_herders >= 0):
+        raise ValueError(f"n_herders = {n_herders!r}: need an integer >= 0 herders")
     if not (isinstance(metrics_every, Integral) and metrics_every >= 1):
         raise ValueError(f"metrics_every = {metrics_every!r}: metrics cadence must be "
                          "an integer >= 1 step")
@@ -645,7 +625,7 @@ def run(
         raise ValueError(f"snapshot_every = {snapshot_every!r}: snapshot cadence must be "
                          "an integer >= 0 steps")
     t_start, cpu_start = time.perf_counter(), time.process_time()
-    thread_start, split_start, helper_start = time.thread_time(), _split_calls, _helper_seconds
+    thread_start = time.thread_time()
     grid = rho_bar_h.grid
     herder_mass = n_herders / (n_herders + n_targets) if n_herders > 0 else 0.0
 
@@ -671,7 +651,8 @@ def run(
     def record_snapshot(t: float):
         snapshots.append((t, state.herders.copy(), state.targets.copy()))
 
-    stage_seconds = dict.fromkeys(("kde", "control", "sampling", "step", "metrics"), 0.0)
+    stages = ("kernel", "kde", "control", "sampling", "step", "metrics")
+    stage_seconds = dict.fromkeys(stages, 0.0)
     mark = time.perf_counter()
 
     def lap(stage: str):
@@ -683,12 +664,20 @@ def run(
 
     n_steps = sim.n_steps
     progress = -(-n_steps // 10)  # steps between progress reports
+    # every step with herders drifts with the kernel, where it is built
+    lib = _compiled_drift() if n_steps > 0 and n_herders > 0 else None
+    if lib is not None:
+        _tail_table(kernel)
+    lap("kernel")
+    helpers, helper_seconds = 0, 0.0  # the helper threads of the drifts made here
     record_snapshot(0.0)
     try:
         for s in range(n_steps):
             t = s * sim.dt
-            # the helper thread drifts this step while this one runs its control tick
-            _hand_out(state.targets, state.herders, kernel)
+            if lib is not None:
+                # its helper thread drifts this step while this one runs the control tick
+                drift = _Drift(lib, state.targets, state.herders, kernel)
+                _hand_out(drift)
             lap("step")
             if n_herders > 0:
                 estimate = estimate_density(state.herders, kde, grid, mass=herder_mass)
@@ -711,19 +700,20 @@ def run(
                 record_snapshot(t)
             lap("metrics")
             state = step(state, commands, sim, s, kernel)
+            if lib is not None:  # collected, its helper thread joined
+                helpers += drift.thread is not None
+                helper_seconds += drift.cpu
             if (s + 1) % progress == 0:
                 log.info("step %d of %d, %.1f s; chi %.1f%% at t = %g", s + 1, n_steps,
                          time.perf_counter() - t_start, chis[-1], times[-1])
             lap("step")
     except BaseException:
-        _drop_hand_out()  # the helper thread stops after its current block
+        _hand_out(None)  # the helper thread stops after its current block
         raise
     record_metrics(n_steps * sim.dt)
     if n_steps > 0:  # with none, the initial state is the final one
         record_snapshot(n_steps * sim.dt)
     lap("metrics")
-    # every step with herders drifted with the kernel, where it is built
-    lib = _compiled_drift() if n_steps > 0 and n_herders > 0 else None
 
     return SimulationResult(
         metric_times=np.asarray(times),
@@ -736,8 +726,8 @@ def run(
         n_herders=n_herders,
         wall_time=time.perf_counter() - t_start,
         cpu_time=time.process_time() - cpu_start,
-        thread_cpu_time=time.thread_time() - thread_start + _helper_seconds - helper_start,
-        drift_threads=2 if _split_calls > split_start else 1,
+        thread_cpu_time=time.thread_time() - thread_start + helper_seconds,
+        drift_threads=2 if helpers else 1,
         drift_lanes=lib.drift_lanes() if lib is not None else 1,
         stage_seconds=stage_seconds,
     )

@@ -87,7 +87,7 @@ def test_simulate_and_analyze_round_trip(tmp_path, small_config):
         assert math.isfinite(summary[key]), key
     assert isinstance(summary["rate_certified"], bool)
     stages = summary["stage_seconds"]
-    run_stages = ("kde", "control", "sampling", "step", "metrics")
+    run_stages = ("kernel", "kde", "control", "sampling", "step", "metrics")
     assert set(stages) == {*run_stages, "plan", "write"}
     assert all(math.isfinite(v) and v >= 0 for v in stages.values())
     assert sum(stages[k] for k in run_stages) <= summary["wall_time_s"]
@@ -250,6 +250,22 @@ def test_chi_csv_bytes(tmp_path):
         "t,chi,n_inside\r\n"
         "0,33.333333333333336,1\r\n"
         "0.10000000000000001,100,3\r\n").encode()
+
+
+def test_analyze_names_a_frame_without_targets(tmp_path, capsys):
+    # containment is undefined there: an error naming the frame's time
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(
+        "t,agent_kind,agent_id,x1,x2\n"
+        "0,herder,0,3,3\n"
+        "0,target,0,0,0\n"
+        "0.25,herder,0,1,1\n")
+    an = tmp_path / "an"
+    capsys.readouterr()
+    assert main(["analyze", "--trajectory", str(trajectory), "--out", str(an)]) == 1
+    err = capsys.readouterr().err
+    assert "t=0.25" in err and "no targets" in err and "Traceback" not in err
+    assert not (an / "chi.csv").exists()
 
 
 @pytest.mark.parametrize("width", ["inf", "-inf", "nan", "0", "wide"])

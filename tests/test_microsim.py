@@ -258,33 +258,52 @@ def test_fast_drift_row_equals_single_target_call(kernel):
         assert np.array_equal(one, full[k:k + 1]), k
 
 
-def warm_drift_peak(kernel, monkeypatch, split):
+@pytest.fixture
+def drifts(monkeypatch):
+    """Every ``_Drift`` made while the test runs, in order."""
+    made = []
+
+    class Spy(microsim._Drift):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(microsim, "_Drift", Spy)
+    return made
+
+
+def helped(drifts):
+    """How many of these drifts a helper thread shared."""
+    return sum(d.thread is not None for d in drifts)
+
+
+def warm_drift_peak(kernel, monkeypatch, drifts, split):
     """Traced peak of a warm drift call at paper scale, split or in one thread."""
     rng = np.random.default_rng(41)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     monkeypatch.setattr(microsim, "_spare_cpu", lambda: split)
     drift_all(targets, herders, 1e-3, kernel)
-    calls = microsim._split_calls
+    drifts.clear()
     tracemalloc.start()
     try:
         drift_all(targets, herders, 1e-3, kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert microsim._split_calls - calls == split
+    assert len(drifts) == 1 and helped(drifts) == split
     return peak
 
 
-def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch):
+def test_warm_fast_drift_makes_no_block_temporaries(kernel, monkeypatch, drifts):
     # a warm call at paper scale allocates its result and its wrapped inputs;
     # the compiled kernel allocates nothing (measured 28 KiB)
-    peak = warm_drift_peak(kernel, monkeypatch, split=False)
+    peak = warm_drift_peak(kernel, monkeypatch, drifts, split=False)
     assert peak <= 80 * 1024, peak
 
 
-def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch):
+def test_warm_split_drift_makes_no_block_temporaries(kernel, monkeypatch, drifts):
     # the same arrays, plus the helper thread (measured 32 KiB)
-    peak = warm_drift_peak(kernel, monkeypatch, split=True)
+    peak = warm_drift_peak(kernel, monkeypatch, drifts, split=True)
     assert peak <= 80 * 1024, peak
 
 
@@ -306,6 +325,13 @@ def one_thread_drift(monkeypatch, targets, herders, alpha, kernel):
 
 def drift_threads_alive():
     return [t for t in threading.enumerate() if t.name == "swarmherd-drift"]
+
+
+def hand_out(targets, herders, kernel):
+    """Park a drift of these arrays, as ``run`` does at the top of a step."""
+    drift = microsim._Drift(microsim._compiled_drift(), targets, herders, kernel)
+    microsim._hand_out(drift)
+    return drift
 
 
 def split_cases():
@@ -334,7 +360,7 @@ def split_cases():
 
 
 @pytest.mark.parametrize("case", list(split_cases()) + ["720 x 260"])
-def test_compiled_drift_matches_the_reference(kernel, monkeypatch, case):
+def test_compiled_drift_matches_the_reference(kernel, monkeypatch, drifts, case):
     # the kernel against the image sum, on one thread and on two
     assert microsim._compiled_drift() is not None
     rng = np.random.default_rng(56)
@@ -343,24 +369,24 @@ def test_compiled_drift_matches_the_reference(kernel, monkeypatch, case):
     shared = len(targets) > microsim._block_size(len(herders))
     for split in (False, True):
         monkeypatch.setattr(microsim, "_spare_cpu", lambda: split)
-        calls = microsim._split_calls
+        drifts.clear()
         assert_fast_close(targets, herders, kernel)
-        assert microsim._split_calls - calls == (split and shared)
+        assert len(drifts) == 1 and helped(drifts) == (split and shared)
 
 
 @pytest.mark.parametrize("case", list(split_cases()))
-def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, case):
+def test_split_drift_same_bits_as_one_process(kernel, monkeypatch, drifts, case):
     targets, herders = split_cases()[case]
     expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
     split_on(monkeypatch)
-    calls = microsim._split_calls
+    drifts.clear()
     got = drift_all(targets, herders, 1e-3, kernel)
     block = microsim._block_size(len(herders))
-    assert microsim._split_calls - calls == (len(targets) > block)
+    assert len(drifts) == 1 and helped(drifts) == (len(targets) > block)
     assert np.array_equal(got, expected)
 
 
-def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
+def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch, drifts):
     # the helper thread takes blocks of the call's size, down to one group
     rng = np.random.default_rng(43)
     targets, herders = rng.uniform(-PI, PI, (300, 2)), rng.uniform(-PI, PI, (260, 2))
@@ -368,13 +394,13 @@ def test_split_drift_carries_the_callers_block_size(kernel, monkeypatch):
     split_on(monkeypatch)
     for pairs in (1, 260, 4096):
         monkeypatch.setattr(microsim, "_BLOCK_PAIRS", pairs)
-        calls = microsim._split_calls
+        drifts.clear()
         assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-        assert microsim._split_calls == calls + 1
+        assert len(drifts) == 1 and helped(drifts) == 1
 
 
 def test_failed_build_warns_once_and_drifts_with_the_reference(kernel, monkeypatch, caplog,
-                                                               tmp_path):
+                                                               tmp_path, drifts):
     # the kernel only saves time: a build that fails warns once, is never
     # retried, and leaves every call to the image sum in one thread
     rng = np.random.default_rng(48)
@@ -390,15 +416,13 @@ def test_failed_build_warns_once_and_drifts_with_the_reference(kernel, monkeypat
     monkeypatch.setattr(microsim, "_build_kernel", failing)
     split_on(monkeypatch)
     microsim._compiled_drift.cache_clear()
-    calls = microsim._split_calls
     try:
         with caplog.at_level(logging.WARNING, logger="swarmherd"):
             for _ in range(3):
                 assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-            assert microsim._hand_out(wrap(targets), wrap(herders), kernel) is None
     finally:
         microsim._compiled_drift.cache_clear()
-    assert len(builds) == 1 and microsim._split_calls == calls
+    assert len(builds) == 1 and drifts == []
     assert microsim._handed is None and not drift_threads_alive()
     warnings = [r for r in caplog.records if "compiled drift unavailable" in r.message]
     assert len(warnings) == 1 and "no compiler here" in warnings[0].message
@@ -524,52 +548,62 @@ def test_import_and_plan_build_no_kernel(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_hand_out_is_collected_only_by_its_own_arrays(kernel, monkeypatch):
+def test_hand_out_is_collected_only_by_its_own_arrays(kernel, monkeypatch, drifts):
     # a hand-out is matched by identity: equal arrays that are not the ones
-    # handed out drop it and drift anew, with the same bits
+    # handed out stop it and drift anew, with the same bits
     rng = np.random.default_rng(46)
     targets, herders = wrap(rng.uniform(-PI, PI, (720, 2))), wrap(rng.uniform(-PI, PI, (260, 2)))
     expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
     split_on(monkeypatch)
     for pair in ((targets.copy(), herders), (targets, herders.copy())):
-        handed = microsim._hand_out(targets, herders, kernel)
+        handed = hand_out(targets, herders, kernel)
         assert np.array_equal(drift_all(*pair, 1e-3, kernel), expected)
         assert not handed.thread.is_alive() and microsim._handed is None
-    handed = microsim._hand_out(targets, herders, kernel)
+        assert handed.next.value >= handed.blocks and drifts[-1] is not handed
+    handed = hand_out(targets, herders, kernel)
     assert np.array_equal(drift_all(targets, herders, 1e-3, KernelParams(PI, 1)),
                           one_thread_drift(monkeypatch, targets, herders, 1e-3,
                                            KernelParams(PI, 1)))
     assert microsim._handed is None and not handed.thread.is_alive()
-    handed = microsim._hand_out(targets, herders, kernel)
-    calls = microsim._split_calls
+    handed = hand_out(targets, herders, kernel)
+    drifts.clear()
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1 and microsim._handed is None
-    assert handed.next.value == handed.blocks + 2
+    assert drifts == [] and microsim._handed is None  # collected: no drift made anew
+    assert not handed.thread.is_alive() and handed.next.value == handed.blocks + 2
 
 
-def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch):
-    # the caller's share fails: the helper thread is stopped and joined, and
-    # neither its rows nor its counter reach the next call
+class FailingInTheCaller:
+    """The kernel library, but its ``drift_blocks`` fails on the main thread."""
+
+    def __init__(self, lib):
+        self.lib = lib
+
+    def drift_blocks(self, *args):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        self.lib.drift_blocks(*args)
+
+
+def test_failure_in_the_callers_share_leaves_no_stale_reply(kernel, monkeypatch, drifts):
+    # the caller's share fails: the counter is moved past the last block, the
+    # helper thread joined, and neither its rows nor its counter reach the
+    # next call
     rng = np.random.default_rng(45)
     first = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     second = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_thread_drift(monkeypatch, *second, 1e-3, kernel)
     split_on(monkeypatch)
-    call = microsim._Drift.call
-
-    def failing_in_the_caller(self):
-        if threading.current_thread() is threading.main_thread():
-            raise KeyboardInterrupt
-        call(self)
-
+    failing = FailingInTheCaller(microsim._compiled_drift())
+    drifts.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(microsim._Drift, "call", failing_in_the_caller)
+        patch.setattr(microsim, "_compiled_drift", lambda: failing)
         with pytest.raises(KeyboardInterrupt):
             drift_all(*first, 1e-3, kernel)
+    (failed,) = drifts
+    assert failed.thread is not None and failed.next.value >= failed.blocks
     assert microsim._handed is None and not drift_threads_alive()
-    calls = microsim._split_calls
     assert np.array_equal(drift_all(*second, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
+    assert len(drifts) == 2 and helped(drifts) == 2
 
 
 @pytest.fixture(scope="module")
@@ -620,21 +654,18 @@ class LateThread(threading.Thread):
         super().join(timeout)
 
 
-def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch):
+def test_queue_same_bits_when_the_caller_takes_every_block(kernel, monkeypatch, drifts):
     rng = np.random.default_rng(50)
     targets, herders = rng.uniform(-PI, PI, (720, 2)), rng.uniform(-PI, PI, (260, 2))
     expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
     split_on(monkeypatch)
     monkeypatch.setattr(microsim.threading, "Thread", LateThread)
-    handed = []
-    hand_out = microsim._hand_out
-    monkeypatch.setattr(microsim, "_hand_out", lambda *a: handed.append(hand_out(*a))
-                        or handed[-1])
-    calls = microsim._split_calls
+    drifts.clear()
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
-    assert microsim._split_calls == calls + 1
+    (drift,) = drifts
+    assert isinstance(drift.thread, LateThread)
     # the caller took all 26 blocks and one index past them, the helper one more
-    assert handed[0].blocks == 26 and handed[0].next.value == 28
+    assert drift.blocks == 26 and drift.next.value == 28
 
 
 def test_failure_between_hand_out_and_collection_drops_the_helper(kernel, monkeypatch,
@@ -682,7 +713,7 @@ def test_helper_thread_that_cannot_start_leaves_one_thread(kernel, monkeypatch, 
     assert len(warnings) == 1 and "can't start new thread" in warnings[0].message
 
 
-def test_many_four_target_blocks_from_one_write(kernel, monkeypatch):
+def test_many_four_target_blocks_from_one_write(kernel, monkeypatch, drifts):
     # one counter serves any number of blocks: here 16 391 targets in 4098
     # blocks of one group, the last one padded, every one drifted exactly once
     for n_h in (1, 260, 9000):  # each block stays about _BLOCK_PAIRS pairs
@@ -698,14 +729,13 @@ def test_many_four_target_blocks_from_one_write(kernel, monkeypatch):
     expected = one_thread_drift(monkeypatch, targets, herders, 1e-3, kernel)
     split_on(monkeypatch)
     monkeypatch.setattr(microsim, "_BLOCK_PAIRS", 1)
-    handed = []
-    hand_out = microsim._hand_out
-    monkeypatch.setattr(microsim, "_hand_out", lambda *a: handed.append(hand_out(*a))
-                        or handed[-1])
+    drifts.clear()
     assert np.array_equal(drift_all(targets, herders, 1e-3, kernel), expected)
     # the counter hands out each index once: the blocks, then one past the
     # last to each of the two threads
-    assert handed[0].blocks == 4098 and handed[0].next.value == 4098 + 2
+    (drift,) = drifts
+    assert drift.thread is not None
+    assert drift.blocks == 4098 and drift.next.value == 4098 + 2
 
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
@@ -806,6 +836,47 @@ def test_positions_stay_wrapped(kernel):
         assert np.all(ens.targets >= -PI) and np.all(ens.targets < PI)
 
 
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("name, n_targets, herders", [
+    ("herders", (3, 2), (4,)),
+    ("targets", (5, 3), (4, 2)),
+    ("herders", (3, 2), (7, 3)),
+])
+def test_drift_rejects_points_not_shaped_n_by_2(kernel, fast, name, n_targets, herders):
+    # at the kernel these read past the herders or returned garbage; the
+    # image sum raised a broadcast error
+    rng = np.random.default_rng(58)
+    with pytest.raises(ValueError, match=rf"^{name} of shape"):
+        drift_all(rng.uniform(-PI, PI, n_targets), rng.uniform(-PI, PI, herders), 1e-3,
+                  kernel, fast=fast)
+
+
+@pytest.mark.parametrize("n_targets", [(2,), (3, 1)])
+def test_drift_rejects_targets_it_would_write_past(n_targets):
+    # at the kernel a bare pair wrote 4 doubles into a 2-double result, (3, 1)
+    # targets 6 into 3, and the next allocations aborted the interpreter; the
+    # image sum raised or broadcast (3, 1). A child process runs each case,
+    # so a regression fails this test, not the session.
+    script = textwrap.dedent(f"""
+        import numpy as np
+        from swarmherd import KernelParams, drift_all
+        rng = np.random.default_rng(59)
+        targets, herders = rng.uniform(-3.0, 3.0, {n_targets}), rng.uniform(-3.0, 3.0, (260, 2))
+        for fast in (True, False):
+            try:
+                drift_all(targets, herders, 1e-3, KernelParams(), fast=fast)
+            except ValueError as exc:
+                assert str(exc).startswith("targets of shape {n_targets}"), exc
+            else:
+                raise AssertionError(f"fast={{fast}}: no error")
+            [np.ones(n) for n in range(1, 2000)]
+    """)
+    src = os.path.dirname(os.path.dirname(microsim.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+
+
 def test_step_requires_command_per_herder(kernel):
     params = SimParams()
     ens = AgentEnsemble(herders=np.zeros((3, 2)), targets=np.zeros((5, 2)))
@@ -837,6 +908,12 @@ def test_containment_half():
     assert metric.n_inside == 5
 
 
+def test_containment_of_no_targets_is_named():
+    no_targets = AgentEnsemble(herders=np.zeros((3, 2)), targets=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="empty target set"):
+        containment(no_targets, GoalRegion())
+
+
 def test_containment_uses_torus_distance():
     goal = GoalRegion(center=np.array([PI - 0.2, 0.0]), radius=0.5)
     target = np.array([[-PI + 0.2, 0.0]])  # 0.4 away across the seam
@@ -862,6 +939,12 @@ def test_lattice_partial_fill_keeps_row_major_order():
     pts = herder_lattice(5)  # 3x3 lattice, first five sites
     assert pts.shape == (5, 2)
     assert len(np.unique(pts, axis=0)) == 5
+
+
+@pytest.mark.parametrize("n", [-2, 2.5])
+def test_lattice_names_a_bad_count(n):
+    with pytest.raises(ValueError, match=rf"^n = {n}:"):
+        herder_lattice(n)
 
 
 def test_alpha_normalization():
@@ -957,9 +1040,43 @@ def test_run_stage_seconds_cover_at_most_the_wall_time(kernel, small_plan):
         metrics_every=5, snapshot_every=7,
     )
     stages = res.stage_seconds
-    assert set(stages) == {"kde", "control", "sampling", "step", "metrics"}
+    assert set(stages) == {"kernel", "kde", "control", "sampling", "step", "metrics"}
     assert all(np.isfinite(v) and v >= 0 for v in stages.values())
     assert stages["step"] > 0 and stages["kde"] > 0
+    assert sum(stages.values()) <= res.wall_time
+
+
+def test_run_obtains_the_kernel_and_its_table_before_the_first_step(kernel, small_plan,
+                                                                     monkeypatch, tmp_path):
+    # a build into an empty cache and the tail table's build are the kernel
+    # stage's, each made once, not the first step's
+    goal, plan = small_plan
+    build, table, builds, tables = microsim._build_kernel, microsim._tail_table, [], []
+
+    def slow_build(directory, name):
+        builds.append(name)
+        time.sleep(0.3)
+        return build(directory, name)
+
+    def slow_table(params):
+        if not tables:
+            time.sleep(0.3)
+        tables.append(params)
+        return table(params)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(microsim, "_build_kernel", slow_build)
+    monkeypatch.setattr(microsim, "_tail_table", slow_table)
+    microsim._compiled_drift.cache_clear()
+    try:
+        res = run(n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+                  goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+                  sim=SimParams(dt=0.01, horizon=0.05, seed=3))
+    finally:
+        microsim._compiled_drift.cache_clear()
+    stages = res.stage_seconds
+    assert len(builds) == 1 and tables[0] == kernel
+    assert stages["kernel"] >= 0.6 and stages["step"] < 0.3, stages
     assert sum(stages.values()) <= res.wall_time
 
 
@@ -1012,8 +1129,9 @@ def test_run_records_its_drift_threads_and_same_bits(kernel, monkeypatch):
         assert 0 < res.thread_cpu_time <= res.cpu_time + 0.01
 
 
-def test_run_records_its_drift_lanes(kernel, monkeypatch, paper_run):
-    # 4 where the CPU has AVX2, for any block size; 1 where the kernel is missing
+def test_run_records_its_drift_lanes(kernel, monkeypatch, paper_run, drifts):
+    # 4 where the CPU has AVX2, for any block size; 1 where the kernel is
+    # missing, and then no drift is made and no helper thread started
     lanes = microsim._compiled_drift().drift_lanes()
     assert lanes == (4 if "avx2" in cpu_flags() else 1)
     assert run(**paper_run).drift_lanes == lanes
@@ -1023,7 +1141,9 @@ def test_run_records_its_drift_lanes(kernel, monkeypatch, paper_run):
         assert run(**paper_run).drift_lanes == lanes
     monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
     one_step = dict(paper_run, sim=SimParams(dt=0.01, horizon=0.01, seed=8))
-    assert run(**one_step).drift_lanes == 1
+    drifts.clear()
+    res = run(**one_step)
+    assert (res.drift_lanes, res.drift_threads, drifts) == (1, 1, [])
 
 
 def cpu_flags() -> set[str]:
@@ -1070,6 +1190,19 @@ def test_shared_run_wraps_each_state_once(kernel, monkeypatch, paper_run):
     res = run(**paper_run)
     assert res.drift_threads == 2
     assert len(wraps) == 2 + 2 * paper_run["sim"].n_steps
+
+
+@pytest.mark.parametrize("counts, name", [
+    ({"n_targets": 0}, "n_targets = 0"), ({"n_targets": -5}, "n_targets = -5"),
+    ({"n_herders": -1}, "n_herders = -1"), ({"n_herders": 1.5}, "n_herders = 1.5"),
+])
+def test_run_names_an_impossible_population(kernel, small_plan, counts, name):
+    goal, plan = small_plan
+    kwargs = dict(n_targets=60, n_herders=plan.n_herders, rho_bar_h=plan.rho_bar_h,
+                  goal=goal, gain=10.0, kernel=kernel, kde=KdeParams(),
+                  sim=SimParams(dt=0.01, horizon=0.03))
+    with pytest.raises(ValueError, match=rf"^{name}:"):
+        run(**dict(kwargs, **counts))
 
 
 @pytest.mark.parametrize("every", [0, -1, 1.5])
