@@ -21,10 +21,14 @@
  * -ffast-math or contraction, so every operation rounds as written, on any
  * build host. A vector is never passed or returned by value: that passes
  * differently with and without AVX (gcc's -Wpsabi).
+ *
+ * The same library writes fileio's table and field text (text_rows, at the
+ * end), so the package builds and loads one library.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define PI 3.141592653589793
 #define TWO_PI 6.283185307179586
@@ -249,4 +253,178 @@ void drift_blocks(const double *targets, int64_t n_t, const double *herders,
         int64_t n = block < n_t - lo ? block : n_t - lo;
         rows(targets + 2 * lo, n, herders, n_h, length, table, cells, out + 2 * lo);
     }
+}
+
+/* Table and field text. Each cell is the exact "%.17g" text of a double, as
+ * Python's % formats it: 17 significant digits rounded half to even from the
+ * double's exact value, trailing zeros and a bare point dropped, an exponent
+ * ("e-05") below 1e-4. Where 1e-5 <= |x| < 2^52, x = m 2^e with m < 2^53, and
+ * x 10^k, scaled into [10^16, 10^17), is m 5^k / 2^s: one unsigned __int128
+ * product (m 5^k < 2^105) and a shift, its remainder deciding the rounding,
+ * with no libc printf, so the bytes do not depend on the host's libc. Zero,
+ * infinity and NaN have fixed texts; any other value, or a compiler without
+ * __int128, makes text_rows return -1. A cell takes at most 24 bytes. */
+#ifdef __SIZEOF_INT128__
+
+typedef unsigned __int128 u128;
+
+#define CELL_BYTES 24
+#define E16 10000000000000000ull /* 10^16 */
+
+/* 5^k for k <= 23, enough for 10^16 <= |x| 10^k where |x| >= 1e-5 */
+static const uint64_t POW5[24] = {
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull, 390625ull,
+    1953125ull, 9765625ull, 48828125ull, 244140625ull, 1220703125ull,
+    6103515625ull, 30517578125ull, 152587890625ull, 762939453125ull,
+    3814697265625ull, 19073486328125ull, 95367431640625ull, 476837158203125ull,
+    2384185791015625ull, 11920928955078125ull,
+};
+
+/* "00" to "99" */
+static const char PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the 8 decimal digits of v < 10^8 at p, in two independent halves */
+static void eight_digits(uint32_t v, char *p)
+{
+    uint32_t high = v / 10000, low = v % 10000;
+    memcpy(p, PAIRS + 2 * (high / 100), 2);
+    memcpy(p + 2, PAIRS + 2 * (high % 100), 2);
+    memcpy(p + 4, PAIRS + 2 * (low / 100), 2);
+    memcpy(p + 6, PAIRS + 2 * (low % 100), 2);
+}
+
+/* floor(m 5^k / 2^s), and through *rest how the part cut off compares with a
+ * half: -1 below, 0 equal, 1 above */
+static uint64_t scaled(uint64_t m, int k, int s, int *rest)
+{
+    u128 n = (u128)m * POW5[k];
+    *rest = -1;
+    if (s <= 0)
+        return (uint64_t)(n << -s);
+    u128 cut = n & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+    *rest = (cut > half) - (cut < half);
+    return (uint64_t)(n >> s);
+}
+
+/* The text of x at p, nan_text standing for any NaN; its length, or -1 where x
+ * lies outside the exact range. */
+static int cell_text(double x, const char *nan_text, size_t nan_len, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t fraction = bits & ((1ull << 52) - 1);
+    char *start = p;
+    if (biased == 0x7ff && fraction) {
+        memcpy(p, nan_text, nan_len);
+        return (int)nan_len;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff || (biased == 0 && !fraction)) {
+        memcpy(p, biased ? "inf" : "0", biased ? 3 : 1);
+        return (int)(p - start) + (biased ? 3 : 1);
+    }
+    double a = fabs(x);
+    if (!(a >= 1e-5 && a < 0x1p52))
+        return -1;
+    uint64_t m = fraction | 1ull << 52;
+    int e = biased - 1075;
+    /* k from about -log10 2^(biased - 1023), then moved until x 10^k is in range */
+    int k = 16 - (biased - 1023) * 78913 / 262144, rest;
+    uint64_t q;
+    for (;;) {
+        q = scaled(m, k, -(e + k), &rest);
+        if (q < E16)
+            k++;
+        else if (q >= 10 * E16)
+            k--;
+        else
+            break;
+    }
+    if (rest > 0 || (rest == 0 && (q & 1)))
+        q++;
+    if (q == 10 * E16) { /* rounded up to 18 digits */
+        q = E16;
+        k--;
+    }
+    char digits[17];
+    uint32_t high = (uint32_t)(q / 100000000);
+    digits[0] = (char)('0' + high / 100000000);
+    eight_digits(high % 100000000, digits + 1);
+    eight_digits((uint32_t)(q % 100000000), digits + 9);
+    int used = 17; /* significant digits left once trailing zeros are dropped */
+    while (digits[used - 1] == '0')
+        used--;
+    int exponent = 16 - k; /* of the leading digit */
+    if (exponent < -4) {
+        *p++ = digits[0];
+        if (used > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, used - 1);
+            p += used - 1;
+        }
+        *p++ = 'e';
+        *p++ = '-';
+        *p++ = (char)('0' + -exponent / 10);
+        *p++ = (char)('0' + -exponent % 10);
+    } else if (exponent < 0) {
+        memcpy(p, "0.0000", 1 - exponent);
+        p += 1 - exponent;
+        memcpy(p, digits, used);
+        p += used;
+    } else {
+        memcpy(p, digits, exponent + 1);
+        p += exponent + 1;
+        if (used > exponent + 1) {
+            *p++ = '.';
+            memcpy(p, digits + exponent + 1, used - exponent - 1);
+            p += used - exponent - 1;
+        }
+    }
+    return (int)(p - start);
+}
+#endif
+
+/* The n rows of values (n x k, row-major) as text at out: each row the
+ * prefix, its k cells joined by sep, then end, every cell as cell_text makes
+ * it. out must hold n (strlen(prefix) + strlen(end) + k (24 + strlen(sep)))
+ * bytes. Returns the bytes written, or -1 where a value lies outside the
+ * exact range or the compiler has no __int128: the caller then formats the
+ * rows itself. */
+int64_t text_rows(const double *values, int64_t n, int64_t k, const char *prefix,
+                  const char *sep, const char *end, const char *nan_text, char *out)
+{
+#ifdef __SIZEOF_INT128__
+    size_t prefix_len = strlen(prefix), sep_len = strlen(sep), end_len = strlen(end);
+    size_t nan_len = strlen(nan_text);
+    if (nan_len > CELL_BYTES)
+        return -1;
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        memcpy(p, prefix, prefix_len);
+        p += prefix_len;
+        for (int64_t j = 0; j < k; j++) {
+            if (j) {
+                memcpy(p, sep, sep_len);
+                p += sep_len;
+            }
+            int written = cell_text(values[i * k + j], nan_text, nan_len, p);
+            if (written < 0)
+                return -1;
+            p += written;
+        }
+        memcpy(p, end, end_len);
+        p += end_len;
+    }
+    return p - out;
+#else
+    (void)values, (void)n, (void)k, (void)prefix, (void)sep, (void)end, (void)nan_text, (void)out;
+    return -1;
+#endif
 }

@@ -225,9 +225,9 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
     """Containment of every frame of a trajectory, into ``chi.csv``.
 
     Positions written in an arena (``arena_half_width`` in the file's
-    metadata) are mapped back onto the torus first.
+    metadata) are mapped back onto the torus first. ``out`` is made only once
+    there is something to write.
     """
-    out.mkdir(parents=True, exist_ok=True)
     goal = config.goal
     frames = read_trajectory(trajectory)
     arena = read_metadata(trajectory).get("arena_half_width")
@@ -248,6 +248,7 @@ def cmd_analyze(config: ExperimentConfig, trajectory: Path, out: Path) -> int:
         metric = containment(AgentEnsemble(herders=herders, targets=targets), goal)
         rows.append((t, metric.chi, metric.n_inside))
     times, chi, n_inside = zip(*rows)
+    out.mkdir(parents=True, exist_ok=True)
     write_series(out / "chi.csv", times, {"chi": chi, "n_inside": n_inside}, _meta(config))
     print(f"wrote {out / 'chi.csv'} ({len(rows)} frames)")
     return 0

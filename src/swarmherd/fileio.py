@@ -14,6 +14,14 @@ Tables (trajectories, metric and decay series, sweep maps) are CSV from
 one writer: metadata lines, a header row, then rows ending in ``\r\n``,
 floats with 17 significant digits and NaN as an empty cell.
 
+The digits of tables and fields are Python's ``"%.17g" % v``. They are
+written by ``text_rows`` in the compiled library of ``microsim`` (loaded at
+the first write, never at import), from exact integer arithmetic with no
+libc ``printf``. A table block or field row holding a value it cannot
+format exactly (0 < |v| < 1e-5, |v| >= 2^52, an integer |v| >= 2^53), and
+all text where the library cannot be built or loaded, takes the fallback:
+Python's ``%``, the reference, with the same bytes.
+
 Field files: metadata lines, then ``key=value`` header lines (m, h, kind,
 components, arena_half_width), then the samples row-major with one grid
 row per line (for two-component fields, the full component-0 block is
@@ -29,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, microsim
 from .grids import DensityField, GridSpec, ScalarField, VectorField
 from .torus import PI
 
@@ -83,9 +91,12 @@ def write_field(path: str | Path, field, meta: dict | None = None,
     lines.append(f"kind={kind}")
     lines.append(f"components={components}")
     lines.append(f"arena_half_width={(arena_half_width if arena_half_width else PI)!r}")
-    for row in values.reshape(-1, m):
-        lines.append(" ".join(FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # row by row, so that a value outside text_rows' exact range sends only its
+    # row to the % path
+    text = "".join(_text_rows(row[None], "", " ", "\n", "nan")
+                   or " ".join(FLOAT_FMT % v for v in row) + "\n"
+                   for row in values.reshape(-1, m))
+    Path(path).write_text("\n".join(lines) + "\n" + text)
 
 
 def read_field(path: str | Path):
@@ -139,29 +150,92 @@ def read_field(path: str | Path):
 
 def _write_table(path: str | Path, header: list[str], blocks, meta: dict | None = None):
     """Every table's writer. A block's columns are 1-D arrays of one length, or scalars
-    repeated down it; one ``%`` format of the repeated row writes it: no cell needs quotes."""
+    repeated down it. Each block is written by ``_compiled_block``, else by
+    ``_formatted_block``: the same bytes."""
     with open(path, "w", newline="") as fh:
         fh.writelines(line + "\n" for line in metadata_lines(meta or {}))
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
-            fields, cells = [], []
-            for column in block:
-                values = np.asarray(column)
-                items, kind = values.tolist(), values.dtype.kind
-                field = "%d" if kind in "iu" else FLOAT_FMT if kind == "f" else "%s"
-                if not values.ndim:  # a scalar: a constant of the row format
-                    text = "" if items != items else field % items
-                    fields.append(text.replace("%", "%%"))
-                    continue
-                if kind == "f" and np.isnan(values).any():
-                    field, items = "%s", ["" if v != v else FLOAT_FMT % v for v in items]
-                fields.append(field)
-                cells.append(items)
-            k, n = len(cells), len(cells[0])
-            flat = [0] * (k * n)
-            for j, items in enumerate(cells):
-                flat[j::k] = items  # a column of another length raises here
-            fh.write((",".join(fields) + "\r\n") * n % tuple(flat))
+            columns = [np.asarray(column) for column in block]
+            text = _compiled_block(columns)
+            fh.write(_formatted_block(columns) if text is None else text)
+
+
+def _cell_format(kind: str) -> str:
+    """The ``%`` format of a cell of dtype kind ``kind``."""
+    return "%d" if kind in "iu" else FLOAT_FMT if kind == "f" else "%s"
+
+
+def _scalar_text(value: np.ndarray) -> str:
+    """A scalar column's cell, NaN as empty."""
+    item = value.item()
+    return "" if item != item else _cell_format(value.dtype.kind) % item
+
+
+def _formatted_block(columns: list[np.ndarray]) -> str:
+    """A block through Python's ``%``, the reference: one format of the repeated row,
+    scalars as its constants; no cell needs quotes."""
+    fields, cells = [], []
+    for values in columns:
+        if not values.ndim:  # a scalar: a constant of the row format
+            fields.append(_scalar_text(values).replace("%", "%%"))
+            continue
+        items, kind = values.tolist(), values.dtype.kind
+        field = _cell_format(kind)
+        if kind == "f" and np.isnan(values).any():
+            field, items = "%s", ["" if v != v else FLOAT_FMT % v for v in items]
+        fields.append(field)
+        cells.append(items)
+    k, n = len(cells), len(cells[0])
+    flat = [0] * (k * n)
+    for j, items in enumerate(cells):
+        flat[j::k] = items  # a column of another length raises here
+    return (",".join(fields) + "\r\n") * n % tuple(flat)
+
+
+def _compiled_block(columns: list[np.ndarray]) -> str | None:
+    """A block through the compiled ``text_rows``: its leading scalars as each row's
+    prefix, then its arrays, float columns and integer columns with every
+    |v| < 2^53, as the cells. None for any other block, and where ``text_rows``
+    cannot write it."""
+    lead = next((j for j, values in enumerate(columns) if values.ndim), len(columns))
+    arrays = columns[lead:]
+    if not arrays or any(values.ndim != 1 or len(values) != len(arrays[0])
+                         or not _exact_as_float(values) for values in arrays):
+        return None
+    table = np.empty((len(arrays[0]), len(arrays)))
+    for j, values in enumerate(arrays):
+        table[:, j] = values
+    prefix = "".join(_scalar_text(values) + "," for values in columns[:lead])
+    return _text_rows(table, prefix, ",", "\r\n", "")
+
+
+def _exact_as_float(values: np.ndarray) -> bool:
+    kind = values.dtype.kind
+    if kind in "iu":
+        return not values.size or (values.min() > -2**53 and values.max() < 2**53)
+    return kind == "f"
+
+
+# the most bytes text_rows writes for one cell
+_CELL_BYTES = 24
+
+
+def _text_rows(values: np.ndarray, prefix: str, sep: str, end: str, nan: str) -> str | None:
+    """The rows of the float (n, k) ``values`` as text: each row ``prefix``, its k
+    cells joined by ``sep``, then ``end``. A cell is the exact ``%.17g`` of its
+    value, NaN as ``nan``, from the compiled library's ``text_rows``. None where
+    the library cannot be built or loaded, or ``text_rows`` cannot write a value
+    exactly (0 < |v| < 1e-5, |v| >= 2^52): the caller then formats with ``%``."""
+    lib = microsim._compiled_drift()
+    if lib is None:
+        return None
+    values = np.ascontiguousarray(values, dtype=float)
+    (n, k), (prefix, sep, end, nan) = values.shape, (prefix.encode(), sep.encode(),
+                                                     end.encode(), nan.encode())
+    buffer = np.empty(n * (len(prefix) + len(end) + k * (_CELL_BYTES + len(sep))), np.uint8)
+    size = lib.text_rows(values.ctypes.data, n, k, prefix, sep, end, nan, buffer.ctypes.data)
+    return None if size < 0 else buffer[:size].tobytes().decode()
 
 
 def write_trajectory(path: str | Path, snapshots, meta: dict | None = None,

@@ -22,13 +22,15 @@ for the baseline build. Blocks hold whole groups of 4 targets; a call's
 last 1 to 3 run as one group with the last repeated. Every lane performs
 the same operations in the same order, so the bits depend neither on the
 build nor on the block size.
-The kernel is compiled on the first drift that needs it, with the C
+The same library also formats text: its ``text_rows`` writes the exact
+``%.17g`` cells of ``fileio``'s tables and fields from integer arithmetic.
+It is compiled on the first drift or text write that needs it, with the C
 compiler Python was built with, and cached under
 ``$XDG_CACHE_HOME/swarmherd`` (else ``~/.cache/swarmherd``). Where it cannot
-be built or loaded, one warning is logged and every drift is the image sum,
-``fast=False``'s code, in one thread: at 720 targets and 260 herders 60 to
-65 ms a call with an 18 MB traced peak, against 1.7 to 2.3 ms for the
-kernel on two threads.
+be built or loaded, one warning is logged; every drift is then the image
+sum, ``fast=False``'s code, in one thread (at 720 targets and 260 herders 60
+to 65 ms a call with an 18 MB traced peak, against 1.7 to 2.3 ms for the
+kernel on two threads), and text is formatted by Python's ``%``.
 
 No target's drift depends on another's, so a call of two blocks or more,
 in a process allowed two CPUs, is shared between the calling thread and
@@ -112,14 +114,18 @@ class SimParams:
 
 @dataclass
 class AgentEnsemble:
-    """Herder and target positions, wrapped into the domain."""
+    """Herder and target positions, wrapped into the domain. Points not shaped
+    (n, 2) are a ``ValueError`` that names which."""
 
     herders: np.ndarray  # (n_h, 2)
     targets: np.ndarray  # (n_t, 2)
 
     def __post_init__(self):
-        self.herders = wrap(np.asarray(self.herders, dtype=float).reshape(-1, 2))
-        self.targets = wrap(np.asarray(self.targets, dtype=float).reshape(-1, 2))
+        for name in ("herders", "targets"):
+            points = np.asarray(getattr(self, name), dtype=float)
+            if points.ndim != 2 or points.shape[1] != 2:
+                raise ValueError(f"{name} of shape {points.shape}: need (n, 2) points")
+            setattr(self, name, wrap(points))
 
     @property
     def n_herders(self) -> int:
@@ -302,10 +308,11 @@ def _cache_dir() -> str:
 @lru_cache(maxsize=None)
 def _compiled_drift():
     """The kernel library through ``ctypes``, its ``drift_blocks``,
-    ``drift_lanes`` and ``drift_exp`` declared; None, with one warning, where
-    it cannot be built or loaded.
+    ``drift_lanes``, ``drift_exp`` and ``text_rows`` declared; None, with one
+    warning, where it cannot be built or loaded.
 
-    Built on the first drift that needs it, never at import or in the plan.
+    Built on the first drift or text write that needs it, never at import or
+    in the plan.
     The library's name is keyed by a hash of the source, the compiler, the
     flags and the platform, so hosts of two architectures can share one
     cache directory. It is built in a temporary directory and loaded from
@@ -336,8 +343,8 @@ def _compiled_drift():
                 if cached is not None:
                     os.replace(os.path.join(directory, name), cached)
     except (OSError, subprocess.SubprocessError) as exc:
-        log.warning("compiled drift unavailable, drifting with the image sum in one "
-                    "thread: %s", exc)
+        log.warning("compiled kernel unavailable: drifting with the image sum in one "
+                    "thread, writing text through Python's %%-formatting: %s", exc)
         return None
     lib.drift_blocks.restype = None
     lib.drift_blocks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
@@ -348,6 +355,10 @@ def _compiled_drift():
     lib.drift_lanes.argtypes = ()
     lib.drift_exp.restype = None
     lib.drift_exp.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    lib.text_rows.restype = ctypes.c_int64
+    lib.text_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                              ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p,
+                              ctypes.c_char_p, ctypes.c_void_p)
     return lib
 
 

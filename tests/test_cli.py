@@ -268,6 +268,18 @@ def test_analyze_names_a_frame_without_targets(tmp_path, capsys):
     assert not (an / "chi.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "no targets"])
+def test_failed_analyze_leaves_no_output_directory(tmp_path, capsys, case):
+    # --out is made only once chi.csv is about to be written
+    trajectory = tmp_path / "trajectory.csv"
+    if case == "no targets":
+        trajectory.write_text("t,agent_kind,agent_id,x1,x2\n0,herder,0,3,3\n")
+    an = tmp_path / "an"
+    assert main(["analyze", "--trajectory", str(trajectory), "--out", str(an)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not an.exists()
+
+
 @pytest.mark.parametrize("width", ["inf", "-inf", "nan", "0", "wide"])
 def test_analyze_rejects_a_bad_arena_width_naming_the_file(tmp_path, small_config,
                                                            capsys, width):

@@ -424,7 +424,7 @@ def test_failed_build_warns_once_and_drifts_with_the_reference(kernel, monkeypat
         microsim._compiled_drift.cache_clear()
     assert len(builds) == 1 and drifts == []
     assert microsim._handed is None and not drift_threads_alive()
-    warnings = [r for r in caplog.records if "compiled drift unavailable" in r.message]
+    warnings = [r for r in caplog.records if "compiled kernel unavailable" in r.message]
     assert len(warnings) == 1 and "no compiler here" in warnings[0].message
 
 
@@ -779,6 +779,17 @@ def test_helper_does_not_outlive_its_caller(kernel, monkeypatch, paper_run):
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["herders", "targets"])
+@pytest.mark.parametrize("shape", [(4, 1), (4,), (2, 3), (1, 2, 2)])
+def test_ensemble_rejects_points_not_shaped_n_by_2(name, shape):
+    # (4, 1) targets were once reshaped into 2 made-up targets
+    points = {"herders": np.zeros((0, 2)), "targets": np.zeros((3, 2))}
+    points[name] = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError) as error:
+        AgentEnsemble(**points)
+    assert str(error.value).startswith(f"{name} of shape {shape}: need (n, 2)")
 
 
 def test_fixed_point_without_noise_or_commands(kernel):
