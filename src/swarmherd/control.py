@@ -120,7 +120,8 @@ def control_field(error: ScalarField, rho_h_est: DensityField,
 
 def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a grid velocity field at agent positions,
-    shape (n, 2).
+    shape (n, 2), or one point of shape (2,). Positions of another shape are a
+    ``ValueError``.
 
     The interpolant is periodic on the lattice and exact at the nodes.
     Positions are wrapped first, so sampling is periodic up to the rounding
@@ -128,6 +129,8 @@ def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
     exact in float64.
     """
     pts = np.atleast_2d(wrap(positions))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"positions of shape {pts.shape}: need (n, 2) points")
     m = field.grid.m
     s = (pts + PI) * (m / TWO_PI)
     i0 = np.floor(s).astype(np.int64)

@@ -12,15 +12,19 @@ boundary. Re-analysis sees only the snapshot times.
 
 Tables (trajectories, metric and decay series, sweep maps) are CSV from
 one writer: metadata lines, a header row, then rows ending in ``\r\n``,
-floats with 17 significant digits and NaN as an empty cell.
+floats with 17 significant digits and NaN as an empty cell. An integer
+column is written as its float, whose ``%.17g`` is its ``%d`` below 2^53;
+an integer column holding |v| >= 2^53 is an error.
 
-The digits of tables and fields are Python's ``"%.17g" % v``. They are
-written by ``text_rows`` in the compiled library of ``microsim`` (loaded at
-the first write, never at import), from exact integer arithmetic with no
-libc ``printf``. A table block or field row holding a value it cannot
-format exactly (0 < |v| < 1e-5, |v| >= 2^52, an integer |v| >= 2^53), and
-all text where the library cannot be built or loaded, takes the fallback:
-Python's ``%``, the reference, with the same bytes.
+Tables and fields have one row formatter, ``_rows``: a float (n, k) array,
+each row after a fixed prefix (a table block's leading scalars), as
+Python's ``"%.17g" % v``. The digits are written by ``text_rows`` in the
+compiled library of ``microsim`` (loaded at the first write, never at
+import), from exact integer arithmetic with no libc ``printf``. A table
+block or field row holding a value it cannot format exactly
+(0 < |v| < 1e-5, |v| >= 2^52), and all text where the library cannot be
+built or loaded, is formatted by Python's ``%``, the reference, with the
+same bytes.
 
 Field files: metadata lines, then ``key=value`` header lines (m, h, kind,
 components, arena_half_width), then the samples row-major with one grid
@@ -93,9 +97,7 @@ def write_field(path: str | Path, field, meta: dict | None = None,
     lines.append(f"arena_half_width={(arena_half_width if arena_half_width else PI)!r}")
     # row by row, so that a value outside text_rows' exact range sends only its
     # row to the % path
-    text = "".join(_text_rows(row[None], "", " ", "\n", "nan")
-                   or " ".join(FLOAT_FMT % v for v in row) + "\n"
-                   for row in values.reshape(-1, m))
+    text = "".join(_rows(row[None], "", " ", "\n", "nan") for row in values.reshape(-1, m))
     Path(path).write_text("\n".join(lines) + "\n" + text)
 
 
@@ -149,72 +151,50 @@ def read_field(path: str | Path):
 
 
 def _write_table(path: str | Path, header: list[str], blocks, meta: dict | None = None):
-    """Every table's writer. A block's columns are 1-D arrays of one length, or scalars
-    repeated down it. Each block is written by ``_compiled_block``, else by
-    ``_formatted_block``: the same bytes."""
+    """Every table's writer. A block is leading scalars, the first cells of each of
+    its rows, then 1-D numeric columns of one length. An integer column must hold
+    |v| < 2^53, where its float, and so its ``%.17g``, is exact."""
     with open(path, "w", newline="") as fh:
         fh.writelines(line + "\n" for line in metadata_lines(meta or {}))
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
             columns = [np.asarray(column) for column in block]
-            text = _compiled_block(columns)
-            fh.write(_formatted_block(columns) if text is None else text)
+            lead = next(j for j, values in enumerate(columns) if values.ndim)
+            prefix = "".join(_scalar_text(values.item()) + "," for values in columns[:lead])
+            n = len(columns[lead])
+            table = np.empty((n, len(columns) - lead))
+            for j, values in enumerate(columns[lead:]):
+                if values.shape != (n,):
+                    raise ValueError(f"a column of shape {values.shape} in a block of {n} rows")
+                if values.dtype.kind in "iu" and n and (values.min() <= -2**53
+                                                        or values.max() >= 2**53):
+                    raise ValueError("an integer column holds a value of magnitude 2^53 or "
+                                     "more, which a float cannot write exactly")
+                table[:, j] = values
+            fh.write(_rows(table, prefix, ",", "\r\n", ""))
 
 
-def _cell_format(kind: str) -> str:
-    """The ``%`` format of a cell of dtype kind ``kind``."""
-    return "%d" if kind in "iu" else FLOAT_FMT if kind == "f" else "%s"
+def _scalar_text(item) -> str:
+    """A leading scalar's cell: text as it is, a number as ``%.17g``, NaN as empty."""
+    return item if isinstance(item, str) else "" if item != item else FLOAT_FMT % item
 
 
-def _scalar_text(value: np.ndarray) -> str:
-    """A scalar column's cell, NaN as empty."""
-    item = value.item()
-    return "" if item != item else _cell_format(value.dtype.kind) % item
+def _rows(values: np.ndarray, prefix: str, sep: str, end: str, nan: str) -> str:
+    """The rows of the float (n, k) ``values`` as text: ``_text_rows``, or where it
+    declines ``_percent_rows``, with the same bytes."""
+    text = _text_rows(values, prefix, sep, end, nan)
+    return _percent_rows(values, prefix, sep, end, nan) if text is None else text
 
 
-def _formatted_block(columns: list[np.ndarray]) -> str:
-    """A block through Python's ``%``, the reference: one format of the repeated row,
-    scalars as its constants; no cell needs quotes."""
-    fields, cells = [], []
-    for values in columns:
-        if not values.ndim:  # a scalar: a constant of the row format
-            fields.append(_scalar_text(values).replace("%", "%%"))
-            continue
-        items, kind = values.tolist(), values.dtype.kind
-        field = _cell_format(kind)
-        if kind == "f" and np.isnan(values).any():
-            field, items = "%s", ["" if v != v else FLOAT_FMT % v for v in items]
-        fields.append(field)
-        cells.append(items)
-    k, n = len(cells), len(cells[0])
-    flat = [0] * (k * n)
-    for j, items in enumerate(cells):
-        flat[j::k] = items  # a column of another length raises here
-    return (",".join(fields) + "\r\n") * n % tuple(flat)
-
-
-def _compiled_block(columns: list[np.ndarray]) -> str | None:
-    """A block through the compiled ``text_rows``: its leading scalars as each row's
-    prefix, then its arrays, float columns and integer columns with every
-    |v| < 2^53, as the cells. None for any other block, and where ``text_rows``
-    cannot write it."""
-    lead = next((j for j, values in enumerate(columns) if values.ndim), len(columns))
-    arrays = columns[lead:]
-    if not arrays or any(values.ndim != 1 or len(values) != len(arrays[0])
-                         or not _exact_as_float(values) for values in arrays):
-        return None
-    table = np.empty((len(arrays[0]), len(arrays)))
-    for j, values in enumerate(arrays):
-        table[:, j] = values
-    prefix = "".join(_scalar_text(values) + "," for values in columns[:lead])
-    return _text_rows(table, prefix, ",", "\r\n", "")
-
-
-def _exact_as_float(values: np.ndarray) -> bool:
-    kind = values.dtype.kind
-    if kind in "iu":
-        return not values.size or (values.min() > -2**53 and values.max() < 2**53)
-    return kind == "f"
+def _percent_rows(values: np.ndarray, prefix: str, sep: str, end: str, nan: str) -> str:
+    """``_text_rows``' text through Python's ``%``, the reference: one format of the
+    repeated row, ``%.17g`` per cell, or ``%s`` with NaN as ``nan`` where any cell
+    is NaN."""
+    n, k = values.shape
+    cell, items = FLOAT_FMT, values.ravel().tolist()
+    if np.isnan(values).any():
+        cell, items = "%s", [nan if v != v else FLOAT_FMT % v for v in items]
+    return (prefix.replace("%", "%%") + sep.join([cell] * k) + end) * n % tuple(items)
 
 
 # the most bytes text_rows writes for one cell

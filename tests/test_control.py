@@ -265,6 +265,15 @@ def test_sampling_matches_smooth_field_between_nodes(grid):
     np.testing.assert_allclose(sample_at_herders(field, pts), exact, atol=5e-3)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 3), (4, 1)])
+def test_sampling_rejects_positions_not_shaped_n_by_2(grid, shape):
+    field = VectorField(grid, np.ones((2, grid.m, grid.m)))
+    with pytest.raises(ValueError, match=rf"positions of shape \({shape[0]}, .*need \(n, 2\)"):
+        sample_at_herders(field, np.zeros(shape))
+    # one bare point is one command
+    assert sample_at_herders(field, np.zeros(2)).shape == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # speed limit
 # ---------------------------------------------------------------------------

@@ -166,10 +166,13 @@ def test_every_writer_same_bytes_without_the_library(tmp_path, monkeypatch):
 def test_a_block_with_one_value_out_of_range_takes_the_percent_path(tmp_path, monkeypatch,
                                                                      outside):
     values = np.random.default_rng(7).uniform(-PI, PI, 50)
-    columns = [np.asarray(0.5), np.asarray("target"), np.arange(50), values]
-    assert fileio._compiled_block(columns) == fileio._formatted_block(columns)
-    values[17] = outside
-    assert fileio._compiled_block(columns) is None
+    values[3] = math.nan
+    table = np.column_stack([np.arange(50.0), values])
+    layout = ("0.5,target,", ",", "\r\n", "")
+    assert fileio._text_rows(table, *layout) == fileio._percent_rows(table, *layout)
+    values[17] = table[17, 1] = outside
+    assert fileio._text_rows(table, *layout) is None
+    assert fileio._rows(table, *layout) == fileio._percent_rows(table, *layout)
     write_series(tmp_path / "compiled.csv", np.arange(50.0), {"x": values})
     monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
     write_series(tmp_path / "python.csv", np.arange(50.0), {"x": values})
@@ -178,15 +181,38 @@ def test_a_block_with_one_value_out_of_range_takes_the_percent_path(tmp_path, mo
     assert text == (tmp_path / "python.csv").read_bytes()
 
 
-@pytest.mark.parametrize("big", [2**53, -2**53, 2**63 - 1, 2**52])
-def test_large_integer_columns_take_the_percent_path(tmp_path, big):
+@pytest.mark.parametrize("big", [2**53, -2**53, 2**63 - 1])
+def test_integer_columns_from_2_53_are_an_error(tmp_path, big):
     ids = np.arange(5, dtype=np.int64)
     ids[2] = big
-    columns = [np.arange(5) * 0.5, ids]
-    assert fileio._compiled_block(columns) is None
-    write_series(tmp_path / "ids.csv", columns[0], {"id": ids})
-    rows = (tmp_path / "ids.csv").read_text().splitlines()
-    assert rows[-3] == f"1,{big}"
-    # below 2^52 an integer column is written as its exact float
-    ids[2] = 2**52 - 1
-    assert fileio._compiled_block(columns) == fileio._formatted_block(columns)
+    with pytest.raises(ValueError, match=r"2\^53"):
+        write_series(tmp_path / "ids.csv", np.arange(5) * 0.5, {"id": ids})
+
+
+@pytest.mark.parametrize("big", [2**52, 2**53 - 1])
+def test_integer_columns_below_2_53_are_written_exactly(tmp_path, monkeypatch, big):
+    ids = np.arange(5, dtype=np.int64)
+    ids[2] = -big
+    ids[3] = big
+    write_series(tmp_path / "compiled.csv", np.arange(5) * 0.5, {"id": ids})
+    monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
+    write_series(tmp_path / "python.csv", np.arange(5) * 0.5, {"id": ids})
+    text = (tmp_path / "compiled.csv").read_text()
+    assert text.splitlines()[-3:-1] == [f"1,{-big}", f"1.5,{big}"]
+    assert text == (tmp_path / "python.csv").read_text()
+
+
+def test_a_percent_sign_in_a_leading_scalar_is_text(tmp_path, monkeypatch):
+    blocks = [["50%", np.array([0.5, -2.0])], ["%d%%", np.array([1 / 3])]]
+    fileio._write_table(tmp_path / "compiled.csv", ["share", "x"], blocks)
+    monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
+    fileio._write_table(tmp_path / "python.csv", ["share", "x"], blocks)
+    text = (tmp_path / "compiled.csv").read_bytes()
+    assert text.endswith(b"\r\n50%,0.5\r\n50%,-2\r\n%d%%,0.33333333333333331\r\n")
+    assert text == (tmp_path / "python.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column", [[1.0], np.zeros((3, 1))])
+def test_a_column_of_another_length_is_an_error(tmp_path, column):
+    with pytest.raises(ValueError, match="in a block of 3 rows"):
+        write_series(tmp_path / "short.csv", np.arange(3.0), {"x": column})
