@@ -21,7 +21,7 @@ from .grids import (
     mass,
     poisson_solve,
 )
-from .torus import TWO_PI, PI, wrap
+from .torus import TWO_PI, PI, points, wrap
 
 # Herder density estimates are strictly positive by construction; the floor
 # only guards the division against float underflow in near-empty regions.
@@ -128,9 +128,7 @@ def sample_at_herders(field: VectorField, positions: np.ndarray) -> np.ndarray:
     of the shifted position ``x + 2*pi*n``: bit-exact wherever that sum is
     exact in float64.
     """
-    pts = np.atleast_2d(wrap(positions))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"positions of shape {pts.shape}: need (n, 2) points")
+    pts = wrap(points(np.atleast_2d(positions), "positions"))
     m = field.grid.m
     s = (pts + PI) * (m / TWO_PI)
     i0 = np.floor(s).astype(np.int64)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,13 +194,12 @@ class DeconvolutionOperator:
     :func:`~swarmherd.grids.kernel_symbol`, shape (2, M, M//2 + 1), which
     holds the whole spectrum because the kernel samples are real. ``svd()``
     returns its singular values s = sqrt(|K1^|^2 + |K2^|^2), one per
-    half-plane wavenumber, as a cached (M, M//2 + 1) array.
+    half-plane wavenumber, as an (M, M//2 + 1) array computed on each call.
     """
 
     grid: GridSpec
     kernel: KernelParams
     symbol: np.ndarray
-    _svd: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, grid: GridSpec, kernel: KernelParams) -> "DeconvolutionOperator":
@@ -208,10 +207,8 @@ class DeconvolutionOperator:
         return cls(grid=grid, kernel=kernel, symbol=symbol)
 
     def svd(self) -> np.ndarray:
-        if self._svd is None:
-            power = self.symbol.real ** 2 + self.symbol.imag ** 2
-            self._svd = np.sqrt(power.sum(axis=0))
-        return self._svd
+        power = self.symbol.real ** 2 + self.symbol.imag ** 2
+        return np.sqrt(power.sum(axis=0))
 
 
 @dataclass

@@ -95,9 +95,12 @@ def write_field(path: str | Path, field, meta: dict | None = None,
     lines.append(f"kind={kind}")
     lines.append(f"components={components}")
     lines.append(f"arena_half_width={(arena_half_width if arena_half_width else PI)!r}")
-    # row by row, so that a value outside text_rows' exact range sends only its
-    # row to the % path
-    text = "".join(_rows(row[None], "", " ", "\n", "nan") for row in values.reshape(-1, m))
+    # one text_rows call for the whole field; where it declines, row by row, so
+    # that a value outside its exact range sends only its row to the % path
+    rows = values.reshape(-1, m)
+    text = _text_rows(rows, "", " ", "\n", "nan")
+    if text is None:
+        text = "".join(_rows(row[None], "", " ", "\n", "nan") for row in rows)
     Path(path).write_text("\n".join(lines) + "\n" + text)
 
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .grids import DensityField, GridSpec
-from .torus import PI, TWO_PI, FieldError, wrap
+from .torus import PI, TWO_PI, FieldError, points, wrap
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,6 @@ def _rings(bandwidth: float) -> int:
 _SERIAL_GEMM = 1 << 18
 
 
-@lru_cache(maxsize=2)
-def _image_buffer(n: int, m: int) -> np.ndarray:
-    """Scratch (3, n, M): the image sums of both axes and one image term.
-
-    Reused across calls so that a step does not allocate (and page in) its
-    (n, M) temporaries afresh. Not safe for concurrent calls.
-    """
-    return np.empty((3, n, m))
-
-
 def estimate_density(
     agents: np.ndarray,
     params: KdeParams,
@@ -71,15 +60,13 @@ def estimate_density(
     """
     if not mass > 0:
         raise ValueError("target mass must be positive")
-    agents = np.atleast_2d(np.asarray(agents, dtype=float))
+    agents = np.atleast_2d(agents)
     if agents.size == 0:
         raise ValueError("density of an empty agent set is undefined")
-    if agents.ndim != 2 or agents.shape[1] != 2:
-        raise ValueError("agent positions must have shape (n, 2)")
-    agents = wrap(agents)
+    agents = wrap(points(agents, "agents"))
     rings = _rings(params.bandwidth)
 
-    g1, g2, t = _image_buffer(agents.shape[0], grid.m)
+    g1, g2, t = np.empty((3, agents.shape[0], grid.m))  # both image sums, one term
     axis = grid.axis()
     coef = -0.5 / params.bandwidth**2
     for g, x in ((g1, agents[:, 0:1]), (g2, agents[:, 1:2])):

@@ -67,7 +67,7 @@ from .feasibility import GoalRegion
 from .grids import DensityField, l2_norm
 from .kde import KdeParams, estimate_density
 from .kernel import KernelParams, image_shifts, kernel_periodic
-from .torus import PI, TWO_PI, FieldError, torus_distance, wrap, wrapped_displacement
+from .torus import PI, TWO_PI, FieldError, points, torus_distance, wrap, wrapped_displacement
 
 log = logging.getLogger("swarmherd")
 
@@ -122,10 +122,7 @@ class AgentEnsemble:
 
     def __post_init__(self):
         for name in ("herders", "targets"):
-            points = np.asarray(getattr(self, name), dtype=float)
-            if points.ndim != 2 or points.shape[1] != 2:
-                raise ValueError(f"{name} of shape {points.shape}: need (n, 2) points")
-            setattr(self, name, wrap(points))
+            setattr(self, name, wrap(points(getattr(self, name), name)))
 
     @property
     def n_herders(self) -> int:
@@ -490,11 +487,8 @@ def drift_all(targets: np.ndarray, herders: np.ndarray, alpha: float,
     one and makes its own ``_Drift`` of the wrapped arrays.
     """
     global _handed
-    targets = np.ascontiguousarray(targets, dtype=float)
-    herders = np.ascontiguousarray(herders, dtype=float)
-    for name, points in (("targets", targets), ("herders", herders)):
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(f"{name} of shape {points.shape}: need (n, 2) points")
+    targets = points(targets, "targets")
+    herders = points(herders, "herders")
     if herders.size == 0 or targets.size == 0:
         return np.zeros_like(targets)
     lib = _compiled_drift() if fast else None

@@ -18,6 +18,16 @@ class FieldError(ValueError):
         self.field = field
 
 
+def points(value, name: str) -> np.ndarray:
+    """``value`` as a C-contiguous float (n, 2) array of points, the array
+    itself where it already is one. Another shape is a ``ValueError`` that
+    names ``name`` and the shape."""
+    arr = np.ascontiguousarray(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{name} of shape {arr.shape}: need (n, 2) points")
+    return arr
+
+
 def wrap(p: np.ndarray) -> np.ndarray:
     """Shift coordinates by multiples of 2*pi into [-pi, pi).
 

@@ -97,7 +97,12 @@ def test_invalid_values_rejected():
                 {"goal": {"center": [True, 0.0]}},
                 {"sim": {"horizon": float("inf")}}, {"sim": {"diffusion": float("nan")}},
                 {"sim": {"diffusion": float("inf")}}, {"sim": {"dt": float("inf")}},
-                {"goal": {"center": [0.0, float("-inf")]}}):
+                {"goal": {"center": [0.0, float("-inf")]}},
+                {"population": {"n_targets": 0}}, {"population": {"n_herders": -1}},
+                {"output": {"metrics_every": 0}}, {"output": {"snapshot_every": -1}},
+                {"domain": {"arena_half_width": 0}}, {"domain": {"arena_half_width": -2.0}},
+                {"target_density": {"concentration": 0}},
+                {"target_density": {"concentration": -1.0}}):
         ((section, values),) = bad.items()
         (key,) = values
         with pytest.raises(ConfigError, match=rf"'{section}'.*\b{section}\.{key}\b"):
@@ -114,6 +119,11 @@ def test_invalid_values_rejected():
             ExperimentConfig.from_dict({"sim": {"horizon": horizon}})
         with pytest.raises(ValueError, match=clash):
             SimParams(horizon=horizon)
+
+
+def test_a_section_that_is_not_an_object_rejected():
+    with pytest.raises(ConfigError, match="^'sim' must be a JSON object$"):
+        ExperimentConfig.from_dict({"sim": 5})
 
 
 def test_bad_value_named_next_to_a_field_pair():
@@ -397,6 +407,12 @@ def test_field_reader_validates(tmp_path):
     p = tmp_path / "bad.field"
     p.write_text("m=4\nkind=scalar\ncomponents=1\n1 2 3 4\n")
     with pytest.raises(ValueError, match="rows"):
+        read_field(p)
+    p.write_text("m=4\nkind=scalar\ncomponents=1\n" + "1 2 3 4\n" * 4 + "1 2 x 4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:8: bad sample line")):
+        read_field(p)
+    p.write_text("m=4\ncomponents=1\n" + "1 2 3 4\n" * 4)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: missing header key 'kind'")):
         read_field(p)
 
 

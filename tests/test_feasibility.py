@@ -49,9 +49,7 @@ def grid25():
 
 @pytest.fixture(scope="module")
 def operator(grid25, kernel):
-    op = DeconvolutionOperator.build(grid25, kernel)
-    op.svd()  # warm the cache once for the whole module
-    return op
+    return DeconvolutionOperator.build(grid25, kernel)
 
 
 # ---------------------------------------------------------------------------

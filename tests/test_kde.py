@@ -102,6 +102,15 @@ def test_empty_agent_set_rejected(grid):
         estimate_density(np.zeros((0, 2)), KdeParams(), grid)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 3), (4, 1)])
+def test_agents_not_shaped_n_by_2_rejected(grid, shape):
+    with pytest.raises(ValueError, match=rf"^agents of shape \({shape[0]}, .*need \(n, 2\) points$"):
+        estimate_density(np.zeros(shape), KdeParams(), grid)
+    # one bare point is one agent
+    np.testing.assert_array_equal(estimate_density(np.zeros(2), KdeParams(), grid).values,
+                                  estimate_density(np.zeros((1, 2)), KdeParams(), grid).values)
+
+
 def test_param_validation(grid):
     with pytest.raises(ValueError):
         KdeParams(bandwidth=0.0)
@@ -114,9 +123,9 @@ def test_param_validation(grid):
         estimate_density(np.zeros((1, 2)), KdeParams(), grid, mass=-1.0)
 
 
-def test_image_buffer_reuse_leaks_no_state():
-    # the scratch is kept per (agents, grid size); calls of other sizes and
-    # ring counts in between must not change a result
+def test_calls_of_other_sizes_in_between_leave_a_result_unchanged():
+    # calls of other agent counts, grid sizes and ring counts in between
+    # must not change a result
     rng = np.random.default_rng(12)
     cases = [(rng.uniform(-PI, PI, (260, 2)), KdeParams(), GridSpec(64)),
              (rng.uniform(-PI, PI, (1, 2)), KdeParams(), GridSpec(16)),
@@ -125,7 +134,6 @@ def test_image_buffer_reuse_leaks_no_state():
     assert [kde._rings(p.bandwidth) for _, p, _ in cases] == [1, 1, 2, 5]
     first = []
     for agents, params, grid in cases:
-        kde._image_buffer.cache_clear()
         first.append(estimate_density(agents, params, grid).values)
     for order in itertools.permutations(range(len(cases))):
         for idx in order:

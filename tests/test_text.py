@@ -153,10 +153,11 @@ def test_every_writer_same_bytes_without_the_library(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(fileio, "_text_rows", spy)
         compiled = write_all(tmp_path / "compiled", np.random.default_rng(5))
-    # 12 table blocks and 64 field rows; all but four are compiled text, the
-    # four hold a value outside its exact range: a target at 1e-7, the
-    # metrics, awkward.csv and the scalar field's row 3
-    assert len(written) == 12 + 64 and written.count(False) == 4
+    # 12 table blocks, one call per field and the scalar field's 16 rows one
+    # by one after its call declines; all but five are compiled text, the five
+    # hold a value outside its exact range: a target at 1e-7, the metrics,
+    # awkward.csv, the whole scalar field and its row 3
+    assert len(written) == 12 + 3 + 16 and written.count(False) == 5
     monkeypatch.setattr(microsim, "_compiled_drift", lambda: None)
     python = write_all(tmp_path / "python", np.random.default_rng(5))
     assert len(compiled) == 9 and compiled == python

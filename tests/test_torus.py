@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swarmherd import ArenaMap, torus_distance, wrap, wrapped_displacement
+from swarmherd.torus import points
 
 PI = np.pi
 
@@ -37,6 +38,18 @@ def test_wrap_idempotent_and_in_domain(x):
     once = wrap(x)
     assert np.all((once >= -PI) & (once < PI))
     np.testing.assert_array_equal(wrap(once), once)
+
+
+def test_points_are_the_array_itself_where_it_already_is_one():
+    arr = np.zeros((3, 2))
+    assert points(arr, "herders") is arr
+    strided = np.zeros((3, 4))[:, ::2]
+    out = points(strided, "herders")
+    assert out.flags.c_contiguous and np.array_equal(out, strided)
+    assert points([[1, 2]], "herders").dtype == float
+    for shape in ((3,), (3, 1), (2, 2, 2)):
+        with pytest.raises(ValueError, match=rf"^herders of shape \({shape[0]},.*need \(n, 2\) points$"):
+            points(np.zeros(shape), "herders")
 
 
 def test_wrap_rejects_non_finite():
